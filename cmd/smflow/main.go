@@ -64,11 +64,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	vout := fs.String("verilog", "", "write the erroneous (FEOL) netlist as Verilog to this file")
 	jsonOut := fs.Bool("json", false, "emit the protect+security reports as JSON")
 	verbose := fs.Bool("v", false, "stream per-stage progress to stderr")
-	progress := fs.Bool("progress", false, "deprecated alias for -v")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	*verbose = *verbose || *progress
 
 	if *listDefenses {
 		for _, name := range splitmfg.Defenses() {

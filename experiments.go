@@ -84,9 +84,10 @@ func Fig6PPA(cfg ExperimentConfig) (*Table, []PPARow, error) {
 	return report.Fig6PPA(cfg)
 }
 
-// SecurityStudy attacks one defense variant ("original",
-// "placement-perturbation", "g-color", "synergistic", "proposed", ...)
-// across the configured ISCAS benchmarks.
+// SecurityStudy attacks one defense variant ("original", "proposed", a
+// defense-registry name such as "placement-perturbation" or
+// "synergistic", or a Table 4 Sengupta short name: "random", "g-color",
+// "g-type1", "g-type2") across the configured ISCAS benchmarks.
 func SecurityStudy(variant string, cfg ExperimentConfig) ([]SecurityRow, error) {
 	return report.SecurityStudy(variant, cfg)
 }

@@ -275,8 +275,8 @@ func suiteRowReport(row SuiteRow) SuiteRowReport {
 // cache counters are folded to their deterministic two-way form — disk
 // hits count as misses — so hits mean "repeat key requests" and misses
 // mean "first-time key requests", byte-identical whether the run was
-// fresh, resumed from a cache dir, or diskless. The raw three-way
-// breakdown stays on SuiteResult.Cache.
+// fresh, resumed from a cache dir, or diskless. The raw breakdown stays
+// on SuiteResult.Cache.
 func (s SuiteResult) Report(opt SuiteOptions) SuiteReport {
 	opt = opt.withDefaults()
 	rep := SuiteReport{

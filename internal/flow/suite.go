@@ -143,138 +143,17 @@ func replicateSeed(seed int64, rep int) int64 {
 	return engine.DeriveSeed(seed, "suite/replicate/"+strconv.Itoa(rep))
 }
 
-// CacheStats counts suite-cache outcomes three ways: Hits are repeat
-// requests served from the in-memory tier, DiskHits are first requests
-// served from the disk store, Misses are first requests that computed.
-// Hits and DiskHits+Misses are deterministic for a given suite
-// configuration — every job issues a fixed set of key requests and the
-// first request per distinct key is either a disk hit or a miss — so the
-// folded form (SuiteResult.Report collapses disk hits into misses) is
-// safe to serialize into byte-stable reports, identical whether a run was
-// fresh, resumed, or diskless.
+// CacheStats is the suite cache's serialized two-way form: Hits are
+// repeat key requests, Misses first-time key requests, whether they were
+// computed or served from the disk store. Both are deterministic for a
+// given suite configuration — every job issues a fixed set of key
+// requests, and the first request per distinct key is either a disk hit
+// or a miss — so SuiteResult.Report folds the cache's disk hits into
+// Misses and the report is byte-identical whether a run was fresh,
+// resumed, or diskless.
 type CacheStats struct {
-	Hits     int `json:"hits"`
-	Misses   int `json:"misses"`
-	DiskHits int `json:"disk_hits,omitempty"`
-}
-
-// cacheEntry is one in-flight or completed computation. ready is closed
-// when val/err are final.
-type cacheEntry struct {
-	ready chan struct{}
-	val   any
-	err   error
-}
-
-// suiteCache is the content-addressed result cache shared by a whole
-// suite run: an in-memory singleflight tier, optionally backed by a
-// disk store (SuiteOptions.CacheDir) that persists every completed
-// value and survives the process. Keys encode every input that
-// determines the value (bench/scale/defense/fraction/attackers/
-// split-layers/seed/...), so a lookup can never conflate two different
-// computations. Concurrent requests deduplicate singleflight-style: the
-// first requester consults the disk and computes on a disk miss, later
-// requesters for the same key count a hit and block until the value is
-// ready.
-type suiteCache struct {
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
-	stats   CacheStats
-	disk    *store.Store // nil = memory-only
-}
-
-func newSuiteCache(disk *store.Store) *suiteCache {
-	return &suiteCache{entries: map[string]*cacheEntry{}, disk: disk}
-}
-
-// do returns the cached (or freshly computed) value for key. decode
-// rebuilds the typed value from the disk tier's raw JSON; compute runs
-// only when both tiers miss, and its successful result is checkpointed
-// to disk best-effort (a failed write degrades to uncached, it never
-// fails the suite).
-func (c *suiteCache) do(key string, decode func([]byte) (any, error), compute func() (any, error)) (any, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.stats.Hits++
-		c.mu.Unlock()
-		<-e.ready
-		return e.val, e.err
-	}
-	e := &cacheEntry{ready: make(chan struct{})}
-	c.entries[key] = e
-	c.mu.Unlock()
-	if raw, ok := c.disk.Get(key); ok {
-		if v, err := decode(raw); err == nil {
-			c.mu.Lock()
-			c.stats.DiskHits++
-			c.mu.Unlock()
-			e.val = v
-			close(e.ready)
-			return v, nil
-		}
-		// A value that no longer decodes is as good as absent; fall
-		// through and recompute (the rewrite replaces it).
-	}
-	c.mu.Lock()
-	c.stats.Misses++
-	c.mu.Unlock()
-	e.val, e.err = compute()
-	if e.err == nil {
-		c.disk.Put(key, e.val)
-	}
-	close(e.ready)
-	return e.val, e.err
-}
-
-func (c *suiteCache) snapshot() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-// stealQueue is the suite's bounded work-stealing scheduler. All jobs are
-// known up front, so it needs no wakeups: each worker owns a deque seeded
-// round-robin (striping spreads the early per-benchmark baseline builds
-// across workers instead of serializing them behind one singleflight), and
-// an idle worker steals from the nearest non-empty sibling when its own
-// deque runs dry. Both own pops and steals take the oldest job: job
-// indices are scheduling priority (baselines precede cells), so draining
-// front-first is what actually starts every benchmark's reference build
-// early instead of leaving the low-index jobs for last.
-type stealQueue struct {
-	mu     sync.Mutex
-	deques [][]int
-}
-
-func newStealQueue(jobs, workers int) *stealQueue {
-	q := &stealQueue{deques: make([][]int, workers)}
-	for j := 0; j < jobs; j++ {
-		w := j % workers
-		q.deques[w] = append(q.deques[w], j)
-	}
-	return q
-}
-
-// next returns the next job index for worker w, or ok=false when every
-// deque is empty (the suite's job set is exhausted — nothing enqueues
-// mid-run).
-func (q *stealQueue) next(w int) (int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if own := q.deques[w]; len(own) > 0 {
-		j := own[0]
-		q.deques[w] = own[1:]
-		return j, true
-	}
-	for i := 1; i < len(q.deques); i++ {
-		v := (w + i) % len(q.deques)
-		if d := q.deques[v]; len(d) > 0 {
-			j := d[0]
-			q.deques[v] = d[1:]
-			return j, true
-		}
-	}
-	return 0, false
+	Hits   int `json:"hits"`
+	Misses int `json:"misses"`
 }
 
 // Dist is a mean ± standard deviation pair: over seed replicates in
@@ -339,13 +218,13 @@ type SuiteBenchResult struct {
 type SuiteResult struct {
 	Benches    []SuiteBenchResult // one per requested benchmark, in request order
 	Aggregate  []SuiteRow         // one per requested defense, across benchmarks
-	Cache      CacheStats
+	Cache      store.CacheStats
 	Replicates int
 }
 
 // EvaluateSuite fans the (benchmark × defense × attacker × seed-replicate)
-// cross product through one bounded work-stealing worker pool with a
-// content-addressed result cache, so shared cells — each benchmark's
+// cross product through one bounded worker pool with a content-addressed
+// result cache (store.Cache), so shared cells — each benchmark's
 // unprotected baseline, a defense requested twice — are computed once
 // across the whole suite rather than once per design.
 //
@@ -406,7 +285,9 @@ func EvaluateSuite(ctx context.Context, lib *cell.Library, opt SuiteOptions) (Su
 			return out, fmt.Errorf("flow: suite cache dir: %w", err)
 		}
 	}
-	cache := newSuiteCache(disk)
+	// Capacity for every job's key, the most distinct keys a suite can
+	// request, so nothing is evicted and the counters stay deterministic.
+	cache := store.NewCache(numJobs, disk)
 	workers := opt.Parallelism
 	if workers > numJobs {
 		workers = numJobs
@@ -444,21 +325,23 @@ func EvaluateSuite(ctx context.Context, lib *cell.Library, opt SuiteOptions) (Su
 		cellRows[k] = row
 	}
 
-	queue := newStealQueue(numJobs, workers)
+	// Jobs are handed out in index order, so every baseline starts before
+	// any cell job.
 	var wg sync.WaitGroup
+	idx := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for {
-				j, ok := queue.next(w)
-				if !ok {
-					return
-				}
+			for j := range idx {
 				runJob(j)
 			}
-		}(w)
+		}()
 	}
+	for j := 0; j < numJobs; j++ {
+		idx <- j
+	}
+	close(idx)
 	wg.Wait()
 	if err := context.Cause(cctx); err != nil {
 		return out, err
@@ -482,14 +365,14 @@ func EvaluateSuite(ctx context.Context, lib *cell.Library, opt SuiteOptions) (Su
 	for d, name := range opt.Defenses {
 		out.Aggregate = append(out.Aggregate, aggregateRow(name, opt.Attackers, out.Benches, d))
 	}
-	out.Cache = cache.snapshot()
+	out.Cache = cache.Stats()
 	return out, nil
 }
 
 // suiteBaseline builds (or reuses) one benchmark's unprotected baseline and
 // returns its PPA — the anchor for every defense row's overheads, computed
 // once per benchmark across the whole suite.
-func suiteBaseline(ctx context.Context, cache *suiteCache, b SuiteBenchmark,
+func suiteBaseline(ctx context.Context, cache *store.Cache, b SuiteBenchmark,
 	lib *cell.Library, seed int64, routeP int, strat route.Strategy, em *emitter) (timing.PPA, error) {
 	key := "baseline|" + b.cacheKey(seed) + "|route=" + routeStrategyKey(strat)
 	decode := func(raw []byte) (any, error) {
@@ -497,7 +380,7 @@ func suiteBaseline(ctx context.Context, cache *suiteCache, b SuiteBenchmark,
 		err := json.Unmarshal(raw, &ppa)
 		return ppa, err
 	}
-	v, err := cache.do(key, decode, func() (any, error) {
+	v, _, err := cache.Do(ctx, key, decode, func() (any, error) {
 		start := time.Now()
 		if err := ctx.Err(); err != nil {
 			return timing.PPA{}, err
@@ -525,7 +408,7 @@ func suiteBaseline(ctx context.Context, cache *suiteCache, b SuiteBenchmark,
 // suiteCell computes (or reuses) one (benchmark, defense, replicate) cell:
 // the defense built with the replicate's derived seed, analyzed against the
 // benchmark's shared baseline, and attacked by the full panel.
-func suiteCell(ctx context.Context, cache *suiteCache, b SuiteBenchmark, lib *cell.Library,
+func suiteCell(ctx context.Context, cache *store.Cache, b SuiteBenchmark, lib *cell.Library,
 	defense string, rep, inner int, opt SuiteOptions, em *emitter) (MatrixRow, error) {
 	// Each suite job routes with its share of the one parallelism budget
 	// unless the caller pinned a route worker count explicitly.
@@ -546,7 +429,7 @@ func suiteCell(ctx context.Context, cache *suiteCache, b SuiteBenchmark, lib *ce
 		err := json.Unmarshal(raw, &row)
 		return row, err
 	}
-	v, err := cache.do(key, decode, func() (any, error) {
+	v, _, err := cache.Do(ctx, key, decode, func() (any, error) {
 		row, err := evaluateDefense(ctx, b.Netlist, lib, defense, base, inner, MatrixOptions{
 			Attackers:        opt.Attackers,
 			SplitLayers:      opt.SplitLayers,

@@ -7,10 +7,11 @@ import (
 
 	"splitmfg/internal/bench"
 	"splitmfg/internal/cell"
-	"splitmfg/internal/defense/baselines"
 	"splitmfg/internal/defense/correction"
+	defengine "splitmfg/internal/defense/engine"
 	"splitmfg/internal/defense/randomize"
 	"splitmfg/internal/flow"
+	"splitmfg/internal/layout"
 	"splitmfg/internal/netlist"
 	"splitmfg/internal/timing"
 )
@@ -41,70 +42,46 @@ type SecurityRow struct {
 	Frags     int
 }
 
+// senguptaVariants maps Table 4's short names for the Sengupta et al.
+// strategies to their defense-registry names.
+var senguptaVariants = map[string]string{
+	"random": "sengupta-random", "g-color": "sengupta-gcolor",
+	"g-type1": "sengupta-gtype1", "g-type2": "sengupta-gtype2",
+}
+
 // iscasVariantDesign builds the named defense variant for one benchmark and
 // returns the design to attack plus the protected-pin filter (nil = score
-// all crossing nets) and the netlist the attacker wants.
-func iscasVariantDesign(name, variant string, lib *cell.Library, cfg Config) (*flow.ProtectResult, *SecurityRow, map[netlist.PinRef]bool, error) {
-	nl, err := bench.ISCAS85(name)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	row := &SecurityRow{Benchmark: name, Variant: variant}
-	bopt := baselines.Options{UtilPercent: 70, Seed: cfg.Seed}
-	copt := correction.Options{LiftLayer: 6, UtilPercent: 70, Seed: cfg.Seed}
+// all crossing nets). "original" is the unprotected layout, "proposed" the
+// escalating flow.Protect; every other variant is a defense-registry name
+// (or a Sengupta short name).
+func iscasVariantDesign(nl *netlist.Netlist, variant string, lib *cell.Library, cfg Config) (*layout.Design, map[netlist.PinRef]bool, error) {
 	switch variant {
 	case "original":
-		d, err := correction.BuildOriginal(nl, lib, copt)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return &flow.ProtectResult{Baseline: d}, row, nil, nil
-	case "placement-perturbation":
-		d, err := baselines.PlacementPerturbation(nl, lib, bopt)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return &flow.ProtectResult{Baseline: d}, row, nil, nil
-	case "random", "g-color", "g-type1", "g-type2":
-		strat := map[string]baselines.SenguptaStrategy{
-			"random": baselines.Random, "g-color": baselines.GColor,
-			"g-type1": baselines.GType1, "g-type2": baselines.GType2,
-		}[variant]
-		d, err := baselines.Sengupta(nl, lib, strat, bopt)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return &flow.ProtectResult{Baseline: d}, row, nil, nil
-	case "pin-swapping":
-		d, _, err := baselines.PinSwapping(nl, lib, bopt)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return &flow.ProtectResult{Baseline: d}, row, nil, nil
-	case "routing-perturbation":
-		d, err := baselines.RoutingPerturbation(nl, lib, bopt)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return &flow.ProtectResult{Baseline: d}, row, nil, nil
-	case "synergistic":
-		d, err := baselines.Synergistic(nl, lib, bopt)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return &flow.ProtectResult{Baseline: d}, row, nil, nil
+		d, err := correction.BuildOriginal(nl, lib, correction.Options{LiftLayer: 6, UtilPercent: 70, Seed: cfg.Seed})
+		return d, nil, err
 	case "proposed":
 		res, err := flow.Protect(context.Background(), nl, lib, flow.Config{
 			LiftLayer: 6, UtilPercent: 70, Seed: cfg.Seed,
 			PPABudgetPercent: 20, PatternWords: cfg.PatternWords,
 		})
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		return res, row, res.Protected.ProtectedSinks(), nil
-	default:
-		return nil, nil, nil, fmt.Errorf("report: unknown variant %q", variant)
+		return res.Protected.Design, res.Protected.ProtectedSinks(), nil
 	}
+	name := variant
+	if reg, ok := senguptaVariants[variant]; ok {
+		name = reg
+	}
+	def, ok := defengine.Lookup(name)
+	if !ok {
+		return nil, nil, fmt.Errorf("report: unknown variant %q", variant)
+	}
+	p, err := def.Protect(context.Background(), nl, lib, defengine.Options{Seed: cfg.Seed})
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.Design, p.ProtectedPins, nil
 }
 
 // SecurityStudy attacks one variant across the configured benchmarks.
@@ -117,13 +94,9 @@ func SecurityStudy(variant string, cfg Config) ([]SecurityRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, row, filter, err := iscasVariantDesign(name, variant, lib, cfg)
+		d, filter, err := iscasVariantDesign(nl, variant, lib, cfg)
 		if err != nil {
 			return nil, err
-		}
-		d := res.Baseline
-		if variant == "proposed" {
-			d = res.Protected.Design
 		}
 		opt := flow.EvalOptions{
 			SplitLayers: []int{3, 4, 5}, OnlyPins: filter, Seed: cfg.Seed, PatternWords: cfg.PatternWords,
@@ -133,11 +106,10 @@ func SecurityStudy(variant string, cfg Config) ([]SecurityRow, error) {
 			return nil, err
 		}
 		rep := sec.Report(name, opt)
-		row.CCR = rep.CCRPercent
-		row.OER = rep.OERPercent
-		row.HD = rep.HDPercent
-		row.Frags = rep.Fragments
-		rows = append(rows, *row)
+		rows = append(rows, SecurityRow{
+			Benchmark: name, Variant: variant,
+			CCR: rep.CCRPercent, OER: rep.OERPercent, HD: rep.HDPercent, Frags: rep.Fragments,
+		})
 	}
 	return rows, nil
 }

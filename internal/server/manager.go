@@ -105,8 +105,8 @@ func (c Config) withDefaults() Config {
 
 // Stats is the server-wide snapshot served by GET /v1/stats.
 type Stats struct {
-	Jobs  map[State]int `json:"jobs"` // job count per lifecycle state
-	Cache CacheStats    `json:"cache"`
+	Jobs  map[State]int    `json:"jobs"` // job count per lifecycle state
+	Cache store.CacheStats `json:"cache"`
 	// Parallelism and MaxRunning echo the budget configuration so clients
 	// can see what share a job will be granted.
 	Parallelism int `json:"parallelism"`
@@ -118,7 +118,7 @@ type Stats struct {
 // use by the HTTP handlers.
 type Manager struct {
 	cfg   Config
-	cache *resultCache
+	cache *store.Cache
 
 	// baseCtx parents every job context; Shutdown cancels it to stop
 	// still-running jobs once the drain deadline passes.
@@ -160,7 +160,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		cfg:     cfg,
-		cache:   newResultCache(cfg.CacheEntries, disk),
+		cache:   store.NewCache(cfg.CacheEntries, disk),
 		baseCtx: ctx,
 		stopAll: cancel,
 		jobs:    map[string]*Job{},
@@ -327,7 +327,7 @@ func (m *Manager) Stats() Stats {
 	m.mu.Unlock()
 	st := Stats{
 		Jobs:        map[State]int{},
-		Cache:       m.cache.snapshot(),
+		Cache:       m.cache.Stats(),
 		Parallelism: m.cfg.Parallelism,
 		MaxRunning:  m.cfg.MaxRunning,
 	}
@@ -380,7 +380,7 @@ func (m *Manager) runJob(job *Job) {
 	decode := func(raw []byte) (any, error) {
 		return splitmfg.DecodeReport(job.req.Kind, raw)
 	}
-	val, hit, err := m.cache.do(jobCtx, job.req.CacheKey(), decode, func() (any, error) {
+	val, hit, err := m.cache.Do(jobCtx, job.req.CacheKey(), decode, func() (any, error) {
 		return job.req.Run(jobCtx, extra...)
 	})
 	if hit {

@@ -115,43 +115,43 @@ func TestEventLogSlowSubscriberDrops(t *testing.T) {
 }
 
 func TestResultCacheHitAndStats(t *testing.T) {
-	c := newResultCache(0, nil)
+	c := store.NewCache(256, nil)
 	calls := 0
 	compute := func() (any, error) { calls++; return 42, nil }
-	v, hit, err := c.do(context.Background(), "k", nil, compute)
+	v, hit, err := c.Do(context.Background(), "k", nil, compute)
 	if err != nil || hit || v != 42 {
 		t.Fatalf("first do = (%v, %v, %v), want (42, false, nil)", v, hit, err)
 	}
-	v, hit, err = c.do(context.Background(), "k", nil, compute)
+	v, hit, err = c.Do(context.Background(), "k", nil, compute)
 	if err != nil || !hit || v != 42 {
 		t.Fatalf("second do = (%v, %v, %v), want (42, true, nil)", v, hit, err)
 	}
 	if calls != 1 {
 		t.Fatalf("compute ran %d times, want 1", calls)
 	}
-	if st := c.snapshot(); st.Hits != 1 || st.Misses != 1 {
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
 	}
 }
 
 func TestResultCacheFailureEvicted(t *testing.T) {
-	c := newResultCache(0, nil)
+	c := store.NewCache(256, nil)
 	boom := errors.New("boom")
-	if _, _, err := c.do(context.Background(), "k", nil, func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.Do(context.Background(), "k", nil, func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// The failed computation must not poison the key.
-	v, hit, err := c.do(context.Background(), "k", nil, func() (any, error) { return "ok", nil })
+	v, hit, err := c.Do(context.Background(), "k", nil, func() (any, error) { return "ok", nil })
 	if err != nil || hit || v != "ok" {
 		t.Fatalf("retry = (%v, %v, %v), want (ok, false, nil)", v, hit, err)
 	}
-	if st := c.snapshot(); st.Hits != 0 || st.Misses != 2 {
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 2 {
 		t.Fatalf("stats = %+v, want 0 hits / 2 misses", st)
 	}
 }
 
 func TestResultCacheSingleflight(t *testing.T) {
-	c := newResultCache(0, nil)
+	c := store.NewCache(256, nil)
 	release := make(chan struct{})
 	computing := make(chan struct{})
 	type result struct {
@@ -161,7 +161,7 @@ func TestResultCacheSingleflight(t *testing.T) {
 	}
 	results := make(chan result, 1)
 	go func() {
-		v, hit, err := c.do(context.Background(), "k", nil, func() (any, error) {
+		v, hit, err := c.Do(context.Background(), "k", nil, func() (any, error) {
 			close(computing)
 			<-release
 			return "shared", nil
@@ -171,7 +171,7 @@ func TestResultCacheSingleflight(t *testing.T) {
 	<-computing
 	waiter := make(chan result, 1)
 	go func() {
-		v, hit, err := c.do(context.Background(), "k", nil, func() (any, error) {
+		v, hit, err := c.Do(context.Background(), "k", nil, func() (any, error) {
 			t.Error("waiter should not compute")
 			return nil, nil
 		})
@@ -180,7 +180,7 @@ func TestResultCacheSingleflight(t *testing.T) {
 	// A waiter whose context dies gives up without canceling the computer.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := c.do(ctx, "k", nil, nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := c.Do(ctx, "k", nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled waiter returned %v, want context.Canceled", err)
 	}
 	close(release)
@@ -366,10 +366,10 @@ func TestJobCancelRacesAdmission(t *testing.T) {
 }
 
 func TestResultCacheLRUEviction(t *testing.T) {
-	c := newResultCache(2, nil)
+	c := store.NewCache(2, nil)
 	put := func(k string) (any, bool) {
 		t.Helper()
-		v, hit, err := c.do(context.Background(), k, nil, func() (any, error) { return k, nil })
+		v, hit, err := c.Do(context.Background(), k, nil, func() (any, error) { return k, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,7 +378,7 @@ func TestResultCacheLRUEviction(t *testing.T) {
 	put("a")
 	put("b")
 	put("c") // over the cap: "a" (least recently used) falls out
-	if st := c.snapshot(); st.Evictions != 1 || st.Misses != 3 {
+	if st := c.Stats(); st.Evictions != 1 || st.Misses != 3 {
 		t.Fatalf("stats = %+v, want 1 eviction / 3 misses", st)
 	}
 	if _, hit := put("b"); !hit {
@@ -388,19 +388,19 @@ func TestResultCacheLRUEviction(t *testing.T) {
 		t.Fatal("evicted entry still served")
 	}
 	// Re-adding "a" displaced the now-least-recent "c".
-	if st := c.snapshot(); st.Evictions != 2 || st.Misses != 4 || st.Hits != 1 {
+	if st := c.Stats(); st.Evictions != 2 || st.Misses != 4 || st.Hits != 1 {
 		t.Fatalf("stats = %+v, want 2 evictions / 4 misses / 1 hit", st)
 	}
 }
 
 func TestResultCacheInFlightNeverEvicted(t *testing.T) {
-	c := newResultCache(1, nil)
+	c := store.NewCache(1, nil)
 	release := make(chan struct{})
 	computing := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		v, _, err := c.do(context.Background(), "slow", nil, func() (any, error) {
+		v, _, err := c.Do(context.Background(), "slow", nil, func() (any, error) {
 			close(computing)
 			<-release
 			return "slow-value", nil
@@ -413,13 +413,13 @@ func TestResultCacheInFlightNeverEvicted(t *testing.T) {
 	// Churn the cache past its cap while "slow" is still in flight: only
 	// completed entries may be evicted.
 	for _, k := range []string{"x", "y", "z"} {
-		if _, _, err := c.do(context.Background(), k, nil, func() (any, error) { return k, nil }); err != nil {
+		if _, _, err := c.Do(context.Background(), k, nil, func() (any, error) { return k, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	close(release)
 	<-done
-	v, hit, err := c.do(context.Background(), "slow", nil, func() (any, error) {
+	v, hit, err := c.Do(context.Background(), "slow", nil, func() (any, error) {
 		t.Error("in-flight entry was evicted and recomputed")
 		return nil, nil
 	})
@@ -443,21 +443,21 @@ func TestResultCacheDiskTierSurvivesRestart(t *testing.T) {
 		err := json.Unmarshal(raw, &s)
 		return s, err
 	}
-	c1 := newResultCache(4, openStore())
-	if _, _, err := c1.do(context.Background(), "k", decode, func() (any, error) { return "v", nil }); err != nil {
+	c1 := store.NewCache(4, openStore())
+	if _, _, err := c1.Do(context.Background(), "k", decode, func() (any, error) { return "v", nil }); err != nil {
 		t.Fatal(err)
 	}
 	// A fresh cache over the same directory — the process restart — must
 	// serve the key from disk without computing.
-	c2 := newResultCache(4, openStore())
-	v, hit, err := c2.do(context.Background(), "k", decode, func() (any, error) {
+	c2 := store.NewCache(4, openStore())
+	v, hit, err := c2.Do(context.Background(), "k", decode, func() (any, error) {
 		t.Error("disk-backed key recomputed")
 		return nil, nil
 	})
 	if err != nil || !hit || v != "v" {
 		t.Fatalf("restarted lookup = (%v, %v, %v), want a disk hit", v, hit, err)
 	}
-	if st := c2.snapshot(); st.DiskHits != 1 || st.Misses != 0 {
+	if st := c2.Stats(); st.DiskHits != 1 || st.Misses != 0 {
 		t.Fatalf("stats = %+v, want 1 disk hit / 0 misses", st)
 	}
 }

@@ -1,8 +1,10 @@
-// Package store is a disk-backed content-addressed result store: the
-// durable second tier under the in-memory singleflight caches of the
-// suite scheduler (internal/flow) and the evaluation server
-// (internal/server). A killed suite run resumes from it, and identical
-// requests are free across process restarts and across smbench/smserve.
+// Package store is the two-tier result cache shared by the suite
+// scheduler (internal/flow) and the evaluation server (internal/server):
+// Cache, an in-memory singleflight tier with an LRU cap, over Store, a
+// disk-backed content-addressed result store. Each caller only picks a
+// capacity and a store directory. A killed suite run resumes from the
+// disk tier, and identical requests are free across process restarts and
+// across smbench/smserve.
 //
 // Each entry is one file named sha256(key).json holding a small JSON
 // envelope — a format version, the caller's key-schema version, the full

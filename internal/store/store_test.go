@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-func open(t *testing.T, dir string, schema int) *Store {
+func open(t testing.TB, dir string, schema int) *Store {
 	t.Helper()
 	s, err := Open(dir, Options{KeySchema: schema, Logf: t.Logf})
 	if err != nil {

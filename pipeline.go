@@ -232,7 +232,7 @@ func (p *Pipeline) matrixOptions(d *Design) flow.MatrixOptions {
 
 // Suite fans the full (benchmark × defense × attacker × seed-replicate)
 // cross product behind the paper's Tables 4/5 through one bounded
-// work-stealing worker pool with a content-addressed result cache: each
+// worker pool with a content-addressed result cache: each
 // benchmark's unprotected baseline is built once for the whole suite (not
 // once per defense or replicate), and repeated cells are served from the
 // cache. WithReplicates(n) runs every (benchmark, defense) cell under n
