@@ -42,6 +42,11 @@ type Result struct {
 // Attack runs the candidate-list construction over a split view. ref (the
 // original netlist) is used only for the match-in-list ground-truth metric;
 // the candidate lists themselves are FEOL-only.
+//
+// Range queries run over a CSR index of vpin fragments binned by gcell
+// (one contiguous bin range per box row), and each candidate list is an
+// epoch-stamped set over fragment IDs, so the per-vpin, per-box scan
+// allocates nothing.
 func Attack(d *layout.Design, sv *layout.SplitView, ref *netlist.Netlist, opt Options) Result {
 	if len(opt.BBoxes) == 0 {
 		opt.BBoxes = []int{15, 30, 45}
@@ -54,12 +59,7 @@ func Attack(d *layout.Design, sv *layout.SplitView, ref *netlist.Netlist, opt Op
 	if len(sv.VPins) == 0 {
 		return res
 	}
-	// Bucket vpins by gcell for range queries.
-	type key struct{ x, y int }
-	buckets := map[key][]int{}
-	for i, vp := range sv.VPins {
-		buckets[key{vp.Node.X, vp.Node.Y}] = append(buckets[key{vp.Node.X, vp.Node.Y}], i)
-	}
+	bins := binVPins(d.Grid.W, d.Grid.H, sv.VPins)
 	// Ground truth: fragment -> set of true partner fragments.
 	truth := metrics.TrueAssignment(d, sv, ref)
 	partners := map[int]map[int]bool{}
@@ -76,6 +76,10 @@ func Attack(d *layout.Design, sv *layout.SplitView, ref *netlist.Netlist, opt Op
 		}
 	}
 
+	// seen[f] == ep marks fragment f as a candidate of the current
+	// (vpin, box) list; ep is bumped per list, so the set never clears.
+	seen := make([]int32, len(sv.Frags))
+	var ep int32
 	for _, b := range opt.BBoxes {
 		var totalList int
 		var withPartner, matched int
@@ -97,30 +101,15 @@ func Attack(d *layout.Design, sv *layout.SplitView, ref *netlist.Netlist, opt Op
 					hiY = vp.Node.Y + b/4
 				}
 			}
-			cands := map[int]bool{} // candidate fragment IDs
-			for x := loX; x <= hiX; x++ {
-				for y := loY; y <= hiY; y++ {
-					for _, j := range buckets[key{x, y}] {
-						other := &sv.VPins[j]
-						if other.Frag == vp.Frag {
-							continue // same fragment: not a reconnection
-						}
-						cands[other.Frag] = true
-					}
-				}
-			}
-			totalList += len(cands)
+			ep++
+			totalList += bins.collect(vp.Frag, loX, hiX, loY, hiY, seen, ep)
 			if ps := partners[vp.Frag]; len(ps) > 0 {
 				withPartner++
-				hit := false
 				for p := range ps {
-					if cands[p] {
-						hit = true
+					if seen[p] == ep {
+						matched++
 						break
 					}
-				}
-				if hit {
-					matched++
 				}
 			}
 		}
@@ -130,6 +119,63 @@ func Attack(d *layout.Design, sv *layout.SplitView, ref *netlist.Netlist, opt Op
 		}
 	}
 	return res
+}
+
+// gcellBins is a CSR index of vpins by gcell over a w×h grid: the
+// fragments of the vpins in gcell (x, y) are frags[start[y*w+x]:
+// start[y*w+x+1]], in vpin order. Bins are row-major, so the gcells of
+// one box row are one contiguous range.
+type gcellBins struct {
+	w, h  int
+	start []int32
+	frags []int32
+}
+
+// binVPins builds the index with a counting sort over gcells.
+func binVPins(w, h int, vpins []layout.VPin) gcellBins {
+	b := gcellBins{w: w, h: h, start: make([]int32, w*h+1), frags: make([]int32, len(vpins))}
+	for i := range vpins {
+		b.start[vpins[i].Node.Y*w+vpins[i].Node.X+1]++
+	}
+	for c := 1; c < len(b.start); c++ {
+		b.start[c] += b.start[c-1]
+	}
+	// Fill each bin through its start offset as a cursor; afterwards
+	// start[c] holds bin c's end (= bin c+1's start), so shift back by one.
+	for i := range vpins {
+		c := vpins[i].Node.Y*w + vpins[i].Node.X
+		b.frags[b.start[c]] = int32(vpins[i].Frag)
+		b.start[c]++
+	}
+	copy(b.start[1:], b.start)
+	b.start[0] = 0
+	return b
+}
+
+// collect stamps every fragment other than frag that owns a vpin in the
+// inclusive gcell box [loX, hiX] × [loY, hiY] (clamped to the grid) into
+// seen with ep, and returns how many distinct fragments it stamped — the
+// size of that box's candidate list.
+//
+//smlint:hot
+func (b *gcellBins) collect(frag, loX, hiX, loY, hiY int, seen []int32, ep int32) int {
+	loX, hiX = max(loX, 0), min(hiX, b.w-1)
+	loY, hiY = max(loY, 0), min(hiY, b.h-1)
+	if loX > hiX {
+		return 0
+	}
+	n := 0
+	for y := loY; y <= hiY; y++ {
+		row := y * b.w
+		for _, f := range b.frags[b.start[row+loX]:b.start[row+hiX+1]] {
+			if int(f) == frag || seen[f] == ep {
+				continue // own fragment (not a reconnection), or already listed
+			}
+			seen[f] = ep
+			n++
+		}
+	}
+	return n
 }
 
 // SolutionSpaceLog10 estimates log10 of the number of candidate netlists

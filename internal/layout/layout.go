@@ -7,8 +7,10 @@
 package layout
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"splitmfg/internal/cell"
 	"splitmfg/internal/geom"
@@ -252,16 +254,11 @@ func (d *Design) RouteAll(lifts map[int]int) error {
 		}
 		jobs = append(jobs, job{n.ID, geom.HPWL(d.Placement.NetPoints(d.Netlist, n.ID))})
 	}
-	// insertion sort by hpwl then id for determinism
-	for i := 1; i < len(jobs); i++ {
-		j := jobs[i]
-		k := i - 1
-		for k >= 0 && (jobs[k].hpwl > j.hpwl || (jobs[k].hpwl == j.hpwl && jobs[k].id > j.id)) {
-			jobs[k+1] = jobs[k]
-			k--
-		}
-		jobs[k+1] = j
-	}
+	// Short nets first, ties by net ID: the IDs are unique, so the order
+	// is total and any sort gives the same one.
+	slices.SortFunc(jobs, func(a, b job) int {
+		return cmp.Or(cmp.Compare(a.hpwl, b.hpwl), cmp.Compare(a.id, b.id))
+	})
 	// Tag all nets' terminals into one arena: one allocation for the whole
 	// design instead of one per net.
 	total := 0

@@ -21,7 +21,7 @@ package route
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"splitmfg/internal/geom"
@@ -237,12 +237,15 @@ func (r *Router) idx(n Node) int32 {
 	return int32((n.Z*r.Grid.H+n.Y)*r.Grid.W + n.X)
 }
 
+// node decodes a node index with two uint32 divisions (indices and grid
+// extents are non-negative and below 2^31) instead of an int div/mod
+// chain: the 32-bit divide is several times cheaper on amd64, and the
+// router's A* decodes one index per pop.
 func (r *Router) node(i int32) Node {
-	w, h := r.Grid.W, r.Grid.H
-	x := int(i) % w
-	y := int(i) / w % h
-	z := int(i) / (w * h)
-	return Node{X: x, Y: y, Z: z}
+	u, w, h := uint32(i), uint32(r.Grid.W), uint32(r.Grid.H)
+	q := u / w // z*h + y
+	z := q / h
+	return Node{X: int(u - q*w), Y: int(q - z*h), Z: int(z)}
 }
 
 // Nets returns a snapshot of the currently routed nets keyed by ID. The
@@ -269,7 +272,7 @@ func (r *Router) SortedNetIDs() []int {
 	for id := range r.nets {
 		ids = append(ids, id)
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 	return ids
 }
 
@@ -565,7 +568,7 @@ func (r *Router) NegotiateReroute(iters int) {
 		for id := range over {
 			ids = append(ids, id)
 		}
-		sortInts(ids)
+		slices.Sort(ids)
 		r.Opt.HistoryCost *= 1.8
 		for _, id := range ids {
 			rn := r.nets[id]
@@ -582,17 +585,5 @@ func (r *Router) NegotiateReroute(iters int) {
 				continue
 			}
 		}
-	}
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
 	}
 }

@@ -3,7 +3,7 @@ package route
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"splitmfg/internal/geom"
 	"splitmfg/internal/heapx"
@@ -368,21 +368,22 @@ func (w *worker) searchBounded(target Node, wireMin int, reg region) ([]Edge, bo
 	ep := w.epoch
 	tIdx := w.r.idx(target)
 
-	// h takes the already-decoded node: index decoding (node()) costs an
-	// integer div/mod pair, and every caller here has the coordinates in
+	// h takes the already-decoded node: index decoding (node()) costs two
+	// integer divisions, and every caller here has the coordinates in
 	// hand — recomputing them per push/pop dominated profiles.
+	via := w.r.viaCost()
 	h := func(n Node) int64 {
 		dx := int64(absInt(n.X - target.X))
 		dy := int64(absInt(n.Y - target.Y))
 		dz := int64(absInt(n.Z - target.Z))
-		return (dx+dy)*10 + dz*w.r.viaCost()
+		return (dx+dy)*10 + dz*via
 	}
 	// Seed the frontier in sorted node order: tree insertion order would
 	// otherwise leak into equal-cost tie-breaks, and historically the tree
 	// was a map whose keys were seeded sorted — keeping that order keeps
 	// routing byte-identical.
 	seeds := append(w.seedBuf[:0], w.treeList...)
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
+	slices.Sort(seeds)
 	w.seedBuf = seeds
 	q := w.pqBuf[:0]
 	defer func() { w.pqBuf = q }()
@@ -427,10 +428,10 @@ func (w *worker) searchBounded(target Node, wireMin int, reg region) ([]Edge, bo
 		n := curN
 		// Via moves.
 		if n.Z < g.Layers {
-			relax(cur, Node{n.X, n.Y, n.Z + 1}, w.r.viaCost())
+			relax(cur, Node{n.X, n.Y, n.Z + 1}, via)
 		}
 		if n.Z > 1 {
-			relax(cur, Node{n.X, n.Y, n.Z - 1}, w.r.viaCost())
+			relax(cur, Node{n.X, n.Y, n.Z - 1}, via)
 		}
 		// Wire moves (preferred direction, within bounds and the corridor
 		// mask, above wireMin).
