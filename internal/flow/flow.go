@@ -142,8 +142,8 @@ func (e *emitter) emit(ev Event) {
 		return
 	}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.fn(ev)
-	e.mu.Unlock()
 }
 
 // observe adapts a correction.Options observer to progress events.
@@ -413,37 +413,21 @@ func EvaluateSecurity(ctx context.Context, d *layout.Design, ref *netlist.Netlis
 	layers := opt.SplitLayers
 
 	results := make([]LayerResult, len(layers))
-	errs := make([]error, len(layers))
-	workers := opt.Parallelism
-	if workers > len(layers) {
-		workers = len(layers)
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i], errs[i] = evaluateLayer(ctx, d, ref, layers[i], opt)
-				detail := ""
-				if results[i].Vacuous {
-					detail = "vacuous"
-				}
-				em.emit(Event{Stage: StageAttack, Layer: layers[i], Detail: detail, Elapsed: results[i].Elapsed})
-			}
-		}()
-	}
-	for i := range layers {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	errs := runPool(len(layers), opt.Parallelism, func(i int) error {
+		var err error
+		results[i], err = evaluateLayer(ctx, d, ref, layers[i], opt)
+		detail := ""
+		if results[i].Vacuous {
+			detail = "vacuous"
+		}
+		em.emit(Event{Stage: StageAttack, Layer: layers[i], Detail: detail, Elapsed: results[i].Elapsed})
+		return err
+	}, nil)
 
 	var out SecurityResult
-	for i := range layers {
-		if errs[i] != nil {
-			return out, errs[i]
+	for _, err := range errs {
+		if err != nil {
+			return out, err
 		}
 	}
 	out.PerLayer = results

@@ -3,7 +3,6 @@ package flow
 import (
 	"context"
 	"runtime"
-	"sync"
 	"time"
 
 	defengine "splitmfg/internal/defense/engine"
@@ -29,7 +28,7 @@ type MatrixOptions struct {
 	SplitLayers  []int        // layers each pair is attacked at (default M3,M4,M5)
 	Seed         int64        // master seed; every (defense, attacker, layer) derives its own stream
 	PatternWords int          // 64-pattern words for OER/HD (default 256)
-	Parallelism  int          // concurrent defense rows and layer attacks; 0 = GOMAXPROCS, 1 = serial
+	Parallelism  int          // concurrent builds (baseline and rows), split further into layer attacks; 0 = GOMAXPROCS, 1 = serial
 	LiftLayer    int          // lift layer for lifting defenses (default 6)
 	UtilPercent  int          // placement utilization (default 70)
 	TargetOER    float64      // randomization stop criterion (default 0.999)
@@ -37,9 +36,9 @@ type MatrixOptions struct {
 	Progress     ProgressFunc // optional per-defense / per-layer completion events
 
 	// RouteParallelism is the worker count for wave-parallel net routing
-	// inside each defense build (0 = the row's share of Parallelism, so
-	// the route workers of concurrent rows do not multiply; 1 = serial).
-	// Results are byte-identical at every level.
+	// inside the baseline and each defense build (0 = the build's share of
+	// Parallelism, so the route workers of concurrent builds do not
+	// multiply; 1 = serial). Results are byte-identical at every level.
 	RouteParallelism int
 
 	// RouteStrategy selects flat or hierarchical batched routing for every
@@ -89,14 +88,6 @@ type MatrixResult struct {
 	Rows    []MatrixRow // one per requested defense, in request order
 }
 
-// matrixEntry is the memoized computation for one distinct defense name:
-// requesting the same defense twice in one matrix reuses the built layout
-// and its evaluation instead of re-running the (expensive) pair sweep.
-type matrixEntry struct {
-	row MatrixRow
-	err error
-}
-
 // EvaluateMatrix builds every requested defense on the netlist and runs
 // every requested attacker against it at each split layer — the full cross
 // product behind the paper's Tables 4 and 5. Rows are defenses, columns are
@@ -133,25 +124,6 @@ func EvaluateMatrix(ctx context.Context, nl *netlist.Netlist, lib *cell.Library,
 		return out, err
 	}
 
-	// The unprotected baseline anchors every row's PPA delta. It builds
-	// before the row pool starts, so it can use the full parallelism
-	// budget for its routing.
-	baseRouteP := opt.RouteParallelism
-	if baseRouteP == 0 {
-		baseRouteP = opt.Parallelism
-	}
-	base, err := correction.BuildOriginal(nl, lib, correction.Options{
-		LiftLayer: opt.LiftLayer, UtilPercent: opt.UtilPercent, Seed: opt.Seed,
-		RouteOpt: route.Options{Parallelism: baseRouteP, Strategy: opt.RouteStrategy},
-	})
-	if err != nil {
-		return out, err
-	}
-	out.BasePPA, err = timing.AnalyzeDesign(base, lib)
-	if err != nil {
-		return out, err
-	}
-
 	// Distinct defenses only: the memo key is the defense name, because a
 	// defense is a deterministic function of (netlist, seed) and the seed
 	// is derived from the name.
@@ -163,60 +135,74 @@ func EvaluateMatrix(ctx context.Context, nl *netlist.Netlist, lib *cell.Library,
 			distinct = append(distinct, name)
 		}
 	}
-	entries := make([]matrixEntry, len(distinct))
-	workers := opt.Parallelism
-	if workers > len(distinct) {
-		workers = len(distinct)
-	}
-	// Split the one parallelism budget between the row pool and each
-	// row's nested layer pool: `workers` rows in flight, each attacking
-	// up to Parallelism/workers layers at once. Without the division the
-	// nested pools would multiply (rows × layers concurrent attacks),
-	// oversubscribing the CPU and holding rows×layers split views live.
-	inner := opt.Parallelism / workers
-	if inner < 1 {
-		inner = 1
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				entries[i].row, entries[i].err = evaluateDefense(ctx, nl, lib, distinct[i], out.BasePPA, inner, opt)
-				if entries[i].err == nil {
-					em.emit(Event{Stage: StageDefense, Detail: distinct[i], Elapsed: entries[i].row.Elapsed})
-				}
-			}
-		}()
-	}
-	for i := range distinct {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 
-	byName := make(map[string]*matrixEntry, len(distinct))
-	for i, name := range distinct {
-		byName[name] = &entries[i]
+	// Task 0 builds the unprotected baseline and task i the i-th distinct
+	// defense. Rows need the baseline only for their PPA deltas, which are
+	// applied once the pool drains, so no task waits on another. Split the
+	// one parallelism budget between the pool and each task's nested layer
+	// pool and route waves: `workers` tasks in flight, each attacking up
+	// to Parallelism/workers layers at once and routing with as many
+	// workers. Without the division the nested pools would multiply,
+	// oversubscribing the CPU and holding more layouts live.
+	workers := min(opt.Parallelism, 1+len(distinct))
+	inner := opt.Parallelism / workers // >= 1: workers <= Parallelism
+	rows := make([]MatrixRow, len(distinct))
+	errs := runPool(1+len(distinct), workers, func(i int) error {
+		if i == 0 {
+			var err error
+			out.BasePPA, err = buildBaseline(nl, lib, inner, opt)
+			return err
+		}
+		row, err := evaluateDefense(ctx, nl, lib, distinct[i-1], inner, opt)
+		if err != nil {
+			return err
+		}
+		rows[i-1] = row
+		em.emit(Event{Stage: StageDefense, Detail: row.Defense, Elapsed: row.Elapsed})
+		return nil
+	}, nil)
+	// The baseline's error first, then the rows' in request order.
+	for _, err := range errs {
+		if err != nil {
+			return out, err
+		}
+	}
+
+	byName := make(map[string]*MatrixRow, len(distinct))
+	for i := range rows {
+		row := &rows[i]
+		row.AreaOH, row.PowerOH, row.DelayOH = row.PPA.Overhead(out.BasePPA)
+		byName[row.Defense] = row
 	}
 	for _, name := range opt.Defenses {
-		e := byName[name]
-		if e.err != nil {
-			return out, e.err
-		}
-		out.Rows = append(out.Rows, e.row)
+		out.Rows = append(out.Rows, *byName[name])
 	}
 	return out, nil
 }
 
+// buildBaseline builds and analyzes the unprotected layout that anchors
+// every matrix row's PPA overheads.
+func buildBaseline(nl *netlist.Netlist, lib *cell.Library, routeShare int, opt MatrixOptions) (timing.PPA, error) {
+	routeP := opt.RouteParallelism
+	if routeP == 0 {
+		routeP = routeShare
+	}
+	base, err := correction.BuildOriginal(nl, lib, correction.Options{
+		LiftLayer: opt.LiftLayer, UtilPercent: opt.UtilPercent, Seed: opt.Seed,
+		RouteOpt: route.Options{Parallelism: routeP, Strategy: opt.RouteStrategy},
+	})
+	if err != nil {
+		return timing.PPA{}, err
+	}
+	return timing.AnalyzeDesign(base, lib)
+}
+
 // evaluateDefense computes one matrix row: build the defense's layout with
-// a name-derived seed, analyze its PPA against the baseline, then run the
-// full attacker panel over the split layers with an independent
-// name-derived evaluation seed.
+// a name-derived seed, analyze its PPA, then run the full attacker panel
+// over the split layers with an independent name-derived evaluation seed.
+// The caller fills in the overheads against its baseline.
 func evaluateDefense(ctx context.Context, nl *netlist.Netlist, lib *cell.Library,
-	name string, basePPA timing.PPA, parallelism int, opt MatrixOptions) (MatrixRow, error) {
+	name string, parallelism int, opt MatrixOptions) (MatrixRow, error) {
 	start := time.Now()
 	row := MatrixRow{Defense: name}
 	def, _ := defengine.Lookup(name) // validated up front in EvaluateMatrix
@@ -254,7 +240,6 @@ func evaluateDefense(ctx context.Context, nl *netlist.Netlist, lib *cell.Library
 	if err != nil {
 		return row, err
 	}
-	row.AreaOH, row.PowerOH, row.DelayOH = row.PPA.Overhead(basePPA)
 
 	sec, err := EvaluateSecurity(ctx, prot.Design, nl, EvalOptions{
 		SplitLayers:  opt.SplitLayers,

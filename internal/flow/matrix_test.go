@@ -44,15 +44,18 @@ func TestEvaluateMatrixSerialParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Parallelism = 4
-	parallel, err := EvaluateMatrix(context.Background(), nl, lib, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sb := marshalMatrix(t, serial, opt)
-	pb := marshalMatrix(t, parallel, opt)
-	if !bytes.Equal(sb, pb) {
-		t.Fatalf("serial and parallel matrix reports differ:\n%s\n----\n%s", sb, pb)
+	// The baseline and three rows are four pool tasks: at 2 and 3 rows
+	// queue behind the baseline, at 4 all of them run at once.
+	for _, p := range []int{2, 3, 4} {
+		opt.Parallelism = p
+		parallel, err := EvaluateMatrix(context.Background(), nl, lib, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pb := marshalMatrix(t, parallel, opt); !bytes.Equal(sb, pb) {
+			t.Fatalf("serial and parallelism-%d matrix reports differ:\n%s\n----\n%s", p, sb, pb)
+		}
 	}
 
 	// Shape: one row per requested defense, one cell per requested

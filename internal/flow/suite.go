@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	defengine "splitmfg/internal/defense/engine"
@@ -271,11 +270,6 @@ func EvaluateSuite(ctx context.Context, lib *cell.Library, opt SuiteOptions) (Su
 	// surfaces as its own cause.
 	cctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
-	fail := func(err error) {
-		if err != nil {
-			cancel(err)
-		}
-	}
 
 	var disk *store.Store
 	if opt.CacheDir != "" {
@@ -288,61 +282,34 @@ func EvaluateSuite(ctx context.Context, lib *cell.Library, opt SuiteOptions) (Su
 	// Capacity for every job's key, the most distinct keys a suite can
 	// request, so nothing is evicted and the counters stay deterministic.
 	cache := store.NewCache(numJobs, disk)
-	workers := opt.Parallelism
-	if workers > numJobs {
-		workers = numJobs
-	}
-	// Split the parallelism budget like EvaluateMatrix: `workers` jobs in
-	// flight, each attacking up to Parallelism/workers layers at once.
-	inner := opt.Parallelism / workers
-	if inner < 1 {
-		inner = 1
-	}
+	// Split the one parallelism budget between the job pool and each
+	// job's nested layer pool and route waves: `workers` jobs in flight,
+	// each attacking up to Parallelism/workers layers at once.
+	workers := min(opt.Parallelism, numJobs)
+	inner := opt.Parallelism / workers // >= 1: workers <= Parallelism
 
 	routeP := opt.RouteParallelism
 	if routeP == 0 {
 		routeP = inner
 	}
 
-	runJob := func(j int) {
+	runJob := func(j int) error {
 		if j < B {
-			ppa, err := suiteBaseline(cctx, cache, opt.Benchmarks[j], lib, opt.Seed, routeP, opt.RouteStrategy, em)
-			if err != nil {
-				fail(err)
-				return
-			}
-			basePPA[j] = ppa
-			return
+			var err error
+			basePPA[j], err = suiteBaseline(cctx, cache, opt.Benchmarks[j], lib, opt.Seed, routeP, opt.RouteStrategy, em)
+			return err
 		}
 		k := j - B
 		b, rem := k/(D*R), k%(D*R)
 		d, r := rem/R, rem%R
-		row, err := suiteCell(cctx, cache, opt.Benchmarks[b], lib, opt.Defenses[d], r, inner, opt, em)
-		if err != nil {
-			fail(err)
-			return
-		}
-		cellRows[k] = row
+		var err error
+		cellRows[k], err = suiteCell(cctx, cache, opt.Benchmarks[b], lib, opt.Defenses[d], r, inner, opt, em)
+		return err
 	}
 
 	// Jobs are handed out in index order, so every baseline starts before
 	// any cell job.
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range idx {
-				runJob(j)
-			}
-		}()
-	}
-	for j := 0; j < numJobs; j++ {
-		idx <- j
-	}
-	close(idx)
-	wg.Wait()
+	runPool(numJobs, workers, runJob, cancel)
 	if err := context.Cause(cctx); err != nil {
 		return out, err
 	}
@@ -430,7 +397,7 @@ func suiteCell(ctx context.Context, cache *store.Cache, b SuiteBenchmark, lib *c
 		return row, err
 	}
 	v, _, err := cache.Do(ctx, key, decode, func() (any, error) {
-		row, err := evaluateDefense(ctx, b.Netlist, lib, defense, base, inner, MatrixOptions{
+		row, err := evaluateDefense(ctx, b.Netlist, lib, defense, inner, MatrixOptions{
 			Attackers:        opt.Attackers,
 			SplitLayers:      opt.SplitLayers,
 			Seed:             repSeed,
@@ -445,6 +412,7 @@ func suiteCell(ctx context.Context, cache *store.Cache, b SuiteBenchmark, lib *c
 		if err != nil {
 			return MatrixRow{}, err
 		}
+		row.AreaOH, row.PowerOH, row.DelayOH = row.PPA.Overhead(base)
 		return row, nil
 	})
 	if err != nil {

@@ -84,9 +84,8 @@ func BenchmarkRerouteNet(b *testing.B) {
 // workload — 1500 nets on a 400x400x10 grid — at increasing wave
 // parallelism. p1 is the serial schedule; p4/p8 route spatially disjoint
 // waves concurrently with byte-identical results (asserted by
-// TestRouteJobsSerialParallelIdentical). CI publishes this trajectory as
-// BENCH_route.json; the p4-vs-p1 delta is the wall-clock win the
-// wave-partitioned router buys on one design.
+// TestRouteJobsSerialParallelIdentical). The p4-vs-p1 delta is the
+// wall-clock win the wave-partitioned router buys on one design.
 //
 //	go test -bench RouteWaves -benchmem ./internal/route
 func BenchmarkRouteWaves(b *testing.B) {

@@ -360,14 +360,21 @@ func TestNegotiateRerouteReducesOverflow(t *testing.T) {
 	// Jam many parallel nets through the same corridor at capacity 1,
 	// then negotiate: overflow must drop (usually to zero).
 	r := NewRouter(testGrid(), Options{Capacity: 1})
+	var jobs []Job
 	for i := 0; i < 12; i++ {
-		pins := []Pin{
+		jobs = append(jobs, Job{ID: i, MinLayer: 1, Pins: []Pin{
 			{Pt: geom.Point{X: 1400, Y: 28000 + (i%3)*100}, Layer: 1},
 			{Pt: geom.Point{X: 54000, Y: 28000 + (i%3)*100}, Layer: 1},
-		}
-		if err := r.RouteNet(i, pins, 1); err != nil {
-			t.Fatal(err)
-		}
+		}})
+	}
+	// Two pins in one gcell: routed, but with no edges.
+	const local = 12
+	jobs = append(jobs, Job{ID: local, MinLayer: 1, Pins: []Pin{
+		{Pt: geom.Point{X: 30000, Y: 10000}, Layer: 1},
+		{Pt: geom.Point{X: 30100, Y: 10100}, Layer: 1},
+	}})
+	if err := r.RouteJobs(jobs); err != nil {
+		t.Fatal(err)
 	}
 	before := r.ComputeStats().OverflowEdges
 	r.NegotiateReroute(4)
@@ -377,6 +384,17 @@ func TestNegotiateRerouteReducesOverflow(t *testing.T) {
 	}
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	// Every stored route holds exactly its edges: a per-edge append
+	// would leave spare capacity on most nets without changing a byte of
+	// output, so only this check catches it.
+	for _, id := range r.SortedNetIDs() {
+		if e := r.Net(id).Edges; cap(e) != len(e) {
+			t.Fatalf("net %d stores %d edges with capacity %d", id, len(e), cap(e))
+		}
+	}
+	if e := r.Net(local).Edges; e != nil {
+		t.Fatalf("edgeless net %d has non-nil Edges %v", local, e)
 	}
 }
 

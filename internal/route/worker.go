@@ -57,6 +57,7 @@ type worker struct {
 	treeEpoch int32
 	orderBuf  []int
 	pathBuf   []Edge
+	edgeBuf   []Edge // the current net's edges, copied out exactly sized on success
 
 	// Usage overlay for the net currently being routed (int16 to match the
 	// shared grids; a single net's edges can never approach the range).
@@ -210,6 +211,12 @@ func (w *worker) routeNet(id int, pins []Pin, minLayer int, old *RoutedNet, boun
 		order[i], order[best] = order[best], order[i]
 	}
 
+	// Edges collect in the worker's reused buffer and the net keeps one
+	// exactly sized copy, so a stored route carries no spare capacity and
+	// building it leaves no garbage behind. Routers keep every net of a
+	// build live, and several builds can be live at once.
+	edges := w.edgeBuf[:0]
+	defer func() { w.edgeBuf = edges }()
 	for _, pi := range order {
 		target := w.r.Grid.NodeOf(pins[pi].Pt, pins[pi].Layer)
 		if w.inTree(w.r.idx(target)) {
@@ -218,18 +225,21 @@ func (w *worker) routeNet(id int, pins []Pin, minLayer int, old *RoutedNet, boun
 		path, err := w.search(target, wireMin, bound)
 		if err != nil {
 			rn.Failed = true
-			rn.Edges = nil
 			if errors.Is(err, errEscaped) || errors.Is(err, errCorridor) {
 				return rn, err
 			}
 			return rn, fmt.Errorf("route: net %d sink %d: %v", id, pi, err)
 		}
 		for _, e := range path {
-			rn.Edges = append(rn.Edges, e)
+			edges = append(edges, e)
 			w.addDelta(e, 1)
 			w.treeAdd(w.r.idx(e.A))
 			w.treeAdd(w.r.idx(e.B))
 		}
+	}
+	if len(edges) > 0 {
+		rn.Edges = make([]Edge, len(edges))
+		copy(rn.Edges, edges)
 	}
 	return rn, nil
 }

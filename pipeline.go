@@ -196,9 +196,10 @@ func splitList(s string) []string {
 // configured split layer — the defense×attacker cross product behind the
 // paper's Tables 4 and 5. Rows are defenses (with PPA overheads against
 // the unprotected baseline), columns are attackers, and each cell averages
-// CCR/OER/HD over the split layers. Defense rows and split layers are
-// evaluated concurrently (WithParallelism) with per-(defense, attacker,
-// layer) derived seeds, so the report is byte-identical at every
+// CCR/OER/HD over the split layers. The unprotected baseline and the
+// defense rows build concurrently, and their split layers are attacked
+// concurrently, within one WithParallelism budget; per-(defense,
+// attacker, layer) derived seeds keep the report byte-identical at every
 // parallelism level.
 func (p *Pipeline) Matrix(ctx context.Context, d *Design) (*MatrixReport, error) {
 	opt := p.matrixOptions(d)

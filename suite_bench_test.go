@@ -7,9 +7,9 @@ import (
 
 // BenchmarkSuiteIscasPair measures one small two-benchmark, two-replicate
 // suite evaluation end to end — scheduler, shared-baseline cache, defense
-// builds, attacker panel, aggregation. CI runs it at -benchtime=1x and
-// publishes the result as BENCH_suite.json via tools/benchjson, so the
-// suite path's perf trajectory is tracked alongside the evaluate path:
+// builds, attacker panel, aggregation. CI runs it once (-benchtime=1x) as
+// a smoke check; perfbench's iscas-suite workload is the suite path's
+// benchmark of record. For a local measurement:
 //
 //	go test -run XXX -bench SuiteIscasPair -benchtime=3x
 func BenchmarkSuiteIscasPair(b *testing.B) {

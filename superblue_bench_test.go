@@ -3,10 +3,9 @@
 // benchmark that finally covers the paper's real sizes: at SUPERBLUE_SCALE=1
 // it synthesizes, binds, places, routes, and splits superblue18 at its
 // published 670k-net size on one machine (see DESIGN.md "Memory layout at
-// scale" for the numbers the SoA overhaul buys there). CI runs it at a
-// reduced scale and publishes the result as BENCH_superblue.json, with one
-// sub-benchmark series per routing strategy (flat and hier) so the
-// hierarchical router's speedup is tracked as its own trajectory.
+// scale" for the numbers the SoA overhaul buys there). CI runs it once at
+// a reduced scale as a smoke check, with one sub-benchmark per routing
+// strategy (flat and hier) so both paths keep running end to end.
 package splitmfg
 
 import (
@@ -39,9 +38,8 @@ func superblueBenchScale(b *testing.B) int {
 }
 
 // benchStrategies are the routing strategies every superblue benchmark
-// runs as sub-benchmarks: the strategy name is the sub-benchmark's final
-// path segment, which tools/benchjson turns into a variant tag so both
-// series land in one JSON artifact.
+// runs as sub-benchmarks, named by the sub-benchmark's final path
+// segment.
 var benchStrategies = []route.Strategy{route.StrategyFlat, route.StrategyHier}
 
 // BenchmarkSuperblueEndToEnd measures netlist synthesis -> cell binding ->
