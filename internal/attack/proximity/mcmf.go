@@ -3,6 +3,7 @@ package proximity
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"splitmfg/internal/heapx"
 )
@@ -25,36 +26,54 @@ func (e *CapacityError) Error() string {
 	return fmt.Sprintf("proximity: mcmf edge capacity %d outside [0, %d]", e.Capacity, MaxEdgeCapacity)
 }
 
+// SizeError reports a flow graph whose nodes or edges (each forward edge
+// brings a residual twin) would not fit the solver's int32 indices. It
+// is returned before any edge array is allocated.
+type SizeError struct {
+	Nodes, Edges int
+}
+
+func (e *SizeError) Error() string {
+	return fmt.Sprintf("proximity: mcmf graph of %d nodes and %d edges exceeds int32 indices", e.Nodes, e.Edges)
+}
+
 // mcmf is a small min-cost max-flow solver (successive shortest paths with
 // Johnson potentials) used to solve the attacker's joint assignment of sink
 // fragments to driver fragments — the "network flow" in the network-flow
-// attack.
+// attack. Node and edge indices are int32, which halves the adjacency
+// arrays the Dijkstra sweeps walk; newMCMF rejects a graph they cannot
+// index.
 type mcmf struct {
 	n     int
-	head  []int
-	to    []int
-	next  []int
+	head  []int32
+	to    []int32
+	next  []int32
 	cap   []int32
 	cost  []int64
 	edges int
 }
 
-func newMCMF(n int) *mcmf {
-	h := make([]int, n)
+// newMCMF returns an empty graph of n nodes with room for `edges` forward
+// edges (each brings a residual twin), so graph build appends never
+// reallocate. It returns a *SizeError, without allocating, when the
+// node or edge indices would not fit int32.
+func newMCMF(n, edges int) (*mcmf, error) {
+	if n > math.MaxInt32 || edges > math.MaxInt32/2 {
+		return nil, &SizeError{Nodes: n, Edges: edges}
+	}
+	h := make([]int32, n)
 	for i := range h {
 		h[i] = -1
 	}
-	return &mcmf{n: n, head: h}
-}
-
-// reserve pre-sizes the edge arrays for `edges` forward edges (each brings a
-// residual twin), so graph build appends never reallocate.
-func (g *mcmf) reserve(edges int) {
-	n := 2 * edges
-	g.to = make([]int, 0, n)
-	g.cap = make([]int32, 0, n)
-	g.cost = make([]int64, 0, n)
-	g.next = make([]int, 0, n)
+	m := 2 * edges
+	return &mcmf{
+		n:    n,
+		head: h,
+		to:   make([]int32, 0, m),
+		next: make([]int32, 0, m),
+		cap:  make([]int32, 0, m),
+		cost: make([]int64, 0, m),
+	}, nil
 }
 
 // addEdge inserts a directed edge u->v and its residual twin, returning the
@@ -64,17 +83,17 @@ func (g *mcmf) reserve(edges int) {
 //smlint:hot
 func (g *mcmf) addEdge(u, v int, capacity int32, cost int64) int {
 	id := g.edges
-	g.to = append(g.to, v)
+	g.to = append(g.to, int32(v))
 	g.cap = append(g.cap, capacity)
 	g.cost = append(g.cost, cost)
 	g.next = append(g.next, g.head[u])
-	g.head[u] = id
+	g.head[u] = int32(id)
 	g.edges++
-	g.to = append(g.to, u)
+	g.to = append(g.to, int32(u))
 	g.cap = append(g.cap, 0)
 	g.cost = append(g.cost, -cost)
 	g.next = append(g.next, g.head[v])
-	g.head[v] = id + 1
+	g.head[v] = int32(id + 1)
 	g.edges++
 	return id
 }
@@ -89,11 +108,6 @@ func (g *mcmf) addEdgeInt(u, v int, capacity int, cost int64) (int, error) {
 	return g.addEdge(u, v, int32(capacity), cost), nil
 }
 
-// mcmfItem is a Dijkstra priority-queue entry: Pri is the reduced-cost
-// distance, Value the node. heapx gives a typed slice heap — no
-// interface{} boxing inside the loop that dominates the flow solve.
-type mcmfItem = heapx.Item[int]
-
 // run pushes flow from s to t until exhaustion, returning total flow and
 // cost. All edge costs must be non-negative.
 //
@@ -103,17 +117,21 @@ type mcmfItem = heapx.Item[int]
 // running to completion; the flow pushed so far and ctx.Err() are
 // returned.
 //
+// The reduced cost of edge u->v is dist[u] + pot[u] + cost - pot[v], with
+// dist[u] + pot[u] summed once per popped node. int64 sums wrap, so any
+// grouping of the terms gives the same integer.
+//
 //smlint:hot
 func (g *mcmf) run(ctx context.Context, s, t int) (flow int32, cost int64, err error) {
 	const inf = int64(1) << 62
 	pot := make([]int64, g.n)
 	dist := make([]int64, g.n)
-	prevEdge := make([]int, g.n)
+	prevEdge := make([]int32, g.n)
 	inTree := make([]bool, g.n)
-	// One heap buffer for every augmenting iteration — a large solve runs
+	// One heap for every augmenting iteration — a large solve runs
 	// thousands of Dijkstra sweeps and regrowing the frontier each sweep
 	// shows up in heap profiles.
-	q := make([]mcmfItem, 0, g.n)
+	q := heapx.New[int32](g.n)
 	for {
 		if err := ctx.Err(); err != nil {
 			return flow, cost, err
@@ -124,25 +142,25 @@ func (g *mcmf) run(ctx context.Context, s, t int) (flow int32, cost int64, err e
 			prevEdge[i] = -1
 		}
 		dist[s] = 0
-		q = append(q[:0], mcmfItem{Pri: 0, Value: s})
-		for len(q) > 0 {
-			var it mcmfItem
-			q, it = heapx.Pop(q)
-			u := it.Value
+		q.Reset()
+		q.Push(0, int32(s))
+		for q.Len() > 0 {
+			_, u := q.Pop()
 			if inTree[u] {
 				continue
 			}
 			inTree[u] = true
+			du := dist[u] + pot[u]
 			for e := g.head[u]; e >= 0; e = g.next[e] {
 				if g.cap[e] <= 0 {
 					continue
 				}
 				v := g.to[e]
-				nd := dist[u] + g.cost[e] + pot[u] - pot[v]
+				nd := du + g.cost[e] - pot[v]
 				if nd < dist[v] {
 					dist[v] = nd
 					prevEdge[v] = e
-					q = heapx.Push(q, mcmfItem{Pri: nd, Value: v})
+					q.Push(nd, v)
 				}
 			}
 		}
@@ -161,14 +179,14 @@ func (g *mcmf) run(ctx context.Context, s, t int) (flow int32, cost int64, err e
 			if g.cap[e] < push {
 				push = g.cap[e]
 			}
-			v = g.to[e^1]
+			v = int(g.to[e^1])
 		}
 		for v := t; v != s; {
 			e := prevEdge[v]
 			g.cap[e] -= push
 			g.cap[e^1] += push
 			cost += int64(push) * g.cost[e]
-			v = g.to[e^1]
+			v = int(g.to[e^1])
 		}
 		flow += push
 	}

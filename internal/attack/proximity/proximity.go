@@ -24,8 +24,9 @@
 package proximity
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"splitmfg/internal/geom"
 	"splitmfg/internal/layout"
@@ -68,7 +69,8 @@ type Result struct {
 // per augmenting-path iteration inside the flow solve; on cancellation the
 // (partial) result so far is returned alongside ctx.Err(). A non-nil error
 // is also returned when a driver's load capacity would overflow the
-// solver's int32 edge capacities (*CapacityError).
+// solver's int32 edge capacities (*CapacityError), or the candidate graph
+// its int32 node and edge indices (*SizeError).
 func Attack(ctx context.Context, d *layout.Design, sv *layout.SplitView, opt Options) (Result, error) {
 	if opt.Candidates == 0 {
 		opt.Candidates = 24
@@ -212,7 +214,7 @@ func Attack(ctx context.Context, d *layout.Design, sv *layout.SplitView, opt Opt
 			sc = append(sc, scored{di, cost})
 		}
 		scBuf = sc
-		sort.Slice(sc, func(a, b int) bool { return sc[a].cost < sc[b].cost })
+		slices.SortFunc(sc, func(a, b scored) int { return compareCost(a.cost, b.cost) })
 		if len(sc) > opt.Candidates {
 			sc = sc[:opt.Candidates]
 		}
@@ -233,8 +235,10 @@ func Attack(ctx context.Context, d *layout.Design, sv *layout.SplitView, opt Opt
 	}
 	S := 0
 	T := 1 + len(dinfos) + len(sinks)
-	g := newMCMF(T + 1)
-	g.reserve(len(dinfos) + len(all) + len(sinks))
+	g, err := newMCMF(T+1, len(dinfos)+len(all)+len(sinks))
+	if err != nil {
+		return res, err
+	}
 	for di := range dinfos {
 		capSlots := dinfos[di].capRem
 		if !opt.LoadAware {
@@ -276,11 +280,11 @@ func Attack(ctx context.Context, d *layout.Design, sv *layout.SplitView, opt Opt
 	// cost order: cheap (confident) assignments commit first; any
 	// assignment that would close a loop against the committed prefix is
 	// re-matched greedily to its next-best loop-free candidate.
-	sort.Slice(erefs, func(a, b int) bool {
-		if erefs[a].cost != erefs[b].cost {
-			return erefs[a].cost < erefs[b].cost
+	slices.SortFunc(erefs, func(a, b edgeRef) int {
+		if a.cost != b.cost {
+			return compareCost(a.cost, b.cost)
 		}
-		return erefs[a].sink < erefs[b].sink
+		return cmp.Compare(a.sink, b.sink)
 	})
 	assigned := make([]bool, len(sv.Frags))
 	commit := func(sink, didx int) {
@@ -316,6 +320,20 @@ func Attack(ctx context.Context, d *layout.Design, sv *layout.SplitView, opt Opt
 		}
 	}
 	return res, nil
+}
+
+// compareCost orders candidate costs for slices.SortFunc: negative
+// exactly when a < b, as the sort.Slice less functions it replaced
+// returned true. Both sorts run the same pdqsort, so candidate order,
+// ties included, is unchanged.
+func compareCost(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 // appendFragDirs appends the dangling directions of a fragment's vpins to

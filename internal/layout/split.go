@@ -1,8 +1,9 @@
 package layout
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"splitmfg/internal/geom"
 	"splitmfg/internal/route"
@@ -122,7 +123,7 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 		lo, hi := 0, len(nodes)
 		for lo < hi {
 			mid := (lo + hi) / 2
-			if nodeLess(nodes[mid], n) {
+			if nodeCmp(nodes[mid], n) < 0 {
 				lo = mid + 1
 			} else {
 				hi = mid
@@ -156,7 +157,7 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 				nodes = append(nodes, d.Grid.NodeOf(p.Pt, p.Layer))
 			}
 		}
-		sort.Slice(nodes, func(i, j int) bool { return nodeLess(nodes[i], nodes[j]) })
+		slices.SortFunc(nodes, nodeCmp)
 		nodes = dedupNodes(nodes)
 		nn := len(nodes)
 		// CSR adjacency over node indices.
@@ -269,14 +270,15 @@ func resetInt32(buf []int32, n int) []int32 {
 	return buf
 }
 
-func nodeLess(a, b route.Node) bool {
+// nodeCmp orders nodes by layer, then row, then column.
+func nodeCmp(a, b route.Node) int {
 	if a.Z != b.Z {
-		return a.Z < b.Z
+		return cmp.Compare(a.Z, b.Z)
 	}
 	if a.Y != b.Y {
-		return a.Y < b.Y
+		return cmp.Compare(a.Y, b.Y)
 	}
-	return a.X < b.X
+	return cmp.Compare(a.X, b.X)
 }
 
 // danglingDir derives the direction the last FEOL wire segment travels as

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,6 +29,11 @@ type JobError struct {
 
 func (e *JobError) Error() string { return e.Err.Error() }
 func (e *JobError) Unwrap() error { return e.Err }
+
+// errPanicked marks a job whose route panicked on a wave goroutine.
+// RouteJobs returns it, wrapped with the panic value and stack, as the
+// job's *JobError and commits nothing of that wave.
+var errPanicked = errors.New("route: wave job panicked")
 
 // waveTileGCells is the bucket size the wave partition hashes job regions
 // into. Conflicts are detected at tile granularity (two jobs sharing a
@@ -74,6 +80,11 @@ const waveTileGCells = 8
 // serial schedule; in a parallel wave that fallback cannot stay inside
 // the declared region, so the batch rolls back and re-runs serially —
 // the same protocol escapes use, with the same determinism argument.
+//
+// A panic while routing a job of a multi-net wave is recovered on the
+// wave goroutine that raised it: RouteJobs returns that job's *JobError
+// (wrapping the panic value and stack) without committing the wave, so
+// a bug in the search cannot take a long-running server down with it.
 //
 // Opt.OnWave, when set, observes each committed multi-net wave.
 func (r *Router) RouteJobs(jobs []Job) error {
@@ -163,6 +174,21 @@ func (r *Router) RouteJobs(jobs []Job) error {
 		return w.routeNet(j.ID, j.Pins, j.MinLayer, r.nets[j.ID], bound)
 	}
 
+	// routeRecovered is routeOne on a wave goroutine, where a panic
+	// would take the whole process down (no caller's recover can reach
+	// it): the panic becomes the job's error, carrying its value and
+	// stack, and false tells the goroutine to stop using the worker.
+	routeRecovered := func(w *worker, ji int, bound *region) (ok bool) {
+		defer func() {
+			if p := recover(); p != nil {
+				errs[ji] = fmt.Errorf("%w: net %d: %v\n%s", errPanicked, jobs[ji].ID, p, debug.Stack())
+				ok = false
+			}
+		}()
+		rns[ji], errs[ji] = routeOne(w, ji, bound)
+		return true
+	}
+
 	for wi, wv := range waves {
 		start := time.Now() //smlint:wallclock wave wall-clock for the OnWave progress callback; never reaches routed results
 		if len(wv.jobs) == 1 {
@@ -190,11 +216,21 @@ func (r *Router) RouteJobs(jobs []Job) error {
 							return
 						}
 						ji := wv.jobs[t]
-						rns[ji], errs[ji] = routeOne(w, ji, &wv.regions[t])
+						if !routeRecovered(w, ji, &wv.regions[t]) {
+							return // drop the worker: the panic may have left its scratch half-written
+						}
 					}
 				}(workers[k])
 			}
 			wg.Wait()
+			// A panicked job fails the batch before anything of its wave
+			// commits; the lowest job index names it, so the error does
+			// not depend on goroutine timing.
+			for _, ji := range wv.jobs {
+				if errors.Is(errs[ji], errPanicked) {
+					return &JobError{Index: ji, ID: jobs[ji].ID, Err: errs[ji]}
+				}
+			}
 		}
 		// Any escape — or corridor failure, whose flat retry cannot stay
 		// inside the declared region — poisons every concurrent result:

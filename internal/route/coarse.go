@@ -56,7 +56,7 @@ type coarsePlanner struct {
 	visitID []int32
 	from    []int32
 	epoch   int32
-	pq      []pqItem
+	pq      heapx.Heap[int32]
 
 	// Tile-set membership scratch (epoch-stamped, shared by pin-tile
 	// dedup and the growing corridor — each takes a fresh epoch).
@@ -244,15 +244,14 @@ func (c *coarsePlanner) hDist(i int32, ttx, tty int) int64 {
 // closure so steady-state planning does not allocate).
 //
 //smlint:hot
-func (c *coarsePlanner) relaxTile(q []pqItem, ep, cur, ni int32, cost int64, ttx, tty int) []pqItem {
+func (c *coarsePlanner) relaxTile(ep, cur, ni int32, cost int64, ttx, tty int) {
 	nd := c.dist[cur] + cost
 	if c.visitID[ni] != ep || nd < c.dist[ni] {
 		c.visitID[ni] = ep
 		c.dist[ni] = nd
 		c.from[ni] = cur
-		q = heapx.Push(q, pqItem{Pri: nd + c.hDist(ni, ttx, tty), Value: ni})
+		c.pq.Push(nd+c.hDist(ni, ttx, tty), ni)
 	}
-	return q
 }
 
 // connect runs one multi-source A* over the tile grid from the current
@@ -267,19 +266,18 @@ func (c *coarsePlanner) connect(target int32) {
 	ep := c.epoch
 	ce := c.setEpoch // corridor membership epoch (see planNet)
 	ttx, tty := int(target)%c.tw, int(target)/c.tw
-	q := c.pq[:0]
+	q := &c.pq
+	q.Reset()
 	for _, t := range c.core {
 		c.dist[t] = 0
 		c.visitID[t] = ep
 		c.from[t] = -1
-		q = heapx.Push(q, pqItem{Pri: c.hDist(t, ttx, tty), Value: t})
+		q.Push(c.hDist(t, ttx, tty), t)
 	}
 	//smlint:bounded A* frontier over the finite tile grid with an admissible heuristic; every tile enqueues finitely often
-	for len(q) > 0 {
-		var it pqItem
-		q, it = heapx.Pop(q)
-		cur := it.Value
-		if c.visitID[cur] != ep || it.Pri > c.dist[cur]+c.hDist(cur, ttx, tty) {
+	for q.Len() > 0 {
+		pri, cur := q.Pop()
+		if c.visitID[cur] != ep || pri > c.dist[cur]+c.hDist(cur, ttx, tty) {
 			continue // stale entry
 		}
 		if cur == target {
@@ -294,19 +292,18 @@ func (c *coarsePlanner) connect(target int32) {
 		}
 		tx, ty := int(cur)%c.tw, int(cur)/c.tw
 		if tx > 0 {
-			q = c.relaxTile(q, ep, cur, cur-1, c.boundaryCost(c.useH[cur-1]), ttx, tty)
+			c.relaxTile(ep, cur, cur-1, c.boundaryCost(c.useH[cur-1]), ttx, tty)
 		}
 		if tx < c.tw-1 {
-			q = c.relaxTile(q, ep, cur, cur+1, c.boundaryCost(c.useH[cur]), ttx, tty)
+			c.relaxTile(ep, cur, cur+1, c.boundaryCost(c.useH[cur]), ttx, tty)
 		}
 		if ty > 0 {
-			q = c.relaxTile(q, ep, cur, cur-int32(c.tw), c.boundaryCost(c.useV[cur-int32(c.tw)]), ttx, tty)
+			c.relaxTile(ep, cur, cur-int32(c.tw), c.boundaryCost(c.useV[cur-int32(c.tw)]), ttx, tty)
 		}
 		if ty < c.th-1 {
-			q = c.relaxTile(q, ep, cur, cur+int32(c.tw), c.boundaryCost(c.useV[cur]), ttx, tty)
+			c.relaxTile(ep, cur, cur+int32(c.tw), c.boundaryCost(c.useV[cur]), ttx, tty)
 		}
 	}
-	c.pq = q
 }
 
 // bumpDemand charges one corridor crossing to the boundary between two

@@ -2,6 +2,7 @@ package route
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -281,5 +282,50 @@ func TestHierFailedFreshRouteKeepsMarker(t *testing.T) {
 	var je *JobError
 	if err := r.RouteJobs([]Job{bad}); !errors.As(err, &je) {
 		t.Fatalf("re-route of failed net: %v", err)
+	}
+}
+
+// TestRouteJobsWavePanicBecomesJobError: a panic on a wave goroutine
+// must come back as that job's *JobError, with the panic value and
+// stack, instead of killing the process, and nothing of its wave may
+// commit. The corridor hook writes an out-of-range tile into one
+// corridor of the first wave, which routes several nets, so setCorridor
+// indexes past its tile mask on a wave goroutine.
+func TestRouteJobsWavePanicBecomesJobError(t *testing.T) {
+	g := bigGrid()
+	jobs := scatteredJobs(60, g, 9)
+	r := NewRouter(g, Options{Parallelism: 4, Strategy: StrategyHier})
+	victim := -1
+	var firstWave []int
+	r.corridorHook = func(corrs []corridor) {
+		waves, ok := r.partition(jobs, corrs)
+		if !ok || len(waves[0].jobs) < 4 {
+			t.Fatalf("first wave does not route several nets: %v", waves)
+		}
+		firstWave = waves[0].jobs
+		victim = firstWave[len(firstWave)/2]
+		if corrs[victim].n == 0 {
+			t.Fatalf("job %d has no corridor", victim)
+		}
+		corrs[victim].tiles[0] = math.MaxInt32
+	}
+	err := r.RouteJobs(jobs)
+	var je *JobError
+	if !errors.As(err, &je) {
+		t.Fatalf("RouteJobs err = %v, want *JobError", err)
+	}
+	if je.Index != victim || je.ID != jobs[victim].ID {
+		t.Fatalf("JobError names job %d (net %d), want job %d (net %d)", je.Index, je.ID, victim, jobs[victim].ID)
+	}
+	if !errors.Is(err, errPanicked) {
+		t.Fatalf("JobError does not wrap errPanicked: %v", err)
+	}
+	for _, want := range []string{"index out of range", "setCorridor"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error lacks the panic value and stack (%q): %v", want, err)
+		}
+	}
+	if n := r.NumNets(); n != 0 || r.MaxUsage() != 0 {
+		t.Fatalf("panicked first wave committed %d nets, max usage %d", n, r.MaxUsage())
 	}
 }

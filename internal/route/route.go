@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"splitmfg/internal/geom"
-	"splitmfg/internal/heapx"
 )
 
 // DefaultGCellNM is the default gcell pitch (two row heights).
@@ -378,11 +377,6 @@ func (r *Router) addUsage(e Edge, d int16, netID int) {
 const viaBase = 10 // via cost = viaBase * Opt.ViaCost / 4
 
 func (r *Router) viaCost() int64 { return int64(viaBase * r.Opt.ViaCost / 4) }
-
-// pqItem is a priority-queue entry for A*: Pri is the f-score, Value the
-// grid-node index. heapx gives a typed slice heap — no interface{} boxing
-// or indirect dispatch on the router's hottest path.
-type pqItem = heapx.Item[int32]
 
 func absInt(x int) int {
 	if x < 0 {

@@ -31,14 +31,11 @@ func benchPins(n int, die geom.Rect) [][]Pin {
 	return pins
 }
 
-// BenchmarkRouteNet measures routing 400 two-pin nets on a 100x100x10
-// grid — the A* search plus typed-heap priority queue (internal/heapx)
-// that dominates every place-and-route in the pipeline. Before the
-// typed-heap/buffer-reuse change this path allocated one boxed pqItem per
-// heap push via container/heap; replacing it cut this benchmark from
-// 601ms/op with 6.06M allocs to ~370ms/op with 8.4k allocs (and
-// RerouteNet from 2.35ms/23.3k allocs to ~1.6ms/21 allocs) on the
-// reference machine.
+// BenchmarkRouteNet measures routing 400 two-pin nets, half local and
+// half die-spanning, one RouteNet call each on a fresh router over a
+// 100x100x10 grid. Nothing else runs, so the time is the fine A*
+// (searchBounded and its internal/heapx queue) plus the commit of each
+// route; the allocations are the routed nets and the router's grids.
 //
 //	go test -bench RouteNet -benchmem ./internal/route
 func BenchmarkRouteNet(b *testing.B) {

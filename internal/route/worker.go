@@ -41,11 +41,9 @@ type worker struct {
 	r *Router
 
 	// A* scratch, reused across searches.
-	dist    []int64
-	visitID []int32
-	from    []int32
+	state   []nodeState
 	epoch   int32
-	pqBuf   []pqItem
+	pq      heapx.Heap[int32]
 	seedBuf []int32
 
 	// Steiner-tree scratch for the net currently being routed: treeEp
@@ -82,14 +80,23 @@ type worker struct {
 func newWorker(r *Router) *worker {
 	n := len(r.usageH)
 	return &worker{
-		r:       r,
-		dist:    make([]int64, n),
-		visitID: make([]int32, n),
-		from:    make([]int32, n),
-		deltaH:  make([]int16, n),
-		deltaV:  make([]int16, n),
-		treeEp:  make([]int32, n),
+		r:      r,
+		state:  make([]nodeState, n),
+		deltaH: make([]int16, n),
+		deltaV: make([]int16, n),
+		treeEp: make([]int32, n),
 	}
+}
+
+// nodeState is one grid node's A* state: the best distance found so far,
+// the search epoch it belongs to (the node is unvisited in the current
+// search unless epoch matches), and the predecessor it was reached from.
+// One 16-byte record per node, so a relaxation touches one cache line
+// instead of three arrays.
+type nodeState struct {
+	dist  int64
+	epoch int32
+	from  int32
 }
 
 // reset clears the usage overlay for the next net.
@@ -132,13 +139,13 @@ func (w *worker) addDelta(e Edge, d int16) {
 	}
 }
 
-// segCost returns the cost of moving across one wire segment with the
-// current congestion (shared usage plus the worker's overlay).
+// segCost returns the cost of moving across one wire segment on layer z
+// with the current congestion (shared usage plus the worker's overlay);
+// i is the node index of the segment's lower end, where usage is kept.
 //
 //smlint:hot
-func (w *worker) segCost(lo Node, horizontal bool) int64 {
+func (w *worker) segCost(i int32, z int, horizontal bool) int64 {
 	r := w.r
-	i := r.idx(lo)
 	var u int32
 	if horizontal {
 		u = int32(r.usageH[i]) + int32(w.deltaH[i])
@@ -148,8 +155,8 @@ func (w *worker) segCost(lo Node, horizontal bool) int64 {
 	// Commercial routers fill the cheap lower layers first and only climb
 	// under congestion or length pressure; the per-layer bias reproduces
 	// the paper's Fig. 5 "Original" wirelength profile (most wiring low).
-	base := int64(10 + 10*(lo.Z-2))
-	if lo.Z < 2 {
+	base := int64(10 + 10*(z-2))
+	if z < 2 {
 		base = 10
 	}
 	over := int(u) - r.Opt.Capacity
@@ -369,25 +376,31 @@ func (w *worker) searchRegion(target Node, detour int) region {
 	}
 }
 
+// searchBounded is one A* attempt from the current tree to target with
+// wire moves confined to reg (and to the corridor mask, when armed).
+// Each popped node is decoded once; its neighbours are reached by index
+// stride — Router.idx is (z*H + y)*W + x, so they sit at ±1, ±W and
+// ±W*H — and each wire segment is priced by the index of its lower end.
+// The heuristic (dx+dy)*10 + dz*via is kept per axis, and a neighbour's
+// value redoes only the term of the axis its move changed. The terms
+// sum to exactly the whole formula's integer, so every priority, and
+// with it every tie-break and route, is the formula's.
+//
 //smlint:hot
 func (w *worker) searchBounded(target Node, wireMin int, reg region) ([]Edge, bool) {
-	g := w.r.Grid
+	r := w.r
+	g := r.Grid
 	loX, loY, hiX, hiY := reg.loX, reg.loY, reg.hiX, reg.hiY
+	strideY, strideZ := int32(g.W), int32(g.W*g.H)
 
 	w.epoch++
 	ep := w.epoch
-	tIdx := w.r.idx(target)
+	tIdx := r.idx(target)
 
-	// h takes the already-decoded node: index decoding (node()) costs two
-	// integer divisions, and every caller here has the coordinates in
-	// hand — recomputing them per push/pop dominated profiles.
-	via := w.r.viaCost()
-	h := func(n Node) int64 {
-		dx := int64(absInt(n.X - target.X))
-		dy := int64(absInt(n.Y - target.Y))
-		dz := int64(absInt(n.Z - target.Z))
-		return (dx+dy)*10 + dz*via
-	}
+	via := r.viaCost()
+	hx := func(x int) int64 { return int64(absInt(x-target.X)) * 10 }
+	hy := func(y int) int64 { return int64(absInt(y-target.Y)) * 10 }
+	hz := func(z int) int64 { return int64(absInt(z-target.Z)) * via }
 	// Seed the frontier in sorted node order: tree insertion order would
 	// otherwise leak into equal-cost tie-breaks, and historically the tree
 	// was a map whose keys were seeded sorted — keeping that order keeps
@@ -395,70 +408,67 @@ func (w *worker) searchBounded(target Node, wireMin int, reg region) ([]Edge, bo
 	seeds := append(w.seedBuf[:0], w.treeList...)
 	slices.Sort(seeds)
 	w.seedBuf = seeds
-	q := w.pqBuf[:0]
-	defer func() { w.pqBuf = q }()
+	st := w.state
+	q := &w.pq
+	q.Reset()
 	for _, t := range seeds {
-		w.dist[t] = 0
-		w.visitID[t] = ep
-		w.from[t] = -1
-		q = heapx.Push(q, pqItem{Pri: h(w.r.node(t)), Value: t})
+		st[t] = nodeState{dist: 0, epoch: ep, from: -1}
+		n := r.node(t)
+		q.Push(hx(n.X)+hy(n.Y)+hz(n.Z), t)
 	}
-	relax := func(cur int32, next Node, cost int64) {
-		ni := w.r.idx(next)
-		nd := w.dist[cur] + cost
-		if w.visitID[ni] != ep || nd < w.dist[ni] {
-			w.visitID[ni] = ep
-			w.dist[ni] = nd
-			w.from[ni] = cur
-			q = heapx.Push(q, pqItem{Pri: nd + h(next), Value: ni})
+	relax := func(cur, ni int32, nd, hn int64) {
+		s := &st[ni]
+		if s.epoch != ep || nd < s.dist {
+			*s = nodeState{dist: nd, epoch: ep, from: cur}
+			q.Push(nd+hn, ni)
 		}
 	}
 	//smlint:bounded A* frontier is confined to the clamped search region (searchRegion), so pushes are finite; cancellation is enforced between nets by the flow layer
-	for len(q) > 0 {
-		var it pqItem
-		q, it = heapx.Pop(q)
-		cur := it.Value
-		if w.visitID[cur] != ep {
+	for q.Len() > 0 {
+		pri, cur := q.Pop()
+		s := st[cur]
+		if s.epoch != ep {
 			continue // stale entry
 		}
-		curN := w.r.node(cur)
-		if it.Pri > w.dist[cur]+h(curN) {
+		n := r.node(cur)
+		hX, hY, hZ := hx(n.X), hy(n.Y), hz(n.Z)
+		d := s.dist
+		if pri > d+hX+hY+hZ {
 			continue // stale entry
 		}
 		if cur == tIdx {
 			// Reconstruct path back to the tree (into the worker's reusable
 			// buffer — the caller consumes it before the next search).
 			edges := w.pathBuf[:0]
-			for i := cur; w.from[i] >= 0; i = w.from[i] {
-				edges = append(edges, Edge{A: w.r.node(w.from[i]), B: w.r.node(i)})
+			for i := cur; st[i].from >= 0; i = st[i].from {
+				edges = append(edges, Edge{A: r.node(st[i].from), B: r.node(i)})
 			}
 			w.pathBuf = edges
 			return edges, true
 		}
-		n := curN
 		// Via moves.
 		if n.Z < g.Layers {
-			relax(cur, Node{n.X, n.Y, n.Z + 1}, via)
+			relax(cur, cur+strideZ, d+via, hX+hY+hz(n.Z+1))
 		}
 		if n.Z > 1 {
-			relax(cur, Node{n.X, n.Y, n.Z - 1}, via)
+			relax(cur, cur-strideZ, d+via, hX+hY+hz(n.Z-1))
 		}
 		// Wire moves (preferred direction, within bounds and the corridor
 		// mask, above wireMin).
 		if n.Z >= wireMin {
 			if Horizontal(n.Z) {
 				if n.X > loX && w.wireOK(n.X-1, n.Y) {
-					relax(cur, Node{n.X - 1, n.Y, n.Z}, w.segCost(Node{n.X - 1, n.Y, n.Z}, true))
+					relax(cur, cur-1, d+w.segCost(cur-1, n.Z, true), hx(n.X-1)+hY+hZ)
 				}
 				if n.X < hiX && w.wireOK(n.X+1, n.Y) {
-					relax(cur, Node{n.X + 1, n.Y, n.Z}, w.segCost(n, true))
+					relax(cur, cur+1, d+w.segCost(cur, n.Z, true), hx(n.X+1)+hY+hZ)
 				}
 			} else {
 				if n.Y > loY && w.wireOK(n.X, n.Y-1) {
-					relax(cur, Node{n.X, n.Y - 1, n.Z}, w.segCost(Node{n.X, n.Y - 1, n.Z}, false))
+					relax(cur, cur-strideY, d+w.segCost(cur-strideY, n.Z, false), hX+hy(n.Y-1)+hZ)
 				}
 				if n.Y < hiY && w.wireOK(n.X, n.Y+1) {
-					relax(cur, Node{n.X, n.Y + 1, n.Z}, w.segCost(n, false))
+					relax(cur, cur+strideY, d+w.segCost(cur, n.Z, false), hX+hy(n.Y+1)+hZ)
 				}
 			}
 		}
