@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -70,6 +71,32 @@ func TestEvaluateSerialEqualsParallel(t *testing.T) {
 	_, parallel := runOnce(t, fastOptions(WithParallelism(8))...)
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("serial vs parallel evaluation reports differ:\n%s\nvs\n%s", serial, parallel)
+	}
+}
+
+// TestNaiveLiftedLiftsRandomizedPins: the naive-lifting baseline lifts
+// exactly the sink pins Randomized protects, at the default target OER and
+// at a lower one.
+func TestNaiveLiftedLiftsRandomizedPins(t *testing.T) {
+	design, err := LoadBenchmark("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, oer := range []float64{0, 0.5} { // 0 = the default target
+		pipe := New(WithSeed(1), WithTargetOER(oer))
+		prot, err := pipe.Randomized(ctx, design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lifted, err := pipe.NaiveLifted(ctx, design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(prot.onlyPins) == 0 || !maps.Equal(prot.onlyPins, lifted.onlyPins) {
+			t.Fatalf("target OER %g: Randomized protects %d pins, NaiveLifted lifts %d, want the same set",
+				oer, len(prot.onlyPins), len(lifted.onlyPins))
+		}
 	}
 }
 

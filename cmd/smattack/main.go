@@ -7,10 +7,12 @@
 //	smattack -bench c880 -variant original -split 3,4,5
 //	smattack -bench c880 -variant proposed -attacker proximity,greedy,ensemble
 //	smattack -bench c432 -attacker random -json
-//	smattack -bench superblue18 -variant proposed -attack crouting -split 5
+//	smattack -bench superblue18 -variant proposed -attacker crouting -split 5
 //
-// -attacker selects engines from the registry (see -list); -attack
-// crouting keeps the dedicated Table-3-shaped candidate-list report.
+// -attacker selects engines from the registry (see -list). Metrics-only
+// engines such as crouting print their averaged metrics instead of a CCR
+// line (crouting: vpins, avg_list_size_B and match_in_list_B per bounding
+// box B — the paper's Table 3 columns).
 package main
 
 import (
@@ -39,7 +41,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("smattack", flag.ContinueOnError)
 	name := fs.String("bench", "c880", "benchmark name")
 	variant := fs.String("variant", "original", "original | proposed | lifted")
-	attackKind := fs.String("attack", "proximity", "proximity | crouting (report style; crouting = Table-3 candidate lists)")
 	attackers := fs.String("attacker", "proximity", "comma-separated attacker engines (see -list)")
 	list := fs.Bool("list", false, "list the registered attacker engines and exit")
 	splits := fs.String("split", "3,4,5", "comma-separated split layers")
@@ -100,52 +101,29 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	switch *attackKind {
-	case "proximity":
-		sec, err := pipe.Evaluate(ctx, l)
+	sec, err := pipe.Evaluate(ctx, l)
+	if err != nil {
+		return err
+	}
+	if *jsonOut {
+		b, err := splitmfg.MarshalReport(sec)
 		if err != nil {
 			return err
 		}
-		if *jsonOut {
-			b, err := splitmfg.MarshalReport(sec)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, string(b))
-			return nil
-		}
-		fmt.Fprintf(stdout, "%s %s: attackers %v over splits %v\n", *name, *variant, engines, layers)
+		fmt.Fprintln(stdout, string(b))
+		return nil
+	}
+	fmt.Fprintf(stdout, "%s %s: attackers %v over splits %v\n", *name, *variant, engines, layers)
+	if sec.LayersScored > 0 { // metrics-only panels have no headline
 		fmt.Fprintln(stdout, splitmfg.Headline(*sec))
-		for _, ar := range sec.PerAttacker {
-			if ar.Scored {
-				fmt.Fprintf(stdout, "  %-10s CCR %5.1f%%  OER %5.1f%%  HD %5.1f%% over %d fragments\n",
-					ar.Attacker, ar.CCRPercent, ar.OERPercent, ar.HDPercent, ar.Fragments)
-			} else {
-				fmt.Fprintf(stdout, "  %-10s metrics-only: %v\n", ar.Attacker, ar.Metrics)
-			}
+	}
+	for _, ar := range sec.PerAttacker {
+		if ar.Scored {
+			fmt.Fprintf(stdout, "  %-10s CCR %5.1f%%  OER %5.1f%%  HD %5.1f%% over %d fragments\n",
+				ar.Attacker, ar.CCRPercent, ar.OERPercent, ar.HDPercent, ar.Fragments)
+		} else {
+			fmt.Fprintf(stdout, "  %-10s metrics-only: %v\n", ar.Attacker, ar.Metrics)
 		}
-	case "crouting":
-		reps, err := pipe.CRouting(ctx, l)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			b, err := splitmfg.MarshalReport(reps)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stdout, string(b))
-			return nil
-		}
-		for _, r := range reps {
-			fmt.Fprintf(stdout, "%s %s split M%d: vpins=%d", *name, *variant, r.Layer, r.VPins)
-			for _, b := range []int{15, 30, 45} {
-				fmt.Fprintf(stdout, "  E[LS]%d=%.2f", b, r.AvgListSize[b])
-			}
-			fmt.Fprintf(stdout, "  match45=%.2f\n", r.MatchInList[45])
-		}
-	default:
-		return fmt.Errorf("unknown attack %q", *attackKind)
 	}
 	return nil
 }

@@ -31,14 +31,20 @@ func TestRunMultiAttacker(t *testing.T) {
 	}
 }
 
-func TestRunCRoutingLegacy(t *testing.T) {
+// TestRunCRoutingAttacker: crouting runs through Evaluate like every other
+// engine; its report carries the candidate-list metrics and no CCR
+// headline, since a metrics-only panel scores no layer.
+func TestRunCRoutingAttacker(t *testing.T) {
 	var out strings.Builder
-	err := run(context.Background(), []string{"-bench", "c432", "-attack", "crouting", "-split", "3"}, &out)
+	err := run(context.Background(), []string{"-bench", "c432", "-attacker", "crouting", "-split", "3"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "E[LS]") {
+	if !strings.Contains(out.String(), "avg_list_size_15") {
 		t.Fatalf("crouting output missing candidate-list sizes:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "CCR") {
+		t.Fatalf("metrics-only run printed a CCR headline:\n%s", out.String())
 	}
 }
 

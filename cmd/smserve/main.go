@@ -63,7 +63,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	events := fs.Int("events", 4096, "per-job progress ring capacity for SSE replay")
 	cacheDir := fs.String("cache-dir", "", "disk-backed result store directory: identical requests are free across restarts and shared with smbench -suite -cache-dir runs")
 	cacheEntries := fs.Int("cache-entries", 256, "completed reports kept in the in-memory result cache (LRU beyond that)")
-	routeStrategy := fs.String("route-strategy", "", "routing strategy for requests that omit route_strategy: auto, flat, or hier (default: the library's auto)")
 	retain := fs.Duration("retain", time.Hour, "how long finished jobs stay pollable before the registry prunes them")
 	retainJobs := fs.Int("retain-jobs", 512, "max finished jobs kept in the registry")
 	drain := fs.Duration("drain", 15*time.Second, "shutdown grace period for running jobs")
@@ -96,15 +95,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	cfg := server.Config{
-		Parallelism:   *parallelism,
-		MaxRunning:    *jobs,
-		QueueDepth:    *queue,
-		EventBuffer:   *events,
-		CacheDir:      *cacheDir,
-		CacheEntries:  *cacheEntries,
-		RetainCount:   *retainJobs,
-		RetainTTL:     *retain,
-		RouteStrategy: *routeStrategy,
+		Parallelism:  *parallelism,
+		MaxRunning:   *jobs,
+		QueueDepth:   *queue,
+		EventBuffer:  *events,
+		CacheDir:     *cacheDir,
+		CacheEntries: *cacheEntries,
+		RetainCount:  *retainJobs,
+		RetainTTL:    *retain,
 	}
 	if *verbose {
 		logger := log.New(os.Stderr, "smserve: ", log.LstdFlags)

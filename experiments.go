@@ -15,10 +15,6 @@ type ExperimentConfig = report.Config
 // and footnotes. Render formats it for terminals.
 type Table = report.Table
 
-// SecurityRow is one benchmark's attack outcome for one defense variant,
-// as produced by SecurityStudy (CCR/OER/HD in percent).
-type SecurityRow = report.SecurityRow
-
 // PPARow is one design's PPA accounting from Fig6PPA.
 type PPARow = report.PPARow
 
@@ -29,8 +25,8 @@ var experimentNames = []string{
 }
 
 // Experiments lists the table-shaped experiments runnable with
-// RunExperiment. Fig4CSV and SecurityStudy have dedicated entry points
-// with richer result types.
+// RunExperiment. Fig4CSV has a dedicated entry point with a richer result
+// type.
 func Experiments() []string {
 	return append([]string(nil), experimentNames...)
 }
@@ -82,14 +78,6 @@ func Fig5(design string, cfg ExperimentConfig) (*Table, error) {
 // rendered table and the raw rows.
 func Fig6PPA(cfg ExperimentConfig) (*Table, []PPARow, error) {
 	return report.Fig6PPA(cfg)
-}
-
-// SecurityStudy attacks one defense variant ("original", "proposed", a
-// defense-registry name such as "placement-perturbation" or
-// "synergistic", or a Table 4 Sengupta short name: "random", "g-color",
-// "g-type1", "g-type2") across the configured ISCAS benchmarks.
-func SecurityStudy(variant string, cfg ExperimentConfig) ([]SecurityRow, error) {
-	return report.SecurityStudy(variant, cfg)
 }
 
 // AblationSwapBudget sweeps the randomization swap budget on one benchmark.

@@ -84,10 +84,10 @@ func TestGoldenProtectAndSecurityReports(t *testing.T) {
 }
 
 // TestGoldenReportsRouteSerialVsParallel: the wave-parallel router's
-// determinism contract at the report level. A serial-routing run
-// (WithRouteParallelism(1)) and an explicitly parallel one must both
-// reproduce the same golden bytes the default configuration is pinned to
-// — protect and security reports alike.
+// determinism contract at the report level. A serial run
+// (WithParallelism(1), which routes serially too) and an explicitly
+// parallel one must both reproduce the same golden bytes the default
+// configuration is pinned to — protect and security reports alike.
 func TestGoldenReportsRouteSerialVsParallel(t *testing.T) {
 	design, err := LoadBenchmark("c432")
 	if err != nil {
@@ -104,7 +104,7 @@ func TestGoldenReportsRouteSerialVsParallel(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pipe := goldenPipeline(
 				WithAttackers("proximity", "greedy", "random"),
-				WithRouteParallelism(tc.par),
+				WithParallelism(tc.par),
 			)
 			res, err := pipe.Protect(ctx, design)
 			if err != nil {
@@ -123,7 +123,7 @@ func TestGoldenReportsRouteSerialVsParallel(t *testing.T) {
 // TestGoldenHierProtectReport pins the hierarchical routing strategy to
 // its own golden: c432 under an explicit "hier" strategy (auto routes a
 // die this small flat, so the flat goldens above are untouched by the
-// strategy's existence), serial and at route parallelism 4. The
+// strategy's existence), serial and at parallelism 4. The
 // determinism contract holds per strategy — coarse corridors are planned
 // serially before the wave partition, so the golden bytes must not
 // depend on the worker count.
@@ -144,7 +144,7 @@ func TestGoldenHierProtectReport(t *testing.T) {
 			pipe := goldenPipeline(
 				WithAttackers("proximity", "greedy", "random"),
 				WithRouteStrategy("hier"),
-				WithRouteParallelism(tc.par),
+				WithParallelism(tc.par),
 			)
 			res, err := pipe.Protect(ctx, design)
 			if err != nil {

@@ -72,7 +72,8 @@ type Options struct {
 	Fraction float64
 
 	// RouteParallelism is the worker count for wave-parallel net routing
-	// inside the scheme's place-and-route (0 = GOMAXPROCS, 1 = serial).
+	// inside the scheme's place-and-route (0 = GOMAXPROCS, 1 = serial);
+	// the matrix and suite pass each build its share of their budget.
 	// Routed layouts are byte-identical at every level.
 	RouteParallelism int
 

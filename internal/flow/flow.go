@@ -84,8 +84,9 @@ type Config struct {
 	MaxAttempts      int     // escalation attempts in Protect (default 6; 1 = no escalation)
 
 	// RouteParallelism is the worker count for wave-parallel net routing
-	// inside each place-and-route (0 = GOMAXPROCS, 1 = serial). Reports
-	// are byte-identical at every level.
+	// inside each place-and-route (0 = GOMAXPROCS, 1 = serial); the
+	// Pipeline fills it from WithParallelism. Reports are byte-identical
+	// at every level.
 	RouteParallelism int
 
 	// RouteStrategy selects flat or hierarchical batched routing for every
@@ -413,7 +414,7 @@ func EvaluateSecurity(ctx context.Context, d *layout.Design, ref *netlist.Netlis
 	layers := opt.SplitLayers
 
 	results := make([]LayerResult, len(layers))
-	errs := runPool(len(layers), opt.Parallelism, func(i int) error {
+	errs := runPool(len(layers), opt.Parallelism, func(i, _ int) error {
 		var err error
 		results[i], err = evaluateLayer(ctx, d, ref, layers[i], opt)
 		detail := ""

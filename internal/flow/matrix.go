@@ -28,18 +28,12 @@ type MatrixOptions struct {
 	SplitLayers  []int        // layers each pair is attacked at (default M3,M4,M5)
 	Seed         int64        // master seed; every (defense, attacker, layer) derives its own stream
 	PatternWords int          // 64-pattern words for OER/HD (default 256)
-	Parallelism  int          // concurrent builds (baseline and rows), split further into layer attacks; 0 = GOMAXPROCS, 1 = serial
+	Parallelism  int          // concurrent builds (baseline and rows), split further into layer attacks and route waves; 0 = GOMAXPROCS, 1 = serial
 	LiftLayer    int          // lift layer for lifting defenses (default 6)
 	UtilPercent  int          // placement utilization (default 70)
 	TargetOER    float64      // randomization stop criterion (default 0.999)
 	Fraction     float64      // perturbed fraction for prior-art defenses (0 = published-ish defaults)
 	Progress     ProgressFunc // optional per-defense / per-layer completion events
-
-	// RouteParallelism is the worker count for wave-parallel net routing
-	// inside the baseline and each defense build (0 = the build's share of
-	// Parallelism, so the route workers of concurrent builds do not
-	// multiply; 1 = serial). Results are byte-identical at every level.
-	RouteParallelism int
 
 	// RouteStrategy selects flat or hierarchical batched routing for every
 	// build (zero = auto, resolved per design by die area).
@@ -138,22 +132,17 @@ func EvaluateMatrix(ctx context.Context, nl *netlist.Netlist, lib *cell.Library,
 
 	// Task 0 builds the unprotected baseline and task i the i-th distinct
 	// defense. Rows need the baseline only for their PPA deltas, which are
-	// applied once the pool drains, so no task waits on another. Split the
-	// one parallelism budget between the pool and each task's nested layer
-	// pool and route waves: `workers` tasks in flight, each attacking up
-	// to Parallelism/workers layers at once and routing with as many
-	// workers. Without the division the nested pools would multiply,
-	// oversubscribing the CPU and holding more layouts live.
-	workers := min(opt.Parallelism, 1+len(distinct))
-	inner := opt.Parallelism / workers // >= 1: workers <= Parallelism
+	// applied once the pool drains, so no task waits on another. Each task
+	// attacks its layers and routes its waves within the share of
+	// Parallelism the pool grants it.
 	rows := make([]MatrixRow, len(distinct))
-	errs := runPool(1+len(distinct), workers, func(i int) error {
+	errs := runPool(1+len(distinct), opt.Parallelism, func(i, share int) error {
 		if i == 0 {
 			var err error
-			out.BasePPA, err = buildBaseline(nl, lib, inner, opt)
+			out.BasePPA, err = buildBaseline(nl, lib, share, opt)
 			return err
 		}
-		row, err := evaluateDefense(ctx, nl, lib, distinct[i-1], inner, opt)
+		row, err := evaluateDefense(ctx, nl, lib, distinct[i-1], share, opt)
 		if err != nil {
 			return err
 		}
@@ -181,15 +170,11 @@ func EvaluateMatrix(ctx context.Context, nl *netlist.Netlist, lib *cell.Library,
 }
 
 // buildBaseline builds and analyzes the unprotected layout that anchors
-// every matrix row's PPA overheads.
-func buildBaseline(nl *netlist.Netlist, lib *cell.Library, routeShare int, opt MatrixOptions) (timing.PPA, error) {
-	routeP := opt.RouteParallelism
-	if routeP == 0 {
-		routeP = routeShare
-	}
+// every matrix row's PPA overheads, routing with parallelism workers.
+func buildBaseline(nl *netlist.Netlist, lib *cell.Library, parallelism int, opt MatrixOptions) (timing.PPA, error) {
 	base, err := correction.BuildOriginal(nl, lib, correction.Options{
 		LiftLayer: opt.LiftLayer, UtilPercent: opt.UtilPercent, Seed: opt.Seed,
-		RouteOpt: route.Options{Parallelism: routeP, Strategy: opt.RouteStrategy},
+		RouteOpt: route.Options{Parallelism: parallelism, Strategy: opt.RouteStrategy},
 	})
 	if err != nil {
 		return timing.PPA{}, err
@@ -200,7 +185,8 @@ func buildBaseline(nl *netlist.Netlist, lib *cell.Library, routeShare int, opt M
 // evaluateDefense computes one matrix row: build the defense's layout with
 // a name-derived seed, analyze its PPA, then run the full attacker panel
 // over the split layers with an independent name-derived evaluation seed.
-// The caller fills in the overheads against its baseline.
+// parallelism bounds both the build's route workers and its concurrent
+// layer attacks. The caller fills in the overheads against its baseline.
 func evaluateDefense(ctx context.Context, nl *netlist.Netlist, lib *cell.Library,
 	name string, parallelism int, opt MatrixOptions) (MatrixRow, error) {
 	start := time.Now()
@@ -210,17 +196,13 @@ func evaluateDefense(ctx context.Context, nl *netlist.Netlist, lib *cell.Library
 	// contract, mirroring attack engines): each scheme derives its own
 	// streams by label, and the shared "randomize" label is what keeps
 	// naive-lifted protecting exactly randomize-correction's sink set.
-	routeP := opt.RouteParallelism
-	if routeP == 0 {
-		routeP = parallelism // the row's share of the one parallelism budget
-	}
 	prot, err := def.Protect(ctx, nl, lib, defengine.Options{
 		Seed:             defengine.DeriveSeed(opt.Seed, "defense"),
 		LiftLayer:        opt.LiftLayer,
 		UtilPercent:      opt.UtilPercent,
 		TargetOER:        opt.TargetOER,
 		Fraction:         opt.Fraction,
-		RouteParallelism: routeP,
+		RouteParallelism: parallelism,
 		RouteStrategy:    opt.RouteStrategy,
 	})
 	if err != nil {

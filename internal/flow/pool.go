@@ -6,15 +6,21 @@ import (
 	"sync"
 )
 
-// runPool runs task(0), …, task(n-1) on at most workers goroutines, handing
-// the indices out in order, and returns each task's error in index order.
+// runPool runs task(0), …, task(n-1) on min(parallelism, n) goroutines,
+// handing the indices out in order, and returns each task's error in index
+// order. Every task is granted share = parallelism/workers of the budget
+// for its own nested work — layer attacks, route waves — so nested pools
+// never multiply past parallelism. This is the one place the flow splits
+// a parallelism budget; callers pass parallelism >= 1.
+//
 // A panic in task i becomes task i's error, carrying the panic value and
 // stack, so one failing defense build or layer attack fails its caller
 // instead of the whole process. failed, when non-nil, sees every error as
 // soon as its task ends (the suite cancels its remaining jobs there).
-func runPool(n, workers int, task func(i int) error, failed func(error)) []error {
+func runPool(n, parallelism int, task func(i, share int) error, failed func(error)) []error {
 	errs := make([]error, n)
-	workers = min(workers, n)
+	workers := min(parallelism, n)
+	share := parallelism / max(workers, 1) // >= 1: workers <= parallelism
 	var wg sync.WaitGroup
 	idx := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -22,7 +28,7 @@ func runPool(n, workers int, task func(i int) error, failed func(error)) []error
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				errs[i] = runTask(i, task)
+				errs[i] = runTask(i, share, task)
 				if errs[i] != nil && failed != nil {
 					failed(errs[i])
 				}
@@ -38,11 +44,11 @@ func runPool(n, workers int, task func(i int) error, failed func(error)) []error
 }
 
 // runTask runs one pool task, recovering a panic into its error.
-func runTask(i int, task func(int) error) (err error) {
+func runTask(i, share int, task func(i, share int) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("flow: task %d panicked: %v\n%s", i, r, debug.Stack())
 		}
 	}()
-	return task(i)
+	return task(i, share)
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"splitmfg/internal/attack/engine"
 	"splitmfg/internal/bench"
@@ -29,7 +30,7 @@ func (panicEngine) Attack(context.Context, *layout.Design, *layout.SplitView, en
 func TestRunPoolPanicBecomesTaskError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int32
-		errs := runPool(5, workers, func(i int) error {
+		errs := runPool(5, workers, func(i, _ int) error {
 			ran.Add(1)
 			if i == 2 {
 				panic(panicValue)
@@ -46,6 +47,35 @@ func TestRunPoolPanicBecomesTaskError(t *testing.T) {
 		}
 		if !strings.Contains(errs[2].Error(), panicValue) || !strings.Contains(errs[2].Error(), "goroutine") {
 			t.Fatalf("workers %d: panic error lacks the value or the stack: %v", workers, errs[2])
+		}
+	}
+}
+
+// TestRunPoolShares: the pool is the flow's one budget split. It runs at
+// most min(P, n) tasks at once and grants each the rest of the budget, so
+// nested pools and route waves never multiply past P.
+func TestRunPoolShares(t *testing.T) {
+	for n := 0; n <= 6; n++ {
+		for p := 1; p <= 8; p++ {
+			var running, peak, ran atomic.Int32
+			runPool(n, p, func(i, share int) error {
+				cur := running.Add(1)
+				for old := peak.Load(); cur > old && !peak.CompareAndSwap(old, cur); old = peak.Load() {
+				}
+				time.Sleep(time.Millisecond) // let concurrent tasks overlap
+				running.Add(-1)
+				ran.Add(1)
+				if want := max(1, p/min(p, n)); share != want {
+					t.Errorf("n=%d P=%d: task %d got share %d, want %d", n, p, i, share, want)
+				}
+				return nil
+			}, nil)
+			if int(ran.Load()) != n {
+				t.Errorf("n=%d P=%d: %d tasks ran", n, p, ran.Load())
+			}
+			if int(peak.Load()) > min(p, n) {
+				t.Errorf("n=%d P=%d: %d tasks ran at once, want at most %d", n, p, peak.Load(), min(p, n))
+			}
 		}
 	}
 }

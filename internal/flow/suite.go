@@ -75,21 +75,15 @@ type SuiteOptions struct {
 	Seed         int64            // master seed; every replicate derives its own stream
 	Replicates   int              // seed replicates per (benchmark, defense) cell (default 1)
 	PatternWords int              // 64-pattern words for OER/HD (default 256)
-	Parallelism  int              // bound on concurrent jobs; 0 = GOMAXPROCS, 1 = serial
+	Parallelism  int              // concurrent jobs, split further into layer attacks and route waves; 0 = GOMAXPROCS, 1 = serial
 	TargetOER    float64          // randomization stop criterion (default 0.999)
 	Fraction     float64          // perturbed fraction for prior-art defenses
 	Progress     ProgressFunc     // optional suite-level completion events
 
-	// RouteParallelism is the worker count for wave-parallel net routing
-	// inside each build (0 = the job's share of Parallelism, so route
-	// workers of concurrent suite jobs do not multiply; 1 = serial).
-	// Results are byte-identical at every level.
-	RouteParallelism int
-
 	// RouteStrategy selects flat or hierarchical batched routing for every
 	// build in the suite (zero = auto, resolved per design by die area).
-	// Unlike RouteParallelism it changes routed results, so it is part of
-	// every cache key.
+	// Unlike Parallelism it changes routed results, so it is part of every
+	// cache key.
 	RouteStrategy route.Strategy
 
 	// CacheDir, when non-empty, backs the suite cache with a disk-based
@@ -282,34 +276,26 @@ func EvaluateSuite(ctx context.Context, lib *cell.Library, opt SuiteOptions) (Su
 	// Capacity for every job's key, the most distinct keys a suite can
 	// request, so nothing is evicted and the counters stay deterministic.
 	cache := store.NewCache(numJobs, disk)
-	// Split the one parallelism budget between the job pool and each
-	// job's nested layer pool and route waves: `workers` jobs in flight,
-	// each attacking up to Parallelism/workers layers at once.
-	workers := min(opt.Parallelism, numJobs)
-	inner := opt.Parallelism / workers // >= 1: workers <= Parallelism
 
-	routeP := opt.RouteParallelism
-	if routeP == 0 {
-		routeP = inner
-	}
-
-	runJob := func(j int) error {
+	// Each job attacks its layers and routes its waves within the share of
+	// Parallelism the pool grants it.
+	runJob := func(j, share int) error {
 		if j < B {
 			var err error
-			basePPA[j], err = suiteBaseline(cctx, cache, opt.Benchmarks[j], lib, opt.Seed, routeP, opt.RouteStrategy, em)
+			basePPA[j], err = suiteBaseline(cctx, cache, opt.Benchmarks[j], lib, opt.Seed, share, opt.RouteStrategy, em)
 			return err
 		}
 		k := j - B
 		b, rem := k/(D*R), k%(D*R)
 		d, r := rem/R, rem%R
 		var err error
-		cellRows[k], err = suiteCell(cctx, cache, opt.Benchmarks[b], lib, opt.Defenses[d], r, inner, opt, em)
+		cellRows[k], err = suiteCell(cctx, cache, opt.Benchmarks[b], lib, opt.Defenses[d], r, share, opt, em)
 		return err
 	}
 
 	// Jobs are handed out in index order, so every baseline starts before
 	// any cell job.
-	runPool(numJobs, workers, runJob, cancel)
+	runPool(numJobs, opt.Parallelism, runJob, cancel)
 	if err := context.Cause(cctx); err != nil {
 		return out, err
 	}
@@ -338,9 +324,10 @@ func EvaluateSuite(ctx context.Context, lib *cell.Library, opt SuiteOptions) (Su
 
 // suiteBaseline builds (or reuses) one benchmark's unprotected baseline and
 // returns its PPA — the anchor for every defense row's overheads, computed
-// once per benchmark across the whole suite.
+// once per benchmark across the whole suite, routing with parallelism
+// workers.
 func suiteBaseline(ctx context.Context, cache *store.Cache, b SuiteBenchmark,
-	lib *cell.Library, seed int64, routeP int, strat route.Strategy, em *emitter) (timing.PPA, error) {
+	lib *cell.Library, seed int64, parallelism int, strat route.Strategy, em *emitter) (timing.PPA, error) {
 	key := "baseline|" + b.cacheKey(seed) + "|route=" + routeStrategyKey(strat)
 	decode := func(raw []byte) (any, error) {
 		var ppa timing.PPA
@@ -354,7 +341,7 @@ func suiteBaseline(ctx context.Context, cache *store.Cache, b SuiteBenchmark,
 		}
 		base, err := correction.BuildOriginal(b.Netlist, lib, correction.Options{
 			LiftLayer: b.LiftLayer, UtilPercent: b.UtilPercent, Seed: seed,
-			RouteOpt: route.Options{Parallelism: routeP, Strategy: strat},
+			RouteOpt: route.Options{Parallelism: parallelism, Strategy: strat},
 		})
 		if err != nil {
 			return timing.PPA{}, err
@@ -374,16 +361,11 @@ func suiteBaseline(ctx context.Context, cache *store.Cache, b SuiteBenchmark,
 
 // suiteCell computes (or reuses) one (benchmark, defense, replicate) cell:
 // the defense built with the replicate's derived seed, analyzed against the
-// benchmark's shared baseline, and attacked by the full panel.
+// benchmark's shared baseline, and attacked by the full panel, all within
+// parallelism workers.
 func suiteCell(ctx context.Context, cache *store.Cache, b SuiteBenchmark, lib *cell.Library,
-	defense string, rep, inner int, opt SuiteOptions, em *emitter) (MatrixRow, error) {
-	// Each suite job routes with its share of the one parallelism budget
-	// unless the caller pinned a route worker count explicitly.
-	routeP := opt.RouteParallelism
-	if routeP == 0 {
-		routeP = inner
-	}
-	base, err := suiteBaseline(ctx, cache, b, lib, opt.Seed, routeP, opt.RouteStrategy, em)
+	defense string, rep, parallelism int, opt SuiteOptions, em *emitter) (MatrixRow, error) {
+	base, err := suiteBaseline(ctx, cache, b, lib, opt.Seed, parallelism, opt.RouteStrategy, em)
 	if err != nil {
 		return MatrixRow{}, err
 	}
@@ -397,17 +379,16 @@ func suiteCell(ctx context.Context, cache *store.Cache, b SuiteBenchmark, lib *c
 		return row, err
 	}
 	v, _, err := cache.Do(ctx, key, decode, func() (any, error) {
-		row, err := evaluateDefense(ctx, b.Netlist, lib, defense, inner, MatrixOptions{
-			Attackers:        opt.Attackers,
-			SplitLayers:      opt.SplitLayers,
-			Seed:             repSeed,
-			PatternWords:     opt.PatternWords,
-			LiftLayer:        b.LiftLayer,
-			UtilPercent:      b.UtilPercent,
-			TargetOER:        opt.TargetOER,
-			Fraction:         opt.Fraction,
-			RouteParallelism: routeP,
-			RouteStrategy:    opt.RouteStrategy,
+		row, err := evaluateDefense(ctx, b.Netlist, lib, defense, parallelism, MatrixOptions{
+			Attackers:     opt.Attackers,
+			SplitLayers:   opt.SplitLayers,
+			Seed:          repSeed,
+			PatternWords:  opt.PatternWords,
+			LiftLayer:     b.LiftLayer,
+			UtilPercent:   b.UtilPercent,
+			TargetOER:     opt.TargetOER,
+			Fraction:      opt.Fraction,
+			RouteStrategy: opt.RouteStrategy,
 		})
 		if err != nil {
 			return MatrixRow{}, err

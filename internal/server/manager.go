@@ -39,7 +39,8 @@ type Config struct {
 	// Parallelism is the global worker budget split across concurrently
 	// running jobs (default GOMAXPROCS). Each running job is granted
 	// Parallelism/MaxRunning workers (at least 1), or the request's own
-	// parallelism when that is smaller — generalizing how Matrix and Suite
+	// parallelism when that is smaller, as its whole WithParallelism
+	// budget — route workers included — generalizing how Matrix and Suite
 	// split one budget across their inner jobs.
 	Parallelism int
 	// MaxRunning bounds how many jobs run concurrently (default 2).
@@ -67,13 +68,6 @@ type Config struct {
 	// RetainTTL caps how long a finished job stays in the registry
 	// (default 1h).
 	RetainTTL time.Duration
-	// RouteStrategy, when non-empty, is the routing strategy ("auto",
-	// "flat", "hier") applied to requests that leave route_strategy unset.
-	// It is folded into the request at submission — before validation and
-	// cache keying — because, unlike the parallelism share, the strategy
-	// changes results and must be part of the cache identity. Empty leaves
-	// unset requests on the library default ("auto").
-	RouteStrategy string
 	// Logf, when non-nil, receives one line per job lifecycle transition.
 	Logf func(format string, args ...any)
 }
@@ -136,17 +130,9 @@ type Manager struct {
 }
 
 // NewManager starts a manager with cfg's worker pool running. It fails
-// only when cfg.CacheDir is set but cannot be created, or when
-// cfg.RouteStrategy names an unknown strategy.
+// only when cfg.CacheDir is set but cannot be created.
 func NewManager(cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
-	if cfg.RouteStrategy != "" {
-		// Fail at startup, not per-request: a bad server-wide default
-		// would otherwise reject every submission that omits a strategy.
-		if err := splitmfg.New(splitmfg.WithRouteStrategy(cfg.RouteStrategy)).Validate(); err != nil {
-			return nil, err
-		}
-	}
 	var disk *store.Store
 	if cfg.CacheDir != "" {
 		var err error
@@ -188,13 +174,6 @@ func (m *Manager) logf(format string, args ...any) {
 // failures surface as *splitmfg.OptionError (a 400); a full queue as
 // ErrQueueFull and a draining manager as ErrShuttingDown (503s).
 func (m *Manager) Submit(req splitmfg.JobRequest) (*Job, error) {
-	// Fold the server-wide routing-strategy default into the request
-	// itself (not into the run options) so it lands in the cache key: a
-	// request that omits the strategy must not share a result with the
-	// "auto" identity when the server defaults to something else.
-	if req.RouteStrategy == "" {
-		req.RouteStrategy = m.cfg.RouteStrategy
-	}
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
@@ -362,14 +341,11 @@ func (m *Manager) runJob(job *Job) {
 	m.logf("running %s with parallelism %d", job.id, share)
 
 	hook := func(ev splitmfg.ProgressEvent) { job.log.append(wireEvent(ev)) }
+	// The share is the job's whole budget: the pipeline splits it further
+	// among builds, layer attacks and route waves.
 	extra := []splitmfg.Option{
 		splitmfg.WithProgress(hook),
 		splitmfg.WithParallelism(share),
-	}
-	if job.req.RouteParallelism == 0 {
-		// Route workers come out of the same share; a request that pinned
-		// its own route parallelism keeps it.
-		extra = append(extra, splitmfg.WithRouteParallelism(share))
 	}
 	if m.cfg.CacheDir != "" {
 		// Suite jobs checkpoint their per-cell results into the same

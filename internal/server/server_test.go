@@ -10,10 +10,14 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"splitmfg"
+	"splitmfg/internal/cell"
+	defengine "splitmfg/internal/defense/engine"
+	"splitmfg/internal/netlist"
 )
 
 // newTestServer wires a manager and its handler into an httptest server,
@@ -242,8 +246,7 @@ func TestSSEOrderingMatchesDirectRun(t *testing.T) {
 	rec := func(ev splitmfg.ProgressEvent) { want = append(want, ev) }
 	if _, err := req.Run(context.Background(),
 		splitmfg.WithProgress(rec),
-		splitmfg.WithParallelism(1),
-		splitmfg.WithRouteParallelism(1)); err != nil {
+		splitmfg.WithParallelism(1)); err != nil {
 		t.Fatal(err)
 	}
 	if len(want) == 0 {
@@ -288,6 +291,49 @@ func TestSSEOrderingMatchesDirectRun(t *testing.T) {
 			t.Fatalf("event %d = %+v, want stage %s layer %d attempt %d detail %q",
 				i, ev.event, w.Stage, w.Layer, w.Attempt, w.Detail)
 		}
+	}
+}
+
+// routeRecorder is a test defense that records the route worker count
+// each build is handed, then builds pin-swapping's layout.
+type routeRecorder struct {
+	mu   sync.Mutex
+	seen []int
+}
+
+func (*routeRecorder) Name() string { return "test-route-recorder" }
+
+func (r *routeRecorder) Protect(ctx context.Context, nl *netlist.Netlist, lib *cell.Library, opt defengine.Options) (*defengine.Protected, error) {
+	r.mu.Lock()
+	r.seen = append(r.seen, opt.RouteParallelism)
+	r.mu.Unlock()
+	d, _ := defengine.Lookup("pin-swapping")
+	return d.Protect(ctx, nl, lib, opt)
+}
+
+// TestMatrixJobRoutesWithinShare: a job's parallelism share is its whole
+// budget. A matrix job granted 4 workers builds its baseline and two
+// defense rows at once, so each build routes with 4/3 = 1 worker rather
+// than with the full share.
+func TestMatrixJobRoutesWithinShare(t *testing.T) {
+	rec := &routeRecorder{}
+	defengine.Register(rec)
+	_, ts := newTestServer(t, Config{Parallelism: 4, MaxRunning: 1})
+	info := submit(t, ts, splitmfg.JobRequest{
+		Kind:         splitmfg.JobMatrix,
+		Benchmark:    "c432",
+		PatternWords: 1,
+		SplitLayers:  []int{3},
+		Attackers:    []string{"random"},
+		Defenses:     []string{rec.Name(), "pin-swapping"},
+	})
+	if st := waitTerminal(t, ts, info.ID); st.State != StateDone {
+		t.Fatalf("matrix job ended %s: %s", st.State, st.Error)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.seen) != 1 || rec.seen[0] != 1 {
+		t.Fatalf("defense builds routed with %v workers, want [1]", rec.seen)
 	}
 }
 
@@ -409,6 +455,11 @@ func TestBadRequestsRejected(t *testing.T) {
 	}
 	if code, _ := post(`{"kind":"evaluate","benchmark":"c432","bogus_field":1}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown field returned %d, want 400", code)
+	}
+	// Route workers come out of the job's parallelism share; there is no
+	// separate knob to pin them.
+	if code, _ := post(`{"kind":"evaluate","benchmark":"c432","route_parallelism":2}`); code != http.StatusBadRequest {
+		t.Fatalf("route_parallelism returned %d, want 400", code)
 	}
 	if code, msg := post(`{"kind":"bake","benchmark":"c432"}`); code != http.StatusBadRequest || msg == "" {
 		t.Fatalf("unknown kind returned %d %q, want 400 with message", code, msg)

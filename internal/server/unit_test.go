@@ -213,44 +213,6 @@ func TestManagerShare(t *testing.T) {
 	}
 }
 
-// TestRouteStrategyDefault: a server-wide routing-strategy default folds
-// into requests that omit one — at submission, so it lands in the cache
-// key — and never overrides an explicit choice; an unknown default fails
-// NewManager at startup rather than per request.
-func TestRouteStrategyDefault(t *testing.T) {
-	if _, err := NewManager(Config{RouteStrategy: "bogus"}); err == nil {
-		t.Fatal("NewManager accepted an unknown route-strategy default")
-	}
-	m, err := NewManager(Config{MaxRunning: 1, RouteStrategy: "hier"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		m.Shutdown(ctx)
-	}()
-	req := splitmfg.JobRequest{Kind: splitmfg.JobEvaluate, Benchmark: "c432", PatternWords: 1}
-	defaulted, err := m.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := defaulted.Request().RouteStrategy; got != "hier" {
-		t.Fatalf("omitted strategy folded to %q, want %q", got, "hier")
-	}
-	req.RouteStrategy = "flat"
-	explicit, err := m.Submit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := explicit.Request().RouteStrategy; got != "flat" {
-		t.Fatalf("explicit strategy overridden to %q", got)
-	}
-	if defaulted.Request().CacheKey() == explicit.Request().CacheKey() {
-		t.Fatal("hier-defaulted and flat requests share a cache key")
-	}
-}
-
 // TestQueueFullAndShutdown: submissions beyond the queue bound are
 // rejected; Shutdown cancels queued and running jobs and refuses new ones.
 func TestQueueFullAndShutdown(t *testing.T) {

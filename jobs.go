@@ -42,7 +42,9 @@ func JobKinds() []JobKind {
 // JSON tags forming the evaluation server's wire format. The zero value of
 // every field except Kind and the benchmark selection means "the library
 // default", exactly like passing the zero value to the corresponding
-// With* option.
+// With* option. Parallelism is the job's one worker budget (a server
+// grants at most its slot share); it never changes the report, so it is
+// left out of CacheKey.
 type JobRequest struct {
 	Kind JobKind `json:"kind"`
 
@@ -53,22 +55,21 @@ type JobRequest struct {
 	Benchmark  string   `json:"benchmark,omitempty"`
 	Benchmarks []string `json:"benchmarks,omitempty"`
 
-	Scale            int      `json:"scale,omitempty"`             // superblue scale divisor (0 = default 300)
-	LiftLayer        int      `json:"lift_layer,omitempty"`        // WithLiftLayer
-	Utilization      int      `json:"utilization,omitempty"`       // WithUtilization
-	Seed             int64    `json:"seed,omitempty"`              // WithSeed
-	PPABudget        float64  `json:"ppa_budget,omitempty"`        // WithPPABudget
-	TargetOER        float64  `json:"target_oer,omitempty"`        // WithTargetOER
-	PatternWords     int      `json:"pattern_words,omitempty"`     // WithPatternWords
-	SplitLayers      []int    `json:"split_layers,omitempty"`      // WithSplitLayers
-	Attackers        []string `json:"attackers,omitempty"`         // WithAttackers
-	Defenses         []string `json:"defenses,omitempty"`          // WithDefenses
-	Fraction         float64  `json:"fraction,omitempty"`          // WithFraction
-	Replicates       int      `json:"replicates,omitempty"`        // WithReplicates
-	MaxAttempts      int      `json:"max_attempts,omitempty"`      // WithMaxAttempts
-	Parallelism      int      `json:"parallelism,omitempty"`       // WithParallelism
-	RouteParallelism int      `json:"route_parallelism,omitempty"` // WithRouteParallelism
-	RouteStrategy    string   `json:"route_strategy,omitempty"`    // WithRouteStrategy ("auto", "flat", "hier"; "" = auto)
+	Scale         int      `json:"scale,omitempty"`          // superblue scale divisor (0 = default 300)
+	LiftLayer     int      `json:"lift_layer,omitempty"`     // WithLiftLayer
+	Utilization   int      `json:"utilization,omitempty"`    // WithUtilization
+	Seed          int64    `json:"seed,omitempty"`           // WithSeed
+	PPABudget     float64  `json:"ppa_budget,omitempty"`     // WithPPABudget
+	TargetOER     float64  `json:"target_oer,omitempty"`     // WithTargetOER
+	PatternWords  int      `json:"pattern_words,omitempty"`  // WithPatternWords
+	SplitLayers   []int    `json:"split_layers,omitempty"`   // WithSplitLayers
+	Attackers     []string `json:"attackers,omitempty"`      // WithAttackers
+	Defenses      []string `json:"defenses,omitempty"`       // WithDefenses
+	Fraction      float64  `json:"fraction,omitempty"`       // WithFraction
+	Replicates    int      `json:"replicates,omitempty"`     // WithReplicates
+	MaxAttempts   int      `json:"max_attempts,omitempty"`   // WithMaxAttempts
+	Parallelism   int      `json:"parallelism,omitempty"`    // WithParallelism
+	RouteStrategy string   `json:"route_strategy,omitempty"` // WithRouteStrategy ("auto", "flat", "hier"; "" = auto)
 }
 
 // benchmarkList normalizes the Benchmark/Benchmarks pair into one ordered
@@ -136,7 +137,6 @@ func (r JobRequest) Options(extra ...Option) []Option {
 		WithReplicates(r.Replicates),
 		WithMaxAttempts(r.MaxAttempts),
 		WithParallelism(r.Parallelism),
-		WithRouteParallelism(r.RouteParallelism),
 		WithRouteStrategy(r.RouteStrategy),
 	}
 	// Seed is the one option whose library default is not the zero value
@@ -158,10 +158,10 @@ func (r JobRequest) Options(extra ...Option) []Option {
 }
 
 // CacheKey is the content-addressed identity of the request's result: two
-// requests with equal keys produce byte-identical reports. Parallelism and
-// route parallelism are excluded — every entry point guarantees identical
-// results at every parallelism level — so a server cache keyed on it shares
-// results across differently-budgeted submissions. The route strategy is
+// requests with equal keys produce byte-identical reports. Parallelism is
+// excluded — every entry point guarantees identical results at every
+// parallelism level — so a server cache keyed on it shares results across
+// differently-budgeted submissions. The route strategy is
 // included (flat and hier produce different routings) and normalized like
 // the seed: an omitted strategy and an explicit "auto" share one key. The
 // seed is normalized the same way Options() resolves it (0 means the
@@ -172,7 +172,6 @@ func (r JobRequest) CacheKey() string {
 	n.Benchmark = ""
 	n.Benchmarks = r.benchmarkList()
 	n.Parallelism = 0
-	n.RouteParallelism = 0
 	if n.RouteStrategy == "" {
 		n.RouteStrategy = string(route.StrategyAuto)
 	}

@@ -1,6 +1,7 @@
 package splitmfg
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -19,7 +20,7 @@ func TestPipelineValidate(t *testing.T) {
 			WithPPABudget(20), WithTargetOER(0.9), WithPatternWords(16),
 			WithSplitLayers(3, 4), WithAttackers("proximity", "random"),
 			WithDefenses("pin-swapping"), WithFraction(0.2), WithReplicates(3),
-			WithMaxAttempts(2), WithParallelism(4), WithRouteParallelism(2)}, ""},
+			WithMaxAttempts(2), WithParallelism(4)}, ""},
 		{"negative lift", []Option{WithLiftLayer(-1)}, "WithLiftLayer"},
 		{"util over 100", []Option{WithUtilization(101)}, "WithUtilization"},
 		{"negative budget", []Option{WithPPABudget(-5)}, "WithPPABudget"},
@@ -31,7 +32,6 @@ func TestPipelineValidate(t *testing.T) {
 		{"negative replicates", []Option{WithReplicates(-1)}, "WithReplicates"},
 		{"negative attempts", []Option{WithMaxAttempts(-1)}, "WithMaxAttempts"},
 		{"negative parallelism", []Option{WithParallelism(-1)}, "WithParallelism"},
-		{"negative route parallelism", []Option{WithRouteParallelism(-2)}, "WithRouteParallelism"},
 		{"flat route strategy", []Option{WithRouteStrategy("flat")}, ""},
 		{"hier route strategy", []Option{WithRouteStrategy("hier")}, ""},
 		{"unknown route strategy", []Option{WithRouteStrategy("bogus")}, "WithRouteStrategy"},
@@ -95,7 +95,7 @@ func TestJobRequestValidate(t *testing.T) {
 
 func TestJobRequestCacheKeyIgnoresParallelism(t *testing.T) {
 	a := JobRequest{Kind: JobMatrix, Benchmark: "c432", PatternWords: 16, Parallelism: 1}
-	b := JobRequest{Kind: JobMatrix, Benchmark: "c432", PatternWords: 16, Parallelism: 8, RouteParallelism: 4}
+	b := JobRequest{Kind: JobMatrix, Benchmark: "c432", PatternWords: 16, Parallelism: 8}
 	if a.CacheKey() != b.CacheKey() {
 		t.Fatalf("cache keys differ on parallelism only:\n%s\n%s", a.CacheKey(), b.CacheKey())
 	}
@@ -142,6 +142,87 @@ func TestJobRequestCacheKeyRouteStrategy(t *testing.T) {
 		t.Fatalf("strategies share a cache key:\nauto %s\nflat %s\nhier %s",
 			auto.CacheKey(), flat.CacheKey(), hier.CacheKey())
 	}
+}
+
+// FuzzJobRequestCacheKey: CacheKey is a result identity, so every spelling
+// of one request must share a key, and a different seed must not. Inputs
+// are decoded the way the server's POST /v1/jobs handler decodes them;
+// bodies it would reject (unknown fields, failed validation) are skipped.
+func FuzzJobRequestCacheKey(f *testing.F) {
+	for _, body := range []string{
+		// The README's and the CI server smoke's request bodies, then two
+		// that spell out the seed, route strategy and benchmark list.
+		`{"kind": "matrix", "benchmark": "c432", "defenses": ["randomize-correction", "pin-swapping"], "attackers": ["proximity", "random"]}`,
+		`{"kind":"evaluate","benchmark":"c432","pattern_words":16,"split_layers":[3],"attackers":["random"]}`,
+		`{"kind":"suite","benchmarks":["c432","c880"],"replicates":2,"seed":7,"route_strategy":"auto","parallelism":2}`,
+		`{"kind":"protect","benchmark":"superblue18","scale":800,"seed":1,"route_strategy":"hier","max_attempts":1}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req JobRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&req) != nil || req.Validate() != nil {
+			t.Skip()
+		}
+		key := req.CacheKey()
+		same := func(what string, r JobRequest) {
+			t.Helper()
+			if got := r.CacheKey(); got != key {
+				t.Fatalf("%s changed the cache key:\n%s\n%s", what, key, got)
+			}
+		}
+
+		r := req
+		r.Parallelism = req.Parallelism + 3
+		same("parallelism", r)
+
+		if req.Seed == 0 || req.Seed == defaultSeed {
+			r = req
+			r.Seed = defaultSeed - req.Seed // 0 <-> the default
+			same("spelling the default seed", r)
+		}
+		if req.RouteStrategy == "" || req.RouteStrategy == "auto" {
+			r = req
+			r.RouteStrategy = "auto"
+			if req.RouteStrategy == "auto" {
+				r.RouteStrategy = ""
+			}
+			same("spelling the auto route strategy", r)
+		}
+		if names := req.benchmarkList(); len(names) == 1 {
+			r = req
+			r.Benchmark, r.Benchmarks = names[0], nil
+			same("benchmark alone", r)
+			r.Benchmark, r.Benchmarks = "", names
+			same("a one-element benchmarks list", r)
+		}
+
+		data, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back JobRequest
+		dec = json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&back); err != nil {
+			t.Fatalf("re-decoding %s: %v", data, err)
+		}
+		same("a JSON round trip", back)
+
+		seed := req.Seed
+		if seed == 0 {
+			seed = defaultSeed
+		}
+		r = req
+		if r.Seed = seed + 1; r.Seed == 0 { // 0 would mean the default seed
+			r.Seed = 2
+		}
+		if r.CacheKey() == key {
+			t.Fatalf("seeds %d and %d share the cache key %s", seed, r.Seed, key)
+		}
+	})
 }
 
 func TestDecodeReportRoundTrips(t *testing.T) {

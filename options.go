@@ -17,7 +17,6 @@ type pipelineConfig struct {
 	replicates   int
 	maxAttempts  int
 	parallelism  int
-	routePar     int
 	routeStrat   string
 	cacheDir     string
 	progress     ProgressFunc
@@ -117,22 +116,17 @@ func WithMaxAttempts(n int) Option {
 	return func(c *pipelineConfig) { c.maxAttempts = n }
 }
 
-// WithParallelism sets how many split layers Evaluate attacks concurrently
-// (default: GOMAXPROCS; 1 forces serial evaluation). Results are identical
+// WithParallelism sets the one worker budget every entry point runs
+// within (default: GOMAXPROCS; 1 forces serial work). Evaluate attacks up
+// to that many split layers at once; Protect, Baseline, Randomized and
+// NaiveLifted route up to that many spatially disjoint nets at once;
+// Matrix and Suite run up to that many builds at once and give each an
+// equal part of the budget for its own layer attacks and route waves.
+// The router commits each wave of non-interacting nets in serial order,
+// so layouts — and every report derived from them — are byte-identical
 // at every parallelism level.
 func WithParallelism(n int) Option {
 	return func(c *pipelineConfig) { c.parallelism = n }
-}
-
-// WithRouteParallelism sets how many workers route spatially disjoint nets
-// concurrently inside each place-and-route (default: GOMAXPROCS for the
-// single-design entry points, the job's share of WithParallelism for
-// Matrix/Suite; 1 forces serial routing). The router partitions each
-// design's net list into deterministic waves of non-interacting nets and
-// commits results in serial order, so layouts — and every report derived
-// from them — are byte-identical at every parallelism level.
-func WithRouteParallelism(n int) Option {
-	return func(c *pipelineConfig) { c.routePar = n }
 }
 
 // WithRouteStrategy selects how each place-and-route explores the routing
@@ -140,8 +134,8 @@ func WithRouteParallelism(n int) Option {
 // coarse tile-grid pass first and confines each net's fine search to its
 // planned corridor (much faster on large dies), and "auto" (the default)
 // picks per design by die area — ISCAS-class dies route flat, superblue-
-// class dies route hierarchically. Unlike WithRouteParallelism the
-// strategy changes the routed layouts (both are valid; reports remain
+// class dies route hierarchically. Unlike WithParallelism the strategy
+// changes the routed layouts (both are valid; reports remain
 // byte-identical at every parallelism level for a fixed strategy), so it
 // is part of every cache identity. An unknown name fails validation.
 func WithRouteStrategy(name string) Option {

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"splitmfg/internal/attack/crouting"
 	"splitmfg/internal/attack/engine"
 	"splitmfg/internal/cell"
 	"splitmfg/internal/defense/correction"
@@ -62,7 +61,7 @@ func (p *Pipeline) flowConfig(d *Design) flow.Config {
 		PatternWords:     c.patternWords,
 		SplitLayers:      c.splitLayers,
 		MaxAttempts:      c.maxAttempts,
-		RouteParallelism: c.routePar,
+		RouteParallelism: c.parallelism,
 		RouteStrategy:    route.Strategy(c.routeStrat),
 		Progress:         c.progress,
 	}
@@ -215,19 +214,18 @@ func (p *Pipeline) matrixOptions(d *Design) flow.MatrixOptions {
 	c := p.cfg
 	fc := p.flowConfig(d)
 	return flow.MatrixOptions{
-		Defenses:         c.defenses,
-		Attackers:        c.attackers,
-		SplitLayers:      c.splitLayers,
-		Seed:             c.seed,
-		PatternWords:     c.patternWords,
-		Parallelism:      c.parallelism,
-		LiftLayer:        fc.LiftLayer,
-		UtilPercent:      fc.UtilPercent,
-		TargetOER:        c.targetOER,
-		Fraction:         c.fraction,
-		RouteParallelism: c.routePar,
-		RouteStrategy:    route.Strategy(c.routeStrat),
-		Progress:         c.progress,
+		Defenses:      c.defenses,
+		Attackers:     c.attackers,
+		SplitLayers:   c.splitLayers,
+		Seed:          c.seed,
+		PatternWords:  c.patternWords,
+		Parallelism:   c.parallelism,
+		LiftLayer:     fc.LiftLayer,
+		UtilPercent:   fc.UtilPercent,
+		TargetOER:     c.targetOER,
+		Fraction:      c.fraction,
+		RouteStrategy: route.Strategy(c.routeStrat),
+		Progress:      c.progress,
 	}
 }
 
@@ -254,19 +252,18 @@ func (p *Pipeline) Suite(ctx context.Context, designs []*Design) (*SuiteReport, 
 func (p *Pipeline) suiteOptions(designs []*Design) flow.SuiteOptions {
 	c := p.cfg
 	opt := flow.SuiteOptions{
-		Defenses:         c.defenses,
-		Attackers:        c.attackers,
-		SplitLayers:      c.splitLayers,
-		Seed:             c.seed,
-		Replicates:       c.replicates,
-		PatternWords:     c.patternWords,
-		Parallelism:      c.parallelism,
-		TargetOER:        c.targetOER,
-		Fraction:         c.fraction,
-		RouteParallelism: c.routePar,
-		RouteStrategy:    route.Strategy(c.routeStrat),
-		CacheDir:         c.cacheDir,
-		Progress:         c.progress,
+		Defenses:      c.defenses,
+		Attackers:     c.attackers,
+		SplitLayers:   c.splitLayers,
+		Seed:          c.seed,
+		Replicates:    c.replicates,
+		PatternWords:  c.patternWords,
+		Parallelism:   c.parallelism,
+		TargetOER:     c.targetOER,
+		Fraction:      c.fraction,
+		RouteStrategy: route.Strategy(c.routeStrat),
+		CacheDir:      c.cacheDir,
+		Progress:      c.progress,
 	}
 	for _, d := range designs {
 		fc := p.flowConfig(d)
@@ -350,14 +347,15 @@ func (p *Pipeline) Randomized(ctx context.Context, d *Design) (*Layout, error) {
 }
 
 // NaiveLifted builds the paper's naive-lifting baseline: the same sink
-// pins the proposed scheme would protect are lifted through pass-through
-// cells, but the netlist is left untouched.
+// pins Randomized would protect (at the same WithSeed and WithTargetOER)
+// are lifted through pass-through cells, but the netlist is left
+// untouched.
 func (p *Pipeline) NaiveLifted(ctx context.Context, d *Design) (*Layout, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(p.cfg.seed))
-	r, err := randomize.Randomize(d.nl, rng, randomize.Options{})
+	r, err := randomize.Randomize(d.nl, rng, randomize.Options{TargetOER: p.cfg.targetOER})
 	if err != nil {
 		return nil, err
 	}
@@ -367,39 +365,4 @@ func (p *Pipeline) NaiveLifted(ctx context.Context, d *Design) (*Layout, error) 
 		return nil, err
 	}
 	return protectedOf(d.name, d.nl, np), nil
-}
-
-// CRoutingReport is the crouting attack's candidate-list metrics at one
-// split layer (the paper's Table 3 shape).
-type CRoutingReport struct {
-	Layer       int             `json:"layer"`
-	VPins       int             `json:"vpins"`
-	AvgListSize map[int]float64 `json:"avg_list_size"` // bbox -> E[LS]
-	MatchInList map[int]float64 `json:"match_in_list"` // bbox -> fraction with true partner listed
-}
-
-// CRouting runs the routing-centric crouting attack on the layout at each
-// configured split layer, reporting candidate-list sizes and
-// match-in-list rates per bounding box.
-func (p *Pipeline) CRouting(ctx context.Context, l *Layout) ([]CRoutingReport, error) {
-	layers := p.cfg.splitLayers
-	if len(layers) == 0 {
-		layers = []int{3, 4, 5}
-	}
-	var out []CRoutingReport
-	for _, layer := range layers {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sv, err := l.d.Split(layer)
-		if err != nil {
-			return nil, err
-		}
-		res := crouting.Attack(l.d, sv, l.ref, crouting.DefaultOptions())
-		out = append(out, CRoutingReport{
-			Layer: layer, VPins: res.NumVPins,
-			AvgListSize: res.AvgListSize, MatchInList: res.MatchInList,
-		})
-	}
-	return out, nil
 }

@@ -28,7 +28,7 @@ const (
 	StageAttack    = flow.StageAttack
 
 	// StageRouteWave reports one committed multi-net wave of a parallel
-	// routing batch (WithRouteParallelism; Detail carries
+	// routing batch (WithParallelism; Detail carries
 	// "wave i/n: k nets"). Single-net waves and serial routing emit no
 	// wave events.
 	StageRouteWave = flow.StageRouteWave

@@ -65,9 +65,6 @@ func (c *pipelineConfig) validate() error {
 	if c.parallelism < 0 {
 		return &OptionError{"WithParallelism", fmt.Sprintf("parallelism %d is negative", c.parallelism)}
 	}
-	if c.routePar < 0 {
-		return &OptionError{"WithRouteParallelism", fmt.Sprintf("route parallelism %d is negative", c.routePar)}
-	}
 	if _, err := route.ParseStrategy(c.routeStrat); err != nil {
 		return &OptionError{"WithRouteStrategy", err.Error()}
 	}
