@@ -100,6 +100,32 @@ func TestNaiveLiftedLiftsRandomizedPins(t *testing.T) {
 	}
 }
 
+// TestNaiveLiftedReportsProgress: the naive-lifting build reports its
+// place, lift and route stages like the other layout builds do.
+func TestNaiveLiftedReportsProgress(t *testing.T) {
+	design, err := LoadBenchmark("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	seen := map[Stage]bool{}
+	record := func(ev ProgressEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		if ev.Detail == "lifted" {
+			seen[ev.Stage] = true
+		}
+	}
+	if _, err := New(WithSeed(1), WithProgress(record)).NaiveLifted(context.Background(), design); err != nil {
+		t.Fatal(err)
+	}
+	for _, stage := range []Stage{StagePlace, StageLift, StageRoute} {
+		if !seen[stage] {
+			t.Fatalf("no %q event with detail \"lifted\" (saw %v)", stage, seen)
+		}
+	}
+}
+
 // TestProtectCancellation: a context cancelled mid-flight must abort
 // Protect promptly with ctx.Err().
 func TestProtectCancellation(t *testing.T) {

@@ -38,15 +38,38 @@ func main() {
 }
 
 func run(ctx context.Context, args []string, stdout io.Writer) error {
+	// Every job flag writes a field of one request; each -variant builds
+	// its layout with the request's options.
+	req := splitmfg.JobRequest{
+		Kind:        splitmfg.JobAttack,
+		Benchmark:   "c880",
+		Scale:       300,
+		Seed:        1,
+		SplitLayers: []int{3, 4, 5},
+		Attackers:   []string{"proximity"},
+	}
 	fs := flag.NewFlagSet("smattack", flag.ContinueOnError)
-	name := fs.String("bench", "c880", "benchmark name")
+	fs.StringVar(&req.Benchmark, "bench", req.Benchmark, "benchmark name")
 	variant := fs.String("variant", "original", "original | proposed | lifted")
-	attackers := fs.String("attacker", "proximity", "comma-separated attacker engines (see -list)")
+	fs.Func("attacker", "comma-separated attacker `engines` (see -list; default proximity)", func(s string) (err error) {
+		req.Attackers, err = splitmfg.ParseAttackers(s)
+		return err
+	})
 	list := fs.Bool("list", false, "list the registered attacker engines and exit")
-	splits := fs.String("split", "3,4,5", "comma-separated split layers")
-	scale := fs.Int("scale", 300, "superblue scale divisor")
-	seed := fs.Int64("seed", 1, "seed")
-	words := fs.Int("patterns", 0, "64-pattern words for OER/HD (default 256)")
+	fs.Func("split", "comma-separated split `layers`, M1..M9 (default 3,4,5)", func(s string) error {
+		req.SplitLayers = nil
+		for _, part := range strings.Split(s, ",") {
+			layer, err := strconv.Atoi(strings.TrimSpace(part))
+			if err != nil {
+				return err
+			}
+			req.SplitLayers = append(req.SplitLayers, layer)
+		}
+		return nil
+	})
+	fs.IntVar(&req.Scale, "scale", req.Scale, "superblue scale divisor")
+	fs.Int64Var(&req.Seed, "seed", req.Seed, "seed (0 means the default)")
+	fs.IntVar(&req.PatternWords, "patterns", 0, "64-pattern words for OER/HD (default 256)")
 	jsonOut := fs.Bool("json", false, "emit the security report as JSON")
 	verbose := fs.Bool("v", false, "stream per-stage progress to stderr")
 	if err := fs.Parse(args); err != nil {
@@ -56,33 +79,19 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, strings.Join(splitmfg.Attackers(), "\n"))
 		return nil
 	}
-
-	layers, err := parseLayers(*splits)
-	if err != nil {
-		return err
-	}
-	engines, err := splitmfg.ParseAttackers(*attackers)
-	if err != nil {
+	if err := req.Validate(); err != nil {
 		return err
 	}
 
-	design, err := splitmfg.LoadBenchmark(*name, splitmfg.WithScale(*scale))
+	design, err := splitmfg.LoadBenchmark(req.Benchmark, splitmfg.WithScale(req.Scale))
 	if err != nil {
 		return err
 	}
-	opts := []splitmfg.Option{
-		splitmfg.WithSeed(*seed),
-		splitmfg.WithSplitLayers(layers...),
-		splitmfg.WithAttackers(engines...),
-		splitmfg.WithPatternWords(*words),
-	}
+	var extra []splitmfg.Option
 	if *verbose {
-		opts = append(opts, splitmfg.WithProgress(splitmfg.ProgressLogger(os.Stderr)))
+		extra = append(extra, splitmfg.WithProgress(splitmfg.ProgressLogger(os.Stderr)))
 	}
-	pipe := splitmfg.New(opts...)
-	if err := pipe.Validate(); err != nil {
-		return err
-	}
+	pipe := splitmfg.New(req.Options(extra...)...)
 
 	var l *splitmfg.Layout
 	switch *variant {
@@ -113,7 +122,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, string(b))
 		return nil
 	}
-	fmt.Fprintf(stdout, "%s %s: attackers %v over splits %v\n", *name, *variant, engines, layers)
+	fmt.Fprintf(stdout, "%s %s: attackers %v over splits %v\n", req.Benchmark, *variant, req.Attackers, req.SplitLayers)
 	if sec.LayersScored > 0 { // metrics-only panels have no headline
 		fmt.Fprintln(stdout, splitmfg.Headline(*sec))
 	}
@@ -126,16 +135,4 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func parseLayers(s string) ([]int, error) {
-	var layers []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad -split %q: %v", s, err)
-		}
-		layers = append(layers, v)
-	}
-	return layers, nil
 }

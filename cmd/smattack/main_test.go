@@ -48,18 +48,42 @@ func TestRunCRoutingAttacker(t *testing.T) {
 	}
 }
 
+// TestRunErrors: bad flags fail with an error naming what is wrong, and
+// values the server would refuse fail the CLI's validation the same way.
 func TestRunErrors(t *testing.T) {
-	cases := [][]string{
-		{"-bench", "c9999"},                      // unknown benchmark
-		{"-bench", "c432", "-variant", "bogus"},  // unknown variant
-		{"-bench", "c432", "-attacker", "bogus"}, // unknown engine
-		{"-bench", "c432", "-attacker", ""},      // empty engine list
-		{"-bench", "c432", "-split", "3,x"},      // malformed split list
-	}
-	for _, args := range cases {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-bench", "c9999"}, "benchmark"},
+		{[]string{"-bench", "c432", "-variant", "bogus"}, "variant"},
+		{[]string{"-bench", "c432", "-attacker", "bogus"}, "bogus"},
+		{[]string{"-bench", "c432", "-attacker", ""}, "empty attacker list"},
+		{[]string{"-bench", "c432", "-split", "3,x"}, "-split"},
+		{[]string{"-bench", "c432", "-scale", "-5"}, "scale"},
+		{[]string{"-bench", "c432", "-split", "10"}, "WithSplitLayers"},
+	} {
 		var out strings.Builder
-		if err := run(context.Background(), args, &out); err == nil {
-			t.Fatalf("run(%v) succeeded, want error", args)
+		if err := run(context.Background(), tc.args, &out); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("run(%v) = %v, want an error naming %q", tc.args, err, tc.want)
 		}
+	}
+}
+
+// TestRunSeedZeroIsDefault: like a server request, -seed 0 selects the
+// default seed rather than the literal seed 0.
+func TestRunSeedZeroIsDefault(t *testing.T) {
+	outputs := map[string]string{}
+	for _, seed := range []string{"0", "1"} {
+		var out strings.Builder
+		err := run(context.Background(), []string{"-bench", "c432", "-seed", seed, "-patterns", "8",
+			"-attacker", "proximity,random"}, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outputs[seed] = out.String()
+	}
+	if outputs["0"] != outputs["1"] {
+		t.Fatalf("-seed 0 differs from -seed 1:\n%s\n----\n%s", outputs["0"], outputs["1"])
 	}
 }

@@ -57,21 +57,46 @@ func main() {
 }
 
 func run(ctx context.Context, args []string, stdout io.Writer) error {
+	// Every job flag writes a field of one request: -matrix and -suite run
+	// it, and the experiments read its seed, scale and pattern depth.
+	req := splitmfg.JobRequest{
+		Scale:        300,
+		Seed:         1,
+		PatternWords: 256,
+		Attackers:    []string{"proximity"},
+		Defenses:     []string{"randomize-correction", "naive-lifted", "pin-swapping"},
+		Replicates:   3,
+	}
 	fs := flag.NewFlagSet("smbench", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "experiment id (table1..table6, fig4, fig5, fig6, ppa, ablation, all)")
-	scale := fs.Int("scale", 300, "superblue scale divisor (1 = full size)")
-	seed := fs.Int64("seed", 1, "master seed")
-	words := fs.Int("patterns", 256, "64-pattern words for OER/HD (256 = 16384 patterns)")
-	subset := fs.String("subset", "", "comma-separated benchmark subset (default: all)")
+	fs.IntVar(&req.Scale, "scale", req.Scale, "superblue scale divisor (1 = full size)")
+	fs.Int64Var(&req.Seed, "seed", req.Seed, "master seed (0 means the default)")
+	fs.IntVar(&req.PatternWords, "patterns", req.PatternWords, "64-pattern words for OER/HD (256 = 16384 patterns)")
+	fs.Func("subset", "comma-separated benchmark `names` (default: all; c432 for -matrix)", func(s string) error {
+		req.Benchmarks = nil
+		if s == "" { // the default subset
+			return nil
+		}
+		for _, name := range strings.Split(s, ",") {
+			req.Benchmarks = append(req.Benchmarks, strings.TrimSpace(name))
+		}
+		return nil
+	})
 	fig4Design := fs.String("fig4design", "superblue18", "design for fig4/fig5 series")
-	defenses := fs.String("defense", "randomize-correction,naive-lifted,pin-swapping",
-		"comma-separated defense schemes for -matrix / -suite")
-	attackers := fs.String("attacker", "proximity", "comma-separated attacker engines for -matrix / -suite")
+	fs.Func("defense", "comma-separated defense `schemes` for -matrix / -suite (default randomize-correction,naive-lifted,pin-swapping)",
+		func(s string) (err error) {
+			req.Defenses, err = splitmfg.ParseDefenses(s)
+			return err
+		})
+	fs.Func("attacker", "comma-separated attacker `engines` for -matrix / -suite (default proximity)", func(s string) (err error) {
+		req.Attackers, err = splitmfg.ParseAttackers(s)
+		return err
+	})
 	matrix := fs.Bool("matrix", false, "run the defense x attacker cross matrix on the subset instead of an experiment")
 	suite := fs.Bool("suite", false, "run the multi-benchmark multi-seed suite on the subset instead of an experiment")
-	replicates := fs.Int("replicates", 3, "seed replicates per suite cell (-suite only)")
+	fs.IntVar(&req.Replicates, "replicates", req.Replicates, "seed replicates per suite cell (-suite only)")
 	cacheDir := fs.String("cache-dir", "", "disk-backed result store: checkpoint every completed suite cell so a killed run resumes (-suite only)")
-	routeStrategy := fs.String("route-strategy", "", "routing strategy for -matrix / -suite: auto (default, picks by die area), flat, or hier")
+	fs.StringVar(&req.RouteStrategy, "route-strategy", "", "routing strategy for -matrix / -suite: auto (default, picks by die area), flat, or hier")
 	listDefenses := fs.Bool("list-defenses", false, "list the registered defense schemes and exit")
 	verbose := fs.Bool("v", false, "stream per-stage progress to stderr")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -130,24 +155,42 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	// The table/figure experiments pin the paper's setup (auto strategy
 	// included), so the knob only applies to the pipeline-backed modes.
-	if *routeStrategy != "" && !*matrix && !*suite {
+	if req.RouteStrategy != "" && !*matrix && !*suite {
 		return fmt.Errorf("-route-strategy only applies to -matrix / -suite runs")
 	}
+	var extra []splitmfg.Option
+	if *verbose {
+		extra = append(extra, splitmfg.WithProgress(splitmfg.ProgressLogger(os.Stderr)))
+	}
 	if *matrix {
-		return runMatrix(ctx, stdout, *subset, *defenses, *attackers, *seed, *words, *scale, *routeStrategy, *verbose)
+		return runMatrix(ctx, stdout, req, extra)
 	}
 	if *suite {
-		return runSuite(ctx, stdout, *subset, *defenses, *attackers, *seed, *words, *scale, *replicates, *cacheDir, *routeStrategy, *verbose)
+		// Output is buffered until the whole suite completed, so
+		// cancellation leaves none; with -cache-dir every completed cell is
+		// already checkpointed, so a rerun recomputes only what was in
+		// flight.
+		req.Kind = splitmfg.JobSuite
+		if len(req.Benchmarks) == 0 {
+			req.Benchmarks = splitmfg.Benchmarks()
+		}
+		if *cacheDir != "" {
+			extra = append(extra, splitmfg.WithCacheDir(*cacheDir))
+		}
+		rep, err := req.Run(ctx, extra...)
+		if err != nil {
+			return err
+		}
+		_, err = io.WriteString(stdout, splitmfg.RenderSuite(rep.(*splitmfg.SuiteReport)))
+		return err
 	}
 
 	cfg := splitmfg.ExperimentConfig{
-		Seed:           *seed,
-		SuperblueScale: *scale,
-		PatternWords:   *words,
+		Seed:           req.Seed,
+		SuperblueScale: req.Scale,
+		PatternWords:   req.PatternWords,
+		ISCASSubset:    req.Benchmarks,
 		Verbose:        *verbose,
-	}
-	if *subset != "" {
-		cfg.ISCASSubset = strings.Split(*subset, ",")
 	}
 
 	if *exp != "all" && *exp != "fig4" {
@@ -220,115 +263,40 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	return nil
 }
 
-// subsetDesigns loads the comma-separated subset (or the given defaults)
-// from the catalog.
-func subsetDesigns(subset string, defaults []string, scale int) ([]*splitmfg.Design, error) {
-	names := defaults
-	if subset != "" {
-		names = strings.Split(subset, ",")
-	}
-	designs := make([]*splitmfg.Design, 0, len(names))
-	for _, name := range names {
-		d, err := splitmfg.LoadBenchmark(strings.TrimSpace(name), splitmfg.WithScale(scale))
-		if err != nil {
-			return nil, err
-		}
-		designs = append(designs, d)
-	}
-	return designs, nil
-}
-
 // runMatrix renders the defense×attacker cross matrix for every benchmark
-// in the comma-separated subset (default c432). The context cancels the
-// evaluation between and within benchmarks; each benchmark's table is
-// buffered and only written once its evaluation completed, so Ctrl-C
-// never leaves a partially rendered table.
-func runMatrix(ctx context.Context, stdout io.Writer, subset, defenses, attackers string, seed int64, words, scale int, routeStrategy string, verbose bool) error {
-	schemes, err := splitmfg.ParseDefenses(defenses)
-	if err != nil {
-		return err
+// of the request's subset (default c432), one matrix job each. Every job
+// is validated before the first runs. The context cancels the evaluation
+// between and within benchmarks; each benchmark's table is buffered and
+// only written once its evaluation completed, so Ctrl-C never leaves a
+// partially rendered table.
+func runMatrix(ctx context.Context, stdout io.Writer, req splitmfg.JobRequest, extra []splitmfg.Option) error {
+	names := req.Benchmarks
+	if len(names) == 0 {
+		names = []string{"c432"}
 	}
-	engines, err := splitmfg.ParseAttackers(attackers)
-	if err != nil {
-		return err
+	req.Kind, req.Benchmarks = splitmfg.JobMatrix, nil
+	jobs := make([]splitmfg.JobRequest, len(names))
+	for i, name := range names {
+		jobs[i] = req
+		jobs[i].Benchmark = name
+		if err := jobs[i].Validate(); err != nil {
+			return err
+		}
 	}
-	designs, err := subsetDesigns(subset, []string{"c432"}, scale)
-	if err != nil {
-		return err
-	}
-	opts := []splitmfg.Option{
-		splitmfg.WithSeed(seed),
-		splitmfg.WithPatternWords(words),
-		splitmfg.WithDefenses(schemes...),
-		splitmfg.WithAttackers(engines...),
-		splitmfg.WithRouteStrategy(routeStrategy),
-	}
-	if verbose {
-		opts = append(opts, splitmfg.WithProgress(splitmfg.ProgressLogger(os.Stderr)))
-	}
-	pipe := splitmfg.New(opts...)
-	if err := pipe.Validate(); err != nil {
-		return err
-	}
-	for _, design := range designs {
+	for _, job := range jobs {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		rep, err := pipe.Matrix(ctx, design)
+		rep, err := job.Run(ctx, extra...)
 		if err != nil {
 			return err
 		}
 		var buf bytes.Buffer
-		fmt.Fprint(&buf, splitmfg.RenderMatrix(rep))
+		fmt.Fprint(&buf, splitmfg.RenderMatrix(rep.(*splitmfg.MatrixReport)))
 		fmt.Fprintln(&buf)
 		if _, err := stdout.Write(buf.Bytes()); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// runSuite evaluates the multi-benchmark, multi-seed suite over the subset
-// (default: the full catalog — slow at full pattern depth; narrow with
-// -subset) and renders the aggregated Tables 4/5-style report. Output is
-// buffered until the whole suite completed, so cancellation leaves none —
-// but with -cache-dir every completed cell is already checkpointed on
-// disk, so rerunning after a Ctrl-C recomputes only what was in flight.
-func runSuite(ctx context.Context, stdout io.Writer, subset, defenses, attackers string, seed int64, words, scale, replicates int, cacheDir, routeStrategy string, verbose bool) error {
-	schemes, err := splitmfg.ParseDefenses(defenses)
-	if err != nil {
-		return err
-	}
-	engines, err := splitmfg.ParseAttackers(attackers)
-	if err != nil {
-		return err
-	}
-	designs, err := subsetDesigns(subset, splitmfg.Benchmarks(), scale)
-	if err != nil {
-		return err
-	}
-	opts := []splitmfg.Option{
-		splitmfg.WithSeed(seed),
-		splitmfg.WithPatternWords(words),
-		splitmfg.WithDefenses(schemes...),
-		splitmfg.WithAttackers(engines...),
-		splitmfg.WithReplicates(replicates),
-		splitmfg.WithRouteStrategy(routeStrategy),
-	}
-	if cacheDir != "" {
-		opts = append(opts, splitmfg.WithCacheDir(cacheDir))
-	}
-	if verbose {
-		opts = append(opts, splitmfg.WithProgress(splitmfg.ProgressLogger(os.Stderr)))
-	}
-	pipe := splitmfg.New(opts...)
-	if err := pipe.Validate(); err != nil {
-		return err
-	}
-	rep, err := pipe.Suite(ctx, designs)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(stdout, splitmfg.RenderSuite(rep))
-	return err
 }

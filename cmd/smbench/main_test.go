@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"splitmfg"
 )
 
 func TestRunFig4CSV(t *testing.T) {
@@ -70,6 +72,16 @@ func TestRunSuite(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("suite output missing %q:\n%s", want, s)
 		}
+	}
+	// -suite is a front end for a suite request: same report, same bytes.
+	rep, err := splitmfg.JobRequest{Kind: splitmfg.JobSuite, Benchmarks: []string{"c432", "c880"},
+		Replicates: 2, PatternWords: 16, Defenses: []string{"pin-swapping"},
+		Attackers: []string{"random"}}.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := splitmfg.RenderSuite(rep.(*splitmfg.SuiteReport)); s != want {
+		t.Fatalf("smbench -suite differs from the request's report:\n%s\n----\n%s", s, want)
 	}
 }
 
@@ -171,5 +183,17 @@ func TestRunUnknownExperiment(t *testing.T) {
 	err := run(context.Background(), []string{"-exp", "table99"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 		t.Fatalf("got %v, want unknown-experiment error", err)
+	}
+}
+
+// TestRunExperimentTrimsSubset: -subset names are trimmed in every mode,
+// the experiments included.
+func TestRunExperimentTrimsSubset(t *testing.T) {
+	var out strings.Builder
+	if err := run(context.Background(), []string{"-exp", "fig6", "-subset", " c432", "-patterns", "4"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "c432") {
+		t.Fatalf("fig6 output misses c432:\n%s", out.String())
 	}
 }

@@ -44,22 +44,40 @@ func main() {
 }
 
 func run(ctx context.Context, args []string, stdout io.Writer) error {
+	// Every job flag writes a field of one request: -matrix runs it, and
+	// the protect flow builds its pipeline from the request's options.
+	req := splitmfg.JobRequest{
+		Kind:       splitmfg.JobProtect,
+		Benchmark:  "c432",
+		Scale:      300,
+		Seed:       1,
+		Attackers:  []string{"proximity"},
+		Defenses:   []string{"randomize-correction", "naive-lifted", "pin-swapping"},
+		Replicates: 1,
+	}
 	fs := flag.NewFlagSet("smflow", flag.ContinueOnError)
-	name := fs.String("bench", "c432", "benchmark (c432..c7552 or superblue1/5/10/12/18)")
-	lift := fs.Int("lift", 0, "lift layer (default: 6 for ISCAS, 8 for superblue)")
-	budget := fs.Float64("budget", 0, "PPA budget percent (default: 20 ISCAS, 5 superblue)")
-	scale := fs.Int("scale", 300, "superblue scale divisor")
-	seed := fs.Int64("seed", 1, "seed")
-	util := fs.Int("util", 0, "placement utilization (default: 70 ISCAS, published superblue values)")
-	attackers := fs.String("attacker", "proximity", "comma-separated attacker engines for the security evaluation")
-	defenses := fs.String("defense", "randomize-correction,naive-lifted,pin-swapping",
-		"comma-separated defense schemes for -matrix")
+	fs.StringVar(&req.Benchmark, "bench", req.Benchmark, "benchmark (c432..c7552 or superblue1/5/10/12/18)")
+	fs.IntVar(&req.LiftLayer, "lift", 0, "lift layer, 6 or 8 (default: 6 for ISCAS, 8 for superblue)")
+	fs.Float64Var(&req.PPABudget, "budget", 0, "PPA budget percent (default: 20 ISCAS, 5 superblue)")
+	fs.IntVar(&req.Scale, "scale", req.Scale, "superblue scale divisor")
+	fs.Int64Var(&req.Seed, "seed", req.Seed, "seed (0 means the default)")
+	fs.IntVar(&req.Utilization, "util", 0, "placement utilization, at most 95 (default: 70 ISCAS, published superblue values)")
+	fs.Func("attacker", "comma-separated attacker `engines` for the security evaluation (default proximity)",
+		func(s string) (err error) {
+			req.Attackers, err = splitmfg.ParseAttackers(s)
+			return err
+		})
+	fs.Func("defense", "comma-separated defense `schemes` for -matrix (default randomize-correction,naive-lifted,pin-swapping)",
+		func(s string) (err error) {
+			req.Defenses, err = splitmfg.ParseDefenses(s)
+			return err
+		})
 	matrix := fs.Bool("matrix", false, "run the defense x attacker cross-matrix evaluation instead of the protect flow")
-	replicates := fs.Int("replicates", 1, "seed replicates for -matrix (>1 reports mean ± std via the suite scheduler)")
+	fs.IntVar(&req.Replicates, "replicates", req.Replicates, "seed replicates for -matrix (>1 reports mean ± std via the suite scheduler)")
 	listDefenses := fs.Bool("list-defenses", false, "list the registered defense schemes and exit")
-	words := fs.Int("patterns", 0, "64-pattern words for OER/HD (default 256)")
-	routeStrategy := fs.String("route-strategy", "", "routing strategy: auto (default, picks by die area), flat, or hier")
-	attempts := fs.Int("attempts", 0, "escalation attempts (default 6; 1 = no escalation)")
+	fs.IntVar(&req.PatternWords, "patterns", 0, "64-pattern words for OER/HD (default 256)")
+	fs.StringVar(&req.RouteStrategy, "route-strategy", "", "routing strategy: auto (default, picks by die area), flat, or hier")
+	fs.IntVar(&req.MaxAttempts, "attempts", 0, "escalation attempts (default 6; 1 = no escalation)")
 	out := fs.String("out", "", "write protected-layout DEF to this file")
 	vout := fs.String("verilog", "", "write the erroneous (FEOL) netlist as Verilog to this file")
 	jsonOut := fs.Bool("json", false, "emit the protect+security reports as JSON")
@@ -74,65 +92,30 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 		return nil
 	}
-
-	engines, err := splitmfg.ParseAttackers(*attackers)
-	if err != nil {
-		return err
-	}
-	schemes, err := splitmfg.ParseDefenses(*defenses)
-	if err != nil {
-		return err
-	}
-	design, err := splitmfg.LoadBenchmark(*name, splitmfg.WithScale(*scale))
-	if err != nil {
-		return err
-	}
-	opts := []splitmfg.Option{
-		splitmfg.WithSeed(*seed),
-		splitmfg.WithLiftLayer(*lift),
-		splitmfg.WithUtilization(*util),
-		splitmfg.WithPPABudget(*budget),
-		splitmfg.WithAttackers(engines...),
-		splitmfg.WithDefenses(schemes...),
-		splitmfg.WithPatternWords(*words),
-		splitmfg.WithMaxAttempts(*attempts),
-		splitmfg.WithReplicates(*replicates),
-		splitmfg.WithRouteStrategy(*routeStrategy),
-	}
-	if *verbose {
-		opts = append(opts, splitmfg.WithProgress(splitmfg.ProgressLogger(os.Stderr)))
-	}
-	pipe := splitmfg.New(opts...)
-	if err := pipe.Validate(); err != nil {
-		return err
-	}
-
-	if *replicates > 1 && !*matrix {
+	if req.Replicates > 1 && !*matrix {
 		return fmt.Errorf("-replicates only applies to -matrix runs")
 	}
 	if *matrix {
 		if *out != "" || *vout != "" {
 			return fmt.Errorf("-matrix evaluates many layouts and exports none: drop -out/-verilog")
 		}
-		if *replicates > 1 {
-			// Multi-seed: the one-benchmark suite reports mean ± std over
-			// the replicates' derived seed streams.
-			rep, err := pipe.Suite(ctx, []*splitmfg.Design{design})
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				b, err := splitmfg.MarshalReport(rep)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintln(stdout, string(b))
-				return nil
-			}
-			fmt.Fprint(stdout, splitmfg.RenderSuite(rep))
-			return nil
+		// Multi-seed: the one-benchmark suite reports mean ± std over the
+		// replicates' derived seed streams.
+		req.Kind = splitmfg.JobMatrix
+		if req.Replicates > 1 {
+			req.Kind = splitmfg.JobSuite
 		}
-		rep, err := pipe.Matrix(ctx, design)
+	}
+	if err := req.Validate(); err != nil {
+		return err
+	}
+	var extra []splitmfg.Option
+	if *verbose {
+		extra = append(extra, splitmfg.WithProgress(splitmfg.ProgressLogger(os.Stderr)))
+	}
+
+	if *matrix {
+		rep, err := req.Run(ctx, extra...)
 		if err != nil {
 			return err
 		}
@@ -144,9 +127,19 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			fmt.Fprintln(stdout, string(b))
 			return nil
 		}
-		fmt.Fprint(stdout, splitmfg.RenderMatrix(rep))
+		switch rep := rep.(type) {
+		case *splitmfg.SuiteReport:
+			fmt.Fprint(stdout, splitmfg.RenderSuite(rep))
+		case *splitmfg.MatrixReport:
+			fmt.Fprint(stdout, splitmfg.RenderMatrix(rep))
+		}
 		return nil
 	}
+	design, err := splitmfg.LoadBenchmark(req.Benchmark, splitmfg.WithScale(req.Scale))
+	if err != nil {
+		return err
+	}
+	pipe := splitmfg.New(req.Options(extra...)...)
 	res, err := pipe.Protect(ctx, design)
 	if err != nil {
 		return err

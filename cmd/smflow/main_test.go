@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"splitmfg"
 )
 
 func TestRunJSONReports(t *testing.T) {
@@ -86,6 +88,19 @@ func TestRunMatrixJSON(t *testing.T) {
 		len(rep.Rows[0].Cells) != 1 || rep.Rows[0].Cells[0].Attacker != "random" {
 		t.Fatalf("unexpected matrix shape: %+v", rep)
 	}
+	// -matrix is a front end for a matrix request: same report, same bytes.
+	want, err := splitmfg.JobRequest{Kind: splitmfg.JobMatrix, Benchmark: "c432", PatternWords: 16,
+		Defenses: []string{"pin-swapping", "sengupta-gcolor"}, Attackers: []string{"random"}}.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := splitmfg.MarshalReport(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != string(b)+"\n" {
+		t.Fatalf("smflow -matrix -json differs from the request's report:\n%s\n----\n%s", out.String(), b)
+	}
 }
 
 func TestRunMatrixTable(t *testing.T) {
@@ -123,18 +138,26 @@ func TestRunReplicatesRequiresMatrix(t *testing.T) {
 	}
 }
 
+// TestRunErrors: bad flags fail with an error naming what is wrong, and
+// values the server would refuse fail the CLI's validation the same way.
 func TestRunErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"-bench", "nope"},
-		{"-attacker", "bogus"},       // rejected before any heavy work
-		{"-attacker", ","},           // effectively empty list
-		{"-defense", "bogus"},        // unknown defense scheme
-		{"-defense", ","},            // effectively empty defense list
-		{"-matrix", "-out", "x.def"}, // matrix exports no layout: reject, don't silently no-op
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-bench", "nope"}, "benchmark"},
+		{[]string{"-attacker", "bogus"}, "bogus"},
+		{[]string{"-attacker", ","}, "empty attacker list"},
+		{[]string{"-defense", "bogus"}, "bogus"},
+		{[]string{"-defense", ","}, "empty defense list"},
+		{[]string{"-matrix", "-out", "x.def"}, "-out"}, // matrix exports no layout: reject, don't silently no-op
+		{[]string{"-bench", "c432", "-scale", "-5"}, "scale"},
+		{[]string{"-bench", "c432", "-lift", "7"}, "WithLiftLayer"},
+		{[]string{"-bench", "c432", "-util", "96"}, "WithUtilization"},
 	} {
 		var buf strings.Builder
-		if err := run(context.Background(), args, &buf); err == nil {
-			t.Fatalf("run(%v) succeeded, want error", args)
+		if err := run(context.Background(), tc.args, &buf); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("run(%v) = %v, want an error naming %q", tc.args, err, tc.want)
 		}
 	}
 }

@@ -17,6 +17,9 @@ import (
 	"splitmfg/internal/netlist"
 )
 
+// MaxUtilPercent is the highest row utilization Place accepts.
+const MaxUtilPercent = 95
+
 // Options configures placement.
 type Options struct {
 	UtilPercent int   // target row utilization (paper: 56–77 for superblue)
@@ -99,8 +102,8 @@ func Place(nl *netlist.Netlist, masters []*cell.Master, opt Options) (*Placement
 	if len(masters) != nl.NumGates() {
 		return nil, fmt.Errorf("place: %d masters for %d gates", len(masters), nl.NumGates())
 	}
-	if opt.UtilPercent <= 0 || opt.UtilPercent > 95 {
-		return nil, fmt.Errorf("place: utilization %d%% out of range (1..95)", opt.UtilPercent)
+	if opt.UtilPercent <= 0 || opt.UtilPercent > MaxUtilPercent {
+		return nil, fmt.Errorf("place: utilization %d%% out of range (1..%d)", opt.UtilPercent, MaxUtilPercent)
 	}
 	iters := opt.Iterations
 	if iters == 0 {

@@ -467,6 +467,17 @@ func TestBadRequestsRejected(t *testing.T) {
 	if code, msg := post(`{"kind":"evaluate","benchmark":"c432","fraction":-1}`); code != http.StatusBadRequest || !strings.Contains(msg, "WithFraction") {
 		t.Fatalf("invalid option returned %d %q, want 400 naming WithFraction", code, msg)
 	}
+	// Values the flow cannot build are refused at admission, not after a
+	// baseline build.
+	for _, probe := range []struct{ body, option string }{
+		{`{"kind":"protect","benchmark":"c432","lift_layer":7}`, "WithLiftLayer"},
+		{`{"kind":"protect","benchmark":"c432","utilization":96}`, "WithUtilization"},
+		{`{"kind":"attack","benchmark":"c432","split_layers":[10]}`, "WithSplitLayers"},
+	} {
+		if code, msg := post(probe.body); code != http.StatusBadRequest || !strings.Contains(msg, probe.option) {
+			t.Fatalf("%s returned %d %q, want 400 naming %s", probe.body, code, msg, probe.option)
+		}
+	}
 	for _, probe := range []struct{ method, path string }{
 		{http.MethodGet, "/v1/jobs/job-999999"},
 		{http.MethodDelete, "/v1/jobs/job-999999"},

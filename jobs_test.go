@@ -22,11 +22,17 @@ func TestPipelineValidate(t *testing.T) {
 			WithDefenses("pin-swapping"), WithFraction(0.2), WithReplicates(3),
 			WithMaxAttempts(2), WithParallelism(4)}, ""},
 		{"negative lift", []Option{WithLiftLayer(-1)}, "WithLiftLayer"},
+		{"lift without correction cell", []Option{WithLiftLayer(7)}, "WithLiftLayer"},
+		{"lift M8", []Option{WithLiftLayer(8)}, ""},
 		{"util over 100", []Option{WithUtilization(101)}, "WithUtilization"},
+		{"util over placer max", []Option{WithUtilization(96)}, "WithUtilization"},
+		{"util at placer max", []Option{WithUtilization(95)}, ""},
 		{"negative budget", []Option{WithPPABudget(-5)}, "WithPPABudget"},
 		{"oer over 1", []Option{WithTargetOER(1.5)}, "WithTargetOER"},
 		{"negative words", []Option{WithPatternWords(-1)}, "WithPatternWords"},
 		{"layer below M1", []Option{WithSplitLayers(0)}, "WithSplitLayers"},
+		{"layer at top metal", []Option{WithSplitLayers(3, 10)}, "WithSplitLayers"},
+		{"layer M9", []Option{WithSplitLayers(9)}, ""},
 		{"fraction over 1", []Option{WithFraction(1.5)}, "WithFraction"},
 		{"negative fraction", []Option{WithFraction(-0.1)}, "WithFraction"},
 		{"negative replicates", []Option{WithReplicates(-1)}, "WithReplicates"},

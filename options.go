@@ -33,13 +33,17 @@ func defaultPipelineConfig() pipelineConfig {
 }
 
 // WithLiftLayer sets the metal layer the randomized nets are lifted to
-// (default: 6 for ISCAS designs, 8 for superblue).
+// (default: 6 for ISCAS designs, 8 for superblue). The correction cells'
+// pins sit on that layer, so only layers the cell library has correction
+// cells for are valid: M6 and M8 (paper Sec. 4). Validate rejects any
+// other non-zero layer.
 func WithLiftLayer(layer int) Option {
 	return func(c *pipelineConfig) { c.liftLayer = layer }
 }
 
 // WithUtilization sets the placement utilization percentage (default: 70
-// for ISCAS, published per-design values for superblue).
+// for ISCAS, published per-design values for superblue). The placer
+// accepts at most 95%; Validate rejects anything above.
 func WithUtilization(percent int) Option {
 	return func(c *pipelineConfig) { c.utilPercent = percent }
 }
@@ -69,7 +73,9 @@ func WithPatternWords(words int) Option {
 }
 
 // WithSplitLayers sets the split layers Evaluate attacks and averages over
-// (default M3, M4, M5 — the paper's Tables 4 and 5 setup).
+// (default M3, M4, M5 — the paper's Tables 4 and 5 setup). A split needs
+// metal above it, so valid layers run from M1 to M9 of the ten-layer
+// stack; Validate rejects the rest.
 func WithSplitLayers(layers ...int) Option {
 	return func(c *pipelineConfig) { c.splitLayers = append([]int(nil), layers...) }
 }

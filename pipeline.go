@@ -77,10 +77,23 @@ func (p *Pipeline) flowConfig(d *Design) flow.Config {
 	return fc
 }
 
-func (p *Pipeline) corrOptions(d *Design) correction.Options {
+// corrOptions resolves the correction-cell build options for one layout
+// build, attaching the progress hook's stage and route-wave events under
+// detail ("baseline", "protected", "lifted").
+func (p *Pipeline) corrOptions(d *Design, detail string) correction.Options {
 	fc := p.flowConfig(d)
-	return correction.Options{LiftLayer: fc.LiftLayer, UtilPercent: fc.UtilPercent, Seed: fc.Seed,
+	copt := correction.Options{LiftLayer: fc.LiftLayer, UtilPercent: fc.UtilPercent, Seed: fc.Seed,
 		RouteOpt: route.Options{Parallelism: fc.RouteParallelism, Strategy: fc.RouteStrategy}}
+	if fn := p.cfg.progress; fn != nil {
+		copt.Observe = func(stage string, elapsed time.Duration) {
+			fn(ProgressEvent{Stage: Stage(stage), Detail: detail, Elapsed: elapsed})
+		}
+		copt.RouteOpt.OnWave = func(wave, waves, nets int, elapsed time.Duration) {
+			fn(ProgressEvent{Stage: StageRouteWave, Elapsed: elapsed,
+				Detail: fmt.Sprintf("%s wave %d/%d: %d nets", detail, wave, waves, nets)})
+		}
+	}
+	return copt
 }
 
 // Protect runs the full Fig.-2 protection flow on the design: randomize to
@@ -295,17 +308,7 @@ func (p *Pipeline) Baseline(ctx context.Context, d *Design) (*Layout, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	copt := p.corrOptions(d)
-	if fn := p.cfg.progress; fn != nil {
-		copt.Observe = func(stage string, elapsed time.Duration) {
-			fn(ProgressEvent{Stage: Stage(stage), Detail: "baseline", Elapsed: elapsed})
-		}
-		copt.RouteOpt.OnWave = func(wave, waves, nets int, elapsed time.Duration) {
-			fn(ProgressEvent{Stage: StageRouteWave, Elapsed: elapsed,
-				Detail: fmt.Sprintf("baseline wave %d/%d: %d nets", wave, waves, nets)})
-		}
-	}
-	bl, err := correction.BuildOriginal(d.nl, p.lib, copt)
+	bl, err := correction.BuildOriginal(d.nl, p.lib, p.corrOptions(d, "baseline"))
 	if err != nil {
 		return nil, err
 	}
@@ -329,17 +332,7 @@ func (p *Pipeline) Randomized(ctx context.Context, d *Design) (*Layout, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	copt := p.corrOptions(d)
-	if fn := p.cfg.progress; fn != nil {
-		copt.Observe = func(stage string, elapsed time.Duration) {
-			fn(ProgressEvent{Stage: Stage(stage), Detail: "protected", Elapsed: elapsed})
-		}
-		copt.RouteOpt.OnWave = func(wave, waves, nets int, elapsed time.Duration) {
-			fn(ProgressEvent{Stage: StageRouteWave, Elapsed: elapsed,
-				Detail: fmt.Sprintf("protected wave %d/%d: %d nets", wave, waves, nets)})
-		}
-	}
-	pr, err := correction.BuildProtected(d.nl, r, p.lib, copt)
+	pr, err := correction.BuildProtected(d.nl, r, p.lib, p.corrOptions(d, "protected"))
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +353,7 @@ func (p *Pipeline) NaiveLifted(ctx context.Context, d *Design) (*Layout, error) 
 		return nil, err
 	}
 	sinks := correction.SortedPins(r.Protected)
-	np, err := correction.BuildNaiveLifted(d.nl, sinks, p.lib, p.corrOptions(d))
+	np, err := correction.BuildNaiveLifted(d.nl, sinks, p.lib, p.corrOptions(d, "lifted"))
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 
 	"splitmfg/internal/attack/engine"
+	"splitmfg/internal/cell"
 	defengine "splitmfg/internal/defense/engine"
+	"splitmfg/internal/place"
 	"splitmfg/internal/route"
 )
 
@@ -29,15 +31,19 @@ func (e *OptionError) Error() string {
 // CLIs) call Validate once after construction to fail fast with a precise
 // message instead of deep inside the flow.
 func (p *Pipeline) Validate() error {
-	return p.cfg.validate()
-}
-
-func (c *pipelineConfig) validate() error {
+	c := &p.cfg
 	if c.liftLayer < 0 {
 		return &OptionError{"WithLiftLayer", fmt.Sprintf("lift layer %d is negative", c.liftLayer)}
 	}
-	if c.utilPercent < 0 || c.utilPercent > 100 {
-		return &OptionError{"WithUtilization", fmt.Sprintf("utilization %d%% outside [0, 100]", c.utilPercent)}
+	// Zero resolves per design; any other layer needs a correction cell
+	// with pins on it, and the cell library is the one list of those.
+	if c.liftLayer != 0 {
+		if _, err := p.lib.Correction(c.liftLayer); err != nil {
+			return &OptionError{"WithLiftLayer", err.Error()}
+		}
+	}
+	if c.utilPercent < 0 || c.utilPercent > place.MaxUtilPercent {
+		return &OptionError{"WithUtilization", fmt.Sprintf("utilization %d%% outside [0, %d]", c.utilPercent, place.MaxUtilPercent)}
 	}
 	if c.budget < 0 {
 		return &OptionError{"WithPPABudget", fmt.Sprintf("PPA budget %g%% is negative", c.budget)}
@@ -49,8 +55,8 @@ func (c *pipelineConfig) validate() error {
 		return &OptionError{"WithPatternWords", fmt.Sprintf("pattern words %d is negative", c.patternWords)}
 	}
 	for _, layer := range c.splitLayers {
-		if layer < 1 {
-			return &OptionError{"WithSplitLayers", fmt.Sprintf("split layer %d below M1", layer)}
+		if layer < 1 || layer > cell.NumLayers-1 {
+			return &OptionError{"WithSplitLayers", fmt.Sprintf("split layer %d outside M1..M%d", layer, cell.NumLayers-1)}
 		}
 	}
 	if c.fraction < 0 || c.fraction > 1 {
