@@ -100,6 +100,24 @@ type Config struct {
 	Progress ProgressFunc
 }
 
+// Library defaults of the design-independent knobs. Every options type
+// below resolves a zero value to these, and JobRequest.CacheKey resolves
+// omitted request fields to them, so a spelled-out default and an
+// omitted one share a key. Lift layer, utilization and PPA budget default
+// per design and are not listed.
+const (
+	DefaultTargetOER    = 0.999
+	DefaultPatternWords = 256
+	DefaultMaxAttempts  = 6
+	DefaultReplicates   = 1
+	DefaultAttacker     = "proximity"
+	DefaultDefense      = "randomize-correction"
+)
+
+// DefaultSplitLayers returns the split layers of the paper's Tables 4
+// and 5, M3–M5.
+func DefaultSplitLayers() []int { return []int{3, 4, 5} }
+
 func (c Config) withDefaults() Config {
 	if c.LiftLayer == 0 {
 		c.LiftLayer = 6
@@ -108,19 +126,19 @@ func (c Config) withDefaults() Config {
 		c.UtilPercent = 70
 	}
 	if c.TargetOER == 0 {
-		c.TargetOER = 0.999
+		c.TargetOER = DefaultTargetOER
 	}
 	if c.PatternWords == 0 {
-		c.PatternWords = 256
+		c.PatternWords = DefaultPatternWords
 	}
 	if len(c.SplitLayers) == 0 {
-		c.SplitLayers = []int{3, 4, 5}
+		c.SplitLayers = DefaultSplitLayers()
 	}
 	if c.PPABudgetPercent == 0 {
 		c.PPABudgetPercent = 20
 	}
 	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 6 // a non-positive cap would skip the loop and return nothing
+		c.MaxAttempts = DefaultMaxAttempts // a non-positive cap would skip the loop and return nothing
 	}
 	return c
 }
@@ -305,13 +323,13 @@ type EvalOptions struct {
 
 func (o EvalOptions) withDefaults() EvalOptions {
 	if len(o.SplitLayers) == 0 {
-		o.SplitLayers = []int{3, 4, 5}
+		o.SplitLayers = DefaultSplitLayers()
 	}
 	if len(o.Attackers) == 0 {
-		o.Attackers = []string{"proximity"}
+		o.Attackers = []string{DefaultAttacker}
 	}
 	if o.PatternWords == 0 {
-		o.PatternWords = 256
+		o.PatternWords = DefaultPatternWords
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)

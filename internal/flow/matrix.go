@@ -42,16 +42,16 @@ type MatrixOptions struct {
 
 func (o MatrixOptions) withDefaults() MatrixOptions {
 	if len(o.Defenses) == 0 {
-		o.Defenses = []string{"randomize-correction"}
+		o.Defenses = []string{DefaultDefense}
 	}
 	if len(o.Attackers) == 0 {
-		o.Attackers = []string{"proximity"}
+		o.Attackers = []string{DefaultAttacker}
 	}
 	if len(o.SplitLayers) == 0 {
-		o.SplitLayers = []int{3, 4, 5}
+		o.SplitLayers = DefaultSplitLayers()
 	}
 	if o.PatternWords == 0 {
-		o.PatternWords = 256
+		o.PatternWords = DefaultPatternWords
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)

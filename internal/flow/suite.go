@@ -30,7 +30,11 @@ import (
 // hierarchical router changed large-die routings — entries written by
 // pre-strategy binaries (schema 1) carried no strategy and cannot be
 // trusted against either flat or hier requests.
-const suiteKeySchema = 2
+//
+// Schema 3: the router's A* took a layer-aware lower bound. Every route
+// is still minimum-cost, but ties between equal-cost paths break
+// differently, so layouts, and the reports built on them, changed.
+const suiteKeySchema = 3
 
 // Suite-level stages, emitted through the same ProgressFunc stream the
 // rest of the flow uses.
@@ -96,19 +100,19 @@ type SuiteOptions struct {
 
 func (o SuiteOptions) withDefaults() SuiteOptions {
 	if len(o.Defenses) == 0 {
-		o.Defenses = []string{"randomize-correction"}
+		o.Defenses = []string{DefaultDefense}
 	}
 	if len(o.Attackers) == 0 {
-		o.Attackers = []string{"proximity"}
+		o.Attackers = []string{DefaultAttacker}
 	}
 	if len(o.SplitLayers) == 0 {
-		o.SplitLayers = []int{3, 4, 5}
+		o.SplitLayers = DefaultSplitLayers()
 	}
 	if o.Replicates <= 0 {
-		o.Replicates = 1
+		o.Replicates = DefaultReplicates
 	}
 	if o.PatternWords == 0 {
-		o.PatternWords = 256
+		o.PatternWords = DefaultPatternWords
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)

@@ -45,6 +45,7 @@ type worker struct {
 	epoch   int32
 	pq      heapx.Heap[int32]
 	seedBuf []int32
+	lb      bound
 
 	// Steiner-tree scratch for the net currently being routed: treeEp
 	// stamps membership (a node is in the tree iff treeEp[i] == treeEpoch)
@@ -82,6 +83,7 @@ func newWorker(r *Router) *worker {
 	return &worker{
 		r:      r,
 		state:  make([]nodeState, n),
+		lb:     bound{vias: make([]int64, 4*(r.Grid.Layers+1))},
 		deltaH: make([]int16, n),
 		deltaV: make([]int16, n),
 		treeEp: make([]int32, n),
@@ -139,6 +141,19 @@ func (w *worker) addDelta(e Edge, d int16) {
 	}
 }
 
+// layerBase is the cost of one uncongested wire segment on layer z.
+// Commercial routers fill the cheap lower layers first and only climb
+// under congestion or length pressure; the per-layer bias reproduces the
+// paper's Fig. 5 "Original" wirelength profile (most wiring low). It
+// grows with z, and segCost never charges less while usage plus overlay
+// is non-negative, which is what makes searchBounded's bound a bound.
+func layerBase(z int) int64 {
+	if z < 2 {
+		return 10
+	}
+	return int64(10 + 10*(z-2))
+}
+
 // segCost returns the cost of moving across one wire segment on layer z
 // with the current congestion (shared usage plus the worker's overlay);
 // i is the node index of the segment's lower end, where usage is kept.
@@ -152,13 +167,7 @@ func (w *worker) segCost(i int32, z int, horizontal bool) int64 {
 	} else {
 		u = int32(r.usageV[i]) + int32(w.deltaV[i])
 	}
-	// Commercial routers fill the cheap lower layers first and only climb
-	// under congestion or length pressure; the per-layer bias reproduces
-	// the paper's Fig. 5 "Original" wirelength profile (most wiring low).
-	base := int64(10 + 10*(z-2))
-	if z < 2 {
-		base = 10
-	}
+	base := layerBase(z)
 	over := int(u) - r.Opt.Capacity
 	if over < 0 {
 		// Mild pressure as the edge fills up.
@@ -376,15 +385,95 @@ func (w *worker) searchRegion(target Node, detour int) region {
 	}
 }
 
+// bound is searchBounded's lower bound on the cost of reaching the
+// target from a node: base(zh)·|dx| + base(zv)·|dy| + via·f(z), where zh
+// and zv are the lowest horizontal and vertical layers a wire move may
+// use (base is layerBase) and f(z) counts the vias the rest of the path
+// needs at least: |z − tz|, or (L − z) + (L − tz) when the moves left
+// need a wire layer L above both z and the target layer tz. Every
+// horizontal step costs at least base(zh) and every vertical step
+// base(zv), so the bound is admissible. It is also consistent: a via
+// changes f by at most one, and a wire move in direction D runs on a
+// layer at or above z_D, where f does not depend on whether that axis
+// still needs a move. So A* pops each node at its final distance and
+// returns a minimum-cost path.
+//
+// The x and y terms are per axis; the via term is read from a table
+// indexed by (dx ≠ 0, dy ≠ 0, z), so a relaxation costs a few adds.
+type bound struct {
+	tx, ty int
+	bh, bv int64   // base(zh), base(zv)
+	rows   int     // Layers+1: the table's row length
+	vias   []int64 // via·f(z) at (2·[dx≠0] + [dy≠0])·rows + z
+}
+
+// setBound readies w.lb for a search to target with wire moves on layers
+// at or above wireMin (>= 2).
+//
+//smlint:hot
+func (w *worker) setBound(target Node, wireMin int) {
+	zh := max(wireMin, 3)
+	if !Horizontal(zh) {
+		zh++
+	}
+	zv := wireMin
+	if Horizontal(zv) {
+		zv++
+	}
+	via := w.r.viaCost()
+	b := &w.lb
+	b.tx, b.ty = target.X, target.Y
+	b.bh, b.bv = layerBase(zh), layerBase(zv)
+	b.rows = w.r.Grid.Layers + 1
+	tz := target.Z
+	for k := 0; k < 4; k++ {
+		lift := 0 // the wire layer the remaining moves need, if any
+		if k&2 != 0 {
+			lift = zh
+		}
+		if k&1 != 0 {
+			lift = max(lift, zv)
+		}
+		row := b.vias[k*b.rows : (k+1)*b.rows]
+		for z := range row {
+			f := absInt(z - tz)
+			if lift > z && lift > tz {
+				f = (lift - z) + (lift - tz)
+			}
+			row[z] = int64(f) * via
+		}
+	}
+}
+
+// hx, hy and hz are the bound's x, y and via terms at a node; the
+// bound is their sum.
+//
+//smlint:hot
+func (b *bound) hx(x int) int64 { return int64(absInt(x-b.tx)) * b.bh }
+
+//smlint:hot
+func (b *bound) hy(y int) int64 { return int64(absInt(y-b.ty)) * b.bv }
+
+//smlint:hot
+func (b *bound) hz(x, y, z int) int64 {
+	if x != b.tx {
+		z += 2 * b.rows
+	}
+	if y != b.ty {
+		z += b.rows
+	}
+	return b.vias[z]
+}
+
 // searchBounded is one A* attempt from the current tree to target with
 // wire moves confined to reg (and to the corridor mask, when armed).
 // Each popped node is decoded once; its neighbours are reached by index
 // stride — Router.idx is (z*H + y)*W + x, so they sit at ±1, ±W and
 // ±W*H — and each wire segment is priced by the index of its lower end.
-// The heuristic (dx+dy)*10 + dz*via is kept per axis, and a neighbour's
-// value redoes only the term of the axis its move changed. The terms
-// sum to exactly the whole formula's integer, so every priority, and
-// with it every tie-break and route, is the formula's.
+// The heuristic is bound's; a neighbour's value redoes only the terms
+// its move can change. The terms sum to exactly the whole formula's
+// integer, so every priority, and with it every tie-break and route, is
+// the formula's.
 //
 //smlint:hot
 func (w *worker) searchBounded(target Node, wireMin int, reg region) ([]Edge, bool) {
@@ -398,9 +487,8 @@ func (w *worker) searchBounded(target Node, wireMin int, reg region) ([]Edge, bo
 	tIdx := r.idx(target)
 
 	via := r.viaCost()
-	hx := func(x int) int64 { return int64(absInt(x-target.X)) * 10 }
-	hy := func(y int) int64 { return int64(absInt(y-target.Y)) * 10 }
-	hz := func(z int) int64 { return int64(absInt(z-target.Z)) * via }
+	w.setBound(target, wireMin)
+	lb := &w.lb
 	// Seed the frontier in sorted node order: tree insertion order would
 	// otherwise leak into equal-cost tie-breaks, and historically the tree
 	// was a map whose keys were seeded sorted — keeping that order keeps
@@ -414,7 +502,7 @@ func (w *worker) searchBounded(target Node, wireMin int, reg region) ([]Edge, bo
 	for _, t := range seeds {
 		st[t] = nodeState{dist: 0, epoch: ep, from: -1}
 		n := r.node(t)
-		q.Push(hx(n.X)+hy(n.Y)+hz(n.Z), t)
+		q.Push(lb.hx(n.X)+lb.hy(n.Y)+lb.hz(n.X, n.Y, n.Z), t)
 	}
 	relax := func(cur, ni int32, nd, hn int64) {
 		s := &st[ni]
@@ -431,9 +519,9 @@ func (w *worker) searchBounded(target Node, wireMin int, reg region) ([]Edge, bo
 			continue // stale entry
 		}
 		n := r.node(cur)
-		hX, hY, hZ := hx(n.X), hy(n.Y), hz(n.Z)
+		hX, hY := lb.hx(n.X), lb.hy(n.Y)
 		d := s.dist
-		if pri > d+hX+hY+hZ {
+		if pri > d+hX+hY+lb.hz(n.X, n.Y, n.Z) {
 			continue // stale entry
 		}
 		if cur == tIdx {
@@ -448,27 +536,27 @@ func (w *worker) searchBounded(target Node, wireMin int, reg region) ([]Edge, bo
 		}
 		// Via moves.
 		if n.Z < g.Layers {
-			relax(cur, cur+strideZ, d+via, hX+hY+hz(n.Z+1))
+			relax(cur, cur+strideZ, d+via, hX+hY+lb.hz(n.X, n.Y, n.Z+1))
 		}
 		if n.Z > 1 {
-			relax(cur, cur-strideZ, d+via, hX+hY+hz(n.Z-1))
+			relax(cur, cur-strideZ, d+via, hX+hY+lb.hz(n.X, n.Y, n.Z-1))
 		}
 		// Wire moves (preferred direction, within bounds and the corridor
 		// mask, above wireMin).
 		if n.Z >= wireMin {
 			if Horizontal(n.Z) {
 				if n.X > loX && w.wireOK(n.X-1, n.Y) {
-					relax(cur, cur-1, d+w.segCost(cur-1, n.Z, true), hx(n.X-1)+hY+hZ)
+					relax(cur, cur-1, d+w.segCost(cur-1, n.Z, true), lb.hx(n.X-1)+hY+lb.hz(n.X-1, n.Y, n.Z))
 				}
 				if n.X < hiX && w.wireOK(n.X+1, n.Y) {
-					relax(cur, cur+1, d+w.segCost(cur, n.Z, true), hx(n.X+1)+hY+hZ)
+					relax(cur, cur+1, d+w.segCost(cur, n.Z, true), lb.hx(n.X+1)+hY+lb.hz(n.X+1, n.Y, n.Z))
 				}
 			} else {
 				if n.Y > loY && w.wireOK(n.X, n.Y-1) {
-					relax(cur, cur-strideY, d+w.segCost(cur-strideY, n.Z, false), hX+hy(n.Y-1)+hZ)
+					relax(cur, cur-strideY, d+w.segCost(cur-strideY, n.Z, false), hX+lb.hy(n.Y-1)+lb.hz(n.X, n.Y-1, n.Z))
 				}
 				if n.Y < hiY && w.wireOK(n.X, n.Y+1) {
-					relax(cur, cur+strideY, d+w.segCost(cur, n.Z, false), hX+hy(n.Y+1)+hZ)
+					relax(cur, cur+strideY, d+w.segCost(cur, n.Z, false), hX+lb.hy(n.Y+1)+lb.hz(n.X, n.Y+1, n.Z))
 				}
 			}
 		}

@@ -22,7 +22,12 @@ import (
 // router changed what large-die (auto-resolved) requests compute —
 // reports cached by pre-strategy binaries cannot be trusted for any
 // strategy, including the implicit auto.
-const resultKeySchema = 2
+//
+// Schema 3: the router's A* took a layer-aware lower bound, which breaks
+// ties between equal-cost routes differently and so changed layouts and
+// reports; and CacheKey began resolving omitted design-independent
+// defaults, so a spelled-out default now shares the omitted field's key.
+const resultKeySchema = 3
 
 // Submission errors the handlers map to HTTP status codes.
 var (

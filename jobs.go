@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"splitmfg/internal/flow"
 	"splitmfg/internal/route"
 )
 
@@ -166,7 +167,11 @@ func (r JobRequest) Options(extra ...Option) []Option {
 // the seed: an omitted strategy and an explicit "auto" share one key. The
 // seed is normalized the same way Options() resolves it (0 means the
 // default master seed), so an omitted seed and an explicitly-spelled
-// default share one key.
+// default share one key. The other design-independent defaults (pattern
+// words, split layers, attackers, defenses, replicates, max attempts,
+// target OER) resolve the same way, since reports echo the resolved
+// values; lift layer, utilization and PPA budget default per design and
+// are keyed as given.
 func (r JobRequest) CacheKey() string {
 	n := r
 	n.Benchmark = ""
@@ -177,6 +182,27 @@ func (r JobRequest) CacheKey() string {
 	}
 	if n.Seed == 0 {
 		n.Seed = defaultSeed
+	}
+	if n.PatternWords == 0 {
+		n.PatternWords = flow.DefaultPatternWords
+	}
+	if len(n.SplitLayers) == 0 {
+		n.SplitLayers = flow.DefaultSplitLayers()
+	}
+	if len(n.Attackers) == 0 {
+		n.Attackers = []string{flow.DefaultAttacker}
+	}
+	if len(n.Defenses) == 0 {
+		n.Defenses = []string{flow.DefaultDefense}
+	}
+	if n.Replicates == 0 {
+		n.Replicates = flow.DefaultReplicates
+	}
+	if n.MaxAttempts == 0 {
+		n.MaxAttempts = flow.DefaultMaxAttempts
+	}
+	if n.TargetOER == 0 {
+		n.TargetOER = flow.DefaultTargetOER
 	}
 	b, err := json.Marshal(n)
 	if err != nil {

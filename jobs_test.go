@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
+
+	"splitmfg/internal/flow"
 )
 
 func TestPipelineValidate(t *testing.T) {
@@ -133,6 +136,36 @@ func TestJobRequestCacheKeyNormalizesSeed(t *testing.T) {
 	}
 }
 
+// TestJobRequestSpelledDefaults runs one c432 request of each kind that
+// reads the design-independent defaults twice — omitting them, then
+// spelling every one out — and asserts one cache key and byte-identical
+// reports: reports echo the resolved values, so the spellings must not
+// split the cache.
+func TestJobRequestSpelledDefaults(t *testing.T) {
+	for _, kind := range []JobKind{JobSuite, JobProtect} {
+		omitted := JobRequest{Kind: kind, Benchmark: "c432"}
+		spelled := JobRequest{Kind: kind, Benchmark: "c432",
+			PatternWords: 256, SplitLayers: []int{3, 4, 5}, Attackers: []string{"proximity"},
+			Defenses: []string{"randomize-correction"}, Replicates: 1, MaxAttempts: 6, TargetOER: 0.999}
+		if omitted.CacheKey() != spelled.CacheKey() {
+			t.Fatalf("%s: spelled-out defaults get their own key:\n%s\n%s", kind, omitted.CacheKey(), spelled.CacheKey())
+		}
+		var reports [2][]byte
+		for i, req := range []JobRequest{omitted, spelled} {
+			rep, err := req.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reports[i], err = MarshalReport(rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(reports[0], reports[1]) {
+			t.Fatalf("%s: spelling out the defaults changed the report:\n%s\n%s", kind, reports[0], reports[1])
+		}
+	}
+}
+
 func TestJobRequestCacheKeyRouteStrategy(t *testing.T) {
 	// An omitted strategy resolves to auto, so the two spellings must
 	// share one key — but flat and hier change the routed layouts, so
@@ -162,6 +195,8 @@ func FuzzJobRequestCacheKey(f *testing.F) {
 		`{"kind":"evaluate","benchmark":"c432","pattern_words":16,"split_layers":[3],"attackers":["random"]}`,
 		`{"kind":"suite","benchmarks":["c432","c880"],"replicates":2,"seed":7,"route_strategy":"auto","parallelism":2}`,
 		`{"kind":"protect","benchmark":"superblue18","scale":800,"seed":1,"route_strategy":"hier","max_attempts":1}`,
+		// Every design-independent default spelled out.
+		`{"kind":"suite","benchmark":"c432","pattern_words":256,"split_layers":[3,4,5],"attackers":["proximity"],"defenses":["randomize-correction"],"replicates":1,"max_attempts":6,"target_oer":0.999}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -197,6 +232,41 @@ func FuzzJobRequestCacheKey(f *testing.F) {
 			}
 			same("spelling the auto route strategy", r)
 		}
+		// Every design-independent default: a request that omits it and
+		// one that spells it out share the key.
+		dflt := func(field string, isDefault bool, spell, omit func(*JobRequest)) {
+			t.Helper()
+			if !isDefault {
+				return
+			}
+			r := req
+			spell(&r)
+			same("spelling the default "+field, r)
+			r = req
+			omit(&r)
+			same("omitting "+field, r)
+		}
+		dflt("pattern_words", req.PatternWords == 0 || req.PatternWords == flow.DefaultPatternWords,
+			func(r *JobRequest) { r.PatternWords = flow.DefaultPatternWords },
+			func(r *JobRequest) { r.PatternWords = 0 })
+		dflt("split_layers", len(req.SplitLayers) == 0 || slices.Equal(req.SplitLayers, flow.DefaultSplitLayers()),
+			func(r *JobRequest) { r.SplitLayers = flow.DefaultSplitLayers() },
+			func(r *JobRequest) { r.SplitLayers = nil })
+		dflt("attackers", len(req.Attackers) == 0 || slices.Equal(req.Attackers, []string{flow.DefaultAttacker}),
+			func(r *JobRequest) { r.Attackers = []string{flow.DefaultAttacker} },
+			func(r *JobRequest) { r.Attackers = nil })
+		dflt("defenses", len(req.Defenses) == 0 || slices.Equal(req.Defenses, []string{flow.DefaultDefense}),
+			func(r *JobRequest) { r.Defenses = []string{flow.DefaultDefense} },
+			func(r *JobRequest) { r.Defenses = nil })
+		dflt("replicates", req.Replicates == 0 || req.Replicates == flow.DefaultReplicates,
+			func(r *JobRequest) { r.Replicates = flow.DefaultReplicates },
+			func(r *JobRequest) { r.Replicates = 0 })
+		dflt("max_attempts", req.MaxAttempts == 0 || req.MaxAttempts == flow.DefaultMaxAttempts,
+			func(r *JobRequest) { r.MaxAttempts = flow.DefaultMaxAttempts },
+			func(r *JobRequest) { r.MaxAttempts = 0 })
+		dflt("target_oer", req.TargetOER == 0 || req.TargetOER == flow.DefaultTargetOER,
+			func(r *JobRequest) { r.TargetOER = flow.DefaultTargetOER },
+			func(r *JobRequest) { r.TargetOER = 0 })
 		if names := req.benchmarkList(); len(names) == 1 {
 			r = req
 			r.Benchmark, r.Benchmarks = names[0], nil
