@@ -9,9 +9,10 @@ import (
 )
 
 // MaxEdgeCapacity is the largest capacity a single MCMF edge may carry.
-// The bottleneck search in run starts its scan at this value, so a larger
-// capacity could never be pushed anyway — and int32(x) for x beyond
-// MaxInt32 would wrap silently. Graph construction validates against it.
+// The bottleneck scan in run's blocking flow starts at this value, so a
+// larger capacity could never be pushed anyway — and int32(x) for x
+// beyond MaxInt32 would wrap silently. Graph construction validates
+// against it.
 const MaxEdgeCapacity = 1 << 30
 
 // CapacityError reports an edge capacity outside [0, MaxEdgeCapacity]
@@ -37,20 +38,21 @@ func (e *SizeError) Error() string {
 	return fmt.Sprintf("proximity: mcmf graph of %d nodes and %d edges exceeds int32 indices", e.Nodes, e.Edges)
 }
 
-// mcmf is a small min-cost max-flow solver (successive shortest paths with
-// Johnson potentials) used to solve the attacker's joint assignment of sink
-// fragments to driver fragments — the "network flow" in the network-flow
-// attack. Node and edge indices are int32, which halves the adjacency
-// arrays the Dijkstra sweeps walk; newMCMF rejects a graph they cannot
-// index.
+// mcmf is a small min-cost max-flow solver (primal-dual: one Dijkstra
+// sweep per cost level, a Dinic blocking flow within it) used to solve
+// the attacker's joint assignment of sink fragments to driver fragments —
+// the "network flow" in the network-flow attack. Node and edge indices
+// are int32, which halves the adjacency arrays the sweeps walk; newMCMF
+// rejects a graph they cannot index.
 type mcmf struct {
-	n     int
-	head  []int32
-	to    []int32
-	next  []int32
-	cap   []int32
-	cost  []int64
-	edges int
+	n      int
+	head   []int32
+	to     []int32
+	next   []int32
+	cap    []int32
+	cost   []int64
+	edges  int
+	sweeps int // Dijkstra sweeps run so far
 }
 
 // newMCMF returns an empty graph of n nodes with room for `edges` forward
@@ -108,17 +110,26 @@ func (g *mcmf) addEdgeInt(u, v int, capacity int, cost int64) (int, error) {
 	return g.addEdge(u, v, int32(capacity), cost), nil
 }
 
-// run pushes flow from s to t until exhaustion, returning total flow and
-// cost. All edge costs must be non-negative.
+// run pushes a minimum-cost maximum flow from s to t, returning total
+// flow and cost. All edge costs must be non-negative.
 //
-// The context is checked once per augmenting-path iteration (one Dijkstra
-// sweep each), so a single large solve — a full-size superblue split can
-// run thousands of iterations — stops promptly on cancellation instead of
-// running to completion; the flow pushed so far and ctx.Err() are
-// returned.
+// It is the primal-dual method (Ahuja, Magnanti & Orlin, Network Flows,
+// ch. 9). Each sweep runs a Dijkstra over reduced costs that stops when
+// it pops t, then adds min(dist[v], dist[t]) to every potential: every
+// residual reduced cost stays non-negative and every shortest s–t path
+// now costs zero. A Dinic max-flow (BFS levels plus a current-arc DFS)
+// over the residual edges of zero reduced cost then saturates all of
+// those paths at once, so the next sweep's s–t distance is strictly
+// larger. A solve takes one sweep per distinct augmenting-path cost plus
+// the last sweep that finds t unreachable, not one per unit of flow.
 //
-// The reduced cost of edge u->v is dist[u] + pot[u] + cost - pot[v], with
-// dist[u] + pot[u] summed once per popped node. int64 sums wrap, so any
+// The context is checked once per Dijkstra sweep, so a single large
+// solve — a full-size superblue split spans many cost levels — stops
+// promptly on cancellation instead of running to completion; the flow
+// pushed so far and ctx.Err() are returned.
+//
+// The reduced cost of edge u->v is cost + pot[u] - pot[v]; Dijkstra sums
+// dist[u] + pot[u] once per popped node. int64 sums wrap, so any
 // grouping of the terms gives the same integer.
 //
 //smlint:hot
@@ -126,30 +137,33 @@ func (g *mcmf) run(ctx context.Context, s, t int) (flow int32, cost int64, err e
 	const inf = int64(1) << 62
 	pot := make([]int64, g.n)
 	dist := make([]int64, g.n)
-	prevEdge := make([]int32, g.n)
-	inTree := make([]bool, g.n)
-	// One heap for every augmenting iteration — a large solve runs
-	// thousands of Dijkstra sweeps and regrowing the frontier each sweep
-	// shows up in heap profiles.
-	q := heapx.New[int32](g.n)
+	done := make([]bool, g.n)
+	level := make([]int32, g.n)
+	arc := make([]int32, g.n)      // Dinic's current arc per node
+	queue := make([]int32, 0, g.n) // BFS order
+	path := make([]int32, 0, g.n)  // edges of the DFS path from s
+	q := heapx.New[int32](g.n)     // one heap for every sweep
 	for {
 		if err := ctx.Err(); err != nil {
 			return flow, cost, err
 		}
+		g.sweeps++
 		for i := range dist {
 			dist[i] = inf
-			inTree[i] = false
-			prevEdge[i] = -1
+			done[i] = false
 		}
 		dist[s] = 0
 		q.Reset()
 		q.Push(0, int32(s))
 		for q.Len() > 0 {
 			_, u := q.Pop()
-			if inTree[u] {
+			if done[u] {
 				continue
 			}
-			inTree[u] = true
+			done[u] = true
+			if int(u) == t {
+				break
+			}
 			du := dist[u] + pot[u]
 			for e := g.head[u]; e >= 0; e = g.next[e] {
 				if g.cap[e] <= 0 {
@@ -159,35 +173,84 @@ func (g *mcmf) run(ctx context.Context, s, t int) (flow int32, cost int64, err e
 				nd := du + g.cost[e] - pot[v]
 				if nd < dist[v] {
 					dist[v] = nd
-					prevEdge[v] = e
 					q.Push(nd, v)
 				}
 			}
 		}
-		if dist[t] >= inf {
+		dt := dist[t]
+		if dt >= inf {
 			return flow, cost, nil
 		}
+		// Nodes not settled before t hold tentative distances >= dt, so
+		// capping at dt keeps every residual reduced cost non-negative.
 		for i := range pot {
-			if dist[i] < inf {
-				pot[i] += dist[i]
+			pot[i] += min(dist[i], dt)
+		}
+
+		// Dinic phases over the zero-reduced-cost residual edges until no
+		// such s–t path is left.
+		for {
+			for i := range level {
+				level[i] = -1
+			}
+			level[s] = 0
+			queue = append(queue[:0], int32(s))
+			for h := 0; h < len(queue); h++ {
+				u := queue[h]
+				for e := g.head[u]; e >= 0; e = g.next[e] {
+					v := g.to[e]
+					if g.cap[e] > 0 && level[v] < 0 && g.cost[e]+pot[u]-pot[v] == 0 {
+						level[v] = level[u] + 1
+						queue = append(queue, v)
+					}
+				}
+			}
+			if level[t] < 0 {
+				break
+			}
+			// Blocking flow: advance along each node's current arc,
+			// retreat (dropping that arc) from dead ends, push the path's
+			// bottleneck on reaching t and start again from s.
+			copy(arc, g.head)
+			path = path[:0]
+			u := int32(s)
+			for {
+				if int(u) == t {
+					var push int32 = MaxEdgeCapacity
+					for _, e := range path {
+						push = min(push, g.cap[e])
+					}
+					for _, e := range path {
+						g.cap[e] -= push
+						g.cap[e^1] += push
+						cost += int64(push) * g.cost[e]
+					}
+					flow += push
+					path = path[:0]
+					u = int32(s)
+					continue
+				}
+				e := arc[u]
+				for ; e >= 0; e = g.next[e] {
+					v := g.to[e]
+					if g.cap[e] > 0 && level[v] == level[u]+1 && g.cost[e]+pot[u]-pot[v] == 0 {
+						break
+					}
+				}
+				arc[u] = e
+				if e >= 0 {
+					path = append(path, e)
+					u = g.to[e]
+					continue
+				}
+				if int(u) == s {
+					break
+				}
+				back := path[len(path)-1]
+				path = path[:len(path)-1]
+				u = g.to[back^1]
+				arc[u] = g.next[back]
 			}
 		}
-		// Bottleneck along the path.
-		var push int32 = 1 << 30
-		for v := t; v != s; {
-			e := prevEdge[v]
-			if g.cap[e] < push {
-				push = g.cap[e]
-			}
-			v = int(g.to[e^1])
-		}
-		for v := t; v != s; {
-			e := prevEdge[v]
-			g.cap[e] -= push
-			g.cap[e^1] += push
-			cost += int64(push) * g.cost[e]
-			v = int(g.to[e^1])
-		}
-		flow += push
 	}
 }

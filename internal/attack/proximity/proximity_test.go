@@ -9,6 +9,7 @@ import (
 	"splitmfg/internal/cell"
 	"splitmfg/internal/layout"
 	"splitmfg/internal/metrics"
+	"splitmfg/internal/netlist"
 	"splitmfg/internal/place"
 	"splitmfg/internal/route"
 	"splitmfg/internal/sim"
@@ -20,12 +21,19 @@ func buildSplit(t testing.TB, name string, splitLayer int) (*layout.Design, *lay
 	if err != nil {
 		t.Fatal(err)
 	}
+	return splitNetlist(t, nl, 70, splitLayer)
+}
+
+// splitNetlist binds, places (seed 1) and flat-routes nl, then splits it
+// after splitLayer.
+func splitNetlist(t testing.TB, nl *netlist.Netlist, util, splitLayer int) (*layout.Design, *layout.SplitView) {
+	t.Helper()
 	lib := cell.NewNangate45Like()
 	masters, err := lib.Bind(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := place.Place(nl, masters, place.Options{UtilPercent: 70, Seed: 1})
+	p, err := place.Place(nl, masters, place.Options{UtilPercent: util, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +155,74 @@ func TestCandidateLimitRespected(t *testing.T) {
 
 func BenchmarkAttackC880(b *testing.B) {
 	d, sv := buildSplit(b, "c880", 3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mustAttack(b, d, sv, DefaultOptions())
+	}
+}
+
+// TestStaticLoopMatchesPathExists checks the level-pruned static loop
+// filter against wouldLoop on every candidate (driver, sink) pair of the
+// M3 attack on c880, c3540 and a small superblue18, whose 12% DFFs
+// exercise the PathExists fallback.
+func TestStaticLoopMatchesPathExists(t *testing.T) {
+	for _, name := range []string{"c880", "c3540", "superblue18"} {
+		t.Run(name, func(t *testing.T) {
+			var d *layout.Design
+			var sv *layout.SplitView
+			if name == "superblue18" {
+				nl, err := bench.Superblue(name, 500)
+				if err != nil {
+					t.Fatal(err)
+				}
+				util, err := bench.SuperblueUtil(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, sv = splitNetlist(t, nl, util, 3)
+			} else {
+				d, sv = buildSplit(t, name, 3)
+			}
+			a, _, err := prepare(context.Background(), d, sv, DefaultOptions())
+			if err != nil || a == nil {
+				t.Fatalf("prepare: %v (attack %v)", err, a)
+			}
+			if a.levels == nil {
+				t.Fatal("known netlist has no levels: the pruned path is never taken")
+			}
+			pairs, loops, dff := 0, 0, 0
+			for _, c := range a.cands {
+				dg, sg := a.dinfos[c.didx].gate, a.sinkGate[c.sink]
+				if dg < 0 || sg < 0 {
+					continue
+				}
+				got, want := a.staticLoop(dg, sg), wouldLoop(a.known, dg, sg)
+				if got != want {
+					t.Fatalf("driver gate %d, sink gate %d: pruned check %v, wouldLoop %v", dg, sg, got, want)
+				}
+				pairs++
+				if want {
+					loops++
+				}
+				if a.known.Gates[dg].Type.IsSequential() || a.known.Gates[sg].Type.IsSequential() {
+					dff++
+				}
+			}
+			if loops == 0 {
+				t.Fatalf("none of %d pairs closes a loop: the check is untested", pairs)
+			}
+			if name == "superblue18" && dff == 0 {
+				t.Fatalf("no pair has a DFF end: the fallback is untested")
+			}
+			t.Logf("%d pairs, %d close a loop, %d have a DFF end", pairs, loops, dff)
+		})
+	}
+}
+
+// BenchmarkAttackC7552 times one M3 attack on the largest ISCAS-85
+// design's flat original layout.
+func BenchmarkAttackC7552(b *testing.B) {
+	d, sv := buildSplit(b, "c7552", 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mustAttack(b, d, sv, DefaultOptions())

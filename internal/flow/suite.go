@@ -34,7 +34,11 @@ import (
 // Schema 3: the router's A* took a layer-aware lower bound. Every route
 // is still minimum-cost, but ties between equal-cost paths break
 // differently, so layouts, and the reports built on them, changed.
-const suiteKeySchema = 3
+//
+// Schema 4: the proximity attack's flow became a primal-dual solve and
+// its candidate and commit orders became total, so among equal-cost
+// assignments it picks a different one and attack reports changed.
+const suiteKeySchema = 4
 
 // Suite-level stages, emitted through the same ProgressFunc stream the
 // rest of the flow uses.

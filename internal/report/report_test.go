@@ -118,3 +118,35 @@ func TestAblationSwapBudgetShape(t *testing.T) {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 }
+
+// TestTable3ELSShape asserts the E[LS] half of Table 3's stated shape at
+// superblue scale 800: on all five designs, Proposed has at least the
+// E[LS] of Original and Lifted in every bounding box. The vpin half does
+// not hold at this scale (superblue10 and superblue12 miss by a few
+// vpins), so the test asserts only that the notes name each row that
+// breaks it.
+func TestTable3ELSShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("superblue bundles in -short mode")
+	}
+	tab, breaks, err := table3(Config{Seed: 1, SuperblueScale: 800})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 15 {
+		t.Fatalf("%d rows, want 3 layouts for each of 5 designs", len(tab.Rows))
+	}
+	if len(breaks.ELS) != 0 {
+		t.Fatalf("E[LS] shape breaks: %v", breaks.ELS)
+	}
+	notes := strings.Join(tab.Notes, "\n")
+	for _, b := range breaks.VPins {
+		if !strings.Contains(notes, b) {
+			t.Fatalf("notes do not name the vpin break %q:\n%s", b, notes)
+		}
+	}
+	if !strings.Contains(notes, "shape check, E[LS]: holds on every design") {
+		t.Fatalf("notes do not report the E[LS] check:\n%s", notes)
+	}
+	t.Logf("vpin breaks: %v", breaks.VPins)
+}

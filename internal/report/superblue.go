@@ -283,8 +283,29 @@ func Fig5(name string, cfg Config) (*Table, error) {
 }
 
 // Table3 regenerates the paper's Table 3: the crouting attack's vpins and
-// expected candidate-list sizes per bounding box for each variant.
+// expected candidate-list sizes per bounding box for each variant. Its
+// notes check the paper's stated shape and name each row that breaks it.
 func Table3(cfg Config) (*Table, error) {
+	t, _, err := table3(cfg)
+	return t, err
+}
+
+// table3Breaks lists where Table 3's stated shape fails: one entry per
+// design and comparison in which Proposed has fewer vpins, or a smaller
+// E[LS] in some box, than Original or Lifted.
+type table3Breaks struct {
+	VPins, ELS []string
+}
+
+// shapeNote renders one half of the shape check for the table's notes.
+func shapeNote(half string, breaks []string) string {
+	if len(breaks) == 0 {
+		return fmt.Sprintf("shape check, %s: holds on every design", half)
+	}
+	return fmt.Sprintf("shape check, %s: breaks on %s", half, strings.Join(breaks, ", "))
+}
+
+func table3(cfg Config) (*Table, table3Breaks, error) {
 	cfg = cfg.WithDefaults()
 	t := &Table{
 		Title:   fmt.Sprintf("Table 3: crouting attack, split M5, superblue scale 1/%d", cfg.SuperblueScale),
@@ -294,28 +315,43 @@ func Table3(cfg Config) (*Table, error) {
 			"expected shape: Proposed has >= vpins and >= E[LS] than Original/Lifted (a larger, harder solution space)",
 		},
 	}
+	var breaks table3Breaks
 	for _, name := range bench.SuperblueNames() {
 		b, err := buildSuperblueBundle(name, cfg)
 		if err != nil {
-			return nil, err
+			return nil, breaks, err
 		}
-		for _, v := range []struct {
+		layouts := []struct {
 			label string
 			d     *layout.Design
-		}{{"Original", b.Original}, {"Lifted", b.Lifted.Design}, {"Proposed", b.Proposed.Design}} {
+		}{{"Original", b.Original}, {"Lifted", b.Lifted.Design}, {"Proposed", b.Proposed.Design}}
+		var res [3]crouting.Result
+		for i, v := range layouts {
 			sv, err := v.d.Split(5)
 			if err != nil {
-				return nil, err
+				return nil, breaks, err
 			}
-			res := crouting.Attack(v.d, sv, b.Netlist, crouting.DefaultOptions())
+			res[i] = crouting.Attack(v.d, sv, b.Netlist, crouting.DefaultOptions())
 			t.Rows = append(t.Rows, []string{
-				name, v.label, fmt.Sprintf("%d", res.NumVPins),
-				f2(res.AvgListSize[15]), f2(res.AvgListSize[30]), f2(res.AvgListSize[45]),
-				f2(res.MatchInList[15]), f2(res.MatchInList[45]),
+				name, v.label, fmt.Sprintf("%d", res[i].NumVPins),
+				f2(res[i].AvgListSize[15]), f2(res[i].AvgListSize[30]), f2(res[i].AvgListSize[45]),
+				f2(res[i].MatchInList[15]), f2(res[i].MatchInList[45]),
 			})
 		}
+		prop := res[2]
+		for i := range 2 {
+			if prop.NumVPins < res[i].NumVPins {
+				breaks.VPins = append(breaks.VPins, fmt.Sprintf("%s (Proposed %d < %s %d)", name, prop.NumVPins, layouts[i].label, res[i].NumVPins))
+			}
+			for _, box := range []int{15, 30, 45} {
+				if prop.AvgListSize[box] < res[i].AvgListSize[box] {
+					breaks.ELS = append(breaks.ELS, fmt.Sprintf("%s (Proposed E[LS] %d %s < %s %s)", name, box, f2(prop.AvgListSize[box]), layouts[i].label, f2(res[i].AvgListSize[box])))
+				}
+			}
+		}
 	}
-	return t, nil
+	t.Notes = append(t.Notes, shapeNote("vpins", breaks.VPins), shapeNote("E[LS]", breaks.ELS))
+	return t, breaks, nil
 }
 
 // paperTable6 quotes the published ∆V67/∆V78 numbers.

@@ -27,7 +27,11 @@ import (
 // ties between equal-cost routes differently and so changed layouts and
 // reports; and CacheKey began resolving omitted design-independent
 // defaults, so a spelled-out default now shares the omitted field's key.
-const resultKeySchema = 3
+//
+// Schema 4: the proximity attack's flow became a primal-dual solve and
+// its candidate and commit orders became total, so among equal-cost
+// assignments it picks a different one and attack reports changed.
+const resultKeySchema = 4
 
 // Submission errors the handlers map to HTTP status codes.
 var (

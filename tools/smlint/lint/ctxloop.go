@@ -25,7 +25,7 @@ import (
 // cancellation check in an enclosing loop of the same function: the
 // enclosing per-iteration check bounds staleness to one inner sweep,
 // which is exactly the PR 4 fix's shape (mcmf.run checks once per
-// augmenting iteration, not inside each Dijkstra sweep).
+// Dijkstra sweep, not inside the sweep or its blocking flow).
 var CtxLoop = &Analyzer{
 	Name: "ctxloop",
 	Doc: "unbounded solver loop with no cancellation check\n\n" +
