@@ -162,17 +162,3 @@ func DeriveSeed(seed int64, label string) int64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return int64(z ^ (z >> 31))
 }
-
-// candidateDrivers returns the driver fragments an FEOL attacker can pair
-// sinks with: fragments containing a source terminal AND at least one open
-// via to the BEOL (fragments without vpins are complete nets needing no
-// reconnection). Shared by the assignment-producing engines.
-func candidateDrivers(sv *layout.SplitView) []int {
-	var drivers []int
-	for _, fid := range sv.DriverFrags() {
-		if len(sv.Frags[fid].VPins) > 0 {
-			drivers = append(drivers, fid)
-		}
-	}
-	return drivers
-}

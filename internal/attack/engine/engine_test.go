@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"splitmfg/internal/attack/proximity"
 	"splitmfg/internal/bench"
 	"splitmfg/internal/cell"
 	"splitmfg/internal/defense/correction"
@@ -161,7 +162,7 @@ func (countingEngine) Name() string { return "counting" }
 func (c countingEngine) Attack(ctx context.Context, d *layout.Design, sv *layout.SplitView, opt Options) (Result, error) {
 	*c.calls++
 	res := Result{Assignment: metrics.Assignment{}}
-	drivers := candidateDrivers(sv)
+	drivers := proximity.CandidateDrivers(sv)
 	if len(drivers) == 0 {
 		return res, nil
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 
+	"splitmfg/internal/attack/proximity"
 	"splitmfg/internal/geom"
 	"splitmfg/internal/layout"
 	"splitmfg/internal/metrics"
@@ -35,26 +36,15 @@ func (greedyEngine) Attack(ctx context.Context, d *layout.Design, sv *layout.Spl
 		dirs   []layout.Direction
 	}
 	var dinfos []dinfo
-	for _, fid := range candidateDrivers(sv) {
+	for _, fid := range proximity.CandidateDrivers(sv) {
 		f := &sv.Frags[fid]
-		di := dinfo{fid: fid, pt: sv.FragCenter(d, fid), capRem: 1 << 30}
+		di := dinfo{fid: fid, pt: sv.FragCenter(d, fid), capRem: proximity.MaxEdgeCapacity,
+			dirs: proximity.AppendFragDirs(nil, sv, fid)}
 		for _, p := range f.Pins {
 			if p.Role == layout.RoleDriver {
-				// Same realistic fanout ceiling the proximity attack uses:
-				// known in-fragment load plus headroom per drive strength.
-				m := d.Masters[p.Gate]
-				slots := int(m.MaxCap/2.0) - len(f.SinkPins())
-				if slots > 2+2*m.Drive {
-					slots = 2 + 2*m.Drive
-				}
-				if slots < 1 {
-					slots = 1
-				}
-				di.capRem = slots
+				// Same realistic fanout ceiling the proximity attack uses.
+				di.capRem = proximity.LoadSlots(d, f, p.Gate)
 			}
-		}
-		for _, vid := range f.VPins {
-			di.dirs = append(di.dirs, sv.VPins[vid].Dir)
 		}
 		dinfos = append(dinfos, di)
 	}
@@ -65,12 +55,13 @@ func (greedyEngine) Attack(ctx context.Context, d *layout.Design, sv *layout.Spl
 	}
 
 	compatible := 0
+	var sdirs []layout.Direction
 	for _, sfid := range sinks {
 		if err := ctx.Err(); err != nil {
 			return res, err
 		}
 		spt := sv.FragCenter(d, sfid)
-		sdirs := fragDirections(sv, sfid)
+		sdirs = proximity.AppendFragDirs(sdirs[:0], sv, sfid)
 		best, bestCost, bestCompat := -1, 0.0, false
 		pick := func(ignoreCap bool) {
 			for di := range dinfos {
@@ -79,7 +70,7 @@ func (greedyEngine) Attack(ctx context.Context, d *layout.Design, sv *layout.Spl
 					continue
 				}
 				cost := float64(spt.Manhattan(dd.pt)) + 1
-				compat := dirsAgree(dd.dirs, dd.pt, spt) && dirsAgree(sdirs, spt, dd.pt)
+				compat := proximity.DirsCompatible(dd.dirs, dd.pt, spt) && proximity.DirsCompatible(sdirs, spt, dd.pt)
 				if !compat {
 					cost *= greedyDirPenalty
 				}
@@ -104,44 +95,4 @@ func (greedyEngine) Attack(ctx context.Context, d *layout.Design, sv *layout.Spl
 	}
 	res.Metrics["dir_compatible"] = float64(compatible) / float64(len(sinks))
 	return res, nil
-}
-
-// fragDirections returns the dangling directions of a fragment's vpins.
-func fragDirections(sv *layout.SplitView, fid int) []layout.Direction {
-	var dirs []layout.Direction
-	for _, vid := range sv.Frags[fid].VPins {
-		dirs = append(dirs, sv.VPins[vid].Dir)
-	}
-	return dirs
-}
-
-// dirsAgree reports whether any dangling direction at `from` points
-// roughly toward `to` (or no direction information exists).
-func dirsAgree(dirs []layout.Direction, from, to geom.Point) bool {
-	if len(dirs) == 0 {
-		return true
-	}
-	for _, dir := range dirs {
-		switch dir {
-		case layout.DirNone:
-			return true
-		case layout.DirEast:
-			if to.X >= from.X {
-				return true
-			}
-		case layout.DirWest:
-			if to.X <= from.X {
-				return true
-			}
-		case layout.DirNorth:
-			if to.Y >= from.Y {
-				return true
-			}
-		case layout.DirSouth:
-			if to.Y <= from.Y {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 
+	"splitmfg/internal/attack/proximity"
 	"splitmfg/internal/layout"
 	"splitmfg/internal/metrics"
 )
@@ -21,7 +22,7 @@ type randomEngine struct{}
 func (randomEngine) Name() string { return "random" }
 
 func (randomEngine) Attack(ctx context.Context, d *layout.Design, sv *layout.SplitView, opt Options) (Result, error) {
-	drivers := candidateDrivers(sv)
+	drivers := proximity.CandidateDrivers(sv)
 	sinks := sv.SinkFrags()
 	res := Result{
 		Assignment: metrics.Assignment{},

@@ -190,15 +190,7 @@ func prepare(ctx context.Context, d *layout.Design, sv *layout.SplitView, opt Op
 		opt.Candidates = 24
 	}
 	res := Result{Assignment: metrics.Assignment{}}
-	// Candidate drivers are fragments that both contain a source terminal
-	// and have an open via to the BEOL; fragments without vpins are
-	// complete nets that need no reconnection.
-	var drivers []int
-	for _, fid := range sv.DriverFrags() {
-		if len(sv.Frags[fid].VPins) > 0 {
-			drivers = append(drivers, fid)
-		}
-	}
+	drivers := CandidateDrivers(sv)
 	sinks := sv.SinkFrags()
 	if len(drivers) == 0 || len(sinks) == 0 {
 		return nil, res, nil
@@ -212,28 +204,15 @@ func prepare(ctx context.Context, d *layout.Design, sv *layout.SplitView, opt Op
 		// published proximity signal.
 		// The no-limit sentinel is the solver's capacity ceiling, so the
 		// load-unaware path stays in validated int32 range by construction.
-		di := dinfo{fid: fid, pt: sv.FragCenter(d, fid), gate: -1, capRem: MaxEdgeCapacity}
+		di := dinfo{fid: fid, pt: sv.FragCenter(d, fid), gate: -1, capRem: MaxEdgeCapacity,
+			dirs: AppendFragDirs(nil, sv, fid)}
 		for _, p := range f.Pins {
 			if p.Role == layout.RoleDriver {
 				di.gate = p.Gate
 			}
 		}
 		if opt.LoadAware && di.gate >= 0 {
-			m := d.Masters[di.gate]
-			// Slots = how many typical input pins the driver can add on
-			// top of the load it already drives within its own fragment.
-			known := countSinkPins(f)
-			slots := int(m.MaxCap/2.0) - known
-			if slots > 2+2*m.Drive {
-				slots = 2 + 2*m.Drive // realistic fanout ceiling per drive
-			}
-			if slots < 1 {
-				slots = 1
-			}
-			di.capRem = slots
-		}
-		for _, vid := range f.VPins {
-			di.dirs = append(di.dirs, sv.VPins[vid].Dir)
+			di.capRem = LoadSlots(d, f, di.gate)
 		}
 		a.dinfos = append(a.dinfos, di)
 	}
@@ -291,17 +270,17 @@ func prepare(ctx context.Context, d *layout.Design, sv *layout.SplitView, opt Op
 			return nil, res, err
 		}
 		spt := sv.FragCenter(d, sfid)
-		sdirs := appendFragDirs(dirsBuf[:0], sv, sfid)
+		sdirs := AppendFragDirs(dirsBuf[:0], sv, sfid)
 		dirsBuf = sdirs
 		sel = sel[:0]
 		for di := range a.dinfos {
 			dd := &a.dinfos[di]
 			cost := float64(spt.Manhattan(dd.pt)) + 1
 			if opt.UseDirection {
-				if !dirsCompatible(dd.dirs, dd.pt, spt) {
+				if !DirsCompatible(dd.dirs, dd.pt, spt) {
 					cost *= opt.DirPenalty
 				}
-				if !dirsCompatible(sdirs, spt, dd.pt) {
+				if !DirsCompatible(sdirs, spt, dd.pt) {
 					cost *= opt.DirPenalty
 				}
 			}
@@ -451,36 +430,54 @@ func (a *attack) staticLoop(driverGate, sinkGate int) bool {
 	return found
 }
 
-// appendFragDirs appends the dangling directions of a fragment's vpins to
-// dst, which callers reuse across fragments.
+// CandidateDrivers returns the driver fragments an FEOL attacker can pair
+// sinks with: fragments that contain a source terminal and have an open
+// via to the BEOL. Fragments without vpins are complete nets that need no
+// reconnection.
+func CandidateDrivers(sv *layout.SplitView) []int {
+	var drivers []int
+	for _, fid := range sv.DriverFrags() {
+		if len(sv.Frags[fid].VPins) > 0 {
+			drivers = append(drivers, fid)
+		}
+	}
+	return drivers
+}
+
+// LoadSlots is the load-capacitance hint: how many more sinks the driver
+// gate of fragment f can take. That is how many typical input pins its
+// master drives on top of the sink terminals already in f, capped at a
+// realistic fanout per drive strength, and at least one.
 //
 //smlint:hot
-func appendFragDirs(dst []layout.Direction, sv *layout.SplitView, fid int) []layout.Direction {
+func LoadSlots(d *layout.Design, f *layout.Fragment, gate int) int {
+	known := 0
+	for _, p := range f.Pins {
+		if p.Role == layout.RoleSink || p.Role == layout.RolePO {
+			known++
+		}
+	}
+	m := d.Masters[gate]
+	return max(1, min(int(m.MaxCap/2.0)-known, 2+2*m.Drive))
+}
+
+// AppendFragDirs appends the dangling directions of a fragment's vpins to
+// dst, which callers may reuse across fragments.
+//
+//smlint:hot
+func AppendFragDirs(dst []layout.Direction, sv *layout.SplitView, fid int) []layout.Direction {
 	for _, vid := range sv.Frags[fid].VPins {
 		dst = append(dst, sv.VPins[vid].Dir)
 	}
 	return dst
 }
 
-// countSinkPins counts the sink-side terminals in the fragment without
-// materializing the SinkPins slice.
+// DirsCompatible is the dangling-wire hint: it reports whether any
+// dangling direction at `from` points roughly toward `to` (or no
+// direction information exists).
 //
 //smlint:hot
-func countSinkPins(f *layout.Fragment) int {
-	n := 0
-	for _, p := range f.Pins {
-		if p.Role == layout.RoleSink || p.Role == layout.RolePO {
-			n++
-		}
-	}
-	return n
-}
-
-// dirsCompatible reports whether any dangling direction at `from` points
-// roughly toward `to` (or no direction information exists).
-//
-//smlint:hot
-func dirsCompatible(dirs []layout.Direction, from, to geom.Point) bool {
+func DirsCompatible(dirs []layout.Direction, from, to geom.Point) bool {
 	if len(dirs) == 0 {
 		return true
 	}

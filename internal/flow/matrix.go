@@ -7,36 +7,35 @@ import (
 
 	defengine "splitmfg/internal/defense/engine"
 
-	"splitmfg/internal/attack/engine"
 	"splitmfg/internal/cell"
-	"splitmfg/internal/defense/correction"
-	"splitmfg/internal/netlist"
 	"splitmfg/internal/route"
 	"splitmfg/internal/timing"
 )
 
-// StageDefense is emitted once per distinct defense that completes during
-// a matrix evaluation (Detail carries the defense name). A name requested
-// twice is computed — and reported — once; a failed build emits no event,
-// the error surfaces from EvaluateMatrix instead.
-const StageDefense Stage = "defense"
-
-// MatrixOptions parameterizes EvaluateMatrix.
+// MatrixOptions parameterizes EvaluateMatrix, and every suite through
+// SuiteOptions. The physical-design settings (lift layer, utilization)
+// belong to each design and live in SuiteBenchmark.
 type MatrixOptions struct {
-	Defenses     []string     // defense-engine names (rows; default "randomize-correction")
-	Attackers    []string     // attacker-engine names (columns; default "proximity")
-	SplitLayers  []int        // layers each pair is attacked at (default M3,M4,M5)
-	Seed         int64        // master seed; every (defense, attacker, layer) derives its own stream
-	PatternWords int          // 64-pattern words for OER/HD (default 256)
-	Parallelism  int          // concurrent builds (baseline and rows), split further into layer attacks and route waves; 0 = GOMAXPROCS, 1 = serial
-	LiftLayer    int          // lift layer for lifting defenses (default 6)
-	UtilPercent  int          // placement utilization (default 70)
-	TargetOER    float64      // randomization stop criterion (default 0.999)
-	Fraction     float64      // perturbed fraction for prior-art defenses (0 = published-ish defaults)
-	Progress     ProgressFunc // optional per-defense / per-layer completion events
+	Defenses     []string // defense-engine names (rows; default "randomize-correction")
+	Attackers    []string // attacker-engine names (columns; default "proximity")
+	SplitLayers  []int    // layers each pair is attacked at (default M3,M4,M5)
+	Seed         int64    // master seed; every (defense, attacker, layer) derives its own stream
+	PatternWords int      // 64-pattern words for OER/HD (default 256)
+	Parallelism  int      // concurrent builds (baselines and cells), split further into layer attacks and route waves; 0 = GOMAXPROCS, 1 = serial
+	TargetOER    float64  // randomization stop criterion (default 0.999)
+	Fraction     float64  // perturbed fraction for prior-art defenses (0 = published-ish defaults)
+
+	// Progress, when non-nil, receives one StageSuiteBaseline event per
+	// benchmark whose baseline is built, one StageAttack event per split
+	// layer of every computed cell, and one StageSuiteCell event per
+	// (benchmark, defense, replicate) cell, computed or served from the
+	// cache, with the defense name as Detail. Calls are serialized.
+	Progress ProgressFunc
 
 	// RouteStrategy selects flat or hierarchical batched routing for every
-	// build (zero = auto, resolved per design by die area).
+	// build (zero = auto, resolved per design by die area). Unlike
+	// Parallelism it changes routed results, so it is part of every cache
+	// key.
 	RouteStrategy route.Strategy
 }
 
@@ -82,104 +81,33 @@ type MatrixResult struct {
 	Rows    []MatrixRow // one per requested defense, in request order
 }
 
-// EvaluateMatrix builds every requested defense on the netlist and runs
-// every requested attacker against it at each split layer — the full cross
-// product behind the paper's Tables 4 and 5. Rows are defenses, columns are
-// attackers, and each cell averages CCR/OER/HD over the split layers; each
-// row also carries the defense's PPA overhead against the unprotected
-// baseline.
+// EvaluateMatrix builds every requested defense on the benchmark and runs
+// every requested attacker against it at each split layer — the full
+// cross product behind the paper's Tables 4 and 5. Rows are defenses,
+// columns are attackers, and each cell averages CCR/OER/HD over the split
+// layers; each row also carries the defense's PPA overhead against the
+// unprotected baseline.
+//
+// It is the one-benchmark, one-replicate case of EvaluateSuite and runs
+// on the suite's scheduler: the baseline and the defense rows build
+// concurrently, no row waits on the baseline, and a defense name
+// requested twice is computed once (the second row is a cache hit). Its
+// cache lives only for the call and never touches a disk store.
 //
 // Every (defense, attacker, layer) triple derives its own independent RNG
 // stream from the master seed (FNV label mixing + splitmix64), and rows are
 // merged in request order, so the result — and its serialized MatrixReport
-// — is byte-identical at every parallelism level. A defense name requested
-// twice is computed once (per-matrix memo); an attacker requested twice
-// within a layer is deduplicated by the attack engine's per-layer memo.
-func EvaluateMatrix(ctx context.Context, nl *netlist.Netlist, lib *cell.Library, opt MatrixOptions) (MatrixResult, error) {
-	opt = opt.withDefaults()
-	var out MatrixResult
-	if _, err := defengine.Resolve(opt.Defenses); err != nil {
-		return out, err
-	}
-	if _, err := engine.Resolve(opt.Attackers); err != nil {
-		return out, err
-	}
-	// One emitter for the whole matrix: concurrent defense rows and their
-	// nested layer evaluations all funnel through its single mutex, which
-	// is what upholds the documented ProgressFunc contract (calls are
-	// always serialized, implementations need no locking). Handing the
-	// raw opt.Progress to each nested EvaluateSecurity would give every
-	// row its own lock and race the user's callback.
-	em := newEmitter(opt.Progress)
-	if em != nil {
-		opt.Progress = em.emit
-	}
-	if err := ctx.Err(); err != nil {
-		return out, err
-	}
-
-	// Distinct defenses only: the memo key is the defense name, because a
-	// defense is a deterministic function of (netlist, seed) and the seed
-	// is derived from the name.
-	distinct := make([]string, 0, len(opt.Defenses))
-	seen := map[string]bool{}
-	for _, name := range opt.Defenses {
-		if !seen[name] {
-			seen[name] = true
-			distinct = append(distinct, name)
-		}
-	}
-
-	// Task 0 builds the unprotected baseline and task i the i-th distinct
-	// defense. Rows need the baseline only for their PPA deltas, which are
-	// applied once the pool drains, so no task waits on another. Each task
-	// attacks its layers and routes its waves within the share of
-	// Parallelism the pool grants it.
-	rows := make([]MatrixRow, len(distinct))
-	errs := runPool(1+len(distinct), opt.Parallelism, func(i, share int) error {
-		if i == 0 {
-			var err error
-			out.BasePPA, err = buildBaseline(nl, lib, share, opt)
-			return err
-		}
-		row, err := evaluateDefense(ctx, nl, lib, distinct[i-1], share, opt)
-		if err != nil {
-			return err
-		}
-		rows[i-1] = row
-		em.emit(Event{Stage: StageDefense, Detail: row.Defense, Elapsed: row.Elapsed})
-		return nil
-	}, nil)
-	// The baseline's error first, then the rows' in request order.
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-
-	byName := make(map[string]*MatrixRow, len(distinct))
-	for i := range rows {
-		row := &rows[i]
-		row.AreaOH, row.PowerOH, row.DelayOH = row.PPA.Overhead(out.BasePPA)
-		byName[row.Defense] = row
-	}
-	for _, name := range opt.Defenses {
-		out.Rows = append(out.Rows, *byName[name])
-	}
-	return out, nil
-}
-
-// buildBaseline builds and analyzes the unprotected layout that anchors
-// every matrix row's PPA overheads, routing with parallelism workers.
-func buildBaseline(nl *netlist.Netlist, lib *cell.Library, parallelism int, opt MatrixOptions) (timing.PPA, error) {
-	base, err := correction.BuildOriginal(nl, lib, correction.Options{
-		LiftLayer: opt.LiftLayer, UtilPercent: opt.UtilPercent, Seed: opt.Seed,
-		RouteOpt: route.Options{Parallelism: parallelism, Strategy: opt.RouteStrategy},
+// — is byte-identical at every parallelism level.
+func EvaluateMatrix(ctx context.Context, lib *cell.Library, b SuiteBenchmark, opt MatrixOptions) (MatrixResult, error) {
+	base, rows, _, err := evaluateRows(ctx, lib, SuiteOptions{
+		MatrixOptions: opt.withDefaults(),
+		Benchmarks:    []SuiteBenchmark{b},
+		Replicates:    1,
 	})
 	if err != nil {
-		return timing.PPA{}, err
+		return MatrixResult{}, err
 	}
-	return timing.AnalyzeDesign(base, lib)
+	return MatrixResult{BasePPA: base[0], Rows: rows}, nil
 }
 
 // evaluateDefense computes one matrix row: build the defense's layout with
@@ -187,19 +115,19 @@ func buildBaseline(nl *netlist.Netlist, lib *cell.Library, parallelism int, opt 
 // over the split layers with an independent name-derived evaluation seed.
 // parallelism bounds both the build's route workers and its concurrent
 // layer attacks. The caller fills in the overheads against its baseline.
-func evaluateDefense(ctx context.Context, nl *netlist.Netlist, lib *cell.Library,
+func evaluateDefense(ctx context.Context, lib *cell.Library, b SuiteBenchmark,
 	name string, parallelism int, opt MatrixOptions) (MatrixRow, error) {
 	start := time.Now()
 	row := MatrixRow{Defense: name}
-	def, _ := defengine.Lookup(name) // validated up front in EvaluateMatrix
+	def, _ := defengine.Lookup(name) // validated up front in evaluateRows
 	// Every defense receives the same scope seed (the defengine.Options
 	// contract, mirroring attack engines): each scheme derives its own
 	// streams by label, and the shared "randomize" label is what keeps
 	// naive-lifted protecting exactly randomize-correction's sink set.
-	prot, err := def.Protect(ctx, nl, lib, defengine.Options{
+	prot, err := def.Protect(ctx, b.Netlist, lib, defengine.Options{
 		Seed:             defengine.DeriveSeed(opt.Seed, "defense"),
-		LiftLayer:        opt.LiftLayer,
-		UtilPercent:      opt.UtilPercent,
+		LiftLayer:        b.LiftLayer,
+		UtilPercent:      b.UtilPercent,
 		TargetOER:        opt.TargetOER,
 		Fraction:         opt.Fraction,
 		RouteParallelism: parallelism,
@@ -215,7 +143,7 @@ func evaluateDefense(ctx context.Context, nl *netlist.Netlist, lib *cell.Library
 	// original netlist (the erroneous FEOL netlist is not what the chip
 	// computes after BEOL restoration); flat schemes on the design itself.
 	if prot.Corr != nil {
-		row.PPA, err = timing.AnalyzeRestored(prot.Design, nl, prot.Design.Masters, lib)
+		row.PPA, err = timing.AnalyzeRestored(prot.Design, b.Netlist, prot.Design.Masters, lib)
 	} else {
 		row.PPA, err = timing.AnalyzeDesign(prot.Design, lib)
 	}
@@ -223,7 +151,7 @@ func evaluateDefense(ctx context.Context, nl *netlist.Netlist, lib *cell.Library
 		return row, err
 	}
 
-	sec, err := EvaluateSecurity(ctx, prot.Design, nl, EvalOptions{
+	sec, err := EvaluateSecurity(ctx, prot.Design, b.Netlist, EvalOptions{
 		SplitLayers:  opt.SplitLayers,
 		Attackers:    opt.Attackers,
 		OnlyPins:     prot.ProtectedPins,

@@ -12,15 +12,20 @@ import (
 	"splitmfg/internal/defense/baselines"
 )
 
-func matrixFixture(t *testing.T) (*cell.Library, MatrixOptions) {
+func matrixFixture(t *testing.T) (*cell.Library, SuiteBenchmark, MatrixOptions) {
 	t.Helper()
-	return cell.NewNangate45Like(), MatrixOptions{
-		Defenses:     []string{"randomize-correction", "naive-lifted", "pin-swapping"},
-		Attackers:    []string{"proximity", "random"},
-		SplitLayers:  []int{3, 4},
-		Seed:         7,
-		PatternWords: 16,
+	nl, err := bench.ISCAS85("c432")
+	if err != nil {
+		t.Fatal(err)
 	}
+	return cell.NewNangate45Like(), SuiteBenchmark{Name: "c432", Netlist: nl, Scale: 1, LiftLayer: 6, UtilPercent: 70},
+		MatrixOptions{
+			Defenses:     []string{"randomize-correction", "naive-lifted", "pin-swapping"},
+			Attackers:    []string{"proximity", "random"},
+			SplitLayers:  []int{3, 4},
+			Seed:         7,
+			PatternWords: 16,
+		}
 }
 
 func marshalMatrix(t *testing.T, m MatrixResult, opt MatrixOptions) []byte {
@@ -33,14 +38,10 @@ func marshalMatrix(t *testing.T, m MatrixResult, opt MatrixOptions) []byte {
 }
 
 func TestEvaluateMatrixSerialParallelIdentical(t *testing.T) {
-	nl, err := bench.ISCAS85("c432")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lib, opt := matrixFixture(t)
+	lib, b, opt := matrixFixture(t)
 
 	opt.Parallelism = 1
-	serial, err := EvaluateMatrix(context.Background(), nl, lib, opt)
+	serial, err := EvaluateMatrix(context.Background(), lib, b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestEvaluateMatrixSerialParallelIdentical(t *testing.T) {
 	// queue behind the baseline, at 4 all of them run at once.
 	for _, p := range []int{2, 3, 4} {
 		opt.Parallelism = p
-		parallel, err := EvaluateMatrix(context.Background(), nl, lib, opt)
+		parallel, err := EvaluateMatrix(context.Background(), lib, b, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,41 +92,33 @@ func TestEvaluateMatrixSerialParallelIdentical(t *testing.T) {
 }
 
 func TestEvaluateMatrixDuplicateDefenseMemo(t *testing.T) {
-	nl, err := bench.ISCAS85("c432")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lib, opt := matrixFixture(t)
+	lib, b, opt := matrixFixture(t)
 	opt.Defenses = []string{"pin-swapping", "pin-swapping"}
 	opt.Attackers = []string{"random"}
-	res, err := EvaluateMatrix(context.Background(), nl, lib, opt)
+	res, err := EvaluateMatrix(context.Background(), lib, b, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(res.Rows))
 	}
-	a, _ := json.Marshal(res.Report("c432", opt).Rows[0])
-	b, _ := json.Marshal(res.Report("c432", opt).Rows[1])
-	if !bytes.Equal(a, b) {
-		t.Fatalf("duplicate defense rows differ:\n%s\n%s", a, b)
+	first, _ := json.Marshal(res.Report("c432", opt).Rows[0])
+	second, _ := json.Marshal(res.Report("c432", opt).Rows[1])
+	if !bytes.Equal(first, second) {
+		t.Fatalf("duplicate defense rows differ:\n%s\n%s", first, second)
 	}
 }
 
 func TestEvaluateMatrixUnknownNames(t *testing.T) {
-	nl, err := bench.ISCAS85("c432")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lib, opt := matrixFixture(t)
+	lib, b, opt := matrixFixture(t)
 	opt.Defenses = []string{"no-such-defense"}
-	if _, err := EvaluateMatrix(context.Background(), nl, lib, opt); err == nil ||
+	if _, err := EvaluateMatrix(context.Background(), lib, b, opt); err == nil ||
 		!strings.Contains(err.Error(), "no-such-defense") {
 		t.Fatalf("unknown defense not rejected: %v", err)
 	}
-	_, opt = matrixFixture(t)
+	_, _, opt = matrixFixture(t)
 	opt.Attackers = []string{"no-such-attacker"}
-	if _, err := EvaluateMatrix(context.Background(), nl, lib, opt); err == nil ||
+	if _, err := EvaluateMatrix(context.Background(), lib, b, opt); err == nil ||
 		!strings.Contains(err.Error(), "no-such-attacker") {
 		t.Fatalf("unknown attacker not rejected: %v", err)
 	}
@@ -134,39 +127,37 @@ func TestEvaluateMatrixUnknownNames(t *testing.T) {
 // TestEvaluateMatrixProgressSerialized appends to a plain slice from the
 // progress hook — the documented contract says callbacks are serialized,
 // so this must be safe even with concurrent defense rows and layer
-// attacks (the race detector enforces it in the CI race job).
+// attacks (the race detector enforces it in the CI race job). The
+// baseline emits one StageSuiteBaseline event and every row one
+// StageSuiteCell event.
 func TestEvaluateMatrixProgressSerialized(t *testing.T) {
-	nl, err := bench.ISCAS85("c432")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lib, opt := matrixFixture(t)
+	lib, b, opt := matrixFixture(t)
 	opt.Parallelism = 4
 	var events []Event
 	opt.Progress = func(ev Event) { events = append(events, ev) }
-	if _, err := EvaluateMatrix(context.Background(), nl, lib, opt); err != nil {
+	if _, err := EvaluateMatrix(context.Background(), lib, b, opt); err != nil {
 		t.Fatal(err)
 	}
-	defenses := 0
+	baselines, defenses := 0, 0
 	for _, ev := range events {
-		if ev.Stage == StageDefense {
+		switch ev.Stage {
+		case StageSuiteBaseline:
+			baselines++
+		case StageSuiteCell:
 			defenses++
 		}
 	}
-	if defenses != len(opt.Defenses) {
-		t.Fatalf("got %d StageDefense events, want %d", defenses, len(opt.Defenses))
+	if baselines != 1 || defenses != len(opt.Defenses) {
+		t.Fatalf("got %d StageSuiteBaseline and %d StageSuiteCell events, want 1 and %d",
+			baselines, defenses, len(opt.Defenses))
 	}
 }
 
 func TestEvaluateMatrixCancellation(t *testing.T) {
-	nl, err := bench.ISCAS85("c432")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lib, opt := matrixFixture(t)
+	lib, b, opt := matrixFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := EvaluateMatrix(ctx, nl, lib, opt); err == nil {
+	if _, err := EvaluateMatrix(ctx, lib, b, opt); err == nil {
 		t.Fatal("cancelled matrix evaluation returned no error")
 	}
 }

@@ -101,7 +101,7 @@ func TestPanicInAttackBecomesError(t *testing.T) {
 			}
 		})
 		t.Run(fmt.Sprintf("matrix/p%d", p), func(t *testing.T) {
-			_, err := EvaluateMatrix(context.Background(), nl, lib, MatrixOptions{
+			_, err := EvaluateMatrix(context.Background(), lib, SuiteBenchmark{Name: "c432", Netlist: nl, LiftLayer: 6, UtilPercent: 70}, MatrixOptions{
 				Defenses: []string{"pin-swapping"}, Attackers: []string{"test-panic"},
 				SplitLayers: []int{3, 4}, PatternWords: 16, Parallelism: p,
 			})

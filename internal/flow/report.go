@@ -278,7 +278,7 @@ func suiteRowReport(row SuiteRow) SuiteRowReport {
 // fresh, resumed from a cache dir, or diskless. The raw breakdown stays
 // on SuiteResult.Cache.
 func (s SuiteResult) Report(opt SuiteOptions) SuiteReport {
-	opt = opt.withDefaults()
+	opt.MatrixOptions = opt.withDefaults()
 	rep := SuiteReport{
 		Seed:        opt.Seed,
 		Replicates:  s.Replicates,

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -38,15 +37,20 @@ import (
 // Schema 4: the proximity attack's flow became a primal-dual solve and
 // its candidate and commit orders became total, so among equal-cost
 // assignments it picks a different one and attack reports changed.
-const suiteKeySchema = 4
+//
+// Schema 5: cells no longer wait for their baseline, so a stored cell
+// row carries no PPA overheads; they are applied from the cached
+// baseline after every job ends. The stored value changed shape, so
+// entries of the two shapes are kept apart.
+const suiteKeySchema = 5
 
 // Suite-level stages, emitted through the same ProgressFunc stream the
 // rest of the flow uses.
 const (
 	// StageSuiteBaseline is emitted once per benchmark when its shared
 	// unprotected baseline has been built and analyzed (Bench carries the
-	// benchmark name). Replicated or repeated requests reuse the cached
-	// baseline and emit nothing.
+	// benchmark name), from inside the build. A baseline served from the
+	// disk store emits nothing.
 	StageSuiteBaseline Stage = "suite-baseline"
 	// StageSuiteCell is emitted once per completed
 	// (benchmark, defense, replicate) job (Bench, Detail = defense name,
@@ -74,25 +78,14 @@ func (b SuiteBenchmark) cacheKey(seed int64) string {
 		b.Name, b.Scale, b.LiftLayer, b.UtilPercent, seed)
 }
 
-// SuiteOptions parameterizes EvaluateSuite.
+// SuiteOptions parameterizes EvaluateSuite: the matrix options applied to
+// every benchmark, plus the benchmarks, the seed replicates and the
+// optional disk tier.
 type SuiteOptions struct {
-	Benchmarks   []SuiteBenchmark // designs to sweep (rows of the paper's Tables 4/5)
-	Defenses     []string         // defense-engine names (default "randomize-correction")
-	Attackers    []string         // attacker-engine names (default "proximity")
-	SplitLayers  []int            // layers each pair is attacked at (default M3,M4,M5)
-	Seed         int64            // master seed; every replicate derives its own stream
-	Replicates   int              // seed replicates per (benchmark, defense) cell (default 1)
-	PatternWords int              // 64-pattern words for OER/HD (default 256)
-	Parallelism  int              // concurrent jobs, split further into layer attacks and route waves; 0 = GOMAXPROCS, 1 = serial
-	TargetOER    float64          // randomization stop criterion (default 0.999)
-	Fraction     float64          // perturbed fraction for prior-art defenses
-	Progress     ProgressFunc     // optional suite-level completion events
+	MatrixOptions
 
-	// RouteStrategy selects flat or hierarchical batched routing for every
-	// build in the suite (zero = auto, resolved per design by die area).
-	// Unlike Parallelism it changes routed results, so it is part of every
-	// cache key.
-	RouteStrategy route.Strategy
+	Benchmarks []SuiteBenchmark // designs to sweep (rows of the paper's Tables 4/5)
+	Replicates int              // seed replicates per (benchmark, defense) cell (default 1)
 
 	// CacheDir, when non-empty, backs the suite cache with a disk-based
 	// content-addressed store (internal/store): every completed baseline
@@ -100,28 +93,6 @@ type SuiteOptions struct {
 	// recomputes only the unfinished cells and produces a byte-identical
 	// result. Empty keeps the cache memory-only.
 	CacheDir string
-}
-
-func (o SuiteOptions) withDefaults() SuiteOptions {
-	if len(o.Defenses) == 0 {
-		o.Defenses = []string{DefaultDefense}
-	}
-	if len(o.Attackers) == 0 {
-		o.Attackers = []string{DefaultAttacker}
-	}
-	if len(o.SplitLayers) == 0 {
-		o.SplitLayers = DefaultSplitLayers()
-	}
-	if o.Replicates <= 0 {
-		o.Replicates = DefaultReplicates
-	}
-	if o.PatternWords == 0 {
-		o.PatternWords = DefaultPatternWords
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	return o
 }
 
 // routeStrategyKey normalizes the route strategy for cache keys: the zero
@@ -237,31 +208,75 @@ type SuiteResult struct {
 // seed: replicates vary the defense and attack randomness against a fixed
 // reference layout.
 func EvaluateSuite(ctx context.Context, lib *cell.Library, opt SuiteOptions) (SuiteResult, error) {
-	opt = opt.withDefaults()
+	opt.MatrixOptions = opt.withDefaults()
+	if opt.Replicates <= 0 {
+		opt.Replicates = DefaultReplicates
+	}
 	var out SuiteResult
-	if len(opt.Benchmarks) == 0 {
-		return out, fmt.Errorf("flow: suite needs at least one benchmark")
-	}
-	for _, b := range opt.Benchmarks {
-		if b.Netlist == nil {
-			return out, fmt.Errorf("flow: suite benchmark %q has no netlist", b.Name)
-		}
-	}
-	if _, err := defengine.Resolve(opt.Defenses); err != nil {
-		return out, err
-	}
-	if _, err := engine.Resolve(opt.Attackers); err != nil {
-		return out, err
-	}
-	em := newEmitter(opt.Progress)
-	if err := ctx.Err(); err != nil {
+	basePPA, cellRows, stats, err := evaluateRows(ctx, lib, opt)
+	if err != nil {
 		return out, err
 	}
 
-	// Job layout: B baseline jobs (scheduled first so every benchmark's
-	// reference build starts early) followed by B×D×R cell jobs,
-	// bench-major. Cell jobs that reach an unbuilt baseline block on its
-	// cache entry, so no explicit dependency tracking is needed.
+	// Aggregate in request order: replicates collapse to mean ± std per
+	// (benchmark, defense) row, then benchmarks collapse to the suite
+	// aggregate per defense.
+	D, R := len(opt.Defenses), opt.Replicates
+	out.Replicates = R
+	for b, sb := range opt.Benchmarks {
+		br := SuiteBenchResult{Bench: sb.Name, BasePPA: basePPA[b]}
+		for d := range opt.Defenses {
+			br.Rows = append(br.Rows, suiteRowOf(opt.Defenses[d], opt.Attackers, cellRows[(b*D+d)*R:(b*D+d+1)*R]))
+		}
+		out.Benches = append(out.Benches, br)
+	}
+	for d, name := range opt.Defenses {
+		out.Aggregate = append(out.Aggregate, aggregateRow(name, opt.Attackers, out.Benches, d))
+	}
+	out.Cache = stats
+	return out, nil
+}
+
+// evaluateRows is the one scheduler behind EvaluateSuite and
+// EvaluateMatrix. It returns each benchmark's baseline PPA and every
+// (benchmark, defense, replicate) cell's row, bench-major with overheads
+// applied, plus the cache's counters. opt carries its defaults.
+func evaluateRows(ctx context.Context, lib *cell.Library, opt SuiteOptions) ([]timing.PPA, []MatrixRow, store.CacheStats, error) {
+	var stats store.CacheStats
+	if len(opt.Benchmarks) == 0 {
+		return nil, nil, stats, fmt.Errorf("flow: suite needs at least one benchmark")
+	}
+	for _, b := range opt.Benchmarks {
+		if b.Netlist == nil {
+			return nil, nil, stats, fmt.Errorf("flow: suite benchmark %q has no netlist", b.Name)
+		}
+	}
+	if _, err := defengine.Resolve(opt.Defenses); err != nil {
+		return nil, nil, stats, err
+	}
+	if _, err := engine.Resolve(opt.Attackers); err != nil {
+		return nil, nil, stats, err
+	}
+	// One emitter for the whole run: concurrent jobs and their nested
+	// layer evaluations all funnel through its single mutex, which is
+	// what upholds the documented ProgressFunc contract (calls are always
+	// serialized, implementations need no locking). Handing the raw
+	// opt.Progress to each nested EvaluateSecurity would give every cell
+	// its own lock and race the user's callback.
+	em := newEmitter(opt.Progress)
+	if em != nil {
+		opt.Progress = em.emit
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, stats, err
+	}
+
+	// Job layout: B baseline jobs followed by B×D×R cell jobs,
+	// bench-major. A cell needs its baseline only for the PPA overheads,
+	// which are applied once the pool drains, so no job waits on another
+	// (except a repeated cell, which waits on its first occurrence's
+	// cache entry). Jobs are handed out in index order, so every baseline
+	// starts before any cell.
 	B, D, R := len(opt.Benchmarks), len(opt.Defenses), opt.Replicates
 	numJobs := B + B*D*R
 	cellRows := make([]MatrixRow, B*D*R)
@@ -278,65 +293,52 @@ func EvaluateSuite(ctx context.Context, lib *cell.Library, opt SuiteOptions) (Su
 		var err error
 		disk, err = store.Open(opt.CacheDir, store.Options{KeySchema: suiteKeySchema})
 		if err != nil {
-			return out, fmt.Errorf("flow: suite cache dir: %w", err)
+			return nil, nil, stats, fmt.Errorf("flow: suite cache dir: %w", err)
 		}
 	}
-	// Capacity for every job's key, the most distinct keys a suite can
+	// Capacity for every job's key, the most distinct keys a run can
 	// request, so nothing is evicted and the counters stay deterministic.
 	cache := store.NewCache(numJobs, disk)
 
 	// Each job attacks its layers and routes its waves within the share of
 	// Parallelism the pool grants it.
-	runJob := func(j, share int) error {
+	runPool(numJobs, opt.Parallelism, func(j, share int) error {
+		var err error
 		if j < B {
-			var err error
-			basePPA[j], err = suiteBaseline(cctx, cache, opt.Benchmarks[j], lib, opt.Seed, share, opt.RouteStrategy, em)
+			basePPA[j], err = suiteBaseline(cctx, cache, opt.Benchmarks[j], lib, share, opt.MatrixOptions, em)
 			return err
 		}
 		k := j - B
-		b, rem := k/(D*R), k%(D*R)
-		d, r := rem/R, rem%R
-		var err error
-		cellRows[k], err = suiteCell(cctx, cache, opt.Benchmarks[b], lib, opt.Defenses[d], r, share, opt, em)
+		cellRows[k], err = suiteCell(cctx, cache, opt.Benchmarks[k/(D*R)], lib,
+			opt.Defenses[k/R%D], k%R, share, opt.MatrixOptions, em)
 		return err
-	}
-
-	// Jobs are handed out in index order, so every baseline starts before
-	// any cell job.
-	runPool(numJobs, opt.Parallelism, runJob, cancel)
+	}, cancel)
 	if err := context.Cause(cctx); err != nil {
-		return out, err
+		return nil, nil, stats, err
 	}
 
-	// Aggregate in request order: replicates collapse to mean ± std per
-	// (benchmark, defense) row, then benchmarks collapse to the suite
-	// aggregate per defense.
-	out.Replicates = R
-	for b, sb := range opt.Benchmarks {
-		br := SuiteBenchResult{Bench: sb.Name, BasePPA: basePPA[b]}
-		for d := range opt.Defenses {
-			reps := make([]MatrixRow, R)
-			for r := 0; r < R; r++ {
-				reps[r] = cellRows[(b*D+d)*R+r]
-			}
-			br.Rows = append(br.Rows, suiteRowOf(opt.Defenses[d], opt.Attackers, reps))
+	// Every baseline is cached now, so each cell's request for its
+	// benchmark's baseline is a hit: the cells issue the same key
+	// requests as when they waited for it, and the counters keep their
+	// values.
+	for k := range cellRows {
+		base, err := suiteBaseline(ctx, cache, opt.Benchmarks[k/(D*R)], lib, 1, opt.MatrixOptions, em)
+		if err != nil {
+			return nil, nil, stats, err
 		}
-		out.Benches = append(out.Benches, br)
+		row := &cellRows[k]
+		row.AreaOH, row.PowerOH, row.DelayOH = row.PPA.Overhead(base)
 	}
-	for d, name := range opt.Defenses {
-		out.Aggregate = append(out.Aggregate, aggregateRow(name, opt.Attackers, out.Benches, d))
-	}
-	out.Cache = cache.Stats()
-	return out, nil
+	return basePPA, cellRows, cache.Stats(), nil
 }
 
 // suiteBaseline builds (or reuses) one benchmark's unprotected baseline and
 // returns its PPA — the anchor for every defense row's overheads, computed
-// once per benchmark across the whole suite, routing with parallelism
+// once per benchmark across the whole run, routing with parallelism
 // workers.
 func suiteBaseline(ctx context.Context, cache *store.Cache, b SuiteBenchmark,
-	lib *cell.Library, seed int64, parallelism int, strat route.Strategy, em *emitter) (timing.PPA, error) {
-	key := "baseline|" + b.cacheKey(seed) + "|route=" + routeStrategyKey(strat)
+	lib *cell.Library, parallelism int, opt MatrixOptions, em *emitter) (timing.PPA, error) {
+	key := "baseline|" + b.cacheKey(opt.Seed) + "|route=" + routeStrategyKey(opt.RouteStrategy)
 	decode := func(raw []byte) (any, error) {
 		var ppa timing.PPA
 		err := json.Unmarshal(raw, &ppa)
@@ -348,8 +350,8 @@ func suiteBaseline(ctx context.Context, cache *store.Cache, b SuiteBenchmark,
 			return timing.PPA{}, err
 		}
 		base, err := correction.BuildOriginal(b.Netlist, lib, correction.Options{
-			LiftLayer: b.LiftLayer, UtilPercent: b.UtilPercent, Seed: seed,
-			RouteOpt: route.Options{Parallelism: parallelism, Strategy: strat},
+			LiftLayer: b.LiftLayer, UtilPercent: b.UtilPercent, Seed: opt.Seed,
+			RouteOpt: route.Options{Parallelism: parallelism, Strategy: opt.RouteStrategy},
 		})
 		if err != nil {
 			return timing.PPA{}, err
@@ -368,41 +370,24 @@ func suiteBaseline(ctx context.Context, cache *store.Cache, b SuiteBenchmark,
 }
 
 // suiteCell computes (or reuses) one (benchmark, defense, replicate) cell:
-// the defense built with the replicate's derived seed, analyzed against the
-// benchmark's shared baseline, and attacked by the full panel, all within
-// parallelism workers.
+// the defense built with the replicate's derived seed and attacked by the
+// full panel, all within parallelism workers. The row, cached or stored,
+// carries no overheads; evaluateRows applies them once every baseline is
+// built.
 func suiteCell(ctx context.Context, cache *store.Cache, b SuiteBenchmark, lib *cell.Library,
-	defense string, rep, parallelism int, opt SuiteOptions, em *emitter) (MatrixRow, error) {
-	base, err := suiteBaseline(ctx, cache, b, lib, opt.Seed, parallelism, opt.RouteStrategy, em)
-	if err != nil {
-		return MatrixRow{}, err
-	}
-	repSeed := replicateSeed(opt.Seed, rep)
+	defense string, rep, parallelism int, opt MatrixOptions, em *emitter) (MatrixRow, error) {
+	repOpt := opt
+	repOpt.Seed = replicateSeed(opt.Seed, rep)
 	key := fmt.Sprintf("cell|%s|route=%s|defense=%s|fraction=%g|oer=%g|attackers=%s|layers=%v|words=%d|seed=%d",
 		b.cacheKey(opt.Seed), routeStrategyKey(opt.RouteStrategy), defense, opt.Fraction, opt.TargetOER,
-		strings.Join(opt.Attackers, ","), opt.SplitLayers, opt.PatternWords, repSeed)
+		strings.Join(opt.Attackers, ","), opt.SplitLayers, opt.PatternWords, repOpt.Seed)
 	decode := func(raw []byte) (any, error) {
 		var row MatrixRow
 		err := json.Unmarshal(raw, &row)
 		return row, err
 	}
 	v, _, err := cache.Do(ctx, key, decode, func() (any, error) {
-		row, err := evaluateDefense(ctx, b.Netlist, lib, defense, parallelism, MatrixOptions{
-			Attackers:     opt.Attackers,
-			SplitLayers:   opt.SplitLayers,
-			Seed:          repSeed,
-			PatternWords:  opt.PatternWords,
-			LiftLayer:     b.LiftLayer,
-			UtilPercent:   b.UtilPercent,
-			TargetOER:     opt.TargetOER,
-			Fraction:      opt.Fraction,
-			RouteStrategy: opt.RouteStrategy,
-		})
-		if err != nil {
-			return MatrixRow{}, err
-		}
-		row.AreaOH, row.PowerOH, row.DelayOH = row.PPA.Overhead(base)
-		return row, nil
+		return evaluateDefense(ctx, lib, b, defense, parallelism, repOpt)
 	})
 	if err != nil {
 		return MatrixRow{}, err

@@ -10,20 +10,25 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"splitmfg/internal/bench"
 	"splitmfg/internal/cell"
+	defengine "splitmfg/internal/defense/engine"
+	"splitmfg/internal/netlist"
 )
 
 func suiteFixture(t *testing.T, names ...string) (*cell.Library, SuiteOptions) {
 	t.Helper()
 	opt := SuiteOptions{
-		Defenses:     []string{"randomize-correction", "naive-lifted"},
-		Attackers:    []string{"proximity", "random"},
-		SplitLayers:  []int{3, 4},
-		Seed:         7,
-		Replicates:   2,
-		PatternWords: 16,
+		MatrixOptions: MatrixOptions{
+			Defenses:     []string{"randomize-correction", "naive-lifted"},
+			Attackers:    []string{"proximity", "random"},
+			SplitLayers:  []int{3, 4},
+			Seed:         7,
+			PatternWords: 16,
+		},
+		Replicates: 2,
 	}
 	for _, name := range names {
 		nl, err := bench.ISCAS85(name)
@@ -143,10 +148,7 @@ func TestEvaluateSuiteSingleReplicateMatchesMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matrix, err := EvaluateMatrix(context.Background(), opt.Benchmarks[0].Netlist, lib, MatrixOptions{
-		Defenses: opt.Defenses, Attackers: opt.Attackers, SplitLayers: opt.SplitLayers,
-		Seed: opt.Seed, PatternWords: opt.PatternWords, LiftLayer: 6, UtilPercent: 70,
-	})
+	matrix, err := EvaluateMatrix(context.Background(), lib, opt.Benchmarks[0], opt.MatrixOptions)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,6 +169,63 @@ func TestEvaluateSuiteSingleReplicateMatchesMatrix(t *testing.T) {
 				t.Fatalf("row %d cell %d diverged from matrix: %+v vs %+v", d, a, c, ar)
 			}
 		}
+	}
+}
+
+// startProbe closes started when its first build begins, then builds
+// pin-swapping.
+type startProbe struct {
+	started chan struct{}
+	once    sync.Once
+}
+
+func (*startProbe) Name() string { return "test-start-probe" }
+
+func (p *startProbe) Protect(ctx context.Context, nl *netlist.Netlist, lib *cell.Library, opt defengine.Options) (*defengine.Protected, error) {
+	p.once.Do(func() { close(p.started) })
+	def, _ := defengine.Lookup("pin-swapping")
+	return def.Protect(ctx, nl, lib, opt)
+}
+
+// TestSuiteCellDoesNotWaitForBaseline: with a worker each, a cell builds
+// while its benchmark's baseline is still building. The progress hook
+// holds the StageSuiteBaseline event, which the baseline emits inside its
+// build, until the cell's defense has started; a cell that waited for the
+// baseline would never start, and the hook gives up after 10 s.
+func TestSuiteCellDoesNotWaitForBaseline(t *testing.T) {
+	for _, entry := range []string{"suite", "matrix"} {
+		t.Run(entry, func(t *testing.T) {
+			probe := &startProbe{started: make(chan struct{})}
+			defengine.Register(probe)
+			lib, opt := suiteFixture(t, "c432")
+			opt.Defenses = []string{probe.Name()}
+			opt.Attackers = []string{"random"}
+			opt.Replicates = 1
+			opt.Parallelism = 2
+			waited := false
+			opt.Progress = func(ev Event) {
+				if ev.Stage != StageSuiteBaseline {
+					return
+				}
+				select {
+				case <-probe.started:
+				case <-time.After(10 * time.Second):
+					waited = true
+				}
+			}
+			var err error
+			if entry == "suite" {
+				_, err = EvaluateSuite(context.Background(), lib, opt)
+			} else {
+				_, err = EvaluateMatrix(context.Background(), lib, opt.Benchmarks[0], opt.MatrixOptions)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if waited {
+				t.Fatal("the cell's defense did not start while its baseline was building")
+			}
+		})
 	}
 }
 

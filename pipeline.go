@@ -208,14 +208,16 @@ func splitList(s string) []string {
 // configured split layer — the defense×attacker cross product behind the
 // paper's Tables 4 and 5. Rows are defenses (with PPA overheads against
 // the unprotected baseline), columns are attackers, and each cell averages
-// CCR/OER/HD over the split layers. The unprotected baseline and the
-// defense rows build concurrently, and their split layers are attacked
-// concurrently, within one WithParallelism budget; per-(defense,
-// attacker, layer) derived seeds keep the report byte-identical at every
-// parallelism level.
+// CCR/OER/HD over the split layers. It runs as a one-design,
+// one-replicate Suite without the disk tier (WithCacheDir does not apply):
+// the unprotected baseline and the defense rows build concurrently, and
+// their split layers are attacked concurrently, within one
+// WithParallelism budget; per-(defense, attacker, layer) derived seeds
+// keep the report byte-identical at every parallelism level. Progress
+// events are Suite's (StageSuiteBaseline, StageAttack, StageSuiteCell).
 func (p *Pipeline) Matrix(ctx context.Context, d *Design) (*MatrixReport, error) {
-	opt := p.matrixOptions(d)
-	res, err := flow.EvaluateMatrix(ctx, d.nl, p.lib, opt)
+	opt := p.matrixOptions()
+	res, err := flow.EvaluateMatrix(ctx, p.lib, p.suiteBenchmark(d), opt)
 	if err != nil {
 		return nil, err
 	}
@@ -223,9 +225,9 @@ func (p *Pipeline) Matrix(ctx context.Context, d *Design) (*MatrixReport, error)
 	return &rep, nil
 }
 
-func (p *Pipeline) matrixOptions(d *Design) flow.MatrixOptions {
+// matrixOptions carries the pipeline settings Matrix and Suite share.
+func (p *Pipeline) matrixOptions() flow.MatrixOptions {
 	c := p.cfg
-	fc := p.flowConfig(d)
 	return flow.MatrixOptions{
 		Defenses:      c.defenses,
 		Attackers:     c.attackers,
@@ -233,12 +235,23 @@ func (p *Pipeline) matrixOptions(d *Design) flow.MatrixOptions {
 		Seed:          c.seed,
 		PatternWords:  c.patternWords,
 		Parallelism:   c.parallelism,
-		LiftLayer:     fc.LiftLayer,
-		UtilPercent:   fc.UtilPercent,
 		TargetOER:     c.targetOER,
 		Fraction:      c.fraction,
 		RouteStrategy: route.Strategy(c.routeStrat),
 		Progress:      c.progress,
+	}
+}
+
+// suiteBenchmark resolves the design's physical-design settings against
+// its recommendations.
+func (p *Pipeline) suiteBenchmark(d *Design) flow.SuiteBenchmark {
+	fc := p.flowConfig(d)
+	return flow.SuiteBenchmark{
+		Name:        d.name,
+		Netlist:     d.nl,
+		Scale:       d.scale,
+		LiftLayer:   fc.LiftLayer,
+		UtilPercent: fc.UtilPercent,
 	}
 }
 
@@ -250,45 +263,23 @@ func (p *Pipeline) matrixOptions(d *Design) flow.MatrixOptions {
 // cache. WithReplicates(n) runs every (benchmark, defense) cell under n
 // derived seed streams and reports mean ± standard deviation; the report
 // is byte-identical at every parallelism level. Suite-level progress
-// events (StageSuiteBaseline, StageSuiteCell) flow through the configured
-// WithProgress hook.
+// events (StageSuiteBaseline, StageSuiteCell) and the computed cells'
+// StageAttack events flow through the configured WithProgress hook.
 func (p *Pipeline) Suite(ctx context.Context, designs []*Design) (*SuiteReport, error) {
-	opt := p.suiteOptions(designs)
+	opt := flow.SuiteOptions{
+		MatrixOptions: p.matrixOptions(),
+		Replicates:    p.cfg.replicates,
+		CacheDir:      p.cfg.cacheDir,
+	}
+	for _, d := range designs {
+		opt.Benchmarks = append(opt.Benchmarks, p.suiteBenchmark(d))
+	}
 	res, err := flow.EvaluateSuite(ctx, p.lib, opt)
 	if err != nil {
 		return nil, err
 	}
 	rep := res.Report(opt)
 	return &rep, nil
-}
-
-func (p *Pipeline) suiteOptions(designs []*Design) flow.SuiteOptions {
-	c := p.cfg
-	opt := flow.SuiteOptions{
-		Defenses:      c.defenses,
-		Attackers:     c.attackers,
-		SplitLayers:   c.splitLayers,
-		Seed:          c.seed,
-		Replicates:    c.replicates,
-		PatternWords:  c.patternWords,
-		Parallelism:   c.parallelism,
-		TargetOER:     c.targetOER,
-		Fraction:      c.fraction,
-		RouteStrategy: route.Strategy(c.routeStrat),
-		CacheDir:      c.cacheDir,
-		Progress:      c.progress,
-	}
-	for _, d := range designs {
-		fc := p.flowConfig(d)
-		opt.Benchmarks = append(opt.Benchmarks, flow.SuiteBenchmark{
-			Name:        d.name,
-			Netlist:     d.nl,
-			Scale:       d.scale,
-			LiftLayer:   fc.LiftLayer,
-			UtilPercent: fc.UtilPercent,
-		})
-	}
-	return opt
 }
 
 // Attack takes the attacker's perspective on an unprotected design: build

@@ -11,9 +11,11 @@ import (
 // Protect passes through StageRandomize, StagePlace, StageLift, StageRoute,
 // StageRestore, StageVerify, and StagePPA once per escalation attempt
 // (plus StagePlace/StageRoute with Detail "baseline" for the reference
-// layout); Evaluate emits one StageAttack event per split layer; Suite
-// emits one StageSuiteBaseline event per benchmark and one StageSuiteCell
-// event per (benchmark, defense, replicate) cell.
+// layout); Evaluate emits one StageAttack event per split layer; Matrix
+// and Suite emit one StageSuiteBaseline event per benchmark whose
+// baseline they build, one StageAttack event per split layer of every
+// computed cell, and one StageSuiteCell event per (benchmark, defense,
+// replicate) cell, with the defense name as Detail.
 type Stage = flow.Stage
 
 // Stages, in the order the pipeline passes through them.
