@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -261,21 +262,13 @@ func TestProgressEventOrdering(t *testing.T) {
 	}
 }
 
-// TestAttackerCatalog: the engine registry ships at least the five
-// documented attackers.
+// TestAttackerCatalog: the engine registry ships exactly the four
+// documented attackers, so Attackers' doc, doc.go and the README attacker
+// table cannot drift from it.
 func TestAttackerCatalog(t *testing.T) {
-	names := Attackers()
-	if len(names) < 5 {
-		t.Fatalf("attacker registry has %d entries, want >= 5: %v", len(names), names)
-	}
-	have := map[string]bool{}
-	for _, n := range names {
-		have[n] = true
-	}
-	for _, want := range []string{"proximity", "crouting", "random", "greedy", "ensemble"} {
-		if !have[want] {
-			t.Fatalf("registry missing %q: %v", want, names)
-		}
+	want := []string{"crouting", "greedy", "proximity", "random"}
+	if names := Attackers(); !slices.Equal(names, want) {
+		t.Fatalf("Attackers() = %v, want %v", names, want)
 	}
 }
 

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	smattack -bench c880 -variant original -split 3,4,5
-//	smattack -bench c880 -variant proposed -attacker proximity,greedy,ensemble
+//	smattack -bench c880 -variant proposed -attacker proximity,greedy,random
 //	smattack -bench c432 -attacker random -json
 //	smattack -bench superblue18 -variant proposed -attacker crouting -split 5
 //

@@ -11,7 +11,7 @@ func TestRunListAttackers(t *testing.T) {
 	if err := run(context.Background(), []string{"-list"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"proximity", "crouting", "random", "greedy", "ensemble"} {
+	for _, want := range []string{"proximity", "crouting", "random", "greedy"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("-list output missing %q:\n%s", want, out.String())
 		}

@@ -190,7 +190,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		SuperblueScale: req.Scale,
 		PatternWords:   req.PatternWords,
 		ISCASSubset:    req.Benchmarks,
-		Verbose:        *verbose,
 	}
 
 	if *exp != "all" && *exp != "fig4" {

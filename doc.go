@@ -14,8 +14,8 @@
 //
 // Security evaluation is parametric over pluggable attacker engines:
 // WithAttackers selects any combination from the registry (Attackers()
-// lists it — proximity, crouting, random, greedy, ensemble), each engine
-// gets its own per-layer and averaged report sections, and the first
+// lists it — proximity, crouting, random, greedy), each engine gets its
+// own per-layer and averaged report sections, and the first
 // assignment-producing engine supplies the headline CCR/OER/HD.
 //
 // Defenses are pluggable the same way: WithDefenses selects schemes from
@@ -34,8 +34,8 @@
 // serially committed route waves, so reports are byte-identical at every
 // parallelism level.
 // ProtectReport and SecurityReport are JSON-serializable and shared by the
-// CLIs (cmd/smflow, cmd/smattack, cmd/smbench, cmd/smsplit), the examples,
-// and the experiment generators; RunExperiment and its sibling functions
+// CLIs (cmd/smflow, cmd/smattack, cmd/smbench, cmd/smsplit), the
+// quickstart example, and the experiment generators; RunExperiment and its sibling functions
 // regenerate the paper's tables and figures.
 //
 // See README.md for the module map and quickstart, and DESIGN.md for the

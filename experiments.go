@@ -63,13 +63,16 @@ func RunExperiment(name string, cfg ExperimentConfig) (*Table, error) {
 	}
 }
 
-// Fig4CSV renders the Fig. 4 per-layer wirelength series for one superblue
-// design as CSV.
+// Fig4CSV renders the Fig. 4 per-connection distance series for one
+// superblue design as CSV, one row per randomized connection of each
+// variant.
 func Fig4CSV(design string, cfg ExperimentConfig) (string, error) {
 	return report.Fig4CSV(design, cfg)
 }
 
-// Fig5 renders the Fig. 5 via-delta series for one superblue design.
+// Fig5 renders the Fig. 5 wirelength-by-layer table for one superblue
+// design: the percent of each variant's randomized-net wirelength in each
+// metal layer.
 func Fig5(design string, cfg ExperimentConfig) (*Table, error) {
 	return report.Fig5(design, cfg)
 }

@@ -6,7 +6,7 @@
 // an Engine, Register it, and every CLI, report, and example can select it
 // — instead of cross-cutting surgery through the flow and API layers.
 //
-// Five engines ship in the registry:
+// Four engines ship in the registry:
 //
 //   - "proximity": the paper's network-flow proximity attack (Wang et al.
 //     style, all five published hints) — the ISCAS-85 adversary.
@@ -18,8 +18,6 @@
 //   - "greedy": direction-aware nearest-compatible-driver assignment —
 //     a fast approximation of proximity without the min-cost max-flow
 //     machinery, usable at superblue scale.
-//   - "ensemble": majority vote per sink fragment over a panel of
-//     registered engines (default proximity + greedy + random).
 //
 // Engines must be deterministic functions of (design, split view,
 // Options.Seed): a fixed seed reproduces bit-identical results, which is
@@ -29,7 +27,6 @@ package engine
 import (
 	"context"
 	"hash/fnv"
-	"sync"
 
 	"splitmfg/internal/layout"
 	"splitmfg/internal/metrics"
@@ -41,12 +38,12 @@ import (
 type Options struct {
 	// Seed is the seed of the evaluation scope (typically one split
 	// layer): every engine attacking the same view receives the same
-	// value. A stochastic engine must derive its own independent stream
-	// from it — DeriveSeed(opt.Seed, e.Name()) — and be deterministic
-	// given a fixed seed. Sharing the scope seed (rather than handing
-	// each engine a pre-derived one) is what lets an ensemble member
-	// invocation be bit-identical to the standalone invocation of that
-	// member, so Memo can deduplicate them.
+	// value, and the caller derives its own streams from it as well (the
+	// OER/HD patterns, under "<name>/patterns"). A stochastic engine
+	// must derive its own stream from it — DeriveSeed(opt.Seed,
+	// e.Name()) — and be deterministic given a fixed seed; deriving by
+	// name keeps every engine's stream apart from the others' and from
+	// the caller's.
 	Seed int64
 
 	// Ref is the original (reference) netlist. Engines may use it ONLY
@@ -54,54 +51,6 @@ type Options struct {
 	// never to guide the attack itself — candidate construction stays
 	// FEOL-only.
 	Ref *netlist.Netlist
-
-	// Memo, when non-nil, caches Results within one evaluation scope —
-	// one (design, split view, seed) — so composite engines (ensemble)
-	// and the evaluation loop never run the same engine twice on the
-	// same view. Run consults it; Attack implementations just pass it
-	// through to any sub-engines they invoke.
-	Memo *Memo
-}
-
-// Memo caches engine results within one evaluation scope. It must not be
-// shared across different (design, split view) pairs: the cache key is
-// only (engine name, seed).
-type Memo struct {
-	mu sync.Mutex
-	m  map[memoKey]Result
-}
-
-type memoKey struct {
-	name string
-	seed int64
-}
-
-// NewMemo returns an empty per-scope result cache.
-func NewMemo() *Memo { return &Memo{m: map[memoKey]Result{}} }
-
-// Run invokes the engine through opt.Memo: a repeated (engine, seed)
-// invocation within the memo's scope returns the cached Result instead of
-// re-attacking. Cached Results are shared — treat them as read-only. With
-// a nil memo Run is a plain Attack call.
-func Run(ctx context.Context, e Engine, d *layout.Design, sv *layout.SplitView, opt Options) (Result, error) {
-	if opt.Memo == nil {
-		return e.Attack(ctx, d, sv, opt)
-	}
-	key := memoKey{e.Name(), opt.Seed}
-	opt.Memo.mu.Lock()
-	res, ok := opt.Memo.m[key]
-	opt.Memo.mu.Unlock()
-	if ok {
-		return res, nil
-	}
-	res, err := e.Attack(ctx, d, sv, opt)
-	if err != nil {
-		return res, err
-	}
-	opt.Memo.mu.Lock()
-	opt.Memo.m[key] = res
-	opt.Memo.mu.Unlock()
-	return res, nil
 }
 
 // Result is the unified attack outcome every engine produces.
@@ -111,13 +60,9 @@ type Result struct {
 	// whose contribution is solution-space confinement, not a netlist.
 	Assignment metrics.Assignment
 
-	// Recovered optionally carries a pre-built recovered netlist. When
-	// nil, the caller derives one from Assignment.
-	Recovered *netlist.Netlist
-
 	// Metrics carries per-attacker extras (candidate counts, list sizes,
-	// vote agreement, ...). Keys must be stable across runs; values must
-	// be deterministic at a fixed seed.
+	// ...). Keys must be stable across runs; values must be deterministic
+	// at a fixed seed.
 	Metrics map[string]float64
 }
 
@@ -152,7 +97,7 @@ func Names() []string { return reg.Names() }
 func Resolve(names []string) ([]Engine, error) { return reg.Resolve(names) }
 
 // DeriveSeed mixes an engine-local label into a seed (FNV-1a then a
-// splitmix64 finalizer), giving each engine/member an independent,
+// splitmix64 finalizer), giving each engine an independent,
 // order-insensitive stream from one master seed.
 func DeriveSeed(seed int64, label string) int64 {
 	h := fnv.New64a()

@@ -3,15 +3,12 @@ package engine
 import (
 	"context"
 	"reflect"
-	"sort"
 	"testing"
 
-	"splitmfg/internal/attack/proximity"
 	"splitmfg/internal/bench"
 	"splitmfg/internal/cell"
 	"splitmfg/internal/defense/correction"
 	"splitmfg/internal/layout"
-	"splitmfg/internal/metrics"
 )
 
 // testSplit builds a c880 baseline layout and splits it at M4, which has a
@@ -38,17 +35,11 @@ func testSplit(t *testing.T) (*layout.Design, *layout.SplitView) {
 }
 
 func TestRegistryNames(t *testing.T) {
-	names := Names()
-	if !sort.StringsAreSorted(names) {
-		t.Fatalf("Names() not sorted: %v", names)
-	}
-	if len(names) < 5 {
-		t.Fatalf("registry has %d engines, want >= 5: %v", len(names), names)
-	}
-	for _, want := range []string{"proximity", "crouting", "random", "greedy", "ensemble"} {
-		if _, ok := Lookup(want); !ok {
-			t.Fatalf("engine %q not registered (have %v)", want, names)
-		}
+	// The exact set, so the package doc, the README attacker table and
+	// splitmfg.Attackers' doc cannot drift from the registry.
+	want := []string{"crouting", "greedy", "proximity", "random"}
+	if names := Names(); !reflect.DeepEqual(names, want) {
+		t.Fatalf("Names() = %v, want %v", names, want)
 	}
 	if _, ok := Lookup("nope"); ok {
 		t.Fatal("Lookup of unregistered name succeeded")
@@ -124,124 +115,9 @@ func TestRandomSeedSensitivity(t *testing.T) {
 	}
 }
 
-// TestEnsembleSingleMemberEqualsMember: a one-member panel must reproduce
-// that member's standalone assignment exactly (vote of one; the scope
-// seed passes through unchanged).
-func TestEnsembleSingleMemberEqualsMember(t *testing.T) {
-	d, sv := testSplit(t)
-	ctx := context.Background()
-	for _, member := range []string{"greedy", "random"} {
-		solo := NewEnsemble("solo", member)
-		got, err := solo.Attack(ctx, d, sv, Options{Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, _ := Lookup(member)
-		want, err := eng.Attack(ctx, d, sv, Options{Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Assignment, want.Assignment) {
-			t.Fatalf("one-member ensemble of %q differs from the member itself", member)
-		}
-		if got.Metrics["unanimous"] != 1 {
-			t.Fatalf("one-member ensemble not unanimous: %v", got.Metrics)
-		}
-	}
-}
-
-// countingEngine counts Attack invocations, for memo tests. Its output is
-// deterministic (every sink to the first candidate driver, no metrics) so
-// registering it does not disturb the registry-wide determinism tests.
-type countingEngine struct {
-	calls *int
-}
-
-func (countingEngine) Name() string { return "counting" }
-
-func (c countingEngine) Attack(ctx context.Context, d *layout.Design, sv *layout.SplitView, opt Options) (Result, error) {
-	*c.calls++
-	res := Result{Assignment: metrics.Assignment{}}
-	drivers := proximity.CandidateDrivers(sv)
-	if len(drivers) == 0 {
-		return res, nil
-	}
-	for _, sfid := range sv.SinkFrags() {
-		res.Assignment[sfid] = drivers[0]
-	}
-	return res, nil
-}
-
-// TestMemoDeduplicates: Run with a memo invokes the engine once per
-// (name, seed) within the scope; a different seed is a different entry.
-func TestMemoDeduplicates(t *testing.T) {
-	d, sv := testSplit(t)
-	calls := 0
-	eng := countingEngine{calls: &calls}
-	memo := NewMemo()
-	ctx := context.Background()
-	var first Result
-	for i := 0; i < 3; i++ {
-		res, err := Run(ctx, eng, d, sv, Options{Seed: 1, Memo: memo})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			first = res
-		} else if !reflect.DeepEqual(res, first) {
-			t.Fatalf("run %d returned a different result than the cached one", i)
-		}
-	}
-	if calls != 1 {
-		t.Fatalf("engine attacked %d times under one memo, want 1", calls)
-	}
-	if _, err := Run(ctx, eng, d, sv, Options{Seed: 2, Memo: memo}); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Fatalf("different seed should miss the memo: %d calls, want 2", calls)
-	}
-}
-
-// TestEnsembleReusesMemoizedMembers: with a shared memo, running a member
-// standalone and then an ensemble containing it must not re-attack the
-// member — the deduplication EvaluateSecurity relies on when an ensemble
-// is requested alongside its own members.
-func TestEnsembleReusesMemoizedMembers(t *testing.T) {
-	d, sv := testSplit(t)
-	ctx := context.Background()
-	calls := 0
-	Register(countingEngine{calls: &calls})
-	memo := NewMemo()
-	counting, _ := Lookup("counting")
-	standalone, err := Run(ctx, counting, d, sv, Options{Seed: 5, Memo: memo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	solo := NewEnsemble("solo", "counting")
-	viaEnsemble, err := solo.Attack(ctx, d, sv, Options{Seed: 5, Memo: memo})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("member attacked %d times, want 1 (ensemble must reuse the memoized result)", calls)
-	}
-	if !reflect.DeepEqual(standalone.Assignment, viaEnsemble.Assignment) {
-		t.Fatal("memoized member result differs from standalone result")
-	}
-}
-
-func TestEnsembleUnknownMember(t *testing.T) {
-	d, sv := testSplit(t)
-	bad := NewEnsemble("bad", "nope")
-	if _, err := bad.Attack(context.Background(), d, sv, Options{}); err == nil {
-		t.Fatal("ensemble with unknown member succeeded")
-	}
-}
-
 func TestDeriveSeedIndependence(t *testing.T) {
 	seen := map[int64]string{}
-	for _, label := range []string{"proximity", "greedy", "random", "ensemble", "crouting"} {
+	for _, label := range []string{"proximity", "greedy", "random", "crouting"} {
 		s := DeriveSeed(1, label)
 		if prev, dup := seen[s]; dup {
 			t.Fatalf("DeriveSeed collision between %q and %q", label, prev)

@@ -16,15 +16,15 @@ import (
 func init() {
 	Register(randomizeCorrection{})
 	Register(naiveLifted{})
-	Register(flatDefense{name: "placement-perturbation", build: buildPlacementPerturbation})
-	Register(flatDefense{name: "sengupta-random", build: buildSengupta(baselines.Random)})
-	Register(flatDefense{name: "sengupta-gcolor", build: buildSengupta(baselines.GColor)})
-	Register(flatDefense{name: "sengupta-gtype1", build: buildSengupta(baselines.GType1)})
-	Register(flatDefense{name: "sengupta-gtype2", build: buildSengupta(baselines.GType2)})
+	Register(flatDefense{name: "placement-perturbation", build: baselines.PlacementPerturbation})
+	Register(flatDefense{name: "sengupta-random", build: sengupta(baselines.Random)})
+	Register(flatDefense{name: "sengupta-gcolor", build: sengupta(baselines.GColor)})
+	Register(flatDefense{name: "sengupta-gtype1", build: sengupta(baselines.GType1)})
+	Register(flatDefense{name: "sengupta-gtype2", build: sengupta(baselines.GType2)})
 	Register(pinSwapping{})
-	Register(flatDefense{name: "routing-perturbation", build: buildRoutingPerturbation})
-	Register(flatDefense{name: "synergistic", build: buildSynergistic})
-	Register(flatDefense{name: "routing-blockage", build: buildRoutingBlockage})
+	Register(flatDefense{name: "routing-perturbation", build: baselines.RoutingPerturbation})
+	Register(flatDefense{name: "synergistic", build: baselines.Synergistic})
+	Register(flatDefense{name: "routing-blockage", build: baselines.RoutingBlockage})
 }
 
 // randomizeRNG is the sink-selection stream shared by the lifting schemes:
@@ -54,7 +54,6 @@ type randomizeCorrection struct{}
 func (randomizeCorrection) Name() string { return "randomize-correction" }
 
 func (randomizeCorrection) Protect(ctx context.Context, nl *netlist.Netlist, lib *cell.Library, opt Options) (*Protected, error) {
-	opt = opt.withDefaults()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -88,7 +87,6 @@ type naiveLifted struct{}
 func (naiveLifted) Name() string { return "naive-lifted" }
 
 func (naiveLifted) Protect(ctx context.Context, nl *netlist.Netlist, lib *cell.Library, opt Options) (*Protected, error) {
-	opt = opt.withDefaults()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -117,51 +115,30 @@ func (naiveLifted) Protect(ctx context.Context, nl *netlist.Netlist, lib *cell.L
 
 // flatDefense adapts the prior-art builders that return a plain routed
 // design on the original netlist (no protected-pin filter, no correction
-// cells).
+// cells, no metrics).
 type flatDefense struct {
 	name  string
-	build func(nl *netlist.Netlist, lib *cell.Library, opt Options) (*layout.Design, map[string]float64, error)
+	build func(*netlist.Netlist, *cell.Library, baselines.Options) (*layout.Design, error)
 }
 
 func (f flatDefense) Name() string { return f.name }
 
 func (f flatDefense) Protect(ctx context.Context, nl *netlist.Netlist, lib *cell.Library, opt Options) (*Protected, error) {
-	opt = opt.withDefaults()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	d, m, err := f.build(nl, lib, opt)
+	d, err := f.build(nl, lib, opt.baselineOptions())
 	if err != nil {
 		return nil, err
 	}
-	return &Protected{Design: d, Metrics: m}, nil
+	return &Protected{Design: d}, nil
 }
 
-func buildPlacementPerturbation(nl *netlist.Netlist, lib *cell.Library, opt Options) (*layout.Design, map[string]float64, error) {
-	d, err := baselines.PlacementPerturbation(nl, lib, opt.baselineOptions())
-	return d, nil, err
-}
-
-func buildSengupta(strat baselines.SenguptaStrategy) func(*netlist.Netlist, *cell.Library, Options) (*layout.Design, map[string]float64, error) {
-	return func(nl *netlist.Netlist, lib *cell.Library, opt Options) (*layout.Design, map[string]float64, error) {
-		d, err := baselines.Sengupta(nl, lib, strat, opt.baselineOptions())
-		return d, nil, err
+// sengupta binds one of the four Sengupta strategies to a flat builder.
+func sengupta(strat baselines.SenguptaStrategy) func(*netlist.Netlist, *cell.Library, baselines.Options) (*layout.Design, error) {
+	return func(nl *netlist.Netlist, lib *cell.Library, opt baselines.Options) (*layout.Design, error) {
+		return baselines.Sengupta(nl, lib, strat, opt)
 	}
-}
-
-func buildRoutingPerturbation(nl *netlist.Netlist, lib *cell.Library, opt Options) (*layout.Design, map[string]float64, error) {
-	d, err := baselines.RoutingPerturbation(nl, lib, opt.baselineOptions())
-	return d, nil, err
-}
-
-func buildSynergistic(nl *netlist.Netlist, lib *cell.Library, opt Options) (*layout.Design, map[string]float64, error) {
-	d, err := baselines.Synergistic(nl, lib, opt.baselineOptions())
-	return d, nil, err
-}
-
-func buildRoutingBlockage(nl *netlist.Netlist, lib *cell.Library, opt Options) (*layout.Design, map[string]float64, error) {
-	d, err := baselines.RoutingBlockage(nl, lib, opt.baselineOptions())
-	return d, nil, err
 }
 
 // pinSwapping wraps the block-pin-swapping baseline, which perturbs the
@@ -171,7 +148,6 @@ type pinSwapping struct{}
 func (pinSwapping) Name() string { return "pin-swapping" }
 
 func (pinSwapping) Protect(ctx context.Context, nl *netlist.Netlist, lib *cell.Library, opt Options) (*Protected, error) {
-	opt = opt.withDefaults()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -83,19 +83,6 @@ type Options struct {
 	RouteStrategy route.Strategy
 }
 
-func (o Options) withDefaults() Options {
-	if o.LiftLayer == 0 {
-		o.LiftLayer = 6
-	}
-	if o.UtilPercent == 0 {
-		o.UtilPercent = 70
-	}
-	if o.TargetOER == 0 {
-		o.TargetOER = 0.999
-	}
-	return o
-}
-
 // Protected is the unified outcome every defense produces: the routed
 // layout under the scheme, plus the scheme metadata the evaluation needs to
 // score it the way the paper does.

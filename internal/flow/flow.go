@@ -79,8 +79,6 @@ type Config struct {
 	Seed             int64   // master seed
 	PPABudgetPercent float64 // allowed power/delay overhead (20 ISCAS, 5 superblue)
 	TargetOER        float64 // randomization stop criterion (default 0.999)
-	PatternWords     int     // words for final OER/HD metrics (default 256 = 16384 patterns)
-	SplitLayers      []int   // layers to attack and average over (default M3,M4,M5)
 	MaxAttempts      int     // escalation attempts in Protect (default 6; 1 = no escalation)
 
 	// RouteParallelism is the worker count for wave-parallel net routing
@@ -128,12 +126,6 @@ func (c Config) withDefaults() Config {
 	if c.TargetOER == 0 {
 		c.TargetOER = DefaultTargetOER
 	}
-	if c.PatternWords == 0 {
-		c.PatternWords = DefaultPatternWords
-	}
-	if len(c.SplitLayers) == 0 {
-		c.SplitLayers = DefaultSplitLayers()
-	}
 	if c.PPABudgetPercent == 0 {
 		c.PPABudgetPercent = 20
 	}
@@ -165,25 +157,31 @@ func (e *emitter) emit(ev Event) {
 	e.fn(ev)
 }
 
-// observe adapts a correction.Options observer to progress events.
-func (e *emitter) observe(attempt int, detail string) func(string, time.Duration) {
-	if e == nil {
-		return nil
-	}
-	return func(stage string, d time.Duration) {
-		e.emit(Event{Stage: Stage(stage), Attempt: attempt, Detail: detail, Elapsed: d})
-	}
+// BuildOptions returns the correction-cell options for one layout build
+// under c outside Protect (Attempt 0), reporting the build's stage and
+// route-wave events to c.Progress under detail ("baseline", "protected",
+// "lifted").
+func (c Config) BuildOptions(detail string) correction.Options {
+	return c.buildOptions(newEmitter(c.Progress), 0, detail)
 }
 
-// observeWaves adapts batched-routing wave completions to progress events.
-func (e *emitter) observeWaves(attempt int, detail string) func(wave, waves, nets int, elapsed time.Duration) {
-	if e == nil {
-		return nil
+// buildOptions returns the correction-cell options for one layout build
+// under c, with its stage and route-wave events sent to em under attempt
+// and detail; a nil emitter attaches no hooks.
+func (c Config) buildOptions(em *emitter, attempt int, detail string) correction.Options {
+	copt := correction.Options{LiftLayer: c.LiftLayer, UtilPercent: c.UtilPercent, Seed: c.Seed,
+		RouteOpt: route.Options{Parallelism: c.RouteParallelism, Strategy: c.RouteStrategy}}
+	if em == nil {
+		return copt
 	}
-	return func(wave, waves, nets int, elapsed time.Duration) {
-		e.emit(Event{Stage: StageRouteWave, Attempt: attempt,
+	copt.Observe = func(stage string, d time.Duration) {
+		em.emit(Event{Stage: Stage(stage), Attempt: attempt, Detail: detail, Elapsed: d})
+	}
+	copt.RouteOpt.OnWave = func(wave, waves, nets int, elapsed time.Duration) {
+		em.emit(Event{Stage: StageRouteWave, Attempt: attempt,
 			Detail: fmt.Sprintf("%s wave %d/%d: %d nets", detail, wave, waves, nets), Elapsed: elapsed})
 	}
+	return copt
 }
 
 // ProtectResult is the flow outcome.
@@ -208,16 +206,10 @@ type ProtectResult struct {
 func Protect(ctx context.Context, original *netlist.Netlist, lib *cell.Library, cfg Config) (*ProtectResult, error) {
 	cfg = cfg.withDefaults()
 	em := newEmitter(cfg.Progress)
-	copt := correction.Options{
-		LiftLayer: cfg.LiftLayer, UtilPercent: cfg.UtilPercent, Seed: cfg.Seed,
-		RouteOpt: route.Options{Parallelism: cfg.RouteParallelism, Strategy: cfg.RouteStrategy,
-			OnWave: em.observeWaves(0, "baseline")},
-		Observe: em.observe(0, "baseline"),
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	baseline, err := correction.BuildOriginal(original, lib, copt)
+	baseline, err := correction.BuildOriginal(original, lib, cfg.buildOptions(em, 0, "baseline"))
 	if err != nil {
 		return nil, fmt.Errorf("flow: baseline: %v", err)
 	}
@@ -240,8 +232,6 @@ func Protect(ctx context.Context, original *netlist.Netlist, lib *cell.Library, 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		copt.Observe = em.observe(attempt+1, "protected")
-		copt.RouteOpt.OnWave = em.observeWaves(attempt+1, "protected")
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		target := cfg.TargetOER
 		if attempt > 0 {
@@ -260,7 +250,7 @@ func Protect(ctx context.Context, original *netlist.Netlist, lib *cell.Library, 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p, err := correction.BuildProtected(original, r, lib, copt)
+		p, err := correction.BuildProtected(original, r, lib, cfg.buildOptions(em, attempt+1, "protected"))
 		if err != nil {
 			return nil, fmt.Errorf("flow: protect: %v", err)
 		}
@@ -536,13 +526,10 @@ func evaluateLayer(ctx context.Context, d *layout.Design, ref *netlist.Netlist, 
 	}
 	lr.Fragments = surface.Protected
 
-	// One memo per layer: a composite engine (ensemble) reuses sibling
-	// engines' results instead of re-attacking the same view.
-	memo := engine.NewMemo()
 	primary := false
 	for _, name := range opt.Attackers {
 		eng, _ := engine.Lookup(name) // validated up front in EvaluateSecurity
-		ao, err := runAttacker(ctx, eng, d, sv, ref, layer, memo, opt)
+		ao, err := runAttacker(ctx, eng, d, sv, ref, layer, opt)
 		if err != nil {
 			return lr, err
 		}
@@ -566,13 +553,13 @@ func evaluateLayer(ctx context.Context, d *layout.Design, ref *netlist.Netlist, 
 // derive their own stream from it by name, per the engine.Options
 // contract), while the OER/HD pattern stream derives per (layer, engine)
 // — so every stream is independent and deterministic regardless of
-// evaluation order, and memoized engine invocations stay bit-identical.
+// evaluation order, and a repeated engine name reports identical outcomes.
 func runAttacker(ctx context.Context, eng engine.Engine, d *layout.Design, sv *layout.SplitView,
-	ref *netlist.Netlist, layer int, memo *engine.Memo, opt EvalOptions) (AttackOutcome, error) {
+	ref *netlist.Netlist, layer int, opt EvalOptions) (AttackOutcome, error) {
 	start := time.Now()
 	scopeSeed := layerSeed(opt.Seed, layer)
 	ao := AttackOutcome{Attacker: eng.Name()}
-	res, err := engine.Run(ctx, eng, d, sv, engine.Options{Seed: scopeSeed, Ref: ref, Memo: memo})
+	res, err := eng.Attack(ctx, d, sv, engine.Options{Seed: scopeSeed, Ref: ref})
 	if err != nil {
 		return ao, err
 	}
@@ -586,10 +573,7 @@ func runAttacker(ctx context.Context, eng engine.Engine, d *layout.Design, sv *l
 		return ao, nil
 	}
 	ccr := scoreCCR(d, sv, ref, res.Assignment, opt.OnlyPins)
-	rec := res.Recovered
-	if rec == nil {
-		rec = metrics.RecoverNetlist(d, sv, res.Assignment)
-	}
+	rec := metrics.RecoverNetlist(d, sv, res.Assignment)
 	cmp := sim.CompareResult{}
 	if !rec.HasCombLoop() {
 		// The "/patterns" label keeps this stream distinct from the attack

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"splitmfg/internal/bench"
@@ -119,7 +120,9 @@ func TestEvaluateSecurityUnknownAttacker(t *testing.T) {
 
 // TestEvaluateSecurityMultiAttacker: every requested engine gets a section
 // on every non-vacuous layer, aggregates line up, and the headline numbers
-// track the primary (first scoring) attacker.
+// track the primary (first scoring) attacker. A repeated engine name gets
+// its own section, equal to the first one: engines are deterministic at
+// the layer-scope seed, so no cache is needed to keep them alike.
 func TestEvaluateSecurityMultiAttacker(t *testing.T) {
 	nl, err := bench.ISCAS85("c880")
 	if err != nil {
@@ -130,7 +133,7 @@ func TestEvaluateSecurityMultiAttacker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attackers := []string{"proximity", "crouting", "random"}
+	attackers := []string{"proximity", "crouting", "random", "proximity"}
 	sec, err := EvaluateSecurity(context.Background(), d, nl, EvalOptions{
 		SplitLayers: []int{3, 4, 5}, Attackers: attackers, Seed: 1, PatternWords: 16,
 	})
@@ -183,6 +186,14 @@ func TestEvaluateSecurityMultiAttacker(t *testing.T) {
 				t.Fatalf("layer M%d section %d is %q, want %q", lr.Layer, i, ao.Attacker, attackers[i])
 			}
 		}
+		first, again := lr.Attacks[0], lr.Attacks[3]
+		first.Elapsed, again.Elapsed = 0, 0
+		if !reflect.DeepEqual(first, again) {
+			t.Fatalf("layer M%d: repeated proximity section differs:\n%+v\nvs\n%+v", lr.Layer, first, again)
+		}
+	}
+	if !reflect.DeepEqual(sec.PerAttacker[0], sec.PerAttacker[3]) {
+		t.Fatalf("repeated proximity aggregate differs:\n%+v\nvs\n%+v", sec.PerAttacker[0], sec.PerAttacker[3])
 	}
 }
 

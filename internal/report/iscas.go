@@ -61,8 +61,7 @@ func iscasVariantDesign(nl *netlist.Netlist, variant string, lib *cell.Library, 
 		return d, nil, err
 	case "proposed":
 		res, err := flow.Protect(context.Background(), nl, lib, flow.Config{
-			LiftLayer: 6, UtilPercent: 70, Seed: cfg.Seed,
-			PPABudgetPercent: 20, PatternWords: cfg.PatternWords,
+			LiftLayer: 6, UtilPercent: 70, Seed: cfg.Seed, PPABudgetPercent: 20,
 		})
 		if err != nil {
 			return nil, nil, err

@@ -74,7 +74,6 @@ type Config struct {
 	SuperblueScale int // divisor on published superblue sizes (default 300)
 	ISCASSubset    []string
 	PatternWords   int // simulation depth for OER/HD (default 256)
-	Verbose        bool
 }
 
 // WithDefaults fills zero fields.

@@ -147,7 +147,8 @@ func Table1(cfg Config) (*Table, error) {
 }
 
 // Fig4CSV emits the per-connection distance series for one design (the
-// paper plots superblue18) as CSV: variant,connection_index,distance_um.
+// paper plots superblue18) as CSV: variant,net,distance_um, where net is
+// the connection's index in the variant's series.
 func Fig4CSV(name string, cfg Config) (string, error) {
 	cfg = cfg.WithDefaults()
 	b, err := buildSuperblueBundle(name, cfg)
@@ -439,7 +440,6 @@ func SuperbluePPA(cfg Config) (*Table, error) {
 // settings: lift to M8, 5% PPA budget.
 func protectSuperblue(nl *netlist.Netlist, lib *cell.Library, util int, cfg Config) (*flow.ProtectResult, error) {
 	return flow.Protect(context.Background(), nl, lib, flow.Config{
-		LiftLayer: 8, UtilPercent: util, Seed: cfg.Seed,
-		PPABudgetPercent: 5, PatternWords: cfg.PatternWords,
+		LiftLayer: 8, UtilPercent: util, Seed: cfg.Seed, PPABudgetPercent: 5,
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
-	"time"
 
 	"splitmfg/internal/attack/engine"
 	"splitmfg/internal/cell"
@@ -58,8 +57,6 @@ func (p *Pipeline) flowConfig(d *Design) flow.Config {
 		Seed:             c.seed,
 		PPABudgetPercent: c.budget,
 		TargetOER:        c.targetOER,
-		PatternWords:     c.patternWords,
-		SplitLayers:      c.splitLayers,
 		MaxAttempts:      c.maxAttempts,
 		RouteParallelism: c.parallelism,
 		RouteStrategy:    route.Strategy(c.routeStrat),
@@ -75,25 +72,6 @@ func (p *Pipeline) flowConfig(d *Design) flow.Config {
 		fc.PPABudgetPercent = d.recBudget
 	}
 	return fc
-}
-
-// corrOptions resolves the correction-cell build options for one layout
-// build, attaching the progress hook's stage and route-wave events under
-// detail ("baseline", "protected", "lifted").
-func (p *Pipeline) corrOptions(d *Design, detail string) correction.Options {
-	fc := p.flowConfig(d)
-	copt := correction.Options{LiftLayer: fc.LiftLayer, UtilPercent: fc.UtilPercent, Seed: fc.Seed,
-		RouteOpt: route.Options{Parallelism: fc.RouteParallelism, Strategy: fc.RouteStrategy}}
-	if fn := p.cfg.progress; fn != nil {
-		copt.Observe = func(stage string, elapsed time.Duration) {
-			fn(ProgressEvent{Stage: Stage(stage), Detail: detail, Elapsed: elapsed})
-		}
-		copt.RouteOpt.OnWave = func(wave, waves, nets int, elapsed time.Duration) {
-			fn(ProgressEvent{Stage: StageRouteWave, Elapsed: elapsed,
-				Detail: fmt.Sprintf("%s wave %d/%d: %d nets", detail, wave, waves, nets)})
-		}
-	}
-	return copt
 }
 
 // Protect runs the full Fig.-2 protection flow on the design: randomize to
@@ -143,8 +121,7 @@ func (p *Pipeline) evalOptions() flow.EvalOptions {
 // them can be selected with WithAttackers; the set ships with "proximity"
 // (network-flow, the ISCAS adversary), "crouting" (routing-centric
 // candidate lists, the superblue adversary — metrics-only), "random" (the
-// chance baseline), "greedy" (direction-aware nearest driver), and
-// "ensemble" (majority vote of proximity+greedy+random).
+// chance baseline), and "greedy" (direction-aware nearest driver).
 func Attackers() []string { return engine.Names() }
 
 // ParseAttackers parses a comma-separated attacker-engine list (e.g.
@@ -299,7 +276,7 @@ func (p *Pipeline) Baseline(ctx context.Context, d *Design) (*Layout, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	bl, err := correction.BuildOriginal(d.nl, p.lib, p.corrOptions(d, "baseline"))
+	bl, err := correction.BuildOriginal(d.nl, p.lib, p.flowConfig(d).BuildOptions("baseline"))
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +300,7 @@ func (p *Pipeline) Randomized(ctx context.Context, d *Design) (*Layout, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pr, err := correction.BuildProtected(d.nl, r, p.lib, p.corrOptions(d, "protected"))
+	pr, err := correction.BuildProtected(d.nl, r, p.lib, p.flowConfig(d).BuildOptions("protected"))
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +321,7 @@ func (p *Pipeline) NaiveLifted(ctx context.Context, d *Design) (*Layout, error) 
 		return nil, err
 	}
 	sinks := correction.SortedPins(r.Protected)
-	np, err := correction.BuildNaiveLifted(d.nl, sinks, p.lib, p.corrOptions(d, "lifted"))
+	np, err := correction.BuildNaiveLifted(d.nl, sinks, p.lib, p.flowConfig(d).BuildOptions("lifted"))
 	if err != nil {
 		return nil, err
 	}
