@@ -75,6 +75,45 @@ func TestEvaluateSerialEqualsParallel(t *testing.T) {
 	}
 }
 
+// TestPipelinePerDesignOverrides: lift layer, utilization and PPA budget
+// default per design, and an override must reach both build paths — the
+// Protect flow and the matrix's shared baseline — as the same settings.
+func TestPipelinePerDesignOverrides(t *testing.T) {
+	design, err := LoadBenchmark("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	run := func(extra ...Option) (ProtectReport, PPAReport) {
+		t.Helper()
+		pipe := New(append([]Option{WithMaxAttempts(1), WithPatternWords(16), WithSplitLayers(3)}, extra...)...)
+		res, err := pipe.Protect(ctx, design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := pipe.Matrix(ctx, design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Report(), m.BasePPA
+	}
+	def, defMatrix := run()
+	if def.LiftLayer != 6 || def.BudgetPercent != 20 {
+		t.Fatalf("defaults: lift %d, budget %g; want c432's 6 and 20", def.LiftLayer, def.BudgetPercent)
+	}
+	over, overMatrix := run(WithLiftLayer(8), WithUtilization(60), WithPPABudget(7))
+	if over.LiftLayer != 8 || over.BudgetPercent != 7 {
+		t.Fatalf("overrides: lift %d, budget %g; want 8 and 7", over.LiftLayer, over.BudgetPercent)
+	}
+	if over.BasePPA == def.BasePPA {
+		t.Fatalf("overrides left Protect's base PPA at the default's %+v", def.BasePPA)
+	}
+	if def.BasePPA != defMatrix || over.BasePPA != overMatrix {
+		t.Fatalf("Protect and Matrix built different baselines:\ndefault   %+v vs %+v\noverrides %+v vs %+v",
+			def.BasePPA, defMatrix, over.BasePPA, overMatrix)
+	}
+}
+
 // TestNaiveLiftedLiftsRandomizedPins: the naive-lifting baseline lifts
 // exactly the sink pins Randomized protects, at the default target OER and
 // at a lower one.

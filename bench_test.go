@@ -91,7 +91,7 @@ func BenchmarkTable6(b *testing.B) {
 	}
 }
 
-// BenchmarkFig4 regenerates the per-net distance series of Fig. 4.
+// BenchmarkFig4 regenerates the per-connection distance series of Fig. 4.
 func BenchmarkFig4(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
@@ -207,12 +207,12 @@ func BenchmarkAblationCellPlacement(b *testing.B) {
 	}
 	lib := cell.NewNangate45Like()
 	for i := 0; i < b.N; i++ {
-		res, err := flow.Protect(context.Background(), nl, lib, flow.Config{Seed: int64(i + 1), LiftLayer: 6, UtilPercent: 70})
+		res, err := flow.Protect(context.Background(), lib, flow.Bench{Netlist: nl, LiftLayer: 6, UtilPercent: 70}, flow.Options{Seed: int64(i + 1)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := flow.EvaluateSecurity(context.Background(), res.Protected.Design, nl, flow.EvalOptions{
-			SplitLayers: []int{3}, OnlyPins: res.Protected.ProtectedSinks(), Seed: 1, PatternWords: 16,
+		if _, err := flow.EvaluateSecurity(context.Background(), res.Protected.Design, nl, res.Protected.ProtectedSinks(), flow.Options{
+			SplitLayers: []int{3}, Seed: 1, PatternWords: 16,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func BenchmarkFullFlowC880(b *testing.B) {
 	lib := cell.NewNangate45Like()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := flow.Protect(context.Background(), nl, lib, flow.Config{Seed: 1, LiftLayer: 6, UtilPercent: 70}); err != nil {
+		if _, err := flow.Protect(context.Background(), lib, flow.Bench{Netlist: nl, LiftLayer: 6, UtilPercent: 70}, flow.Options{Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"errors"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -17,7 +19,7 @@ func TestRunFig4CSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := out.String()
-	if !strings.Contains(s, "variant,net,distance_um") {
+	if !strings.Contains(s, "variant,index,distance_um") {
 		t.Fatalf("missing CSV header:\n%.200s", s)
 	}
 	for _, variant := range []string{"original", "lifted", "proposed"} {
@@ -195,5 +197,40 @@ func TestRunExperimentTrimsSubset(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "c432") {
 		t.Fatalf("fig6 output misses c432:\n%s", out.String())
+	}
+}
+
+// runMain runs the command as main does and returns its exit status and
+// everything written to stderr, fs.Parse's own output included.
+func runMain(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	code := exitCode(run(context.Background(), args, io.Discard), f)
+	os.Stderr = saved
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(out)
+}
+
+// TestMainExitStatus: -h prints the usage and exits 0, a flag error is
+// printed once (by fs.Parse, with the usage) and exits 2, and a run error
+// is printed once under the command's name and exits 1.
+func TestMainExitStatus(t *testing.T) {
+	if code, out := runMain(t, "-h"); code != 0 || !strings.Contains(out, "Usage of smbench:") || strings.Contains(out, "help requested") {
+		t.Errorf("-h: exit %d, stderr %q", code, out)
+	}
+	if code, out := runMain(t, "-bogus"); code != 2 || strings.Count(out, "-bogus") != 1 {
+		t.Errorf("-bogus: exit %d, stderr %q", code, out)
+	}
+	if code, out := runMain(t, "-exp", "nope"); code != 1 || !strings.HasPrefix(out, "smbench: ") || strings.Count(out, "\n") != 1 {
+		t.Errorf("-exp nope: exit %d, stderr %q", code, out)
 	}
 }

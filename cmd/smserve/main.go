@@ -43,12 +43,30 @@ import (
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "smserve:", err)
-		os.Exit(1)
-	}
+	code := exitCode(run(ctx, os.Args[1:], os.Stdout), os.Stderr)
+	stop()
+	os.Exit(code)
 }
+
+// exitCode prints err on stderr, unless fs.Parse already printed it with
+// the usage text, and returns the exit status: 0 on success and for -h,
+// 2 for a flag error (the flag package's convention), 1 otherwise.
+func exitCode(err error, stderr io.Writer) int {
+	switch e := err.(type) {
+	case nil:
+		return 0
+	case parseError:
+		if e.error == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fmt.Fprintln(stderr, "smserve:", err)
+	return 1
+}
+
+// parseError is an error fs.Parse returned after printing it.
+type parseError struct{ error }
 
 // onListen, when non-nil, receives the bound address before the server
 // starts serving — the test seam for -addr :0.
@@ -69,7 +87,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	verbose := fs.Bool("v", false, "log job lifecycle transitions to stderr")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof debug endpoints on this address (opt-in; keep it loopback-only)")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return parseError{err}
 	}
 
 	// The profiling mux is opt-in and lives on its own listener so the

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -112,5 +115,45 @@ func TestBadFlags(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{"-bogus"}, &out); err == nil {
 		t.Fatal("unknown flag accepted")
+	}
+}
+
+// runMain runs the command as main does and returns its exit status and
+// everything written to stderr, fs.Parse's own output included.
+func runMain(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	code := exitCode(run(context.Background(), args, io.Discard), f)
+	os.Stderr = saved
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(out)
+}
+
+// TestMainExitStatus: -h prints the usage and exits 0, a flag error is
+// printed once (by fs.Parse, with the usage) and exits 2, and a run error
+// is printed once under the command's name and exits 1.
+func TestMainExitStatus(t *testing.T) {
+	// A cache dir that is a regular file fails before the server listens.
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, out := runMain(t, "-h"); code != 0 || !strings.Contains(out, "Usage of smserve:") || strings.Contains(out, "help requested") {
+		t.Errorf("-h: exit %d, stderr %q", code, out)
+	}
+	if code, out := runMain(t, "-bogus"); code != 2 || strings.Count(out, "-bogus") != 1 {
+		t.Errorf("-bogus: exit %d, stderr %q", code, out)
+	}
+	if code, out := runMain(t, "-cache-dir", file); code != 1 || !strings.HasPrefix(out, "smserve: ") || strings.Count(out, "\n") != 1 {
+		t.Errorf("-cache-dir <file>: exit %d, stderr %q", code, out)
 	}
 }

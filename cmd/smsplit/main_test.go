@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,5 +43,40 @@ func TestRunBadLayerLeavesNoArtifacts(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Fatalf("bad layer left partial artifacts: %v", entries)
+	}
+}
+
+// runMain runs the command as main does and returns its exit status and
+// everything written to stderr, fs.Parse's own output included.
+func runMain(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	code := exitCode(run(context.Background(), args, io.Discard), f)
+	os.Stderr = saved
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(out)
+}
+
+// TestMainExitStatus: -h prints the usage and exits 0, a flag error is
+// printed once (by fs.Parse, with the usage) and exits 2, and a run error
+// is printed once under the command's name and exits 1.
+func TestMainExitStatus(t *testing.T) {
+	if code, out := runMain(t, "-h"); code != 0 || !strings.Contains(out, "Usage of smsplit:") || strings.Contains(out, "help requested") {
+		t.Errorf("-h: exit %d, stderr %q", code, out)
+	}
+	if code, out := runMain(t, "-bogus"); code != 2 || strings.Count(out, "-bogus") != 1 {
+		t.Errorf("-bogus: exit %d, stderr %q", code, out)
+	}
+	if code, out := runMain(t, "-bench", "nope"); code != 1 || !strings.HasPrefix(out, "smsplit: ") || strings.Count(out, "\n") != 1 {
+		t.Errorf("-bench nope: exit %d, stderr %q", code, out)
 	}
 }

@@ -25,8 +25,8 @@ var experimentNames = []string{
 }
 
 // Experiments lists the table-shaped experiments runnable with
-// RunExperiment. Fig4CSV has a dedicated entry point with a richer result
-// type.
+// RunExperiment. Fig. 4 is a CSV series, not a table, so it has its own
+// entry point, Fig4CSV.
 func Experiments() []string {
 	return append([]string(nil), experimentNames...)
 }

@@ -265,14 +265,11 @@ func permuteCellsToOrder(pl *place.Placement, order []int) {
 	}
 	for w, gates := range byWidth {
 		sites := make([]site, 0, len(gates))
-		members := []int{}
-		for g, c := range pl.Cells {
+		for _, c := range pl.Cells {
 			if c.Master.WidthNM == w {
 				sites = append(sites, site{c.Loc})
-				members = append(members, g)
 			}
 		}
-		_ = members
 		sort.Slice(sites, func(a, b int) bool {
 			if sites[a].loc.Y != sites[b].loc.Y {
 				return sites[a].loc.Y < sites[b].loc.Y

@@ -25,8 +25,10 @@ type Options struct {
 	TargetOER    float64 // stop once OER reaches this (default 0.999)
 	MaxSwaps     int     // hard cap on swaps (default: 15% of gate input pins)
 	PatternWords int     // 64-pattern words per OER estimate (default 64 = 4096 patterns)
-	CheckEvery   int     // OER evaluation cadence in swaps (default 4)
 }
+
+// checkEvery is the OER evaluation cadence in swaps.
+const checkEvery = 4
 
 func (o Options) withDefaults(nl *netlist.Netlist) Options {
 	if o.TargetOER == 0 {
@@ -44,9 +46,6 @@ func (o Options) withDefaults(nl *netlist.Netlist) Options {
 	}
 	if o.PatternWords == 0 {
 		o.PatternWords = 64
-	}
-	if o.CheckEvery == 0 {
-		o.CheckEvery = 4
 	}
 	return o
 }
@@ -114,7 +113,7 @@ func Randomize(original *netlist.Netlist, rng *rand.Rand, opt Options) (*Result,
 		if !swapped {
 			break // no more feasible swaps
 		}
-		if len(res.Swaps)%opt.CheckEvery == 0 || len(res.Swaps) == opt.MaxSwaps {
+		if len(res.Swaps)%checkEvery == 0 || len(res.Swaps) == opt.MaxSwaps {
 			oer, err = sim.OER(original, nl, rng, opt.PatternWords)
 			if err != nil {
 				return nil, fmt.Errorf("randomize: OER estimation: %v", err)

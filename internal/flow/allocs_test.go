@@ -35,12 +35,12 @@ func TestEvaluateSecurityAllocs(t *testing.T) {
 	if err := d.RouteAll(nil); err != nil {
 		t.Fatal(err)
 	}
-	opt := EvalOptions{SplitLayers: []int{3}, Seed: 1, PatternWords: 16, Parallelism: 1}
-	if _, err := EvaluateSecurity(context.Background(), d, nl, opt); err != nil {
+	opt := Options{SplitLayers: []int{3}, Seed: 1, PatternWords: 16, Parallelism: 1}
+	if _, err := EvaluateSecurity(context.Background(), d, nl, nil, opt); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := EvaluateSecurity(context.Background(), d, nl, opt); err != nil {
+		if _, err := EvaluateSecurity(context.Background(), d, nl, nil, opt); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -7,9 +7,10 @@
 // (internal/attack/engine) at several split layers with CCR/OER/HD
 // scoring.
 //
-// Both entry points take a context.Context and honor cancellation at
-// stage boundaries, report stage transitions with per-stage timings
-// through an optional ProgressFunc, and EvaluateSecurity fans the
+// Every entry point takes a context.Context, one design's Bench (or
+// several) and one Options, honors cancellation at stage boundaries,
+// reports stage transitions with per-stage timings through
+// Options.Progress, and EvaluateSecurity fans the
 // independent split-layer attacks out over a worker pool with per-layer
 // derived RNG seeds, so its results do not depend on layer order or on
 // the degree of parallelism.
@@ -72,37 +73,41 @@ type Event struct {
 // serialized — implementations need no locking of their own.
 type ProgressFunc func(Event)
 
-// Config parameterizes the protection flow.
-type Config struct {
-	LiftLayer        int     // 6 (ISCAS) or 8 (superblue)
-	UtilPercent      int     // placement utilization
-	Seed             int64   // master seed
-	PPABudgetPercent float64 // allowed power/delay overhead (20 ISCAS, 5 superblue)
-	TargetOER        float64 // randomization stop criterion (default 0.999)
-	MaxAttempts      int     // escalation attempts in Protect (default 6; 1 = no escalation)
+// Options holds the design-independent settings every flow entry point
+// reads; each entry point uses the subset it needs. Zero values resolve
+// to the library defaults below.
+type Options struct {
+	Seed         int64    // master seed; every stream the flow draws derives from it
+	TargetOER    float64  // randomization stop criterion (0 = 0.999, resolved by the randomizer)
+	PatternWords int      // 64-pattern words for OER/HD (default 256)
+	SplitLayers  []int    // layers to attack (default M3,M4,M5)
+	Attackers    []string // attacker-engine names run at every split layer (default "proximity")
+	Defenses     []string // defense-engine names, the matrix rows (default "randomize-correction")
+	Fraction     float64  // perturbed fraction for prior-art defenses (0 = each scheme's default)
+	Replicates   int      // seed replicates per suite cell (default 1)
+	MaxAttempts  int      // escalation attempts in Protect (default 6; 1 = no escalation)
 
-	// RouteParallelism is the worker count for wave-parallel net routing
-	// inside each place-and-route (0 = GOMAXPROCS, 1 = serial); the
-	// Pipeline fills it from WithParallelism. Reports are byte-identical
-	// at every level.
-	RouteParallelism int
+	// Parallelism is the one worker budget that builds, layer attacks and
+	// route waves share (0 = GOMAXPROCS, 1 = serial); reports are
+	// byte-identical at every level.
+	Parallelism int
 
-	// RouteStrategy selects flat or hierarchical batched routing for every
-	// place-and-route in the flow (route.Strategy; zero = auto, which
-	// resolves per design by die area). Reports are byte-identical at
-	// every parallelism level for a fixed strategy, but flat and hier
-	// produce different (both valid) routings.
+	// RouteStrategy selects flat or hierarchical routing (zero = auto, by
+	// die area). It changes routed results, so cache keys include it.
 	RouteStrategy route.Strategy
 
-	// Progress, when non-nil, receives stage-completion events.
-	Progress ProgressFunc
+	// CacheDir, when non-empty, checkpoints EvaluateSuite's baselines and
+	// cells in a disk store (internal/store), so a killed run rerun with
+	// the same dir recomputes only the unfinished cells.
+	CacheDir string
+
+	Progress ProgressFunc // optional stage-completion events
 }
 
-// Library defaults of the design-independent knobs. Every options type
-// below resolves a zero value to these, and JobRequest.CacheKey resolves
-// omitted request fields to them, so a spelled-out default and an
-// omitted one share a key. Lift layer, utilization and PPA budget default
-// per design and are not listed.
+// Library defaults of the design-independent knobs. Options resolves a
+// zero value to these, and JobRequest.CacheKey resolves omitted request
+// fields to them, so a spelled-out default and an omitted one share a key.
+// Lift layer, utilization and PPA budget default per design (Bench).
 const (
 	DefaultTargetOER    = 0.999
 	DefaultPatternWords = 256
@@ -116,23 +121,58 @@ const (
 // and 5, M3–M5.
 func DefaultSplitLayers() []int { return []int{3, 4, 5} }
 
-func (c Config) withDefaults() Config {
-	if c.LiftLayer == 0 {
-		c.LiftLayer = 6
+// withDefaults resolves the zero values an entry point acts on. TargetOER
+// and Fraction stay raw: suite cache keys print them as given, and the
+// randomizer and the prior-art defenses resolve zero themselves.
+func (o Options) withDefaults() Options {
+	if o.MaxAttempts <= 0 {
+		o.MaxAttempts = DefaultMaxAttempts // a non-positive cap would skip the loop and return nothing
 	}
-	if c.UtilPercent == 0 {
-		c.UtilPercent = 70
+	if o.PatternWords == 0 {
+		o.PatternWords = DefaultPatternWords
 	}
-	if c.TargetOER == 0 {
-		c.TargetOER = DefaultTargetOER
+	if len(o.SplitLayers) == 0 {
+		o.SplitLayers = DefaultSplitLayers()
 	}
-	if c.PPABudgetPercent == 0 {
-		c.PPABudgetPercent = 20
+	if len(o.Attackers) == 0 {
+		o.Attackers = []string{DefaultAttacker}
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = DefaultMaxAttempts // a non-positive cap would skip the loop and return nothing
+	if len(o.Defenses) == 0 {
+		o.Defenses = []string{DefaultDefense}
 	}
-	return c
+	if o.Replicates <= 0 {
+		o.Replicates = DefaultReplicates
+	}
+	if o.Parallelism <= 0 {
+		o.Parallelism = runtime.GOMAXPROCS(0)
+	}
+	return o
+}
+
+// Bench is one design together with the physical-design settings it is
+// built under. Scale identifies the netlist variant in suite cache keys
+// (the superblue scale divisor; 1 for ISCAS designs, whose generator
+// ignores scale).
+type Bench struct {
+	Name             string
+	Netlist          *netlist.Netlist
+	Scale            int
+	LiftLayer        int     // 6 (ISCAS) or 8 (superblue)
+	UtilPercent      int     // placement utilization
+	PPABudgetPercent float64 // Protect's allowed power/delay overhead (20 ISCAS, 5 superblue)
+}
+
+func (b Bench) withDefaults() Bench {
+	if b.LiftLayer == 0 {
+		b.LiftLayer = 6
+	}
+	if b.UtilPercent == 0 {
+		b.UtilPercent = 70
+	}
+	if b.PPABudgetPercent == 0 {
+		b.PPABudgetPercent = 20
+	}
+	return b
 }
 
 // emitter serializes progress callbacks; a nil emitter drops all events.
@@ -157,20 +197,20 @@ func (e *emitter) emit(ev Event) {
 	e.fn(ev)
 }
 
-// BuildOptions returns the correction-cell options for one layout build
-// under c outside Protect (Attempt 0), reporting the build's stage and
-// route-wave events to c.Progress under detail ("baseline", "protected",
-// "lifted").
-func (c Config) BuildOptions(detail string) correction.Options {
-	return c.buildOptions(newEmitter(c.Progress), 0, detail)
+// BuildOptions returns the correction-cell options for one build of b
+// under opt outside Protect (Attempt 0), reporting the build's stage and
+// route-wave events to opt.Progress under detail ("baseline",
+// "protected", "lifted").
+func BuildOptions(b Bench, opt Options, detail string) correction.Options {
+	return buildOptions(b, opt, newEmitter(opt.Progress), 0, detail)
 }
 
-// buildOptions returns the correction-cell options for one layout build
-// under c, with its stage and route-wave events sent to em under attempt
-// and detail; a nil emitter attaches no hooks.
-func (c Config) buildOptions(em *emitter, attempt int, detail string) correction.Options {
-	copt := correction.Options{LiftLayer: c.LiftLayer, UtilPercent: c.UtilPercent, Seed: c.Seed,
-		RouteOpt: route.Options{Parallelism: c.RouteParallelism, Strategy: c.RouteStrategy}}
+// buildOptions returns the correction-cell options for one build of b
+// under opt, with its stage and route-wave events sent to em under
+// attempt and detail; a nil emitter attaches no hooks.
+func buildOptions(b Bench, opt Options, em *emitter, attempt int, detail string) correction.Options {
+	copt := correction.Options{LiftLayer: b.LiftLayer, UtilPercent: b.UtilPercent, Seed: opt.Seed,
+		RouteOpt: route.Options{Parallelism: opt.Parallelism, Strategy: opt.RouteStrategy}}
 	if em == nil {
 		return copt
 	}
@@ -203,13 +243,14 @@ type ProtectResult struct {
 // budget, halving the swap count while the budget is exceeded. The context
 // is checked at every stage boundary of every escalation attempt;
 // cancellation returns ctx.Err() promptly.
-func Protect(ctx context.Context, original *netlist.Netlist, lib *cell.Library, cfg Config) (*ProtectResult, error) {
-	cfg = cfg.withDefaults()
-	em := newEmitter(cfg.Progress)
+func Protect(ctx context.Context, lib *cell.Library, b Bench, opt Options) (*ProtectResult, error) {
+	b, opt = b.withDefaults(), opt.withDefaults()
+	original := b.Netlist
+	em := newEmitter(opt.Progress)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	baseline, err := correction.BuildOriginal(original, lib, cfg.buildOptions(em, 0, "baseline"))
+	baseline, err := correction.BuildOriginal(original, lib, buildOptions(b, opt, em, 0, "baseline"))
 	if err != nil {
 		return nil, fmt.Errorf("flow: baseline: %v", err)
 	}
@@ -228,12 +269,12 @@ func Protect(ctx context.Context, original *netlist.Netlist, lib *cell.Library, 
 	}
 	maxSwaps := 0 // first pass: whatever the OER target needs
 	var within, last *ProtectResult
-	for attempt := 0; attempt < cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < opt.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		target := cfg.TargetOER
+		rng := rand.New(rand.NewSource(opt.Seed))
+		target := opt.TargetOER
 		if attempt > 0 {
 			target = 2 // beyond-reachable: the swap cap governs escalation
 		}
@@ -250,7 +291,7 @@ func Protect(ctx context.Context, original *netlist.Netlist, lib *cell.Library, 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p, err := correction.BuildProtected(original, r, lib, cfg.buildOptions(em, attempt+1, "protected"))
+		p, err := correction.BuildProtected(original, r, lib, buildOptions(b, opt, em, attempt+1, "protected"))
 		if err != nil {
 			return nil, fmt.Errorf("flow: protect: %v", err)
 		}
@@ -280,11 +321,11 @@ func Protect(ctx context.Context, original *netlist.Netlist, lib *cell.Library, 
 			Detail: fmt.Sprintf("power %+.1f%% delay %+.1f%%", powerOH, delayOH), Elapsed: time.Since(start)})
 		res := &ProtectResult{
 			Protected: p, Baseline: baseline, BasePPA: basePPA, FinalPPA: ppa,
-			OER: r.OER, Swaps: len(r.Swaps), Budget: cfg.PPABudgetPercent,
+			OER: r.OER, Swaps: len(r.Swaps), Budget: b.PPABudgetPercent,
 			PowerOH: powerOH, DelayOH: delayOH, AreaOH: areaOH,
 		}
 		last = res
-		overBudget := powerOH > cfg.PPABudgetPercent || delayOH > cfg.PPABudgetPercent
+		overBudget := powerOH > b.PPABudgetPercent || delayOH > b.PPABudgetPercent
 		if !overBudget {
 			within = res
 		}
@@ -298,33 +339,6 @@ func Protect(ctx context.Context, original *netlist.Netlist, lib *cell.Library, 
 		return within, nil
 	}
 	return last, nil
-}
-
-// EvalOptions parameterizes EvaluateSecurity.
-type EvalOptions struct {
-	SplitLayers  []int                   // layers to attack (default M3,M4,M5)
-	Attackers    []string                // engine names to run per layer (default "proximity")
-	OnlyPins     map[netlist.PinRef]bool // when non-nil, score only fragments with these sink pins
-	Seed         int64                   // master seed; each layer derives its own stream
-	PatternWords int                     // 64-pattern words for OER/HD (default 256)
-	Parallelism  int                     // concurrent layer evaluations; 0 = GOMAXPROCS, 1 = serial
-	Progress     ProgressFunc            // optional per-layer completion events
-}
-
-func (o EvalOptions) withDefaults() EvalOptions {
-	if len(o.SplitLayers) == 0 {
-		o.SplitLayers = DefaultSplitLayers()
-	}
-	if len(o.Attackers) == 0 {
-		o.Attackers = []string{DefaultAttacker}
-	}
-	if o.PatternWords == 0 {
-		o.PatternWords = DefaultPatternWords
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	return o
 }
 
 // AttackOutcome is one attacker engine's result at one split layer.
@@ -400,9 +414,10 @@ func layerSeed(seed int64, layer int) int64 {
 // EvaluateSecurity runs the configured attacker engines on the design at
 // each split layer and averages CCR/OER/HD, exactly like the paper's
 // Tables 4 and 5 ("metrics averaged for splitting after M3, M4, and M5").
-// ref is the original netlist (the attacker's target). When opt.OnlyPins is
+// ref is the original netlist (the attacker's target). When onlyPins is
 // non-nil, CCR is scored only over fragments containing those sink pins —
-// the paper scores the protected (randomized) nets.
+// the paper scores the protected (randomized) nets. It reads opt's
+// SplitLayers, Attackers, Seed, PatternWords, Parallelism and Progress.
 //
 // opt.Attackers selects the engines (internal/attack/engine registry;
 // default the paper's network-flow "proximity" attack). Every engine runs
@@ -413,7 +428,8 @@ func layerSeed(seed int64, layer int) int64 {
 // deterministically in request order; results are identical for any
 // parallelism level, and for any engine, because each (layer, engine) pair
 // derives its own RNG stream from the master seed.
-func EvaluateSecurity(ctx context.Context, d *layout.Design, ref *netlist.Netlist, opt EvalOptions) (SecurityResult, error) {
+func EvaluateSecurity(ctx context.Context, d *layout.Design, ref *netlist.Netlist,
+	onlyPins map[netlist.PinRef]bool, opt Options) (SecurityResult, error) {
 	opt = opt.withDefaults()
 	if _, err := engine.Resolve(opt.Attackers); err != nil {
 		return SecurityResult{}, err
@@ -424,7 +440,7 @@ func EvaluateSecurity(ctx context.Context, d *layout.Design, ref *netlist.Netlis
 	results := make([]LayerResult, len(layers))
 	errs := runPool(len(layers), opt.Parallelism, func(i, _ int) error {
 		var err error
-		results[i], err = evaluateLayer(ctx, d, ref, layers[i], opt)
+		results[i], err = evaluateLayer(ctx, d, ref, layers[i], onlyPins, opt)
 		detail := ""
 		if results[i].Vacuous {
 			detail = "vacuous"
@@ -505,7 +521,8 @@ func aggregateAttackers(attackers []string, results []LayerResult) []AttackerRes
 // and touches d and ref read-only, so layers can run concurrently.
 //
 //smlint:hot
-func evaluateLayer(ctx context.Context, d *layout.Design, ref *netlist.Netlist, layer int, opt EvalOptions) (LayerResult, error) {
+func evaluateLayer(ctx context.Context, d *layout.Design, ref *netlist.Netlist, layer int,
+	onlyPins map[netlist.PinRef]bool, opt Options) (LayerResult, error) {
 	start := time.Now()
 	lr := LayerResult{Layer: layer}
 	if err := ctx.Err(); err != nil {
@@ -518,7 +535,7 @@ func evaluateLayer(ctx context.Context, d *layout.Design, ref *netlist.Netlist, 
 	lr.VPins = len(sv.VPins)
 	// The scored surface is a property of the split alone (which sink
 	// fragments crossed the boundary), not of any attack outcome.
-	surface := scoreCCR(d, sv, ref, nil, opt.OnlyPins)
+	surface := scoreCCR(d, sv, ref, nil, onlyPins)
 	if surface.Protected == 0 {
 		lr.Vacuous = true // nothing crossed this boundary
 		lr.Elapsed = time.Since(start)
@@ -529,7 +546,7 @@ func evaluateLayer(ctx context.Context, d *layout.Design, ref *netlist.Netlist, 
 	primary := false
 	for _, name := range opt.Attackers {
 		eng, _ := engine.Lookup(name) // validated up front in EvaluateSecurity
-		ao, err := runAttacker(ctx, eng, d, sv, ref, layer, opt)
+		ao, err := runAttacker(ctx, eng, d, sv, ref, layer, onlyPins, opt)
 		if err != nil {
 			return lr, err
 		}
@@ -555,7 +572,7 @@ func evaluateLayer(ctx context.Context, d *layout.Design, ref *netlist.Netlist, 
 // — so every stream is independent and deterministic regardless of
 // evaluation order, and a repeated engine name reports identical outcomes.
 func runAttacker(ctx context.Context, eng engine.Engine, d *layout.Design, sv *layout.SplitView,
-	ref *netlist.Netlist, layer int, opt EvalOptions) (AttackOutcome, error) {
+	ref *netlist.Netlist, layer int, onlyPins map[netlist.PinRef]bool, opt Options) (AttackOutcome, error) {
 	start := time.Now()
 	scopeSeed := layerSeed(opt.Seed, layer)
 	ao := AttackOutcome{Attacker: eng.Name()}
@@ -572,7 +589,7 @@ func runAttacker(ctx context.Context, eng engine.Engine, d *layout.Design, sv *l
 		ao.Elapsed = time.Since(start)
 		return ao, nil
 	}
-	ccr := scoreCCR(d, sv, ref, res.Assignment, opt.OnlyPins)
+	ccr := scoreCCR(d, sv, ref, res.Assignment, onlyPins)
 	rec := metrics.RecoverNetlist(d, sv, res.Assignment)
 	cmp := sim.CompareResult{}
 	if !rec.HasCombLoop() {

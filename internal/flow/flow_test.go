@@ -22,7 +22,7 @@ func TestHeadlineResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib := cell.NewNangate45Like()
-	res, err := Protect(context.Background(), nl, lib, Config{Seed: 1, LiftLayer: 6, UtilPercent: 70})
+	res, err := Protect(context.Background(), lib, Bench{Netlist: nl, LiftLayer: 6, UtilPercent: 70}, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +31,13 @@ func TestHeadlineResult(t *testing.T) {
 	}
 
 	// Attack the original.
-	orig, err := EvaluateSecurity(context.Background(), res.Baseline, nl, EvalOptions{SplitLayers: []int{3, 4, 5}, Seed: 1, PatternWords: 64})
+	orig, err := EvaluateSecurity(context.Background(), res.Baseline, nl, nil, Options{SplitLayers: []int{3, 4, 5}, Seed: 1, PatternWords: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Attack the protected layout, scoring the protected sinks.
 	prot, err := EvaluateSecurity(context.Background(), res.Protected.Design, nl,
-		EvalOptions{SplitLayers: []int{3, 4, 5}, OnlyPins: res.Protected.ProtectedSinks(), Seed: 1, PatternWords: 64})
+		res.Protected.ProtectedSinks(), Options{SplitLayers: []int{3, 4, 5}, Seed: 1, PatternWords: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestPPAWithinBudgetOrBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib := cell.NewNangate45Like()
-	res, err := Protect(context.Background(), nl, lib, Config{Seed: 2, PPABudgetPercent: 25})
+	res, err := Protect(context.Background(), lib, Bench{Netlist: nl, PPABudgetPercent: 25}, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +88,12 @@ func TestPPAWithinBudgetOrBackoff(t *testing.T) {
 func TestEvaluateSecurityEmptyLayers(t *testing.T) {
 	nl, _ := bench.ISCAS85("c432")
 	lib := cell.NewNangate45Like()
-	res, err := Protect(context.Background(), nl, lib, Config{Seed: 3})
+	res, err := Protect(context.Background(), lib, Bench{Netlist: nl}, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// M9 split: nothing crosses; result must be vacuous, not an error.
-	sec, err := EvaluateSecurity(context.Background(), res.Baseline, nl, EvalOptions{SplitLayers: []int{9}, Seed: 3, PatternWords: 16})
+	sec, err := EvaluateSecurity(context.Background(), res.Baseline, nl, nil, Options{SplitLayers: []int{9}, Seed: 3, PatternWords: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestEvaluateSecurityUnknownAttacker(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = EvaluateSecurity(context.Background(), d, nl,
-		EvalOptions{Attackers: []string{"proximity", "nope"}, PatternWords: 16})
+		nil, Options{Attackers: []string{"proximity", "nope"}, PatternWords: 16})
 	if err == nil {
 		t.Fatal("unknown attacker accepted")
 	}
@@ -134,7 +134,7 @@ func TestEvaluateSecurityMultiAttacker(t *testing.T) {
 		t.Fatal(err)
 	}
 	attackers := []string{"proximity", "crouting", "random", "proximity"}
-	sec, err := EvaluateSecurity(context.Background(), d, nl, EvalOptions{
+	sec, err := EvaluateSecurity(context.Background(), d, nl, nil, Options{
 		SplitLayers: []int{3, 4, 5}, Attackers: attackers, Seed: 1, PatternWords: 16,
 	})
 	if err != nil {
@@ -211,7 +211,7 @@ func TestEvaluateSecurityMetricsOnlyAttacker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sec, err := EvaluateSecurity(context.Background(), d, nl, EvalOptions{
+	sec, err := EvaluateSecurity(context.Background(), d, nl, nil, Options{
 		SplitLayers: []int{3, 4, 5}, Attackers: []string{"crouting"}, Seed: 1, PatternWords: 16,
 	})
 	if err != nil {
@@ -246,7 +246,7 @@ func TestNaiveLiftingSitsBetween(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib := cell.NewNangate45Like()
-	res, err := Protect(context.Background(), nl, lib, Config{Seed: 4, LiftLayer: 6, UtilPercent: 70})
+	res, err := Protect(context.Background(), lib, Bench{Netlist: nl, LiftLayer: 6, UtilPercent: 70}, Options{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

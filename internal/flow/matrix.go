@@ -2,61 +2,13 @@ package flow
 
 import (
 	"context"
-	"runtime"
 	"time"
 
 	defengine "splitmfg/internal/defense/engine"
 
 	"splitmfg/internal/cell"
-	"splitmfg/internal/route"
 	"splitmfg/internal/timing"
 )
-
-// MatrixOptions parameterizes EvaluateMatrix, and every suite through
-// SuiteOptions. The physical-design settings (lift layer, utilization)
-// belong to each design and live in SuiteBenchmark.
-type MatrixOptions struct {
-	Defenses     []string // defense-engine names (rows; default "randomize-correction")
-	Attackers    []string // attacker-engine names (columns; default "proximity")
-	SplitLayers  []int    // layers each pair is attacked at (default M3,M4,M5)
-	Seed         int64    // master seed; every (defense, attacker, layer) derives its own stream
-	PatternWords int      // 64-pattern words for OER/HD (default 256)
-	Parallelism  int      // concurrent builds (baselines and cells), split further into layer attacks and route waves; 0 = GOMAXPROCS, 1 = serial
-	TargetOER    float64  // randomization stop criterion (default 0.999)
-	Fraction     float64  // perturbed fraction for prior-art defenses (0 = published-ish defaults)
-
-	// Progress, when non-nil, receives one StageSuiteBaseline event per
-	// benchmark whose baseline is built, one StageAttack event per split
-	// layer of every computed cell, and one StageSuiteCell event per
-	// (benchmark, defense, replicate) cell, computed or served from the
-	// cache, with the defense name as Detail. Calls are serialized.
-	Progress ProgressFunc
-
-	// RouteStrategy selects flat or hierarchical batched routing for every
-	// build (zero = auto, resolved per design by die area). Unlike
-	// Parallelism it changes routed results, so it is part of every cache
-	// key.
-	RouteStrategy route.Strategy
-}
-
-func (o MatrixOptions) withDefaults() MatrixOptions {
-	if len(o.Defenses) == 0 {
-		o.Defenses = []string{DefaultDefense}
-	}
-	if len(o.Attackers) == 0 {
-		o.Attackers = []string{DefaultAttacker}
-	}
-	if len(o.SplitLayers) == 0 {
-		o.SplitLayers = DefaultSplitLayers()
-	}
-	if o.PatternWords == 0 {
-		o.PatternWords = DefaultPatternWords
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	return o
-}
 
 // MatrixRow is one defense's full outcome: its PPA cost relative to the
 // unprotected baseline plus the attacker panel's results. The cells of
@@ -92,18 +44,18 @@ type MatrixResult struct {
 // on the suite's scheduler: the baseline and the defense rows build
 // concurrently, no row waits on the baseline, and a defense name
 // requested twice is computed once (the second row is a cache hit). Its
-// cache lives only for the call and never touches a disk store.
+// cache lives only for the call and never touches a disk store, so
+// opt.Replicates and opt.CacheDir do not apply. Progress events are the
+// suite's.
 //
 // Every (defense, attacker, layer) triple derives its own independent RNG
 // stream from the master seed (FNV label mixing + splitmix64), and rows are
 // merged in request order, so the result — and its serialized MatrixReport
 // — is byte-identical at every parallelism level.
-func EvaluateMatrix(ctx context.Context, lib *cell.Library, b SuiteBenchmark, opt MatrixOptions) (MatrixResult, error) {
-	base, rows, _, err := evaluateRows(ctx, lib, SuiteOptions{
-		MatrixOptions: opt.withDefaults(),
-		Benchmarks:    []SuiteBenchmark{b},
-		Replicates:    1,
-	})
+func EvaluateMatrix(ctx context.Context, lib *cell.Library, b Bench, opt Options) (MatrixResult, error) {
+	opt = opt.withDefaults()
+	opt.Replicates, opt.CacheDir = 1, ""
+	base, rows, _, err := evaluateRows(ctx, lib, []Bench{b}, opt)
 	if err != nil {
 		return MatrixResult{}, err
 	}
@@ -113,10 +65,9 @@ func EvaluateMatrix(ctx context.Context, lib *cell.Library, b SuiteBenchmark, op
 // evaluateDefense computes one matrix row: build the defense's layout with
 // a name-derived seed, analyze its PPA, then run the full attacker panel
 // over the split layers with an independent name-derived evaluation seed.
-// parallelism bounds both the build's route workers and its concurrent
+// opt.Parallelism bounds both the build's route workers and its concurrent
 // layer attacks. The caller fills in the overheads against its baseline.
-func evaluateDefense(ctx context.Context, lib *cell.Library, b SuiteBenchmark,
-	name string, parallelism int, opt MatrixOptions) (MatrixRow, error) {
+func evaluateDefense(ctx context.Context, lib *cell.Library, b Bench, name string, opt Options) (MatrixRow, error) {
 	start := time.Now()
 	row := MatrixRow{Defense: name}
 	def, _ := defengine.Lookup(name) // validated up front in evaluateRows
@@ -130,7 +81,7 @@ func evaluateDefense(ctx context.Context, lib *cell.Library, b SuiteBenchmark,
 		UtilPercent:      b.UtilPercent,
 		TargetOER:        opt.TargetOER,
 		Fraction:         opt.Fraction,
-		RouteParallelism: parallelism,
+		RouteParallelism: opt.Parallelism,
 		RouteStrategy:    opt.RouteStrategy,
 	})
 	if err != nil {
@@ -151,15 +102,9 @@ func evaluateDefense(ctx context.Context, lib *cell.Library, b SuiteBenchmark,
 		return row, err
 	}
 
-	sec, err := EvaluateSecurity(ctx, prot.Design, b.Netlist, EvalOptions{
-		SplitLayers:  opt.SplitLayers,
-		Attackers:    opt.Attackers,
-		OnlyPins:     prot.ProtectedPins,
-		Seed:         defengine.DeriveSeed(opt.Seed, "matrix/"+name),
-		PatternWords: opt.PatternWords,
-		Parallelism:  parallelism,
-		Progress:     opt.Progress,
-	})
+	eopt := opt
+	eopt.Seed = defengine.DeriveSeed(opt.Seed, "matrix/"+name)
+	sec, err := EvaluateSecurity(ctx, prot.Design, b.Netlist, prot.ProtectedPins, eopt)
 	if err != nil {
 		return row, err
 	}

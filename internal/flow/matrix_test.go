@@ -12,14 +12,14 @@ import (
 	"splitmfg/internal/defense/baselines"
 )
 
-func matrixFixture(t *testing.T) (*cell.Library, SuiteBenchmark, MatrixOptions) {
+func matrixFixture(t *testing.T) (*cell.Library, Bench, Options) {
 	t.Helper()
 	nl, err := bench.ISCAS85("c432")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cell.NewNangate45Like(), SuiteBenchmark{Name: "c432", Netlist: nl, Scale: 1, LiftLayer: 6, UtilPercent: 70},
-		MatrixOptions{
+	return cell.NewNangate45Like(), Bench{Name: "c432", Netlist: nl, Scale: 1, LiftLayer: 6, UtilPercent: 70},
+		Options{
 			Defenses:     []string{"randomize-correction", "naive-lifted", "pin-swapping"},
 			Attackers:    []string{"proximity", "random"},
 			SplitLayers:  []int{3, 4},
@@ -28,7 +28,7 @@ func matrixFixture(t *testing.T) (*cell.Library, SuiteBenchmark, MatrixOptions) 
 		}
 }
 
-func marshalMatrix(t *testing.T, m MatrixResult, opt MatrixOptions) []byte {
+func marshalMatrix(t *testing.T, m MatrixResult, opt Options) []byte {
 	t.Helper()
 	b, err := json.MarshalIndent(m.Report("c432", opt), "", "  ")
 	if err != nil {
@@ -180,11 +180,11 @@ func TestSenguptaReducesAttackCCR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	so, err := EvaluateSecurity(context.Background(), orig, nl, EvalOptions{SplitLayers: []int{3, 4}, Seed: 3, PatternWords: 16})
+	so, err := EvaluateSecurity(context.Background(), orig, nl, nil, Options{SplitLayers: []int{3, 4}, Seed: 3, PatternWords: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := EvaluateSecurity(context.Background(), prot, nl, EvalOptions{SplitLayers: []int{3, 4}, Seed: 3, PatternWords: 16})
+	sp, err := EvaluateSecurity(context.Background(), prot, nl, nil, Options{SplitLayers: []int{3, 4}, Seed: 3, PatternWords: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,9 +71,8 @@ func TestPaperFidelityISCAS(t *testing.T) {
 			}
 
 			attack := func(d *layout.Design) SecurityResult {
-				sec, err := EvaluateSecurity(context.Background(), d, nl, EvalOptions{
-					SplitLayers: []int{3, 4, 5}, OnlyPins: r.Protected,
-					Seed: 1, PatternWords: 4, Parallelism: 1,
+				sec, err := EvaluateSecurity(context.Background(), d, nl, r.Protected, Options{
+					SplitLayers: []int{3, 4, 5}, Seed: 1, PatternWords: 4, Parallelism: 1,
 				})
 				if err != nil {
 					t.Fatal(err)

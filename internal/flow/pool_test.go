@@ -93,7 +93,7 @@ func TestPanicInAttackBecomesError(t *testing.T) {
 	}
 	for _, p := range []int{1, 4} {
 		t.Run(fmt.Sprintf("security/p%d", p), func(t *testing.T) {
-			_, err := EvaluateSecurity(context.Background(), d, nl, EvalOptions{
+			_, err := EvaluateSecurity(context.Background(), d, nl, nil, Options{
 				SplitLayers: []int{3, 4}, Attackers: []string{"test-panic"}, PatternWords: 16, Parallelism: p,
 			})
 			if err == nil || !strings.Contains(err.Error(), panicValue) {
@@ -101,7 +101,7 @@ func TestPanicInAttackBecomesError(t *testing.T) {
 			}
 		})
 		t.Run(fmt.Sprintf("matrix/p%d", p), func(t *testing.T) {
-			_, err := EvaluateMatrix(context.Background(), lib, SuiteBenchmark{Name: "c432", Netlist: nl, LiftLayer: 6, UtilPercent: 70}, MatrixOptions{
+			_, err := EvaluateMatrix(context.Background(), lib, Bench{Name: "c432", Netlist: nl, LiftLayer: 6, UtilPercent: 70}, Options{
 				Defenses: []string{"pin-swapping"}, Attackers: []string{"test-panic"},
 				SplitLayers: []int{3, 4}, PatternWords: 16, Parallelism: p,
 			})
@@ -125,7 +125,7 @@ func TestPanicInProgressReleasesEmitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	_, err = EvaluateSecurity(context.Background(), d, nl, EvalOptions{
+	_, err = EvaluateSecurity(context.Background(), d, nl, nil, Options{
 		SplitLayers: []int{3, 4}, Attackers: []string{"random"}, PatternWords: 16, Parallelism: 1,
 		Progress: func(Event) {
 			calls++

@@ -1,9 +1,6 @@
 package flow
 
-import (
-	"splitmfg/internal/netlist"
-	"splitmfg/internal/timing"
-)
+import "splitmfg/internal/timing"
 
 // PPAReport is the JSON shape of a timing.PPA snapshot.
 type PPAReport struct {
@@ -43,16 +40,18 @@ type ProtectReport struct {
 	FinalPPA PPAReport `json:"final_ppa"`
 }
 
-// Report summarizes the result against the netlist it protected.
-func (r *ProtectResult) Report(nl *netlist.Netlist, cfg Config) ProtectReport {
-	cfg = cfg.withDefaults()
+// Report summarizes the result against the benchmark it protected,
+// under the settings Protect ran with.
+func (r *ProtectResult) Report(b Bench, opt Options) ProtectReport {
+	b = b.withDefaults()
+	nl := b.Netlist
 	return ProtectReport{
 		Design:        nl.Name,
 		Gates:         nl.NumGates(),
 		PIs:           nl.NumPIs(),
 		POs:           nl.NumPOs(),
-		Seed:          cfg.Seed,
-		LiftLayer:     cfg.LiftLayer,
+		Seed:          opt.Seed,
+		LiftLayer:     b.LiftLayer,
 		Swaps:         r.Swaps,
 		ErroneousOER:  r.OER,
 		BudgetPercent: r.Budget,
@@ -169,7 +168,7 @@ type MatrixReport struct {
 }
 
 // Report converts the matrix to its JSON-serializable form.
-func (m MatrixResult) Report(design string, opt MatrixOptions) MatrixReport {
+func (m MatrixResult) Report(design string, opt Options) MatrixReport {
 	opt = opt.withDefaults()
 	rep := MatrixReport{
 		Design:      design,
@@ -277,8 +276,8 @@ func suiteRowReport(row SuiteRow) SuiteRowReport {
 // mean "first-time key requests", byte-identical whether the run was
 // fresh, resumed from a cache dir, or diskless. The raw breakdown stays
 // on SuiteResult.Cache.
-func (s SuiteResult) Report(opt SuiteOptions) SuiteReport {
-	opt.MatrixOptions = opt.withDefaults()
+func (s SuiteResult) Report(opt Options) SuiteReport {
+	opt = opt.withDefaults()
 	rep := SuiteReport{
 		Seed:        opt.Seed,
 		Replicates:  s.Replicates,
@@ -287,10 +286,8 @@ func (s SuiteResult) Report(opt SuiteOptions) SuiteReport {
 		Attackers:   append([]string(nil), opt.Attackers...),
 		Cache:       CacheStats{Hits: s.Cache.Hits, Misses: s.Cache.Misses + s.Cache.DiskHits},
 	}
-	for _, b := range opt.Benchmarks {
-		rep.Benchmarks = append(rep.Benchmarks, b.Name)
-	}
 	for _, br := range s.Benches {
+		rep.Benchmarks = append(rep.Benchmarks, br.Bench)
 		brep := SuiteBenchReport{Benchmark: br.Bench, BasePPA: ppaReport(br.BasePPA)}
 		for _, row := range br.Rows {
 			brep.Rows = append(brep.Rows, suiteRowReport(row))
@@ -316,7 +313,7 @@ func attackerReport(ar AttackerResult) AttackerReport {
 }
 
 // Report converts the result to its JSON-serializable form.
-func (s SecurityResult) Report(design string, opt EvalOptions) SecurityReport {
+func (s SecurityResult) Report(design string, opt Options) SecurityReport {
 	opt = opt.withDefaults()
 	rep := SecurityReport{
 		Design:       design,

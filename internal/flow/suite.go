@@ -14,7 +14,6 @@ import (
 	"splitmfg/internal/attack/engine"
 	"splitmfg/internal/cell"
 	"splitmfg/internal/defense/correction"
-	"splitmfg/internal/netlist"
 	"splitmfg/internal/route"
 	"splitmfg/internal/store"
 	"splitmfg/internal/timing"
@@ -58,41 +57,12 @@ const (
 	StageSuiteCell Stage = "suite-cell"
 )
 
-// SuiteBenchmark is one design entering a suite evaluation, together with
-// the physical-design settings the suite builds it under. Scale identifies
-// the netlist variant in cache keys (the superblue scale divisor; 1 for
-// ISCAS designs, whose generator ignores scale).
-type SuiteBenchmark struct {
-	Name        string
-	Netlist     *netlist.Netlist
-	Scale       int
-	LiftLayer   int
-	UtilPercent int
-}
-
 // cacheKey identifies everything that determines this benchmark's builds:
 // the netlist variant (name + scale), the physical-design settings, and
 // the suite master seed the shared baseline is derived from.
-func (b SuiteBenchmark) cacheKey(seed int64) string {
+func (b Bench) cacheKey(seed int64) string {
 	return fmt.Sprintf("%s|scale=%d|lift=%d|util=%d|seed=%d",
 		b.Name, b.Scale, b.LiftLayer, b.UtilPercent, seed)
-}
-
-// SuiteOptions parameterizes EvaluateSuite: the matrix options applied to
-// every benchmark, plus the benchmarks, the seed replicates and the
-// optional disk tier.
-type SuiteOptions struct {
-	MatrixOptions
-
-	Benchmarks []SuiteBenchmark // designs to sweep (rows of the paper's Tables 4/5)
-	Replicates int              // seed replicates per (benchmark, defense) cell (default 1)
-
-	// CacheDir, when non-empty, backs the suite cache with a disk-based
-	// content-addressed store (internal/store): every completed baseline
-	// and cell is checkpointed, so a killed run rerun with the same dir
-	// recomputes only the unfinished cells and produces a byte-identical
-	// result. Empty keeps the cache memory-only.
-	CacheDir string
 }
 
 // routeStrategyKey normalizes the route strategy for cache keys: the zero
@@ -207,13 +177,16 @@ type SuiteResult struct {
 // parallelism level. The per-benchmark baseline is keyed at the master
 // seed: replicates vary the defense and attack randomness against a fixed
 // reference layout.
-func EvaluateSuite(ctx context.Context, lib *cell.Library, opt SuiteOptions) (SuiteResult, error) {
-	opt.MatrixOptions = opt.withDefaults()
-	if opt.Replicates <= 0 {
-		opt.Replicates = DefaultReplicates
-	}
+//
+// opt.Progress, when non-nil, receives one StageSuiteBaseline event per
+// benchmark whose baseline is built, one StageAttack event per split
+// layer of every computed cell, and one StageSuiteCell event per
+// (benchmark, defense, replicate) cell, computed or served from the
+// cache, with the defense name as Detail. Calls are serialized.
+func EvaluateSuite(ctx context.Context, lib *cell.Library, benches []Bench, opt Options) (SuiteResult, error) {
+	opt = opt.withDefaults()
 	var out SuiteResult
-	basePPA, cellRows, stats, err := evaluateRows(ctx, lib, opt)
+	basePPA, cellRows, stats, err := evaluateRows(ctx, lib, benches, opt)
 	if err != nil {
 		return out, err
 	}
@@ -223,7 +196,7 @@ func EvaluateSuite(ctx context.Context, lib *cell.Library, opt SuiteOptions) (Su
 	// aggregate per defense.
 	D, R := len(opt.Defenses), opt.Replicates
 	out.Replicates = R
-	for b, sb := range opt.Benchmarks {
+	for b, sb := range benches {
 		br := SuiteBenchResult{Bench: sb.Name, BasePPA: basePPA[b]}
 		for d := range opt.Defenses {
 			br.Rows = append(br.Rows, suiteRowOf(opt.Defenses[d], opt.Attackers, cellRows[(b*D+d)*R:(b*D+d+1)*R]))
@@ -241,12 +214,12 @@ func EvaluateSuite(ctx context.Context, lib *cell.Library, opt SuiteOptions) (Su
 // EvaluateMatrix. It returns each benchmark's baseline PPA and every
 // (benchmark, defense, replicate) cell's row, bench-major with overheads
 // applied, plus the cache's counters. opt carries its defaults.
-func evaluateRows(ctx context.Context, lib *cell.Library, opt SuiteOptions) ([]timing.PPA, []MatrixRow, store.CacheStats, error) {
+func evaluateRows(ctx context.Context, lib *cell.Library, benches []Bench, opt Options) ([]timing.PPA, []MatrixRow, store.CacheStats, error) {
 	var stats store.CacheStats
-	if len(opt.Benchmarks) == 0 {
+	if len(benches) == 0 {
 		return nil, nil, stats, fmt.Errorf("flow: suite needs at least one benchmark")
 	}
-	for _, b := range opt.Benchmarks {
+	for _, b := range benches {
 		if b.Netlist == nil {
 			return nil, nil, stats, fmt.Errorf("flow: suite benchmark %q has no netlist", b.Name)
 		}
@@ -277,7 +250,7 @@ func evaluateRows(ctx context.Context, lib *cell.Library, opt SuiteOptions) ([]t
 	// (except a repeated cell, which waits on its first occurrence's
 	// cache entry). Jobs are handed out in index order, so every baseline
 	// starts before any cell.
-	B, D, R := len(opt.Benchmarks), len(opt.Defenses), opt.Replicates
+	B, D, R := len(benches), len(opt.Defenses), opt.Replicates
 	numJobs := B + B*D*R
 	cellRows := make([]MatrixRow, B*D*R)
 	basePPA := make([]timing.PPA, B)
@@ -303,14 +276,15 @@ func evaluateRows(ctx context.Context, lib *cell.Library, opt SuiteOptions) ([]t
 	// Each job attacks its layers and routes its waves within the share of
 	// Parallelism the pool grants it.
 	runPool(numJobs, opt.Parallelism, func(j, share int) error {
+		jopt := opt
+		jopt.Parallelism = share
 		var err error
 		if j < B {
-			basePPA[j], err = suiteBaseline(cctx, cache, opt.Benchmarks[j], lib, share, opt.MatrixOptions, em)
+			basePPA[j], err = suiteBaseline(cctx, cache, benches[j], lib, jopt, em)
 			return err
 		}
 		k := j - B
-		cellRows[k], err = suiteCell(cctx, cache, opt.Benchmarks[k/(D*R)], lib,
-			opt.Defenses[k/R%D], k%R, share, opt.MatrixOptions, em)
+		cellRows[k], err = suiteCell(cctx, cache, benches[k/(D*R)], lib, opt.Defenses[k/R%D], k%R, jopt, em)
 		return err
 	}, cancel)
 	if err := context.Cause(cctx); err != nil {
@@ -322,7 +296,7 @@ func evaluateRows(ctx context.Context, lib *cell.Library, opt SuiteOptions) ([]t
 	// requests as when they waited for it, and the counters keep their
 	// values.
 	for k := range cellRows {
-		base, err := suiteBaseline(ctx, cache, opt.Benchmarks[k/(D*R)], lib, 1, opt.MatrixOptions, em)
+		base, err := suiteBaseline(ctx, cache, benches[k/(D*R)], lib, opt, em)
 		if err != nil {
 			return nil, nil, stats, err
 		}
@@ -334,10 +308,10 @@ func evaluateRows(ctx context.Context, lib *cell.Library, opt SuiteOptions) ([]t
 
 // suiteBaseline builds (or reuses) one benchmark's unprotected baseline and
 // returns its PPA — the anchor for every defense row's overheads, computed
-// once per benchmark across the whole run, routing with parallelism
+// once per benchmark across the whole run, routing with opt.Parallelism
 // workers.
-func suiteBaseline(ctx context.Context, cache *store.Cache, b SuiteBenchmark,
-	lib *cell.Library, parallelism int, opt MatrixOptions, em *emitter) (timing.PPA, error) {
+func suiteBaseline(ctx context.Context, cache *store.Cache, b Bench,
+	lib *cell.Library, opt Options, em *emitter) (timing.PPA, error) {
 	key := "baseline|" + b.cacheKey(opt.Seed) + "|route=" + routeStrategyKey(opt.RouteStrategy)
 	decode := func(raw []byte) (any, error) {
 		var ppa timing.PPA
@@ -349,10 +323,7 @@ func suiteBaseline(ctx context.Context, cache *store.Cache, b SuiteBenchmark,
 		if err := ctx.Err(); err != nil {
 			return timing.PPA{}, err
 		}
-		base, err := correction.BuildOriginal(b.Netlist, lib, correction.Options{
-			LiftLayer: b.LiftLayer, UtilPercent: b.UtilPercent, Seed: opt.Seed,
-			RouteOpt: route.Options{Parallelism: parallelism, Strategy: opt.RouteStrategy},
-		})
+		base, err := correction.BuildOriginal(b.Netlist, lib, buildOptions(b, opt, nil, 0, ""))
 		if err != nil {
 			return timing.PPA{}, err
 		}
@@ -371,11 +342,11 @@ func suiteBaseline(ctx context.Context, cache *store.Cache, b SuiteBenchmark,
 
 // suiteCell computes (or reuses) one (benchmark, defense, replicate) cell:
 // the defense built with the replicate's derived seed and attacked by the
-// full panel, all within parallelism workers. The row, cached or stored,
+// full panel, all within opt.Parallelism workers. The row, cached or stored,
 // carries no overheads; evaluateRows applies them once every baseline is
 // built.
-func suiteCell(ctx context.Context, cache *store.Cache, b SuiteBenchmark, lib *cell.Library,
-	defense string, rep, parallelism int, opt MatrixOptions, em *emitter) (MatrixRow, error) {
+func suiteCell(ctx context.Context, cache *store.Cache, b Bench, lib *cell.Library,
+	defense string, rep int, opt Options, em *emitter) (MatrixRow, error) {
 	repOpt := opt
 	repOpt.Seed = replicateSeed(opt.Seed, rep)
 	key := fmt.Sprintf("cell|%s|route=%s|defense=%s|fraction=%g|oer=%g|attackers=%s|layers=%v|words=%d|seed=%d",
@@ -387,7 +358,7 @@ func suiteCell(ctx context.Context, cache *store.Cache, b SuiteBenchmark, lib *c
 		return row, err
 	}
 	v, _, err := cache.Do(ctx, key, decode, func() (any, error) {
-		return evaluateDefense(ctx, lib, b, defense, parallelism, repOpt)
+		return evaluateDefense(ctx, lib, b, defense, repOpt)
 	})
 	if err != nil {
 		return MatrixRow{}, err

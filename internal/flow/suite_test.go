@@ -18,31 +18,30 @@ import (
 	"splitmfg/internal/netlist"
 )
 
-func suiteFixture(t *testing.T, names ...string) (*cell.Library, SuiteOptions) {
+func suiteFixture(t *testing.T, names ...string) (*cell.Library, []Bench, Options) {
 	t.Helper()
-	opt := SuiteOptions{
-		MatrixOptions: MatrixOptions{
-			Defenses:     []string{"randomize-correction", "naive-lifted"},
-			Attackers:    []string{"proximity", "random"},
-			SplitLayers:  []int{3, 4},
-			Seed:         7,
-			PatternWords: 16,
-		},
-		Replicates: 2,
+	opt := Options{
+		Defenses:     []string{"randomize-correction", "naive-lifted"},
+		Attackers:    []string{"proximity", "random"},
+		SplitLayers:  []int{3, 4},
+		Seed:         7,
+		PatternWords: 16,
+		Replicates:   2,
 	}
+	var benches []Bench
 	for _, name := range names {
 		nl, err := bench.ISCAS85(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt.Benchmarks = append(opt.Benchmarks, SuiteBenchmark{
+		benches = append(benches, Bench{
 			Name: name, Netlist: nl, Scale: 1, LiftLayer: 6, UtilPercent: 70,
 		})
 	}
-	return cell.NewNangate45Like(), opt
+	return cell.NewNangate45Like(), benches, opt
 }
 
-func marshalSuite(t *testing.T, s SuiteResult, opt SuiteOptions) []byte {
+func marshalSuite(t *testing.T, s SuiteResult, opt Options) []byte {
 	t.Helper()
 	b, err := json.MarshalIndent(s.Report(opt), "", "  ")
 	if err != nil {
@@ -52,15 +51,15 @@ func marshalSuite(t *testing.T, s SuiteResult, opt SuiteOptions) []byte {
 }
 
 func TestEvaluateSuiteSerialParallelIdentical(t *testing.T) {
-	lib, opt := suiteFixture(t, "c432", "c880")
+	lib, benches, opt := suiteFixture(t, "c432", "c880")
 
 	opt.Parallelism = 1
-	serial, err := EvaluateSuite(context.Background(), lib, opt)
+	serial, err := EvaluateSuite(context.Background(), lib, benches, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Parallelism = 8
-	parallel, err := EvaluateSuite(context.Background(), lib, opt)
+	parallel, err := EvaluateSuite(context.Background(), lib, benches, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +75,8 @@ func TestEvaluateSuiteSerialParallelIdentical(t *testing.T) {
 		t.Fatalf("suite shape: %d benches, %d aggregate rows", len(serial.Benches), len(serial.Aggregate))
 	}
 	for b, br := range serial.Benches {
-		if br.Bench != opt.Benchmarks[b].Name {
-			t.Fatalf("bench %d = %q, want %q", b, br.Bench, opt.Benchmarks[b].Name)
+		if br.Bench != benches[b].Name {
+			t.Fatalf("bench %d = %q, want %q", b, br.Bench, benches[b].Name)
 		}
 		if len(br.Rows) != len(opt.Defenses) {
 			t.Fatalf("bench %q has %d rows, want %d", br.Bench, len(br.Rows), len(opt.Defenses))
@@ -91,9 +90,9 @@ func TestEvaluateSuiteSerialParallelIdentical(t *testing.T) {
 }
 
 func TestEvaluateSuiteBaselineCachedAcrossCells(t *testing.T) {
-	lib, opt := suiteFixture(t, "c432", "c880")
+	lib, benches, opt := suiteFixture(t, "c432", "c880")
 	opt.Parallelism = 4
-	res, err := EvaluateSuite(context.Background(), lib, opt)
+	res, err := EvaluateSuite(context.Background(), lib, benches, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,7 @@ func TestEvaluateSuiteBaselineCachedAcrossCells(t *testing.T) {
 	// benchmark's unprotected baseline; only the scheduled baseline job may
 	// miss. With all-distinct cells: misses = B baselines + B*D*R cells,
 	// hits = B*D*R baseline re-requests.
-	B, D, R := len(opt.Benchmarks), len(opt.Defenses), opt.Replicates
+	B, D, R := len(benches), len(opt.Defenses), opt.Replicates
 	wantMisses := B + B*D*R
 	wantHits := B * D * R
 	if res.Cache.Misses != wantMisses || res.Cache.Hits != wantHits {
@@ -110,16 +109,16 @@ func TestEvaluateSuiteBaselineCachedAcrossCells(t *testing.T) {
 }
 
 func TestEvaluateSuiteDuplicateDefenseServedFromCache(t *testing.T) {
-	lib, opt := suiteFixture(t, "c432")
+	lib, benches, opt := suiteFixture(t, "c432")
 	opt.Defenses = []string{"randomize-correction", "randomize-correction"}
-	res, err := EvaluateSuite(context.Background(), lib, opt)
+	res, err := EvaluateSuite(context.Background(), lib, benches, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The duplicate defense's cells share cache keys with the first
 	// occurrence: per (benchmark, replicate) one cell miss and one hit, on
 	// top of the baseline sharing.
-	B, D, R := len(opt.Benchmarks), 2, opt.Replicates
+	B, D, R := len(benches), 2, opt.Replicates
 	wantMisses := B + B*R
 	wantHits := B*D*R + B*R
 	if res.Cache.Misses != wantMisses || res.Cache.Hits != wantHits {
@@ -142,13 +141,13 @@ func TestEvaluateSuiteDuplicateDefenseServedFromCache(t *testing.T) {
 func TestEvaluateSuiteSingleReplicateMatchesMatrix(t *testing.T) {
 	// Replicate 0 runs at the master seed, so a one-replicate suite row
 	// must reproduce the EvaluateMatrix row for the same configuration.
-	lib, opt := suiteFixture(t, "c432")
+	lib, benches, opt := suiteFixture(t, "c432")
 	opt.Replicates = 1
-	suite, err := EvaluateSuite(context.Background(), lib, opt)
+	suite, err := EvaluateSuite(context.Background(), lib, benches, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	matrix, err := EvaluateMatrix(context.Background(), lib, opt.Benchmarks[0], opt.MatrixOptions)
+	matrix, err := EvaluateMatrix(context.Background(), lib, benches[0], opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +196,7 @@ func TestSuiteCellDoesNotWaitForBaseline(t *testing.T) {
 		t.Run(entry, func(t *testing.T) {
 			probe := &startProbe{started: make(chan struct{})}
 			defengine.Register(probe)
-			lib, opt := suiteFixture(t, "c432")
+			lib, benches, opt := suiteFixture(t, "c432")
 			opt.Defenses = []string{probe.Name()}
 			opt.Attackers = []string{"random"}
 			opt.Replicates = 1
@@ -215,9 +214,9 @@ func TestSuiteCellDoesNotWaitForBaseline(t *testing.T) {
 			}
 			var err error
 			if entry == "suite" {
-				_, err = EvaluateSuite(context.Background(), lib, opt)
+				_, err = EvaluateSuite(context.Background(), lib, benches, opt)
 			} else {
-				_, err = EvaluateMatrix(context.Background(), lib, opt.Benchmarks[0], opt.MatrixOptions)
+				_, err = EvaluateMatrix(context.Background(), lib, benches[0], opt)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -234,9 +233,9 @@ func TestEvaluateSuiteReplicatesVary(t *testing.T) {
 	// replicates the randomized defense's swap count or security numbers
 	// should spread. (A zero std across the board would mean the replicate
 	// seeds collapsed to one stream.)
-	lib, opt := suiteFixture(t, "c432")
+	lib, benches, opt := suiteFixture(t, "c432")
 	opt.Defenses = []string{"randomize-correction"}
-	res, err := EvaluateSuite(context.Background(), lib, opt)
+	res, err := EvaluateSuite(context.Background(), lib, benches, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +250,7 @@ func TestEvaluateSuiteReplicatesVary(t *testing.T) {
 }
 
 func TestEvaluateSuiteProgressEvents(t *testing.T) {
-	lib, opt := suiteFixture(t, "c432", "c880")
+	lib, benches, opt := suiteFixture(t, "c432", "c880")
 	var mu sync.Mutex
 	baselines := map[string]int{}
 	cells := 0
@@ -266,43 +265,41 @@ func TestEvaluateSuiteProgressEvents(t *testing.T) {
 			cells++
 		}
 	}
-	if _, err := EvaluateSuite(context.Background(), lib, opt); err != nil {
+	if _, err := EvaluateSuite(context.Background(), lib, benches, opt); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range opt.Benchmarks {
+	for _, b := range benches {
 		if baselines[b.Name] != 1 {
 			t.Fatalf("benchmark %q emitted %d baseline events, want 1", b.Name, baselines[b.Name])
 		}
 	}
-	if want := len(opt.Benchmarks) * len(opt.Defenses) * opt.Replicates; cells != want {
+	if want := len(benches) * len(opt.Defenses) * opt.Replicates; cells != want {
 		t.Fatalf("saw %d suite-cell events, want %d", cells, want)
 	}
 }
 
 func TestEvaluateSuiteValidation(t *testing.T) {
-	lib, opt := suiteFixture(t, "c432")
-	empty := opt
-	empty.Benchmarks = nil
-	if _, err := EvaluateSuite(context.Background(), lib, empty); err == nil {
+	lib, benches, opt := suiteFixture(t, "c432")
+	if _, err := EvaluateSuite(context.Background(), lib, nil, opt); err == nil {
 		t.Fatal("empty suite did not error")
 	}
 	bad := opt
 	bad.Attackers = []string{"no-such-engine"}
-	if _, err := EvaluateSuite(context.Background(), lib, bad); err == nil {
+	if _, err := EvaluateSuite(context.Background(), lib, benches, bad); err == nil {
 		t.Fatal("unknown attacker did not error")
 	}
 	bad = opt
 	bad.Defenses = []string{"no-such-defense"}
-	if _, err := EvaluateSuite(context.Background(), lib, bad); err == nil {
+	if _, err := EvaluateSuite(context.Background(), lib, benches, bad); err == nil {
 		t.Fatal("unknown defense did not error")
 	}
 }
 
 func TestEvaluateSuiteCancellation(t *testing.T) {
-	lib, opt := suiteFixture(t, "c432")
+	lib, benches, opt := suiteFixture(t, "c432")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := EvaluateSuite(ctx, lib, opt); !errors.Is(err, context.Canceled) {
+	if _, err := EvaluateSuite(ctx, lib, benches, opt); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled suite returned %v, want context.Canceled", err)
 	}
 }
@@ -330,11 +327,11 @@ func storeEntries(t *testing.T, dir string) int {
 // a byte-identical report while recomputing only the cells that had not
 // completed — every checkpointed entry comes back as a disk hit.
 func TestEvaluateSuiteResumesFromCacheDir(t *testing.T) {
-	lib, opt := suiteFixture(t, "c432", "c880")
+	lib, benches, opt := suiteFixture(t, "c432", "c880")
 	opt.Parallelism = 4
 
 	// Reference: an uninterrupted, diskless run.
-	ref, err := EvaluateSuite(context.Background(), lib, opt)
+	ref, err := EvaluateSuite(context.Background(), lib, benches, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,11 +355,11 @@ func TestEvaluateSuiteResumesFromCacheDir(t *testing.T) {
 		}
 		mu.Unlock()
 	}
-	if _, err := EvaluateSuite(ctx, lib, opt); !errors.Is(err, context.Canceled) {
+	if _, err := EvaluateSuite(ctx, lib, benches, opt); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
 	}
 	persisted := storeEntries(t, opt.CacheDir)
-	B, D, R := len(opt.Benchmarks), len(opt.Defenses), opt.Replicates
+	B, D, R := len(benches), len(opt.Defenses), opt.Replicates
 	distinct := B + B*D*R
 	if persisted < 3 || persisted >= distinct {
 		// At least the two observed cells and a baseline made it to disk;
@@ -373,7 +370,7 @@ func TestEvaluateSuiteResumesFromCacheDir(t *testing.T) {
 	// Run 2: resumed. Identical bytes; disk hits are exactly the
 	// checkpointed entries; only the rest recomputes.
 	opt.Progress = nil
-	res, err := EvaluateSuite(context.Background(), lib, opt)
+	res, err := EvaluateSuite(context.Background(), lib, benches, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +385,7 @@ func TestEvaluateSuiteResumesFromCacheDir(t *testing.T) {
 	}
 
 	// Run 3: fully warm — nothing computes, bytes still identical.
-	warm, err := EvaluateSuite(context.Background(), lib, opt)
+	warm, err := EvaluateSuite(context.Background(), lib, benches, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,9 +401,9 @@ func TestEvaluateSuiteResumesFromCacheDir(t *testing.T) {
 // store file costs exactly one recompute — the entry is quarantined, the
 // rest of the store is trusted, and the report is unchanged.
 func TestEvaluateSuiteCorruptEntryQuarantinedAndRecomputed(t *testing.T) {
-	lib, opt := suiteFixture(t, "c432")
+	lib, benches, opt := suiteFixture(t, "c432")
 	opt.CacheDir = t.TempDir()
-	first, err := EvaluateSuite(context.Background(), lib, opt)
+	first, err := EvaluateSuite(context.Background(), lib, benches, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,11 +427,11 @@ func TestEvaluateSuiteCorruptEntryQuarantinedAndRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := EvaluateSuite(context.Background(), lib, opt)
+	res, err := EvaluateSuite(context.Background(), lib, benches, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	B, D, R := len(opt.Benchmarks), len(opt.Defenses), opt.Replicates
+	B, D, R := len(benches), len(opt.Defenses), opt.Replicates
 	distinct := B + B*D*R
 	if res.Cache.DiskHits != distinct-1 || res.Cache.Misses != 1 {
 		t.Fatalf("stats = %+v, want %d disk hits / 1 miss", res.Cache, distinct-1)

@@ -99,28 +99,6 @@ func (nl *Netlist) SwapCreatesLoop(a, b PinRef) bool {
 	return false
 }
 
-// ConnectionKey identifies one logical driver->sink connection, used to
-// compute the correct-connection rate (CCR) between a recovered netlist and
-// the original.
-type ConnectionKey struct {
-	DriverNet int    // net ID in the reference netlist
-	Sink      PinRef // sink pin; for POs, Gate = -1 and Pin = PO index
-}
-
-// Connections enumerates every driver->sink connection of the netlist.
-func (nl *Netlist) Connections() []ConnectionKey {
-	var keys []ConnectionKey
-	for _, n := range nl.Nets {
-		for _, s := range n.Sinks {
-			keys = append(keys, ConnectionKey{DriverNet: n.ID, Sink: s})
-		}
-		for _, po := range n.POs {
-			keys = append(keys, ConnectionKey{DriverNet: n.ID, Sink: PinRef{Gate: -1, Pin: po}})
-		}
-	}
-	return keys
-}
-
 // DiffConnections compares the connectivity of nl against ref (same gate
 // and net numbering assumed, e.g. ref is a Clone made before editing) and
 // returns the pins whose feeding net changed.

@@ -13,7 +13,6 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -380,18 +379,6 @@ func (nl *Netlist) GateByName(name string) *Gate {
 	return nil
 }
 
-// NetByName returns the net with the given name, or nil. The pointer
-// aliases the netlist's net table and is invalidated by the next
-// AddPI/AddGate.
-func (nl *Netlist) NetByName(name string) *Net {
-	for i := range nl.Nets {
-		if nl.Nets[i].Name == name {
-			return &nl.Nets[i]
-		}
-	}
-	return nil
-}
-
 // Stats summarizes structural properties of a netlist.
 type Stats struct {
 	Gates      int
@@ -455,15 +442,4 @@ func (nl *Netlist) ComputeStats() Stats {
 func (s Stats) String() string {
 	return fmt.Sprintf("gates=%d nets=%d PI=%d PO=%d dff=%d depth=%d avgFO=%.2f maxFO=%d",
 		s.Gates, s.Nets, s.PIs, s.POs, s.DFFs, s.Depth, s.AvgFanout, s.MaxFanout)
-}
-
-// SortedGateNames returns all gate instance names sorted, mainly for
-// deterministic test output.
-func (nl *Netlist) SortedGateNames() []string {
-	names := make([]string, len(nl.Gates))
-	for i, g := range nl.Gates {
-		names[i] = g.Name
-	}
-	sort.Strings(names)
-	return names
 }

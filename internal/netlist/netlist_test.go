@@ -372,22 +372,6 @@ func TestPropertySwapCreatesLoopIsExact(t *testing.T) {
 	}
 }
 
-func TestConnectionsEnumeration(t *testing.T) {
-	nl := buildFullAdder()
-	conns := nl.Connections()
-	// pins: x1(2) x2(2) a1(2) a2(2) o1(2) = 10, POs: 2 => 12
-	if len(conns) != 12 {
-		t.Fatalf("got %d connections, want 12", len(conns))
-	}
-	seen := make(map[ConnectionKey]bool)
-	for _, c := range conns {
-		if seen[c] {
-			t.Fatalf("duplicate connection %+v", c)
-		}
-		seen[c] = true
-	}
-}
-
 func TestStatsFanout(t *testing.T) {
 	nl := buildFullAdder()
 	s := nl.ComputeStats()

@@ -58,33 +58,6 @@ func (nl *Netlist) HasCombLoop() bool {
 	return !ok
 }
 
-// ReachableGates returns the set of gate IDs combinationally reachable from
-// the output of gate `from` (not crossing DFF boundaries, excluding `from`
-// itself unless it lies on a cycle).
-func (nl *Netlist) ReachableGates(from int) map[int]bool {
-	seen := make(map[int]bool)
-	var stack []int
-	push := func(netID int) {
-		for _, s := range nl.Nets[netID].Sinks {
-			if !seen[s.Gate] {
-				seen[s.Gate] = true
-				stack = append(stack, s.Gate)
-			}
-		}
-	}
-	push(nl.Gates[from].Out)
-	for len(stack) > 0 {
-		gid := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		g := nl.Gates[gid]
-		if g.Type.IsSequential() {
-			continue // stop at state boundary
-		}
-		push(g.Out)
-	}
-	return seen
-}
-
 // PathExists reports whether a combinational path exists from the output of
 // gate `from` to (any input of) gate `to`. It is the loop-safety oracle used
 // by the randomization stage: connecting the output of `to` into the fan-in

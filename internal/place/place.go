@@ -20,11 +20,13 @@ import (
 // MaxUtilPercent is the highest row utilization Place accepts.
 const MaxUtilPercent = 95
 
+// iterations is the number of global-placement iterations.
+const iterations = 24
+
 // Options configures placement.
 type Options struct {
 	UtilPercent int   // target row utilization (paper: 56–77 for superblue)
 	Seed        int64 // RNG seed for the initial scatter
-	Iterations  int   // global-placement iterations; 0 = default (24)
 }
 
 // Cell is one placed instance.
@@ -105,13 +107,6 @@ func Place(nl *netlist.Netlist, masters []*cell.Master, opt Options) (*Placement
 	if opt.UtilPercent <= 0 || opt.UtilPercent > MaxUtilPercent {
 		return nil, fmt.Errorf("place: utilization %d%% out of range (1..%d)", opt.UtilPercent, MaxUtilPercent)
 	}
-	iters := opt.Iterations
-	if iters == 0 {
-		iters = 24
-	}
-	if iters < 0 {
-		iters = -iters - 1 // -1 = zero iterations, -9 = eight, etc. (test hook)
-	}
 	// Die sizing: square-ish outline at the requested utilization.
 	var cellArea float64
 	for _, m := range masters {
@@ -153,7 +148,7 @@ func Place(nl *netlist.Netlist, masters []*cell.Master, opt Options) (*Placement
 		xs[i] = (float64(hx)+0.5)/float64(hside)*float64(die.W()) + jx
 		ys[i] = (float64(hy)+0.5)/float64(hside)*float64(die.H()) + jy
 	}
-	p.globalPlace(nl, masters, xs, ys, iters)
+	p.globalPlace(nl, masters, xs, ys, iterations)
 	// Legalize with progressively tighter gap budgets: generous gaps keep
 	// cells near their global-placement spots; if the die is too full for
 	// that, tighter packing always succeeds given the utilization bound.

@@ -60,9 +60,8 @@ func iscasVariantDesign(nl *netlist.Netlist, variant string, lib *cell.Library, 
 		d, err := correction.BuildOriginal(nl, lib, correction.Options{LiftLayer: 6, UtilPercent: 70, Seed: cfg.Seed})
 		return d, nil, err
 	case "proposed":
-		res, err := flow.Protect(context.Background(), nl, lib, flow.Config{
-			LiftLayer: 6, UtilPercent: 70, Seed: cfg.Seed, PPABudgetPercent: 20,
-		})
+		res, err := flow.Protect(context.Background(), lib,
+			flow.Bench{Netlist: nl, LiftLayer: 6, UtilPercent: 70, PPABudgetPercent: 20}, flow.Options{Seed: cfg.Seed})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -97,10 +96,8 @@ func SecurityStudy(variant string, cfg Config) ([]SecurityRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		opt := flow.EvalOptions{
-			SplitLayers: []int{3, 4, 5}, OnlyPins: filter, Seed: cfg.Seed, PatternWords: cfg.PatternWords,
-		}
-		sec, err := flow.EvaluateSecurity(context.Background(), d, nl, opt)
+		opt := flow.Options{SplitLayers: []int{3, 4, 5}, Seed: cfg.Seed, PatternWords: cfg.PatternWords}
+		sec, err := flow.EvaluateSecurity(context.Background(), d, nl, filter, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -204,9 +201,8 @@ func Fig6PPA(cfg Config) (*Table, []PPARow, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := flow.Protect(context.Background(), nl, lib, flow.Config{
-			LiftLayer: 6, UtilPercent: 70, Seed: cfg.Seed, PPABudgetPercent: 20,
-		})
+		res, err := flow.Protect(context.Background(), lib,
+			flow.Bench{Netlist: nl, LiftLayer: 6, UtilPercent: 70, PPABudgetPercent: 20}, flow.Options{Seed: cfg.Seed})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -276,9 +272,8 @@ func AblationSwapBudget(name string, budgets []int, cfg Config) (*Table, error) 
 		if err != nil {
 			return nil, err
 		}
-		sec, err := flow.EvaluateSecurity(context.Background(), p.Design, nl, flow.EvalOptions{
-			SplitLayers: []int{3, 4, 5}, OnlyPins: p.ProtectedSinks(), Seed: cfg.Seed, PatternWords: cfg.PatternWords,
-		})
+		sec, err := flow.EvaluateSecurity(context.Background(), p.Design, nl, p.ProtectedSinks(),
+			flow.Options{SplitLayers: []int{3, 4, 5}, Seed: cfg.Seed, PatternWords: cfg.PatternWords})
 		if err != nil {
 			return nil, err
 		}

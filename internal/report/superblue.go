@@ -147,8 +147,10 @@ func Table1(cfg Config) (*Table, error) {
 }
 
 // Fig4CSV emits the per-connection distance series for one design (the
-// paper plots superblue18) as CSV: variant,net,distance_um, where net is
-// the connection's index in the variant's series.
+// paper plots superblue18) as CSV: variant,index,distance_um, where index
+// is the row's position in the variant's series. Every variant visits the
+// same protected sink pins in sorted (gate, pin) order, so rows with equal
+// index in the three variants are the same protected connection.
 func Fig4CSV(name string, cfg Config) (string, error) {
 	cfg = cfg.WithDefaults()
 	b, err := buildSuperblueBundle(name, cfg)
@@ -156,7 +158,7 @@ func Fig4CSV(name string, cfg Config) (string, error) {
 		return "", err
 	}
 	var sb strings.Builder
-	sb.WriteString("variant,net,distance_um\n")
+	sb.WriteString("variant,index,distance_um\n")
 	emit := func(label string, pl *place.Placement) {
 		ds := protectedDistances(b.Netlist, pl, b.Protected)
 		for i, d := range ds {
@@ -439,7 +441,6 @@ func SuperbluePPA(cfg Config) (*Table, error) {
 // protectSuperblue runs the budgeted flow with the paper's superblue
 // settings: lift to M8, 5% PPA budget.
 func protectSuperblue(nl *netlist.Netlist, lib *cell.Library, util int, cfg Config) (*flow.ProtectResult, error) {
-	return flow.Protect(context.Background(), nl, lib, flow.Config{
-		LiftLayer: 8, UtilPercent: util, Seed: cfg.Seed, PPABudgetPercent: 5,
-	})
+	return flow.Protect(context.Background(), lib,
+		flow.Bench{Netlist: nl, LiftLayer: 8, UtilPercent: util, PPABudgetPercent: 5}, flow.Options{Seed: cfg.Seed})
 }

@@ -38,7 +38,7 @@ var errPanicked = errors.New("route: wave job panicked")
 // waveTileGCells is the bucket size the wave partition hashes job regions
 // into. Conflicts are detected at tile granularity (two jobs sharing a
 // tile are serialized into different waves), so the tile must be small
-// relative to a typical declared region (>= 2*MaxDetour+1 gcells wide) or
+// relative to a typical declared region (>= 2*maxDetour+1 gcells wide) or
 // tile-sharing degenerates into a global chain: real ISCAS/superblue
 // grids are only 45-160 gcells across.
 const waveTileGCells = 8
@@ -49,7 +49,7 @@ const waveTileGCells = 8
 // concurrently:
 //
 // Each job declares a region — its pin bounding box (plus any existing
-// route's bounding box) expanded by MaxDetour gcells per sink, the bound
+// route's bounding box) expanded by maxDetour gcells per sink, the bound
 // on how far its searches can read or write congestion state. The batch is
 // partitioned into deterministic waves such that jobs within a wave have
 // pairwise disjoint regions (and any two conflicting jobs keep their
@@ -404,7 +404,7 @@ func (r *Router) partition(jobs []Job, corrs []corridor) ([]wave, bool) {
 
 // declaredRegion is the spatial bound job searches must stay within when
 // routed concurrently: the bounding box of its pins and any existing route
-// being replaced, expanded by MaxDetour gcells per sink (each sink's
+// being replaced, expanded by maxDetour gcells per sink (each sink's
 // search can expand the tree's bounding box by one first-attempt detour).
 // interacts is false only for jobs that neither read nor write congestion
 // state: single-pin jobs with no existing route to rip up. A single-pin
@@ -445,7 +445,7 @@ func (r *Router) declaredRegion(j Job) (region, bool) {
 		return reg, false
 	}
 	if k := len(j.Pins) - 1; k > 0 {
-		m := r.Opt.MaxDetour * k
+		m := maxDetour * k
 		reg.loX = geom.Clamp(reg.loX-m, 0, g.W-1)
 		reg.loY = geom.Clamp(reg.loY-m, 0, g.H-1)
 		reg.hiX = geom.Clamp(reg.hiX+m, 0, g.W-1)

@@ -30,6 +30,10 @@ import (
 // DefaultGCellNM is the default gcell pitch (two row heights).
 const DefaultGCellNM = 2800
 
+// maxDetour is how many gcells a search region extends past the bounding
+// box of the tree and its target (the retry extends four times as far).
+const maxDetour = 12
+
 // Node is a grid vertex: gcell coordinates plus layer (1-based).
 type Node struct {
 	X, Y, Z int
@@ -101,7 +105,6 @@ type Options struct {
 	ViaCost     int     // cost of one via step relative to gcell length; 0 = default
 	Capacity    int     // tracks per gcell edge per layer; 0 = derived from the gcell pitch (see NewRouter)
 	HistoryCost float64 // congestion penalty weight; 0 = default (2.0)
-	MaxDetour   int     // extra gcells allowed around the bbox; 0 = default (12)
 
 	// Strategy selects flat or hierarchical batched routing (see
 	// strategy.go); the zero value is StrategyAuto, which resolves by die
@@ -130,9 +133,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HistoryCost == 0 {
 		o.HistoryCost = 2.0
-	}
-	if o.MaxDetour == 0 {
-		o.MaxDetour = 12
 	}
 	if o.Strategy == "" {
 		o.Strategy = StrategyAuto

@@ -5,7 +5,7 @@ import "fmt"
 // Strategy selects how batched routing (RouteJobs) explores the grid.
 //
 // The flat strategy routes every net with a single-level A* whose search
-// region is the net's bounding box expanded by MaxDetour gcells — simple
+// region is the net's bounding box expanded by maxDetour gcells — simple
 // and exact, but the high-fanout tail's regions grow with the die, so
 // per-net cost scales with die area. The hier strategy first runs a
 // serial coarse pass on a tile grid (coarse.go) that assigns every

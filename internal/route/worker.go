@@ -306,7 +306,7 @@ func (w *worker) wireOK(x, y int) bool {
 // search runs A* from the tree frontier to the target node. Wire moves are
 // restricted to layers >= wireMin in the layer's preferred direction; via
 // moves are always allowed. The search region is the bounding box of the
-// tree and target expanded by MaxDetour gcells, retried once at 4x detour
+// tree and target expanded by maxDetour gcells, retried once at 4x detour
 // — except in bounded mode, where any region not contained in bound
 // (including the retry) aborts with errEscaped.
 //
@@ -327,7 +327,7 @@ func (w *worker) search(target Node, wireMin int, bound *region) ([]Edge, error)
 		}
 		return nil, errCorridor
 	}
-	for _, detour := range []int{w.r.Opt.MaxDetour, w.r.Opt.MaxDetour * 4} {
+	for _, detour := range []int{maxDetour, maxDetour * 4} {
 		reg := w.searchRegion(target, detour)
 		if bound != nil && !bound.contains(reg) {
 			return nil, errEscaped

@@ -1,25 +1,20 @@
 package splitmfg
 
+import (
+	"splitmfg/internal/flow"
+	"splitmfg/internal/route"
+)
+
 // Option configures a Pipeline.
 type Option func(*pipelineConfig)
 
+// pipelineConfig is the flow's design-independent options plus the three
+// physical-design settings that default per design (Pipeline.bench).
 type pipelineConfig struct {
-	liftLayer    int
-	utilPercent  int
-	seed         int64
-	budget       float64
-	targetOER    float64
-	patternWords int
-	splitLayers  []int
-	attackers    []string
-	defenses     []string
-	fraction     float64
-	replicates   int
-	maxAttempts  int
-	parallelism  int
-	routeStrat   string
-	cacheDir     string
-	progress     ProgressFunc
+	flow.Options
+	liftLayer   int
+	utilPercent int
+	budget      float64
 }
 
 // defaultSeed is the master seed used when none is set — the one option
@@ -29,7 +24,7 @@ type pipelineConfig struct {
 const defaultSeed = 1
 
 func defaultPipelineConfig() pipelineConfig {
-	return pipelineConfig{seed: defaultSeed}
+	return pipelineConfig{Options: flow.Options{Seed: defaultSeed}}
 }
 
 // WithLiftLayer sets the metal layer the randomized nets are lifted to
@@ -52,7 +47,7 @@ func WithUtilization(percent int) Option {
 // placement jitter, per-layer attack patterns) is a deterministic function
 // of it, so a fixed seed reproduces byte-identical reports.
 func WithSeed(seed int64) Option {
-	return func(c *pipelineConfig) { c.seed = seed }
+	return func(c *pipelineConfig) { c.Seed = seed }
 }
 
 // WithPPABudget sets the allowed power/delay overhead percentage for the
@@ -63,13 +58,13 @@ func WithPPABudget(percent float64) Option {
 
 // WithTargetOER sets the randomization stop criterion (default 0.999).
 func WithTargetOER(oer float64) Option {
-	return func(c *pipelineConfig) { c.targetOER = oer }
+	return func(c *pipelineConfig) { c.TargetOER = oer }
 }
 
 // WithPatternWords sets the simulation depth for OER/HD metrics in
 // 64-pattern words (default 256 = 16384 patterns).
 func WithPatternWords(words int) Option {
-	return func(c *pipelineConfig) { c.patternWords = words }
+	return func(c *pipelineConfig) { c.PatternWords = words }
 }
 
 // WithSplitLayers sets the split layers Evaluate attacks and averages over
@@ -77,7 +72,7 @@ func WithPatternWords(words int) Option {
 // metal above it, so valid layers run from M1 to M9 of the ten-layer
 // stack; Validate rejects the rest.
 func WithSplitLayers(layers ...int) Option {
-	return func(c *pipelineConfig) { c.splitLayers = append([]int(nil), layers...) }
+	return func(c *pipelineConfig) { c.SplitLayers = append([]int(nil), layers...) }
 }
 
 // WithAttackers selects the attacker engines Evaluate runs at every split
@@ -88,7 +83,7 @@ func WithSplitLayers(layers ...int) Option {
 // CCR/OER/HD become the report's headline numbers; every engine gets its
 // own per-layer and averaged sections.
 func WithAttackers(names ...string) Option {
-	return func(c *pipelineConfig) { c.attackers = append([]string(nil), names...) }
+	return func(c *pipelineConfig) { c.Attackers = append([]string(nil), names...) }
 }
 
 // WithDefenses selects the defense schemes Matrix builds and attacks
@@ -97,14 +92,14 @@ func WithAttackers(names ...string) Option {
 // list; an unknown name fails Matrix with an error naming the registry.
 // Each defense becomes one row of the matrix, in the given order.
 func WithDefenses(names ...string) Option {
-	return func(c *pipelineConfig) { c.defenses = append([]string(nil), names...) }
+	return func(c *pipelineConfig) { c.Defenses = append([]string(nil), names...) }
 }
 
 // WithFraction sets the perturbed fraction the prior-art defense schemes
 // use (defense-specific meaning; default: each scheme's published-ish
 // value, 0.15).
 func WithFraction(f float64) Option {
-	return func(c *pipelineConfig) { c.fraction = f }
+	return func(c *pipelineConfig) { c.Fraction = f }
 }
 
 // WithReplicates sets how many seed replicates Suite runs per
@@ -113,13 +108,13 @@ func WithFraction(f float64) Option {
 // seed itself — and the suite report carries mean ± standard deviation
 // over the replicates, like the paper's averaged-run tables.
 func WithReplicates(n int) Option {
-	return func(c *pipelineConfig) { c.replicates = n }
+	return func(c *pipelineConfig) { c.Replicates = n }
 }
 
 // WithMaxAttempts caps the Protect escalation loop (default 6). 1 runs a
 // single randomize-and-build pass with no escalation.
 func WithMaxAttempts(n int) Option {
-	return func(c *pipelineConfig) { c.maxAttempts = n }
+	return func(c *pipelineConfig) { c.MaxAttempts = n }
 }
 
 // WithParallelism sets the one worker budget every entry point runs
@@ -132,7 +127,7 @@ func WithMaxAttempts(n int) Option {
 // so layouts — and every report derived from them — are byte-identical
 // at every parallelism level.
 func WithParallelism(n int) Option {
-	return func(c *pipelineConfig) { c.parallelism = n }
+	return func(c *pipelineConfig) { c.Parallelism = n }
 }
 
 // WithRouteStrategy selects how each place-and-route explores the routing
@@ -145,7 +140,7 @@ func WithParallelism(n int) Option {
 // byte-identical at every parallelism level for a fixed strategy), so it
 // is part of every cache identity. An unknown name fails validation.
 func WithRouteStrategy(name string) Option {
-	return func(c *pipelineConfig) { c.routeStrat = name }
+	return func(c *pipelineConfig) { c.RouteStrategy = route.Strategy(name) }
 }
 
 // WithCacheDir backs Suite's result cache with a disk-based
@@ -158,11 +153,11 @@ func WithRouteStrategy(name string) Option {
 // stale entries are quarantined and recomputed, never trusted. Empty
 // (the default) keeps the cache memory-only.
 func WithCacheDir(dir string) Option {
-	return func(c *pipelineConfig) { c.cacheDir = dir }
+	return func(c *pipelineConfig) { c.CacheDir = dir }
 }
 
 // WithProgress installs a progress hook receiving stage-completion events
 // with per-stage timings.
 func WithProgress(fn ProgressFunc) Option {
-	return func(c *pipelineConfig) { c.progress = fn }
+	return func(c *pipelineConfig) { c.Progress = fn }
 }

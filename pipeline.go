@@ -13,7 +13,6 @@ import (
 	defengine "splitmfg/internal/defense/engine"
 	"splitmfg/internal/defense/randomize"
 	"splitmfg/internal/flow"
-	"splitmfg/internal/route"
 )
 
 // Pipeline is the package's entry point: a configured instance of the
@@ -33,12 +32,12 @@ func New(opts ...Option) *Pipeline {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if fn := cfg.progress; fn != nil {
+	if fn := cfg.Progress; fn != nil {
 		// Serialize the user's hook across every entry point of this
 		// Pipeline, not just within one call, so concurrent Protect/Evaluate
 		// calls keep the documented no-locking-needed guarantee.
 		var mu sync.Mutex
-		cfg.progress = func(ev ProgressEvent) {
+		cfg.Progress = func(ev ProgressEvent) {
 			mu.Lock()
 			defer mu.Unlock()
 			fn(ev)
@@ -47,31 +46,27 @@ func New(opts ...Option) *Pipeline {
 	return &Pipeline{cfg: cfg, lib: cell.NewNangate45Like()}
 }
 
-// flowConfig resolves the pipeline settings against a design's
-// recommendations.
-func (p *Pipeline) flowConfig(d *Design) flow.Config {
-	c := p.cfg
-	fc := flow.Config{
-		LiftLayer:        c.liftLayer,
-		UtilPercent:      c.utilPercent,
-		Seed:             c.seed,
-		PPABudgetPercent: c.budget,
-		TargetOER:        c.targetOER,
-		MaxAttempts:      c.maxAttempts,
-		RouteParallelism: c.parallelism,
-		RouteStrategy:    route.Strategy(c.routeStrat),
-		Progress:         c.progress,
+// bench resolves the design's physical-design settings, the pipeline's
+// where set and the design's recommendations otherwise.
+func (p *Pipeline) bench(d *Design) flow.Bench {
+	b := flow.Bench{
+		Name:             d.name,
+		Netlist:          d.nl,
+		Scale:            d.scale,
+		LiftLayer:        p.cfg.liftLayer,
+		UtilPercent:      p.cfg.utilPercent,
+		PPABudgetPercent: p.cfg.budget,
 	}
-	if fc.LiftLayer == 0 {
-		fc.LiftLayer = d.recLift
+	if b.LiftLayer == 0 {
+		b.LiftLayer = d.recLift
 	}
-	if fc.UtilPercent == 0 {
-		fc.UtilPercent = d.recUtil
+	if b.UtilPercent == 0 {
+		b.UtilPercent = d.recUtil
 	}
-	if fc.PPABudgetPercent == 0 {
-		fc.PPABudgetPercent = d.recBudget
+	if b.PPABudgetPercent == 0 {
+		b.PPABudgetPercent = d.recBudget
 	}
-	return fc
+	return b
 }
 
 // Protect runs the full Fig.-2 protection flow on the design: randomize to
@@ -80,12 +75,12 @@ func (p *Pipeline) flowConfig(d *Design) flow.Config {
 // through the BEOL, escalating randomization against the PPA budget. The
 // context is honored at every stage boundary.
 func (p *Pipeline) Protect(ctx context.Context, d *Design) (*ProtectResult, error) {
-	fc := p.flowConfig(d)
-	res, err := flow.Protect(ctx, d.nl, p.lib, fc)
+	b := p.bench(d)
+	res, err := flow.Protect(ctx, p.lib, b, p.cfg.Options)
 	if err != nil {
 		return nil, err
 	}
-	return &ProtectResult{design: d, cfg: fc, res: res}, nil
+	return &ProtectResult{design: d, report: res.Report(b, p.cfg.Options), res: res}, nil
 }
 
 // Evaluate runs the configured attacker engines (WithAttackers, default
@@ -95,26 +90,13 @@ func (p *Pipeline) Protect(ctx context.Context, d *Design) (*ProtectResult, erro
 // (WithParallelism) with per-(layer, engine) derived seeds, so the report
 // is identical at every parallelism level.
 func (p *Pipeline) Evaluate(ctx context.Context, l *Layout) (*SecurityReport, error) {
-	opt := p.evalOptions()
-	opt.OnlyPins = l.onlyPins // protected layouts score their randomized sinks only
-	sec, err := flow.EvaluateSecurity(ctx, l.d, l.ref, opt)
+	// Protected layouts score their randomized sinks only.
+	sec, err := flow.EvaluateSecurity(ctx, l.d, l.ref, l.onlyPins, p.cfg.Options)
 	if err != nil {
 		return nil, err
 	}
-	rep := sec.Report(l.name, opt)
+	rep := sec.Report(l.name, p.cfg.Options)
 	return &rep, nil
-}
-
-func (p *Pipeline) evalOptions() flow.EvalOptions {
-	c := p.cfg
-	return flow.EvalOptions{
-		SplitLayers:  c.splitLayers,
-		Attackers:    c.attackers,
-		Seed:         c.seed,
-		PatternWords: c.patternWords,
-		Parallelism:  c.parallelism,
-		Progress:     c.progress,
-	}
 }
 
 // Attackers lists the registered attacker engines, sorted by name. Any of
@@ -193,43 +175,12 @@ func splitList(s string) []string {
 // keep the report byte-identical at every parallelism level. Progress
 // events are Suite's (StageSuiteBaseline, StageAttack, StageSuiteCell).
 func (p *Pipeline) Matrix(ctx context.Context, d *Design) (*MatrixReport, error) {
-	opt := p.matrixOptions()
-	res, err := flow.EvaluateMatrix(ctx, p.lib, p.suiteBenchmark(d), opt)
+	res, err := flow.EvaluateMatrix(ctx, p.lib, p.bench(d), p.cfg.Options)
 	if err != nil {
 		return nil, err
 	}
-	rep := res.Report(d.name, opt)
+	rep := res.Report(d.name, p.cfg.Options)
 	return &rep, nil
-}
-
-// matrixOptions carries the pipeline settings Matrix and Suite share.
-func (p *Pipeline) matrixOptions() flow.MatrixOptions {
-	c := p.cfg
-	return flow.MatrixOptions{
-		Defenses:      c.defenses,
-		Attackers:     c.attackers,
-		SplitLayers:   c.splitLayers,
-		Seed:          c.seed,
-		PatternWords:  c.patternWords,
-		Parallelism:   c.parallelism,
-		TargetOER:     c.targetOER,
-		Fraction:      c.fraction,
-		RouteStrategy: route.Strategy(c.routeStrat),
-		Progress:      c.progress,
-	}
-}
-
-// suiteBenchmark resolves the design's physical-design settings against
-// its recommendations.
-func (p *Pipeline) suiteBenchmark(d *Design) flow.SuiteBenchmark {
-	fc := p.flowConfig(d)
-	return flow.SuiteBenchmark{
-		Name:        d.name,
-		Netlist:     d.nl,
-		Scale:       d.scale,
-		LiftLayer:   fc.LiftLayer,
-		UtilPercent: fc.UtilPercent,
-	}
 }
 
 // Suite fans the full (benchmark × defense × attacker × seed-replicate)
@@ -243,19 +194,15 @@ func (p *Pipeline) suiteBenchmark(d *Design) flow.SuiteBenchmark {
 // events (StageSuiteBaseline, StageSuiteCell) and the computed cells'
 // StageAttack events flow through the configured WithProgress hook.
 func (p *Pipeline) Suite(ctx context.Context, designs []*Design) (*SuiteReport, error) {
-	opt := flow.SuiteOptions{
-		MatrixOptions: p.matrixOptions(),
-		Replicates:    p.cfg.replicates,
-		CacheDir:      p.cfg.cacheDir,
+	benches := make([]flow.Bench, len(designs))
+	for i, d := range designs {
+		benches[i] = p.bench(d)
 	}
-	for _, d := range designs {
-		opt.Benchmarks = append(opt.Benchmarks, p.suiteBenchmark(d))
-	}
-	res, err := flow.EvaluateSuite(ctx, p.lib, opt)
+	res, err := flow.EvaluateSuite(ctx, p.lib, benches, p.cfg.Options)
 	if err != nil {
 		return nil, err
 	}
-	rep := res.Report(opt)
+	rep := res.Report(p.cfg.Options)
 	return &rep, nil
 }
 
@@ -276,7 +223,7 @@ func (p *Pipeline) Baseline(ctx context.Context, d *Design) (*Layout, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	bl, err := correction.BuildOriginal(d.nl, p.lib, p.flowConfig(d).BuildOptions("baseline"))
+	bl, err := correction.BuildOriginal(d.nl, p.lib, flow.BuildOptions(p.bench(d), p.cfg.Options, "baseline"))
 	if err != nil {
 		return nil, err
 	}
@@ -292,15 +239,15 @@ func (p *Pipeline) Randomized(ctx context.Context, d *Design) (*Layout, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(p.cfg.seed))
-	r, err := randomize.Randomize(d.nl, rng, randomize.Options{TargetOER: p.cfg.targetOER})
+	rng := rand.New(rand.NewSource(p.cfg.Seed))
+	r, err := randomize.Randomize(d.nl, rng, randomize.Options{TargetOER: p.cfg.TargetOER})
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pr, err := correction.BuildProtected(d.nl, r, p.lib, p.flowConfig(d).BuildOptions("protected"))
+	pr, err := correction.BuildProtected(d.nl, r, p.lib, flow.BuildOptions(p.bench(d), p.cfg.Options, "protected"))
 	if err != nil {
 		return nil, err
 	}
@@ -315,13 +262,13 @@ func (p *Pipeline) NaiveLifted(ctx context.Context, d *Design) (*Layout, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(p.cfg.seed))
-	r, err := randomize.Randomize(d.nl, rng, randomize.Options{TargetOER: p.cfg.targetOER})
+	rng := rand.New(rand.NewSource(p.cfg.Seed))
+	r, err := randomize.Randomize(d.nl, rng, randomize.Options{TargetOER: p.cfg.TargetOER})
 	if err != nil {
 		return nil, err
 	}
 	sinks := correction.SortedPins(r.Protected)
-	np, err := correction.BuildNaiveLifted(d.nl, sinks, p.lib, p.flowConfig(d).BuildOptions("lifted"))
+	np, err := correction.BuildNaiveLifted(d.nl, sinks, p.lib, flow.BuildOptions(p.bench(d), p.cfg.Options, "lifted"))
 	if err != nil {
 		return nil, err
 	}

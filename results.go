@@ -132,14 +132,12 @@ func (l *Layout) Split(layer int) (SplitSummary, error) {
 // the unprotected baseline it is compared against, and the PPA accounting.
 type ProtectResult struct {
 	design *Design
-	cfg    flow.Config
+	report ProtectReport
 	res    *flow.ProtectResult
 }
 
 // Report summarizes the run as the unified JSON-serializable report.
-func (r *ProtectResult) Report() ProtectReport {
-	return r.res.Report(r.design.nl, r.cfg)
-}
+func (r *ProtectResult) Report() ProtectReport { return r.report }
 
 // ProtectedLayout returns the protected design, scored over its protected
 // (randomized) sink pins — the paper's evaluation target.

@@ -48,42 +48,42 @@ func (p *Pipeline) Validate() error {
 	if c.budget < 0 {
 		return &OptionError{"WithPPABudget", fmt.Sprintf("PPA budget %g%% is negative", c.budget)}
 	}
-	if c.targetOER < 0 || c.targetOER > 1 {
-		return &OptionError{"WithTargetOER", fmt.Sprintf("target OER %g outside [0, 1]", c.targetOER)}
+	if c.TargetOER < 0 || c.TargetOER > 1 {
+		return &OptionError{"WithTargetOER", fmt.Sprintf("target OER %g outside [0, 1]", c.TargetOER)}
 	}
-	if c.patternWords < 0 {
-		return &OptionError{"WithPatternWords", fmt.Sprintf("pattern words %d is negative", c.patternWords)}
+	if c.PatternWords < 0 {
+		return &OptionError{"WithPatternWords", fmt.Sprintf("pattern words %d is negative", c.PatternWords)}
 	}
-	for _, layer := range c.splitLayers {
+	for _, layer := range c.SplitLayers {
 		if layer < 1 || layer > cell.NumLayers-1 {
 			return &OptionError{"WithSplitLayers", fmt.Sprintf("split layer %d outside M1..M%d", layer, cell.NumLayers-1)}
 		}
 	}
-	if c.fraction < 0 || c.fraction > 1 {
-		return &OptionError{"WithFraction", fmt.Sprintf("fraction %g outside (0, 1]", c.fraction)}
+	if c.Fraction < 0 || c.Fraction > 1 {
+		return &OptionError{"WithFraction", fmt.Sprintf("fraction %g outside (0, 1]", c.Fraction)}
 	}
-	if c.replicates < 0 {
-		return &OptionError{"WithReplicates", fmt.Sprintf("replicate count %d is negative", c.replicates)}
+	if c.Replicates < 0 {
+		return &OptionError{"WithReplicates", fmt.Sprintf("replicate count %d is negative", c.Replicates)}
 	}
-	if c.maxAttempts < 0 {
-		return &OptionError{"WithMaxAttempts", fmt.Sprintf("attempt cap %d is negative", c.maxAttempts)}
+	if c.MaxAttempts < 0 {
+		return &OptionError{"WithMaxAttempts", fmt.Sprintf("attempt cap %d is negative", c.MaxAttempts)}
 	}
-	if c.parallelism < 0 {
-		return &OptionError{"WithParallelism", fmt.Sprintf("parallelism %d is negative", c.parallelism)}
+	if c.Parallelism < 0 {
+		return &OptionError{"WithParallelism", fmt.Sprintf("parallelism %d is negative", c.Parallelism)}
 	}
-	if _, err := route.ParseStrategy(c.routeStrat); err != nil {
+	if _, err := route.ParseStrategy(string(c.RouteStrategy)); err != nil {
 		return &OptionError{"WithRouteStrategy", err.Error()}
 	}
 	// An empty list means "the default engine", so only non-empty lists
 	// resolve; resolution rejects blank and unknown names, naming the
 	// registry contents in the reason.
-	if len(c.attackers) > 0 {
-		if _, err := engine.Resolve(c.attackers); err != nil {
+	if len(c.Attackers) > 0 {
+		if _, err := engine.Resolve(c.Attackers); err != nil {
 			return &OptionError{"WithAttackers", err.Error()}
 		}
 	}
-	if len(c.defenses) > 0 {
-		if _, err := defengine.Resolve(c.defenses); err != nil {
+	if len(c.Defenses) > 0 {
+		if _, err := defengine.Resolve(c.Defenses); err != nil {
 			return &OptionError{"WithDefenses", err.Error()}
 		}
 	}
