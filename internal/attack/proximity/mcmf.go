@@ -195,7 +195,7 @@ func (g *mcmf) run(ctx context.Context, s, t int) (flow int32, cost int64, err e
 			}
 			level[s] = 0
 			queue = append(queue[:0], int32(s))
-			for h := 0; h < len(queue); h++ {
+			for h := 0; h < len(queue) && level[t] < 0; h++ {
 				u := queue[h]
 				for e := g.head[u]; e >= 0; e = g.next[e] {
 					v := g.to[e]
