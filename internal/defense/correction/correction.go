@@ -365,7 +365,7 @@ func (p *Protected) restore() error {
 		}
 		return err
 	}
-	d.Router.NegotiateReroute(3)
+	d.Router.NegotiateReroute()
 	return nil
 }
 

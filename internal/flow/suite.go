@@ -41,7 +41,11 @@ import (
 // row carries no PPA overheads; they are applied from the cached
 // baseline after every job ends. The stored value changed shape, so
 // entries of the two shapes are kept apart.
-const suiteKeySchema = 5
+//
+// Schema 6: congestion negotiation re-routes only each overflowed edge's
+// excess nets and stops when a pass stalls, so every negotiated layout,
+// and the reports built on it, changed.
+const suiteKeySchema = 6
 
 // Suite-level stages, emitted through the same ProgressFunc stream the
 // rest of the flow uses.

@@ -283,7 +283,7 @@ func (d *Design) RouteAll(lifts map[int]int) error {
 		}
 		return err
 	}
-	d.Router.NegotiateReroute(3)
+	d.Router.NegotiateReroute()
 	return nil
 }
 

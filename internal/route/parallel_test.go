@@ -267,7 +267,7 @@ func TestNegotiateRerouteRestoresHistoryCost(t *testing.T) {
 		t.Fatal("setup produced no overflow; negotiation has nothing to escalate")
 	}
 	before := r.Opt.HistoryCost
-	r.NegotiateReroute(3)
+	r.NegotiateReroute()
 	if r.Opt.HistoryCost != before {
 		t.Fatalf("HistoryCost leaked: %v before, %v after negotiation", before, r.Opt.HistoryCost)
 	}
@@ -288,7 +288,7 @@ func TestNegotiateConservesRoutes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.NegotiateReroute(4)
+	r.NegotiateReroute()
 	if r.NumNets() != 16 {
 		t.Fatalf("negotiation lost nets: %d of 16 remain", r.NumNets())
 	}

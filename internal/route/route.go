@@ -19,6 +19,7 @@
 package route
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -33,6 +34,14 @@ const DefaultGCellNM = 2800
 // maxDetour is how many gcells a search region extends past the bounding
 // box of the tree and its target (the retry extends four times as far).
 const maxDetour = 12
+
+// Negotiation stops after maxNegotiatePasses passes, or after the first
+// pass that clears less than stallPercent of the overflowed edges it
+// started with (see NegotiateReroute).
+const (
+	maxNegotiatePasses = 10
+	stallPercent       = 5
+)
 
 // Node is a grid vertex: gcell coordinates plus layer (1-based).
 type Node struct {
@@ -253,6 +262,7 @@ func (r *Router) node(i int32) Node {
 // views — mutate a net only through RouteNet/RipUp.
 func (r *Router) Nets() map[int]*RoutedNet {
 	m := make(map[int]*RoutedNet, len(r.nets))
+	//smlint:ordered copies the map: the result is the same in any order
 	for id, rn := range r.nets {
 		m[id] = rn
 	}
@@ -268,6 +278,7 @@ func (r *Router) NumNets() int { return len(r.nets) }
 // Nets makes.
 func (r *Router) SortedNetIDs() []int {
 	ids := make([]int, 0, len(r.nets))
+	//smlint:ordered the IDs are sorted below
 	for id := range r.nets {
 		ids = append(ids, id)
 	}
@@ -355,23 +366,41 @@ func (r *Router) addUsage(e Edge, d int16, netID int) {
 	if e.IsVia() {
 		return
 	}
-	lo := e.A
-	if e.B.X < lo.X || e.B.Y < lo.Y {
-		lo = e.B
-	}
-	i := r.idx(lo)
+	i, horizontal := r.wireCell(e)
 	u := r.usageV
 	dir := "vertical"
-	if e.A.Y == e.B.Y && e.A.X != e.B.X {
+	if horizontal {
 		u = r.usageH
 		dir = "horizontal"
 	}
 	s := int32(u[i]) + int32(d)
 	if s > math.MaxInt16 || s < math.MinInt16 {
+		lo := r.node(i)
 		panic(fmt.Sprintf("route: net %d: %s edge usage %d at M%d gcell (%d,%d) overflows int16",
 			netID, dir, s, lo.Z, lo.X, lo.Y))
 	}
 	u[i] = int16(s)
+}
+
+// wireCell returns where a wire edge's usage is kept: the node index of
+// its lower end, and whether it runs horizontally (usageH) or vertically
+// (usageV).
+func (r *Router) wireCell(e Edge) (i int32, horizontal bool) {
+	lo := e.A
+	if e.B.X < lo.X || e.B.Y < lo.Y {
+		lo = e.B
+	}
+	return r.idx(lo), e.A.Y == e.B.Y && e.A.X != e.B.X
+}
+
+// wireUsage returns a wire edge's usage and its key, unique per usage
+// cell: the wireCell index doubled, plus 1 if the edge is vertical.
+func (r *Router) wireUsage(e Edge) (key int64, u int16) {
+	i, horizontal := r.wireCell(e)
+	if horizontal {
+		return 2 * int64(i), r.usageH[i]
+	}
+	return 2*int64(i) + 1, r.usageV[i]
 }
 
 const viaBase = 10 // via cost = viaBase * Opt.ViaCost / 4
@@ -402,6 +431,7 @@ func (r *Router) ComputeStats() Stats {
 		WirelengthByLayer: make([]int64, g.Layers+1),
 		Vias:              make([]int64, g.Layers+1),
 	}
+	//smlint:ordered integer sums: the totals are the same in any order
 	for _, rn := range r.nets {
 		for _, e := range rn.Edges {
 			if e.IsVia() {
@@ -446,9 +476,11 @@ func (r *Router) MaxUsage() int {
 
 // Validate checks every routed net's tree: edges adjacent, connected, and
 // spanning all pins; wire segments respect preferred directions and the
-// net's lift constraint.
+// net's lift constraint. Nets are checked in ascending ID order, so the
+// error names the lowest failing net.
 func (r *Router) Validate() error {
-	for id, rn := range r.nets {
+	for _, id := range r.SortedNetIDs() {
+		rn := r.nets[id]
 		if rn.Failed {
 			return fmt.Errorf("route: net %d marked failed", id)
 		}
@@ -509,11 +541,16 @@ func adjacent(a, b Node) bool {
 	return dx+dy+dz == 1
 }
 
-// NegotiateReroute performs congestion negotiation: nets crossing
-// over-capacity edges are ripped up and re-routed with an escalated
-// history cost, for up to the given number of iterations or until no
-// overflow remains. This is the rip-up-and-reroute loop every production
-// global router runs to reach a DRC-clean (capacity-respecting) result.
+// NegotiateReroute performs congestion negotiation, the rip-up-and-reroute
+// loop (PathFinder's, McMurchie & Ebeling, FPGA 1995) every production
+// global router runs to reach a capacity-respecting result. Each pass
+// raises the history cost ×1.8 and re-routes only each overflowed edge's
+// excess nets (see selectExcess): as in NTHU-Route 2.0, a net is ripped up
+// because an edge needs one fewer net, not because it touches a
+// congested edge. Passes run until no edge overflows, until a pass clears
+// less than stallPercent of the overflowed edges it started with, or
+// until maxNegotiatePasses have run. It returns the number of passes that
+// re-routed.
 //
 // The escalation is local to the negotiation: Opt.HistoryCost is restored
 // on return, so later RouteNet calls on the same router see the
@@ -526,58 +563,102 @@ func adjacent(a, b Node) bool {
 // refinement) — negotiation is where flat routing spends most of its
 // time on large dies, and it would otherwise reopen exactly the
 // die-sized searches the corridors were built to avoid. The loop is
-// serial and the corridors are a pure function of the batch history, so
-// the determinism contract is untouched.
-func (r *Router) NegotiateReroute(iters int) {
+// serial, its selection walks slices in net-ID and edge-key order, and
+// the corridors are a pure function of the batch history, so the
+// determinism contract is untouched.
+func (r *Router) NegotiateReroute() int {
 	orig := r.Opt.HistoryCost
 	defer func() { r.Opt.HistoryCost = orig }()
 	hier := r.ResolvedStrategy() == StrategyHier && r.planner != nil
-	for it := 0; it < iters; it++ {
-		over := map[int]bool{}
-		for id, rn := range r.nets {
-			for _, e := range rn.Edges {
-				if e.IsVia() {
-					continue
-				}
-				lo := e.A
-				if e.B.X < lo.X || e.B.Y < lo.Y {
-					lo = e.B
-				}
-				var u int16
-				if e.A.Y == e.B.Y && e.A.X != e.B.X {
-					u = r.usageH[r.idx(lo)]
-				} else {
-					u = r.usageV[r.idx(lo)]
-				}
-				if int(u) > r.Opt.Capacity {
-					over[id] = true
-					break
-				}
-			}
+	started := 0
+	for pass := 0; pass < maxNegotiatePasses; pass++ {
+		ids, sel, over := r.selectExcess()
+		if over == 0 || pass > 0 && (started-over)*100 < stallPercent*started {
+			return pass
 		}
-		if len(over) == 0 {
-			return
-		}
-		ids := make([]int, 0, len(over))
-		for id := range over {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
+		started = over
 		r.Opt.HistoryCost *= 1.8
-		for _, id := range ids {
+		for i, id := range ids {
+			if !sel[i] {
+				continue
+			}
+			// A failed re-route leaves the old route fully intact, and a
+			// congested route beats a destroyed one, so errors are dropped.
 			rn := r.nets[id]
-			var err error
 			if c, ok := r.netCorrs[id]; hier && ok {
 				r.hierStats.NegoCorridor++
-				err = r.routeNetCorridor(id, rn.Pins, rn.MinLayer, c.tiles, c.reg)
+				_ = r.routeNetCorridor(id, rn.Pins, rn.MinLayer, c.tiles, c.reg)
 			} else {
-				err = r.RouteNet(id, rn.Pins, rn.MinLayer)
-			}
-			if err != nil {
-				// The re-route left the old route fully intact; keep it — a
-				// congested route beats a destroyed one.
-				continue
+				_ = r.RouteNet(id, rn.Pins, rn.MinLayer)
 			}
 		}
 	}
+	return maxNegotiatePasses
+}
+
+// overPair is one net crossing one overflowed edge: the edge's usage key
+// (see wireUsage) and the net's index in the pass's ID list.
+type overPair struct {
+	key int64
+	net int32
+}
+
+// selectExcess picks one negotiation pass's nets. It returns the routed
+// net IDs in ascending order, sel[i] for each ID the pass re-routes, and
+// how many edges overflow. An edge with usage u needs u−Capacity of its
+// nets moved. Visiting the overflowed edges in key order, nets already
+// selected count toward that number, and the rest are taken from the
+// edge's unselected nets in this order: most overflowed edges per routed
+// edge (ov/(len(Edges)+1), compared by cross-multiplication), then fewer
+// routed edges, then lower net ID.
+func (r *Router) selectExcess() (ids []int, sel []bool, over int) {
+	ids = r.SortedNetIDs()
+	sel = make([]bool, len(ids))
+	ov := make([]int, len(ids))    // overflowed edges per net
+	edges := make([]int, len(ids)) // len(Edges) per net
+	var pairs []overPair
+	for i, id := range ids {
+		es := r.nets[id].Edges
+		edges[i] = len(es)
+		for _, e := range es {
+			if e.IsVia() {
+				continue
+			}
+			if key, u := r.wireUsage(e); int(u) > r.Opt.Capacity {
+				pairs = append(pairs, overPair{key, int32(i)})
+				ov[i]++
+			}
+		}
+	}
+	slices.SortFunc(pairs, func(a, b overPair) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.net, b.net))
+	})
+	before := func(a, b int32) int {
+		// a ahead of b when ov[a]/(edges[a]+1) > ov[b]/(edges[b]+1).
+		ea, eb := edges[a], edges[b]
+		return cmp.Or(cmp.Compare(ov[b]*(ea+1), ov[a]*(eb+1)), cmp.Compare(ea, eb), cmp.Compare(a, b))
+	}
+	var cand []int32 // one edge's unselected nets
+	for lo, hi := 0, 0; lo < len(pairs); lo = hi {
+		for hi = lo + 1; hi < len(pairs) && pairs[hi].key == pairs[lo].key; hi++ {
+		}
+		over++
+		need := hi - lo - r.Opt.Capacity
+		cand = cand[:0]
+		for _, p := range pairs[lo:hi] {
+			if sel[p.net] {
+				need--
+			} else {
+				cand = append(cand, p.net)
+			}
+		}
+		if need <= 0 {
+			continue
+		}
+		slices.SortFunc(cand, before)
+		for _, i := range cand[:need] {
+			sel[i] = true
+		}
+	}
+	return ids, sel, over
 }

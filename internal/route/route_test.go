@@ -377,7 +377,7 @@ func TestNegotiateRerouteReducesOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := r.ComputeStats().OverflowEdges
-	r.NegotiateReroute(4)
+	r.NegotiateReroute()
 	after := r.ComputeStats().OverflowEdges
 	if after > before {
 		t.Fatalf("negotiation increased overflow: %d -> %d", before, after)
@@ -413,7 +413,7 @@ func TestNegotiatePreservesLiftConstraints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.NegotiateReroute(3)
+	r.NegotiateReroute()
 	for i := 0; i < 8; i += 2 {
 		if rn := r.Net(i); rn.MinLayer != 6 {
 			t.Fatalf("net %d lost its lift constraint after negotiation", i)
@@ -421,5 +421,151 @@ func TestNegotiatePreservesLiftConstraints(t *testing.T) {
 	}
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sharedEdgeNets routes one two-pin net per ID, all alike, one gcell
+// apart at the middle of testGrid, under a capacity high enough that
+// each takes the cheapest route: one M3 segment, the edge they share.
+// Lowering Opt.Capacity afterwards overflows exactly that edge.
+func sharedEdgeNets(t *testing.T, r *Router, ids ...int) {
+	t.Helper()
+	g := r.Grid.GCell
+	pins := []Pin{
+		{Pt: geom.Point{X: 9*g + g/2, Y: 10*g + g/2}, Layer: 1},
+		{Pt: geom.Point{X: 10*g + g/2, Y: 10*g + g/2}, Layer: 1},
+	}
+	shared := Edge{A: Node{X: 9, Y: 10, Z: 3}, B: Node{X: 10, Y: 10, Z: 3}}
+	for _, id := range ids {
+		_, before := r.wireUsage(shared)
+		if err := r.RouteNet(id, pins, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, u := r.wireUsage(shared); u != before+1 {
+			t.Fatalf("setup: net %d avoided the shared M3 edge", id)
+		}
+	}
+}
+
+// TestNegotiateMovesOnlyExcess: k+e nets share one edge of capacity k,
+// and a detour through a neighboring row costs two short M2 segments,
+// less than the first pass's escalated overflow penalty. Negotiation must
+// clear the overflow in one pass by moving exactly e nets — the lowest
+// IDs, since the nets tie on overflowed edges and length — and leave the
+// other k routes untouched (the old rule re-routed all k+e).
+func TestNegotiateMovesOnlyExcess(t *testing.T) {
+	const k, e = 2, 2
+	r := NewRouter(testGrid(), Options{Capacity: k + e})
+	sharedEdgeNets(t, r, 0, 1, 2, 3)
+	r.Opt.Capacity = k
+	if got := r.ComputeStats().OverflowEdges; got != 1 {
+		t.Fatalf("setup: %d overflowed edges, want 1", got)
+	}
+	before := make([]*RoutedNet, k+e)
+	for id := range before {
+		before[id] = r.Net(id)
+	}
+	if passes := r.NegotiateReroute(); passes != 1 {
+		t.Fatalf("negotiation ran %d passes, want 1", passes)
+	}
+	if got := r.ComputeStats().OverflowEdges; got != 0 {
+		t.Fatalf("%d overflowed edges after negotiation, want 0", got)
+	}
+	for id, old := range before {
+		if moved, want := r.Net(id) != old, id < e; moved != want {
+			t.Errorf("net %d re-routed = %v, want %v", id, moved, want)
+		}
+	}
+	if err := r.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNegotiateSelectsMostOverflowedPerEdge: three nets cross one edge
+// that holds two. Net 0 is long, so its one overflowed edge is a small
+// share of its route (ov/(len(Edges)+1)); nets 1 and 2 are one segment
+// long and tie. The selection must skip net 0 despite its lower ID and
+// break the tie by ID: net 1 alone moves.
+func TestNegotiateSelectsMostOverflowedPerEdge(t *testing.T) {
+	r := NewRouter(testGrid(), Options{Capacity: 3})
+	g := r.Grid.GCell
+	long := []Pin{
+		{Pt: geom.Point{X: 5*g + g/2, Y: 10*g + g/2}, Layer: 1},
+		{Pt: geom.Point{X: 14*g + g/2, Y: 10*g + g/2}, Layer: 1},
+	}
+	if err := r.RouteNet(0, long, 1); err != nil {
+		t.Fatal(err)
+	}
+	sharedEdgeNets(t, r, 1, 2)
+	r.Opt.Capacity = 2
+	if got := r.ComputeStats().OverflowEdges; got != 1 {
+		t.Fatalf("setup: %d overflowed edges, want 1", got)
+	}
+	ids, sel, over := r.selectExcess()
+	if over != 1 {
+		t.Fatalf("selection counted %d overflowed edges, want 1", over)
+	}
+	var moved []int
+	for i, id := range ids {
+		if sel[i] {
+			moved = append(moved, id)
+		}
+	}
+	if len(moved) != 1 || moved[0] != 1 {
+		t.Fatalf("selected nets %v, want [1]", moved)
+	}
+}
+
+// TestNegotiateStopsWhenStalled: on a 2x1 grid whose only horizontal
+// layer is M3, nets between the two gcells have no alternative route, so
+// no pass can clear the overflow; negotiation must stop after the first
+// pass instead of running to the pass cap.
+func TestNegotiateStopsWhenStalled(t *testing.T) {
+	die := geom.Rect{Hi: geom.Point{X: 2 * DefaultGCellNM, Y: DefaultGCellNM}}
+	r := NewRouter(NewGrid(die, DefaultGCellNM, 3), Options{Capacity: 1})
+	pins := []Pin{
+		{Pt: geom.Point{X: DefaultGCellNM / 2, Y: DefaultGCellNM / 2}, Layer: 1},
+		{Pt: geom.Point{X: 3 * DefaultGCellNM / 2, Y: DefaultGCellNM / 2}, Layer: 1},
+	}
+	for id := 0; id < 4; id++ {
+		if err := r.RouteNet(id, pins, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := r.ComputeStats().OverflowEdges; got != 1 {
+		t.Fatalf("setup: %d overflowed edges, want 1", got)
+	}
+	if passes := r.NegotiateReroute(); passes != 1 {
+		t.Fatalf("negotiation ran %d passes on an unrelievable jam, want 1", passes)
+	}
+	if got := r.ComputeStats().OverflowEdges; got != 1 {
+		t.Fatalf("%d overflowed edges after negotiation, want 1", got)
+	}
+	if err := r.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestValidateNamesLowestFailedNet: with several failed nets, Validate
+// must name the lowest ID every time, not whichever net map iteration
+// happens to reach first.
+func TestValidateNamesLowestFailedNet(t *testing.T) {
+	r := NewRouter(testGrid(), Options{})
+	g := r.Grid.GCell
+	// M10 is vertical-only: horizontally separated pins cannot route.
+	bad := []Pin{
+		{Pt: geom.Point{X: 2 * g, Y: 2 * g}, Layer: 1},
+		{Pt: geom.Point{X: 12 * g, Y: 2 * g}, Layer: 1},
+	}
+	for _, id := range []int{9, 4} {
+		if err := r.RouteNet(id, bad, 10); err == nil {
+			t.Fatalf("net %d: expected routing failure", id)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		err := r.Validate()
+		if err == nil || err.Error() != "route: net 4 marked failed" {
+			t.Fatalf("Validate = %v, want net 4 named", err)
+		}
 	}
 }

@@ -123,12 +123,8 @@ func (w *worker) addDelta(e Edge, d int16) {
 	if e.IsVia() {
 		return
 	}
-	lo := e.A
-	if e.B.X < lo.X || e.B.Y < lo.Y {
-		lo = e.B
-	}
-	i := w.r.idx(lo)
-	if e.A.Y == e.B.Y && e.A.X != e.B.X {
+	i, horizontal := w.r.wireCell(e)
+	if horizontal {
 		if w.deltaH[i] == 0 {
 			w.touchedH = append(w.touchedH, i)
 		}

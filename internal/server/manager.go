@@ -31,7 +31,11 @@ import (
 // Schema 4: the proximity attack's flow became a primal-dual solve and
 // its candidate and commit orders became total, so among equal-cost
 // assignments it picks a different one and attack reports changed.
-const resultKeySchema = 4
+//
+// Schema 5: congestion negotiation re-routes only each overflowed edge's
+// excess nets and stops when a pass stalls, so every negotiated layout,
+// and the reports built on it, changed.
+const resultKeySchema = 5
 
 // Submission errors the handlers map to HTTP status codes.
 var (

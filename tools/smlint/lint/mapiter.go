@@ -20,7 +20,7 @@ var MapIter = &Analyzer{
 		"path that feeds report bytes is a nondeterminism bug. Iterate a\n" +
 		"sorted key slice instead, or annotate //smlint:ordered <why> when\n" +
 		"the loop's effect is provably order-independent.",
-	Packages: []string{"internal/flow", "internal/report", "internal/metrics", "@root"},
+	Packages: []string{"internal/flow", "internal/report", "internal/metrics", "internal/route", "internal/layout", "@root"},
 	Run:      runMapIter,
 }
 
