@@ -640,6 +640,7 @@ func (r *Router) selectExcess() (ids []int, sel []bool, over int) {
 	}
 	var cand []int32 // one edge's unselected nets
 	for lo, hi := 0, 0; lo < len(pairs); lo = hi {
+		// pairs[lo:hi] are the nets on one overflowed edge.
 		for hi = lo + 1; hi < len(pairs) && pairs[hi].key == pairs[lo].key; hi++ {
 		}
 		over++

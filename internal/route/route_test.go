@@ -424,10 +424,11 @@ func TestNegotiatePreservesLiftConstraints(t *testing.T) {
 	}
 }
 
-// sharedEdgeNets routes one two-pin net per ID, all alike, one gcell
-// apart at the middle of testGrid, under a capacity high enough that
-// each takes the cheapest route: one M3 segment, the edge they share.
-// Lowering Opt.Capacity afterwards overflows exactly that edge.
+// sharedEdgeNets routes one two-pin net per ID, each between the same
+// two horizontally adjacent gcells at the middle of testGrid, and checks
+// that each takes the cheapest route: one M3 segment, the edge they all
+// share. The caller's capacity must leave room for them; lowering
+// Opt.Capacity afterwards overflows exactly that edge.
 func sharedEdgeNets(t *testing.T, r *Router, ids ...int) {
 	t.Helper()
 	g := r.Grid.GCell
