@@ -5,7 +5,9 @@ import (
 	"go/types"
 )
 
-// MapIter flags `range` over a map in report-producing packages.
+// MapIter flags `range` over a map in report-producing packages,
+// including the router and layout packages whose layouts every report
+// is built on.
 //
 // Motivating bug (PR 3 class): aggregation loops in the report path
 // iterated Go maps directly, so float accumulation happened in a
