@@ -11,7 +11,7 @@ import (
 	"splitmfg/internal/route"
 )
 
-func buildDesign(t *testing.T, name string) *Design {
+func buildDesign(t testing.TB, name string) *Design {
 	t.Helper()
 	nl, err := bench.ISCAS85(name)
 	if err != nil {

@@ -36,3 +36,20 @@ func BenchmarkRouteAllC880(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSplitC3540 measures Split on the routed c3540 at M3, M4 and
+// M5 (one op is all three views), the split layers the security
+// evaluation uses by default. The design is routed once outside the
+// loop.
+func BenchmarkSplitC3540(b *testing.B) {
+	d := buildDesign(b, "c3540")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for layer := 3; layer <= 5; layer++ {
+			if _, err := d.Split(layer); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package layout
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -93,54 +92,72 @@ type SplitView struct {
 // is decomposed into connected FEOL components; vias crossing the boundary
 // become vpins with dangling-wire directions.
 //
-// Per-net bookkeeping (node set, adjacency, component labels) lives in
-// scratch buffers reused across the nets of one call — a net's FEOL piece
-// is small, but a full design has hundreds of thousands of them, and the
-// previous per-net maps made Split the dominant allocator of the whole
-// security evaluation. Only the returned fragments themselves allocate.
+// A net's FEOL nodes are handled as gcell indices (Z·H + Y)·W + X, the
+// router's own node index: sorting them as int32 gives the layer, row,
+// column order components are discovered in, and an epoch-stamped array
+// over the grid nodes at or below the split layer maps an index to its
+// position in the net's sorted list, so each edge end costs one load.
+// Per-net bookkeeping (adjacency, component labels) lives in scratch
+// buffers reused across the nets of one call, and the fragments' Nodes
+// and the ByRoute lists are carved out of per-view arenas, so a full
+// design allocates per chunk, not per fragment.
 func (d *Design) Split(layer int) (*SplitView, error) {
 	if layer < 1 || layer >= d.Grid.Layers {
 		return nil, fmt.Errorf("layout: split layer M%d out of range (1..%d)", layer, d.Grid.Layers-1)
 	}
-	sv := &SplitView{Layer: layer, ByRoute: map[int][]int{}}
-	// Per-net scratch, reused across nets. Nodes are deduplicated by sort
-	// order and addressed by their index; adjacency is CSR over those
-	// indices, filled in edge-encounter order (the order the old per-node
-	// lists grew in, which danglingDir's first-match depends on).
+	ids := d.Router.SortedNetIDs()
+	sv := &SplitView{Layer: layer, ByRoute: make(map[int][]int, len(ids))}
+	w, h := d.Grid.W, d.Grid.H
+	ix := func(n route.Node) int32 { return int32((n.Z*h+n.Y)*w + n.X) }
+	// at[i].ep == ep marks index i as one of the current net's nodes, and
+	// at[i].pos is then its position in the net's sorted list; FEOL nodes
+	// have Z <= layer.
+	type slot struct{ ep, pos int32 }
+	at := make([]slot, (layer+1)*h*w)
+	var ep int32
+	// find returns n's position in the current net's list, or -1.
+	find := func(n route.Node) int32 {
+		if s := at[ix(n)]; s.ep == ep {
+			return s.pos
+		}
+		return -1
+	}
+	// Per-net scratch, reused across nets. Adjacency is CSR over node
+	// positions, filled in edge-encounter order (the order the old
+	// per-node lists grew in, which danglingDir's first-match depends on).
 	var (
+		idx      []int32 // the net's FEOL node indices, sorted and unique
 		nodes    []route.Node
 		boundary []route.Edge
-		edgeA    []int32 // FEOL edge endpoints, as node indices
+		edgeA    []int32 // FEOL edge endpoints, as node positions
 		edgeB    []int32
 		degree   []int32
 		adjStart []int32 // CSR offsets, len nodes+1
 		adjList  []int32
-		comp     []int32 // node index -> global fragment ID
+		comp     []int32 // node position -> global fragment ID
 		stack    []int32
+		arena    []route.Node // backs the fragments' Nodes
 	)
-	// find returns the index of n in the current sorted node list.
-	find := func(n route.Node) int {
-		lo, hi := 0, len(nodes)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if nodeCmp(nodes[mid], n) < 0 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+	// add collects n's index once per net: an index is stamped when
+	// first seen, so the sort gets every node once.
+	add := func(n route.Node) {
+		if i := ix(n); at[i].ep != ep {
+			at[i].ep = ep
+			idx = append(idx, i)
 		}
-		return lo
 	}
-	for _, id := range d.Router.SortedNetIDs() {
+	for _, id := range ids {
 		rn := d.Router.Net(id)
 		// Collect the net's FEOL nodes: wire/via endpoints below the
 		// boundary, the FEOL side of each boundary via, and FEOL pins
 		// (fragment members even when isolated, e.g. a pin with a stacked
 		// via directly up).
-		nodes, boundary = nodes[:0], boundary[:0]
+		ep++
+		idx, boundary = idx[:0], boundary[:0]
 		for _, e := range rn.Edges {
 			if e.A.Z <= layer && e.B.Z <= layer {
-				nodes = append(nodes, e.A, e.B)
+				add(e.A)
+				add(e.B)
 				continue
 			}
 			lo, hi := e.A, e.B
@@ -149,23 +166,28 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 			}
 			if lo.Z == layer && hi.Z == layer+1 {
 				boundary = append(boundary, route.Edge{A: lo, B: hi})
-				nodes = append(nodes, lo)
+				add(lo)
 			}
 		}
 		for _, p := range d.Pins[id] {
 			if p.Layer <= layer {
-				nodes = append(nodes, d.Grid.NodeOf(p.Pt, p.Layer))
+				add(d.Grid.NodeOf(p.Pt, p.Layer))
 			}
 		}
-		slices.SortFunc(nodes, nodeCmp)
-		nodes = dedupNodes(nodes)
-		nn := len(nodes)
-		// CSR adjacency over node indices.
+		slices.Sort(idx)
+		nn := len(idx)
+		nodes = nodes[:0]
+		for k, i := range idx {
+			at[i] = slot{ep: ep, pos: int32(k)}
+			q := int(i) / w
+			nodes = append(nodes, route.Node{X: int(i) - q*w, Y: q % h, Z: q / h})
+		}
+		// CSR adjacency over node positions.
 		degree = resetInt32(degree, nn)
 		edgeA, edgeB = edgeA[:0], edgeB[:0]
 		for _, e := range rn.Edges {
 			if e.A.Z <= layer && e.B.Z <= layer {
-				a, b := int32(find(e.A)), int32(find(e.B))
+				a, b := at[ix(e.A)].pos, at[ix(e.B)].pos
 				edgeA = append(edgeA, a)
 				edgeB = append(edgeB, b)
 				degree[a]++
@@ -187,7 +209,12 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 			adjList[adjStart[b]+degree[b]] = a
 			degree[b]++
 		}
-		// Connected components, discovered in sorted node order.
+		// Connected components, discovered in sorted node order. The
+		// net's components hold exactly its nn nodes, so they fit in the
+		// arena's current chunk or in a fresh one.
+		if cap(arena)-len(arena) < nn {
+			arena = make([]route.Node, 0, max(nn, splitArenaChunk))
+		}
 		comp = resetInt32(comp, nn)
 		for i := range comp {
 			comp[i] = -1
@@ -197,13 +224,13 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 				continue
 			}
 			fid := len(sv.Frags)
-			frag := Fragment{ID: fid, RouteID: id}
+			start := len(arena)
 			stack = append(stack[:0], int32(i))
 			comp[i] = int32(fid)
 			for len(stack) > 0 {
 				cur := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				frag.Nodes = append(frag.Nodes, nodes[cur])
+				arena = append(arena, nodes[cur])
 				for _, m := range adjList[adjStart[cur]:adjStart[cur+1]] {
 					if comp[m] < 0 {
 						comp[m] = int32(fid)
@@ -211,14 +238,13 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 					}
 				}
 			}
-			sv.Frags = append(sv.Frags, frag)
-			sv.ByRoute[id] = append(sv.ByRoute[id], fid)
+			end := len(arena)
+			sv.Frags = append(sv.Frags, Fragment{ID: fid, RouteID: id, Nodes: arena[start:end:end]})
 		}
 		// Attach design pins to their fragments.
 		for _, p := range d.Pins[id] {
 			if p.Layer <= layer {
-				n := d.Grid.NodeOf(p.Pt, p.Layer)
-				if i := find(n); i < nn && nodes[i] == n {
+				if i := find(d.Grid.NodeOf(p.Pt, p.Layer)); i >= 0 {
 					fid := comp[i]
 					sv.Frags[fid].Pins = append(sv.Frags[fid].Pins, p)
 				}
@@ -227,7 +253,7 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 		// VPins with dangling directions.
 		for _, e := range boundary {
 			i := find(e.A)
-			if i >= nn || nodes[i] != e.A {
+			if i < 0 {
 				continue // via stack floating above BEOL-only wiring
 			}
 			fid := int(comp[i])
@@ -243,19 +269,23 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 			sv.Frags[fid].VPins = append(sv.Frags[fid].VPins, vp.ID)
 		}
 	}
+	// Each net's fragments are consecutive, so its ByRoute list is a
+	// window of one identity array.
+	fids := make([]int, len(sv.Frags))
+	for lo := 0; lo < len(fids); {
+		id := sv.Frags[lo].RouteID
+		hi := lo
+		for ; hi < len(fids) && sv.Frags[hi].RouteID == id; hi++ {
+			fids[hi] = hi
+		}
+		sv.ByRoute[id] = fids[lo:hi:hi]
+		lo = hi
+	}
 	return sv, nil
 }
 
-// dedupNodes removes adjacent duplicates from a sorted node slice in place.
-func dedupNodes(nodes []route.Node) []route.Node {
-	out := nodes[:0]
-	for i, n := range nodes {
-		if i == 0 || n != nodes[i-1] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
+// splitArenaChunk is the node count of one Split arena chunk (96 KiB).
+const splitArenaChunk = 1 << 12
 
 // resetInt32 returns a zeroed int32 slice of length n, reusing buf's
 // backing array when it is large enough.
@@ -268,17 +298,6 @@ func resetInt32(buf []int32, n int) []int32 {
 		buf[i] = 0
 	}
 	return buf
-}
-
-// nodeCmp orders nodes by layer, then row, then column.
-func nodeCmp(a, b route.Node) int {
-	if a.Z != b.Z {
-		return cmp.Compare(a.Z, b.Z)
-	}
-	if a.Y != b.Y {
-		return cmp.Compare(a.Y, b.Y)
-	}
-	return cmp.Compare(a.X, b.X)
 }
 
 // danglingDir derives the direction the last FEOL wire segment travels as
