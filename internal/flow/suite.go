@@ -45,7 +45,12 @@ import (
 // Schema 6: congestion negotiation re-routes only each overflowed edge's
 // excess nets and stops when a pass stalls, so every negotiated layout,
 // and the reports built on it, changed.
-const suiteKeySchema = 6
+//
+// Schema 7: the router's A* frontier became a monotone radix queue that
+// pops equal f-scores newest first. Every route is still minimum-cost,
+// but ties between equal-cost paths break differently, so layouts, and
+// the reports built on them, changed.
+const suiteKeySchema = 7
 
 // Suite-level stages, emitted through the same ProgressFunc stream the
 // rest of the flow uses.

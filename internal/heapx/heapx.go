@@ -1,21 +1,29 @@
-// Package heapx is the binary min-heap shared by the hot paths that
-// outgrew container/heap: the router's A*, the coarse planner and the
-// MCMF solver. It has no interface{} boxing (one allocation per push)
-// and no indirect dispatch, and it keeps its entries as a struct of
-// arrays: int64 priorities in one slice, payloads in a parallel one.
-// Every comparison is a direct integer compare, and the pop's min-child
-// walk — a chain of dependent loads — reads 8-byte priority slots
-// instead of whole entries. A Heap is reused across searches (Reset
-// keeps both backing arrays).
+// Package heapx holds the priority queues of the hot paths that outgrew
+// container/heap. Neither boxes entries in interface{} (one allocation
+// per push) nor dispatches indirectly, and both are reused across
+// searches: Reset keeps their backing arrays.
 //
-// Equal priorities pop in exactly the order the textbook swap-based
-// sift-up/sift-down heap (container/heap's algorithm) pops them, and
-// every slot holds the same entry as the textbook heap's slice after
-// every call. Routing depends on that: the router's A* and the coarse
-// planner break equal f-scores by pop order, so a heap that reordered
-// ties would change every routed layout. heapx_test.go keeps the
-// textbook heap as a reference and checks both properties
+// Heap is a binary min-heap shared by the coarse planner and the MCMF
+// solver. It keeps its entries as a struct of arrays: int64 priorities
+// in one slice, payloads in a parallel one. Every comparison is a direct
+// integer compare, and the pop's min-child walk — a chain of dependent
+// loads — reads 8-byte priority slots instead of whole entries.
+//
+// Equal priorities pop from a Heap in exactly the order the textbook
+// swap-based sift-up/sift-down heap (container/heap's algorithm) pops
+// them, and every slot holds the same entry as the textbook heap's slice
+// after every call. The coarse planner and the MCMF depend on that: they
+// break equal priorities by pop order, so a heap that reordered ties
+// would change every planned corridor and every attack. heapx_test.go
+// keeps the textbook heap as a reference and checks both properties
 // differentially, by table and by fuzzing.
+//
+// Radix is the monotone radix queue under the router's A*, whose
+// consistent bound never pushes below the last popped f-score. It pops
+// equal priorities newest push first, exactly as container/heap ordered
+// by (priority, −push sequence) does; radix_test.go checks that the same
+// two ways. Routed layouts therefore depend on Radix's tie rule, not on
+// the textbook heap's.
 package heapx
 
 // Heap is a min-heap of payloads V ordered by int64 priority: the

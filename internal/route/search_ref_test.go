@@ -24,23 +24,38 @@ func newRefScratch(n int) *refScratch {
 	return &refScratch{dist: make([]int64, n), visitID: make([]int32, n), from: make([]int32, n)}
 }
 
-// refPQ is a container/heap priority queue of (f-score, node index) — the
-// textbook heap whose tie order heapx promises to match.
-type refPQ []refPQItem
+// refPQ is a container/heap priority queue of (f-score, node index)
+// that pops equal f-scores newest push first — the tie order of the
+// heapx.Radix under searchBounded.
+type refPQ struct {
+	items []refPQItem
+	seq   int // pushes so far
+}
 
 type refPQItem struct {
 	pri  int64
+	seq  int
 	node int32
 }
 
-func (q refPQ) Len() int           { return len(q) }
-func (q refPQ) Less(i, j int) bool { return q[i].pri < q[j].pri }
-func (q refPQ) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *refPQ) Push(x any)        { *q = append(*q, x.(refPQItem)) }
+func (q *refPQ) Len() int { return len(q.items) }
+func (q *refPQ) Less(i, j int) bool {
+	a, b := q.items[i], q.items[j]
+	if a.pri != b.pri {
+		return a.pri < b.pri
+	}
+	return a.seq > b.seq
+}
+func (q *refPQ) Swap(i, j int) { q.items[i], q.items[j] = q.items[j], q.items[i] }
+func (q *refPQ) Push(x any) {
+	it := x.(refPQItem)
+	it.seq = q.seq
+	q.seq++
+	q.items = append(q.items, it)
+}
 func (q *refPQ) Pop() any {
-	old := *q
-	it := old[len(old)-1]
-	*q = old[:len(old)-1]
+	it := q.items[len(q.items)-1]
+	q.items = q.items[:len(q.items)-1]
 	return it
 }
 
@@ -99,9 +114,10 @@ func zeroBound(Node) int64 { return 0 }
 // referenceSearch is searchBounded as it was before nodeState, stride
 // indices and the per-axis heuristic: every neighbour is re-encoded with
 // Router.idx, its heuristic h recomputed from scratch, and the queue is
-// container/heap. It reads the same worker state (tree, overlay,
-// corridor) and keeps its A* state in rs. With refBound it must match
-// searchBounded edge for edge; with zeroBound it is Dijkstra.
+// container/heap (refPQ, ties newest first). It reads the same worker
+// state (tree, overlay, corridor) and keeps its A* state in rs. With
+// refBound it must match searchBounded edge for edge; with zeroBound it
+// is Dijkstra.
 func referenceSearch(w *worker, rs *refScratch, target Node, wireMin int, reg region, h func(Node) int64) ([]Edge, bool) {
 	g := w.r.Grid
 	loX, loY, hiX, hiY := reg.loX, reg.loY, reg.hiX, reg.hiY
@@ -118,7 +134,7 @@ func referenceSearch(w *worker, rs *refScratch, target Node, wireMin int, reg re
 		rs.dist[t] = 0
 		rs.visitID[t] = ep
 		rs.from[t] = -1
-		heap.Push(q, refPQItem{h(w.r.node(t)), t})
+		heap.Push(q, refPQItem{pri: h(w.r.node(t)), node: t})
 	}
 	relax := func(cur int32, next Node, cost int64) {
 		ni := w.r.idx(next)
@@ -127,7 +143,7 @@ func referenceSearch(w *worker, rs *refScratch, target Node, wireMin int, reg re
 			rs.visitID[ni] = ep
 			rs.dist[ni] = nd
 			rs.from[ni] = cur
-			heap.Push(q, refPQItem{nd + h(next), ni})
+			heap.Push(q, refPQItem{pri: nd + h(next), node: ni})
 		}
 	}
 	for q.Len() > 0 {

@@ -43,7 +43,7 @@ type worker struct {
 	// A* scratch, reused across searches.
 	state   []nodeState
 	epoch   int32
-	pq      heapx.Heap[int32]
+	pq      heapx.Radix[int32]
 	seedBuf []int32
 	lb      bound
 
@@ -469,7 +469,9 @@ func (b *bound) hz(x, y, z int) int64 {
 // The heuristic is bound's; a neighbour's value redoes only the terms
 // its move can change. The terms sum to exactly the whole formula's
 // integer, so every priority, and with it every tie-break and route, is
-// the formula's.
+// the formula's. The bound is consistent, so no push falls below the
+// last popped f-score and the frontier is a monotone heapx.Radix:
+// equal f-scores pop newest push first.
 //
 //smlint:hot
 func (w *worker) searchBounded(target Node, wireMin int, reg region) ([]Edge, bool) {

@@ -35,7 +35,11 @@ import (
 // Schema 5: congestion negotiation re-routes only each overflowed edge's
 // excess nets and stops when a pass stalls, so every negotiated layout,
 // and the reports built on it, changed.
-const resultKeySchema = 5
+//
+// Schema 6: the router's A* frontier became a monotone radix queue that
+// pops equal f-scores newest first, which breaks ties between equal-cost
+// routes differently and so changed layouts and reports.
+const resultKeySchema = 6
 
 // Submission errors the handlers map to HTTP status codes.
 var (
