@@ -10,6 +10,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"splitmfg/internal/heapx"
 )
 
 // mustMCMF is newMCMF for graphs known to fit int32 indices.
@@ -286,6 +288,157 @@ func (g *refMCMF) run(s, t int) (flow int32, cost int64) {
 	}
 }
 
+// fwdStarRun is run as it was before the solve froze its graph into CSR:
+// the same primal-dual method over forward-star lists — head[u] is the
+// newest edge out of u, next[e] the one added before e at the same tail —
+// where every Dinic phase re-scans each reached node's whole list for
+// zero-reduced-cost arcs. It solves a copy of g's capacities and leaves g
+// untouched, returning the residual capacity of every edge with the
+// flow, cost and sweep count.
+func fwdStarRun(g *mcmf, s, t int) (res []int32, flow int32, cost int64, sweeps int) {
+	const inf = int64(1) << 62
+	head := make([]int32, g.n)
+	for i := range head {
+		head[i] = -1
+	}
+	next := make([]int32, g.edges)
+	for e := 0; e < g.edges; e++ {
+		u := g.to[e^1]
+		next[e] = head[u]
+		head[u] = int32(e)
+	}
+	res = slices.Clone(g.cap)
+	pot := make([]int64, g.n)
+	dist := make([]int64, g.n)
+	done := make([]bool, g.n)
+	level := make([]int32, g.n)
+	arc := make([]int32, g.n)
+	queue := make([]int32, 0, g.n)
+	path := make([]int32, 0, g.n)
+	q := heapx.New[int32](g.n)
+	for {
+		sweeps++
+		for i := range dist {
+			dist[i] = inf
+			done[i] = false
+		}
+		dist[s] = 0
+		q.Reset()
+		q.Push(0, int32(s))
+		for q.Len() > 0 {
+			_, u := q.Pop()
+			if done[u] {
+				continue
+			}
+			done[u] = true
+			if int(u) == t {
+				break
+			}
+			du := dist[u] + pot[u]
+			for e := head[u]; e >= 0; e = next[e] {
+				if res[e] <= 0 {
+					continue
+				}
+				v := g.to[e]
+				nd := du + g.cost[e] - pot[v]
+				if nd < dist[v] {
+					dist[v] = nd
+					q.Push(nd, v)
+				}
+			}
+		}
+		dt := dist[t]
+		if dt >= inf {
+			return res, flow, cost, sweeps
+		}
+		for i := range pot {
+			pot[i] += min(dist[i], dt)
+		}
+		for {
+			for i := range level {
+				level[i] = -1
+			}
+			level[s] = 0
+			queue = append(queue[:0], int32(s))
+			for h := 0; h < len(queue) && level[t] < 0; h++ {
+				u := queue[h]
+				for e := head[u]; e >= 0; e = next[e] {
+					v := g.to[e]
+					if res[e] > 0 && level[v] < 0 && g.cost[e]+pot[u]-pot[v] == 0 {
+						level[v] = level[u] + 1
+						queue = append(queue, v)
+					}
+				}
+			}
+			if level[t] < 0 {
+				break
+			}
+			copy(arc, head)
+			path = path[:0]
+			u := int32(s)
+			for {
+				if int(u) == t {
+					var push int32 = MaxEdgeCapacity
+					for _, e := range path {
+						push = min(push, res[e])
+					}
+					for _, e := range path {
+						res[e] -= push
+						res[e^1] += push
+						cost += int64(push) * g.cost[e]
+					}
+					flow += push
+					path = path[:0]
+					u = int32(s)
+					continue
+				}
+				e := arc[u]
+				for ; e >= 0; e = next[e] {
+					v := g.to[e]
+					if res[e] > 0 && level[v] == level[u]+1 && g.cost[e]+pot[u]-pot[v] == 0 {
+						break
+					}
+				}
+				arc[u] = e
+				if e >= 0 {
+					path = append(path, e)
+					u = g.to[e]
+					continue
+				}
+				if int(u) == s {
+					break
+				}
+				back := path[len(path)-1]
+				path = path[:len(path)-1]
+				u = g.to[back^1]
+				arc[u] = next[back]
+			}
+		}
+	}
+}
+
+// runAgainstForwardStar solves the fresh graph g with run and with
+// fwdStarRun, and returns run's flow and cost, or an error unless both
+// solvers agree on flow, cost, sweep count and every edge's residual
+// capacity.
+func runAgainstForwardStar(g *mcmf, s, t int) (int32, int64, error) {
+	wantRes, wantFlow, wantCost, wantSweeps := fwdStarRun(g, s, t)
+	flow, cost, err := g.run(context.Background(), s, t)
+	if err != nil {
+		return 0, 0, err
+	}
+	if flow != wantFlow || cost != wantCost || g.sweeps != wantSweeps {
+		return 0, 0, fmt.Errorf("flow %d cost %d in %d sweeps, forward-star solver flow %d cost %d in %d sweeps",
+			flow, cost, g.sweeps, wantFlow, wantCost, wantSweeps)
+	}
+	for e, c := range wantRes {
+		if g.cap[e] != c {
+			return 0, 0, fmt.Errorf("edge %d: residual capacity %d, forward-star solver %d", e, g.cap[e], c)
+		}
+	}
+	return flow, cost, nil
+}
+
 // testEdge is one forward edge of a test graph.
 type testEdge struct {
 	u, v int
@@ -295,7 +448,8 @@ type testEdge struct {
 
 // solveBoth runs the solver and refMCMF on the same n-node graph and
 // returns an error unless flow and cost agree and the solver's residual
-// graph certifies that its flow is a min-cost one.
+// graph certifies that its flow is a min-cost one. It also requires the
+// solver to match fwdStarRun edge for edge (runAgainstForwardStar).
 func solveBoth(n, s, t int, edges []testEdge) error {
 	g := mustMCMF(n, len(edges))
 	ref := newRefMCMF(n)
@@ -304,7 +458,7 @@ func solveBoth(n, s, t int, edges []testEdge) error {
 		ref.addEdge(e.u, e.v, e.cap, e.cost)
 	}
 	orig := slices.Clone(g.cap)
-	flow, cost, err := g.run(context.Background(), s, t)
+	flow, cost, err := runAgainstForwardStar(g, s, t)
 	if err != nil {
 		return err
 	}
@@ -395,8 +549,8 @@ func attackShaped(next func() int) (n, s, t int, edges []testEdge) {
 // TestMCMFMatchesReference pins the solver to the successive-shortest-path
 // reference on random attack-shaped graphs with shuffled edge order:
 // equal flow and cost, and an optimality certificate for the residual
-// graph. Residual capacities may differ from the reference's where
-// equal-cost paths tie.
+// graph. Residual capacities may differ from that reference's where
+// equal-cost paths tie; they must equal the forward-star solver's.
 func TestMCMFMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 3000; trial++ {
@@ -470,4 +624,38 @@ func TestMCMFSweepsPerCostLevel(t *testing.T) {
 		t.Fatalf("%d sweeps against the reference's %d: the solve is not running per cost level", g.sweeps, refSweeps)
 	}
 	t.Logf("c3540 M3: flow %d over %d sinks; %d sweeps, %d distinct path costs, reference %d sweeps", flow, len(a.sinks), g.sweeps, levels, len(ref.paths)+1)
+}
+
+// TestMCMFMatchesForwardStarOnAttackGraphs pins the solver to
+// fwdStarRun edge for edge on the attack's own flow graphs, built as
+// TestMCMFSweepsPerCostLevel builds them: c432 to c3540, each routed once
+// and split at M3, M4 and M5. A CSR order that chose a different one of
+// several optimal flows would change the attack's assignment, and with
+// it CCR, without failing the certificate checks.
+func TestMCMFMatchesForwardStarOnAttackGraphs(t *testing.T) {
+	for _, name := range []string{"c432", "c880", "c1355", "c1908", "c2670", "c3540"} {
+		d, _ := buildSplit(t, name, 3)
+		for layer := 3; layer <= 5; layer++ {
+			sv, err := d.Split(layer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, _, err := prepare(context.Background(), d, sv, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a == nil {
+				continue // nothing to attack at this layer
+			}
+			g, _, err := a.flowGraph()
+			if err != nil {
+				t.Fatal(err)
+			}
+			flow, _, err := runAgainstForwardStar(g, 0, g.n-1)
+			if err != nil {
+				t.Fatalf("%s M%d: %v", name, layer, err)
+			}
+			t.Logf("%s M%d: flow %d over %d sinks in %d sweeps, %d edges", name, layer, flow, len(a.sinks), g.sweeps, g.edges/2)
+		}
+	}
 }
