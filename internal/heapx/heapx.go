@@ -12,18 +12,21 @@
 // Equal priorities pop from a Heap in exactly the order the textbook
 // swap-based sift-up/sift-down heap (container/heap's algorithm) pops
 // them, and every slot holds the same entry as the textbook heap's slice
-// after every call. The coarse planner and the MCMF depend on that: they
-// break equal priorities by pop order, so a heap that reordered ties
-// would change every planned corridor and every attack. heapx_test.go
-// keeps the textbook heap as a reference and checks both properties
-// differentially, by table and by fuzzing.
+// after every call. The coarse planner depends on that: it breaks equal
+// priorities by pop order, so a heap that reordered ties would change
+// every planned corridor. The MCMF does not: each sweep raises every
+// potential by min(dist, the sink's distance), which is the same
+// whichever equal-distance node the Dijkstra settles first, so its flows
+// do not depend on the tie order. heapx_test.go keeps the textbook heap
+// as a reference and checks both properties differentially, by table and
+// by fuzzing.
 //
-// Radix is the monotone radix queue under the router's A*, whose
+// BucketQueue is the monotone bucket queue under the router's A*, whose
 // consistent bound never pushes below the last popped f-score. It pops
 // equal priorities newest push first, exactly as container/heap ordered
-// by (priority, −push sequence) does; radix_test.go checks that the same
-// two ways. Routed layouts therefore depend on Radix's tie rule, not on
-// the textbook heap's.
+// by (priority, −push sequence) does; bucket_test.go checks that the
+// same two ways. Routed layouts therefore depend on BucketQueue's tie
+// rule, not on the textbook heap's.
 package heapx
 
 // Heap is a min-heap of payloads V ordered by int64 priority: the

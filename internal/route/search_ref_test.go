@@ -26,7 +26,7 @@ func newRefScratch(n int) *refScratch {
 
 // refPQ is a container/heap priority queue of (f-score, node index)
 // that pops equal f-scores newest push first — the tie order of the
-// heapx.Radix under searchBounded.
+// heapx.BucketQueue under searchBounded.
 type refPQ struct {
 	items []refPQItem
 	seq   int // pushes so far

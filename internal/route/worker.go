@@ -43,7 +43,7 @@ type worker struct {
 	// A* scratch, reused across searches.
 	state   []nodeState
 	epoch   int32
-	pq      heapx.Radix[int32]
+	pq      heapx.BucketQueue[int32]
 	seedBuf []int32
 	lb      bound
 
@@ -470,8 +470,9 @@ func (b *bound) hz(x, y, z int) int64 {
 // its move can change. The terms sum to exactly the whole formula's
 // integer, so every priority, and with it every tie-break and route, is
 // the formula's. The bound is consistent, so no push falls below the
-// last popped f-score and the frontier is a monotone heapx.Radix:
-// equal f-scores pop newest push first.
+// last popped f-score and the frontier is a monotone heapx.BucketQueue:
+// a push less than its window above the last pop is an O(1) link into
+// an exact-priority bucket, and equal f-scores pop newest push first.
 //
 //smlint:hot
 func (w *worker) searchBounded(target Node, wireMin int, reg region) ([]Edge, bool) {
