@@ -98,9 +98,9 @@ type SplitView struct {
 // over the grid nodes at or below the split layer maps an index to its
 // position in the net's sorted list, so each edge end costs one load.
 // Per-net bookkeeping (adjacency, component labels) lives in scratch
-// buffers reused across the nets of one call, and the fragments' Nodes
-// and the ByRoute lists are carved out of per-view arenas, so a full
-// design allocates per chunk, not per fragment.
+// buffers reused across the nets of one call, and the fragments' Nodes,
+// Pins and VPins and the ByRoute lists are carved out of per-view
+// arenas, so a full design allocates per chunk, not per fragment.
 func (d *Design) Split(layer int) (*SplitView, error) {
 	if layer < 1 || layer >= d.Grid.Layers {
 		return nil, fmt.Errorf("layout: split layer M%d out of range (1..%d)", layer, d.Grid.Layers-1)
@@ -136,7 +136,13 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 		adjList  []int32
 		comp     []int32 // node position -> global fragment ID
 		stack    []int32
+		pinAt    []int32      // per design pin: its node position, or -1
+		vpinAt   []int32      // per boundary via: its FEOL node position, or -1
+		pinN     []int32      // per fragment of the net: its design pins
+		vpinN    []int32      // per fragment of the net: its vpins
 		arena    []route.Node // backs the fragments' Nodes
+		pinArena []TaggedPin  // backs the fragments' Pins
+		vidArena []int        // backs the fragments' VPins
 	)
 	// add collects n's index once per net: an index is stamped when
 	// first seen, so the sort gets every node once.
@@ -219,6 +225,7 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 		for i := range comp {
 			comp[i] = -1
 		}
+		first := len(sv.Frags)
 		for i := 0; i < nn; i++ {
 			if comp[i] >= 0 {
 				continue
@@ -241,20 +248,46 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 			end := len(arena)
 			sv.Frags = append(sv.Frags, Fragment{ID: fid, RouteID: id, Nodes: arena[start:end:end]})
 		}
-		// Attach design pins to their fragments.
+		// Count each fragment's design pins and vpins, then give each
+		// fragment exactly sized windows of the pin and vpin arenas for
+		// the appends below; a fragment with none keeps nil slices.
+		frags := sv.Frags[first:]
+		pinN = resetInt32(pinN, len(frags))
+		vpinN = resetInt32(vpinN, len(frags))
+		pinAt = pinAt[:0]
 		for _, p := range d.Pins[id] {
+			i := int32(-1)
 			if p.Layer <= layer {
-				if i := find(d.Grid.NodeOf(p.Pt, p.Layer)); i >= 0 {
-					fid := comp[i]
-					sv.Frags[fid].Pins = append(sv.Frags[fid].Pins, p)
+				if i = find(d.Grid.NodeOf(p.Pt, p.Layer)); i >= 0 {
+					pinN[int(comp[i])-first]++
 				}
+			}
+			pinAt = append(pinAt, i)
+		}
+		vpinAt = vpinAt[:0]
+		for _, e := range boundary {
+			i := find(e.A) // -1: a via stack floating above BEOL-only wiring
+			if i >= 0 {
+				vpinN[int(comp[i])-first]++
+			}
+			vpinAt = append(vpinAt, i)
+		}
+		for k := range frags {
+			frags[k].Pins, pinArena = carve(pinArena, int(pinN[k]))
+			frags[k].VPins, vidArena = carve(vidArena, int(vpinN[k]))
+		}
+		// Attach design pins to their fragments.
+		for k, p := range d.Pins[id] {
+			if i := pinAt[k]; i >= 0 {
+				fid := comp[i]
+				sv.Frags[fid].Pins = append(sv.Frags[fid].Pins, p)
 			}
 		}
 		// VPins with dangling directions.
-		for _, e := range boundary {
-			i := find(e.A)
+		for k, e := range boundary {
+			i := vpinAt[k]
 			if i < 0 {
-				continue // via stack floating above BEOL-only wiring
+				continue
 			}
 			fid := int(comp[i])
 			vp := VPin{
@@ -284,8 +317,23 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 	return sv, nil
 }
 
-// splitArenaChunk is the node count of one Split arena chunk (96 KiB).
+// splitArenaChunk is the element count of one Split arena chunk (96
+// KiB of Nodes).
 const splitArenaChunk = 1 << 12
+
+// carve returns an empty window of capacity n at the end of arena and
+// arena grown past it, starting a fresh chunk when the current one lacks
+// room. For n == 0 it returns a nil window and arena unchanged.
+func carve[T any](arena []T, n int) (window, rest []T) {
+	if n == 0 {
+		return nil, arena
+	}
+	if cap(arena)-len(arena) < n {
+		arena = make([]T, 0, max(n, splitArenaChunk))
+	}
+	l := len(arena)
+	return arena[l : l : l+n], arena[:l+n]
+}
 
 // resetInt32 returns a zeroed int32 slice of length n, reusing buf's
 // backing array when it is large enough.
