@@ -38,7 +38,6 @@ import "math/bits"
 // allocating once they have grown.
 type BucketQueue[V any] struct {
 	last uint64 // the floor, as a key
-	n    int    // entries in the buckets and the overflow
 	nb   int    // entries in the buckets
 	// head[k & bucketMask] is the pool index of the top entry of key k's
 	// bucket; it is meaningful only while occ marks that bucket non-empty.
@@ -78,7 +77,7 @@ type overflowEntry[V any] struct {
 const signBit = 1 << 63
 
 // Len returns the number of entries.
-func (q *BucketQueue[V]) Len() int { return q.n }
+func (q *BucketQueue[V]) Len() int { return q.nb + len(q.over) }
 
 // Reset empties the queue, keeps the pool and the overflow's backing
 // arrays for reuse, and lifts the floor: the next push may have any
@@ -88,7 +87,7 @@ func (q *BucketQueue[V]) Reset() {
 	q.pool = q.pool[:0]
 	q.free = 0
 	q.over = q.over[:0]
-	q.last, q.n, q.nb, q.seq = 0, 0, 0, 0
+	q.last, q.nb, q.seq = 0, 0, 0
 }
 
 // Push adds v with priority p, which must be at least the last popped
@@ -100,7 +99,6 @@ func (q *BucketQueue[V]) Push(p int64, v V) {
 	if k < q.last {
 		panic("heapx: BucketQueue.Push below the last popped priority")
 	}
-	q.n++
 	if k-q.last < bucketWindow {
 		q.link(k, v)
 		return
@@ -129,11 +127,9 @@ func (q *BucketQueue[V]) Pop() (int64, V) {
 	} else {
 		q.head[s] = e.next - 1
 	}
-	var zero V
-	e.val, e.next = zero, q.free
+	e.next = q.free
 	q.free = i + 1
 	q.nb--
-	q.n--
 	return int64(q.last ^ signBit), v
 }
 
