@@ -173,7 +173,9 @@ func (g *mcmf) freeze() residual {
 // Which equal-distance node the Dijkstra settles first does not matter:
 // a node at distance dist[t] gets the potential dist[t] whether it was
 // settled before t popped or not, so the potentials, the admissible
-// arcs and every phase are the same under any tie order of the heap.
+// arcs and every phase are the same under any tie order of the heap. Of
+// heapx.Heap's users, only the coarse planner depends on its textbook
+// tie order.
 //
 // The context is checked once per Dijkstra sweep, so a single large
 // solve — a full-size superblue split spans many cost levels — stops
