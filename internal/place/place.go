@@ -7,10 +7,11 @@
 package place
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"splitmfg/internal/cell"
 	"splitmfg/internal/geom"
@@ -208,17 +209,20 @@ func (p *Placement) placePads(nl *netlist.Netlist) {
 func (p *Placement) globalPlace(nl *netlist.Netlist, masters []*cell.Master, xs, ys []float64, iters int) {
 	die := p.Die
 	w, h := float64(die.W()), float64(die.H())
-	nBins := int(math.Sqrt(float64(nl.NumGates())))/2 + 2
+	nx := make([]float64, len(xs))
+	ny := make([]float64, len(ys))
+	wt := make([]float64, len(xs))
+	keys, buf := make([]rankKey, len(xs)), make([]rankKey, len(xs))
+	addPull := func(g int, px, py, weight float64) {
+		nx[g] += px * weight
+		ny[g] += py * weight
+		wt[g] += weight
+	}
 	for it := 0; it < iters; it++ {
 		// Pull each gate toward the centroid of everything it connects to.
-		nx := make([]float64, len(xs))
-		ny := make([]float64, len(ys))
-		wt := make([]float64, len(xs))
-		addPull := func(g int, px, py, weight float64) {
-			nx[g] += px * weight
-			ny[g] += py * weight
-			wt[g] += weight
-		}
+		clear(nx)
+		clear(ny)
+		clear(wt)
 		for _, n := range nl.Nets {
 			// Star model around the net centroid.
 			var cx, cy float64
@@ -259,24 +263,112 @@ func (p *Placement) globalPlace(nl *netlist.Netlist, masters []*cell.Master, xs,
 		// position. This keeps relative order (so clusters of connected
 		// gates stay together) while forcing near-uniform marginals, which
 		// is what the row-capacity-limited legalizer needs.
-		rankSpread(xs, w, 0.45)
-		rankSpread(ys, h, 0.45)
+		rankSpread(xs, w, 0.45, keys, buf)
+		rankSpread(ys, h, 0.45, keys, buf)
 	}
-	_ = nBins
+}
+
+// rankKey is one gate and its coordinate on the axis being ranked, as
+// sortBits.
+type rankKey struct {
+	k uint64
+	g int
 }
 
 // rankSpread moves each value part-way toward the position its rank would
-// occupy under a uniform distribution over [0, span).
-func rankSpread(v []float64, span, beta float64) {
-	idx := make([]int, len(v))
-	for i := range idx {
-		idx[i] = i
+// occupy under a uniform distribution over [0, span). keys and buf are
+// scratch of len(v).
+//
+// Where the values are distinct their ranking is unique, so any correct
+// sort gives the ranking sort.Slice gives; radixSort is the fastest
+// found (DESIGN.md "Detailed placement"). Where two values are equal it
+// does not, and the ranking is redone with slices.SortFunc and the same
+// less from index order: both run the pdqsort generated from
+// sort/gen_sort_variants.go, so ties fall as sort.Slice lets them.
+func rankSpread(v []float64, span, beta float64, keys, buf []rankKey) {
+	for g := range keys {
+		keys[g] = rankKey{k: sortBits(v[g]), g: g}
 	}
-	sort.Slice(idx, func(a, b int) bool { return v[idx[a]] < v[idx[b]] })
+	radixSort(keys, buf)
+	for i := 1; i < len(keys); i++ {
+		if !(v[keys[i-1].g] < v[keys[i].g]) {
+			for g := range keys {
+				keys[g] = rankKey{g: g}
+			}
+			slices.SortFunc(keys, func(a, b rankKey) int {
+				if v[a.g] < v[b.g] {
+					return -1
+				}
+				return 0
+			})
+			break
+		}
+	}
 	n := float64(len(v))
-	for rank, g := range idx {
+	for rank, k := range keys {
 		target := (float64(rank) + 0.5) / n * span
-		v[g] = (1-beta)*v[g] + beta*target
+		v[k.g] = (1-beta)*v[k.g] + beta*target
+	}
+}
+
+// sortBits maps a float64 to a uint64 whose unsigned order is the
+// float's order (negative zero below positive zero, NaNs at the ends).
+func sortBits(f float64) uint64 {
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// radixSort sorts keys by k, using buf (of the same length) as scratch.
+// A least-significant-digit radix sort over the top 32 bits, one byte
+// per pass and skipping any byte all keys share, orders the keys by
+// those bits; the runs that share them, rare and short where the values
+// are spread over a die, are then sorted by the whole key.
+func radixSort(keys, buf []rankKey) {
+	if len(keys) < 2 {
+		return
+	}
+	var count [4][256]uint32
+	for _, e := range keys {
+		top := uint32(e.k >> 32)
+		count[0][byte(top)]++
+		count[1][byte(top>>8)]++
+		count[2][byte(top>>16)]++
+		count[3][byte(top>>24)]++
+	}
+	src, dst := keys, buf
+	for d := range count {
+		c := &count[d]
+		shift := 32 + 8*d
+		if c[byte(src[0].k>>shift)] == uint32(len(src)) {
+			continue
+		}
+		sum := uint32(0)
+		for i, n := range c {
+			c[i], sum = sum, sum+n
+		}
+		for _, e := range src {
+			x := byte(e.k >> shift)
+			dst[c[x]] = e
+			c[x]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
+	// keys[i:j] share their top 32 bits.
+	i := 0
+	for j := 1; j <= len(keys); j++ {
+		if j < len(keys) && keys[j].k>>32 == keys[i].k>>32 {
+			continue
+		}
+		if j-i > 1 {
+			slices.SortFunc(keys[i:j], func(a, b rankKey) int { return cmp.Compare(a.k, b.k) })
+		}
+		i = j
 	}
 }
 
@@ -284,13 +376,22 @@ func rankSpread(v []float64, span, beta float64) {
 // bounds how far right of a row's cursor a cell may be placed; unused space
 // left of the cursor is unreachable later, so bounding the gap bounds the
 // total waste.
+//
+// Each cell takes the row of least cost, the lowest of equal ones. Rows
+// are visited nearest wantRow first, and the visit stops once the row
+// distance alone exceeds the best cost found: no row beyond can reach it.
 func (p *Placement) legalize(nl *netlist.Netlist, masters []*cell.Master, xs, ys []float64, maxGap int) error {
 	die := p.Die
 	order := make([]int, nl.NumGates())
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return xs[order[a]] < xs[order[b]] })
+	slices.SortFunc(order, func(a, b int) int {
+		if xs[a] < xs[b] {
+			return -1
+		}
+		return 0
+	})
 	rowCursor := make([]int, p.NumRows) // next free x per row
 	for i := range rowCursor {
 		rowCursor[i] = die.Lo.X
@@ -300,25 +401,33 @@ func (p *Placement) legalize(nl *netlist.Netlist, masters []*cell.Master, xs, ys
 		wantX := int(xs[g]) - m.WidthNM/2
 		wantRow := geom.Clamp(int(ys[g])/cell.RowHeight, 0, p.NumRows-1)
 		bestRow, bestX, bestCost := -1, 0, math.MaxFloat64
-		for r := 0; r < p.NumRows; r++ {
-			x := geom.Clamp(wantX, rowCursor[r], rowCursor[r]+maxGap)
-			x = (x / cell.SiteWidth) * cell.SiteWidth
-			if x < rowCursor[r] {
-				x += cell.SiteWidth
+		for d := 0; wantRow-d >= 0 || wantRow+d < p.NumRows; d++ {
+			dy := float64(d) * float64(cell.RowHeight)
+			if dy > bestCost {
+				break
 			}
-			// Clamp back toward the row cursor when the desired spot would
-			// spill past the die edge.
-			if x+m.WidthNM > die.Hi.X {
-				x = (die.Hi.X - m.WidthNM) / cell.SiteWidth * cell.SiteWidth
-			}
-			if x < rowCursor[r] || x+m.WidthNM > die.Hi.X {
-				continue // genuinely no room in this row
-			}
-			dy := math.Abs(float64(r-wantRow)) * float64(cell.RowHeight)
-			dx := math.Abs(float64(x - wantX))
-			cost := dx + dy
-			if cost < bestCost {
-				bestCost, bestRow, bestX = cost, r, x
+			// r is wantRow-d and, for d > 0, wantRow+d.
+			for r := wantRow - d; r <= wantRow+d; r += max(2*d, 1) {
+				if r < 0 || r >= p.NumRows {
+					continue
+				}
+				x := geom.Clamp(wantX, rowCursor[r], rowCursor[r]+maxGap)
+				x = (x / cell.SiteWidth) * cell.SiteWidth
+				if x < rowCursor[r] {
+					x += cell.SiteWidth
+				}
+				// Clamp back toward the row cursor when the desired spot would
+				// spill past the die edge.
+				if x+m.WidthNM > die.Hi.X {
+					x = (die.Hi.X - m.WidthNM) / cell.SiteWidth * cell.SiteWidth
+				}
+				if x < rowCursor[r] || x+m.WidthNM > die.Hi.X {
+					continue // genuinely no room in this row
+				}
+				dx := math.Abs(float64(x - wantX))
+				if cost := dx + dy; cost < bestCost || cost == bestCost && r < bestRow {
+					bestCost, bestRow, bestX = cost, r, x
+				}
 			}
 		}
 		if bestRow < 0 {
@@ -352,11 +461,11 @@ func (p *Placement) CheckLegal() error {
 	}
 	// One flat sort by (row, x) replaces the old per-row map of spans; rows
 	// are contiguous runs, so overlap is always between sort-adjacent spans.
-	sort.Slice(spans, func(a, b int) bool {
-		if spans[a].y != spans[b].y {
-			return spans[a].y < spans[b].y
+	slices.SortFunc(spans, func(a, b span) int {
+		if a.y != b.y {
+			return cmp.Compare(a.y, b.y)
 		}
-		return spans[a].lo < spans[b].lo
+		return cmp.Compare(a.lo, b.lo)
 	})
 	for i := 1; i < len(spans); i++ {
 		if spans[i].y == spans[i-1].y && spans[i].lo < spans[i-1].hi {
@@ -391,13 +500,6 @@ func (p *Placement) ConnectedDistances(nl *netlist.Netlist) []int {
 	return out
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // hilbertD2XY converts a distance along the order-k Hilbert curve to grid
 // coordinates on a 2^k x 2^k lattice (standard bit-twiddling construction).
 func hilbertD2XY(order, d int) (x, y int) {
@@ -427,58 +529,27 @@ func hilbertD2XY(order, d int) (x, y int) {
 // run exactly such a pass after legalization; it is what compresses the
 // median driver-sink distance to a few cell pitches and thereby produces
 // the proximity leak the attacks feed on.
+//
+// A candidate's gain is the HPWL the swap saves over the distinct nets
+// of both cells. Only the two cells move, so a net on one of them alone
+// changes by that cell's pins moving to the other's center, which its
+// summary (netSum) prices in O(1), and a net on both does not change.
+// Each cell takes the first candidate, in scan order, of strictly
+// largest positive gain. DESIGN.md "Detailed placement" has the details.
 func (p *Placement) Refine(nl *netlist.Netlist, passes int) {
 	if passes <= 0 {
 		passes = 2
 	}
-	// Nets touching each gate.
-	netsOf := make([][]int, len(p.Cells))
-	for _, n := range nl.Nets {
-		add := func(g int) { netsOf[g] = append(netsOf[g], n.ID) }
-		if !n.IsPI() {
-			add(n.Driver)
-		}
-		for _, s := range n.Sinks {
-			add(s.Gate)
-		}
+	if len(p.Cells) == 0 {
+		return
 	}
-	// The swap cost is evaluated twice per candidate pair in the innermost
-	// loop; a per-call map for net dedup was the placer's dominant
-	// allocation. Epoch-stamped scratch over net IDs plus a reused point
-	// buffer make it allocation-free.
-	seenEp := make([]int32, nl.NumNets())
-	var epoch int32
-	var pts []geom.Point
-	hpwlOf := func(netID int) int {
-		pts = p.AppendNetPoints(pts[:0], nl, netID)
-		return geom.HPWL(pts)
-	}
-	cost := func(a, b int) int {
-		epoch++
-		total := 0
-		for _, id := range netsOf[a] {
-			if seenEp[id] != epoch {
-				seenEp[id] = epoch
-				total += hpwlOf(id)
-			}
-		}
-		for _, id := range netsOf[b] {
-			if seenEp[id] != epoch {
-				seenEp[id] = epoch
-				total += hpwlOf(id)
-			}
-		}
-		return total
-	}
+	rf := newRefiner(p, nl)
 	// Spatial index: cells by (row, approximate column bucket), stored as a
 	// dense grid. Swapping only exchanges locations, so the set of occupied
 	// buckets is invariant across passes and the grid extent is fixed.
 	const colPitch = 8 * cell.SiteWidth
 	rowOf := func(g int) int { return p.Cells[g].Loc.Y / cell.RowHeight }
 	colOf := func(g int) int { return p.Cells[g].Loc.X / colPitch }
-	if len(p.Cells) == 0 {
-		return
-	}
 	rowBase, colBase := rowOf(0), colOf(0)
 	rowMax, colMax := rowBase, colBase
 	for g := range p.Cells {
@@ -487,18 +558,32 @@ func (p *Placement) Refine(nl *netlist.Netlist, passes int) {
 		colBase, colMax = min(colBase, c), max(colMax, c)
 	}
 	nRows, nCols := rowMax-rowBase+1, colMax-colBase+1
-	index := make([][]int, nRows*nCols)
+	// Bucket i holds index[start[i]:start[i+1]], in gate order; each entry
+	// carries its cell's width, which the scan compares first.
+	start := make([]int32, nRows*nCols+1)
+	index := make([]slot, len(p.Cells))
 	for pass := 0; pass < passes; pass++ {
-		for i := range index {
-			index[i] = index[i][:0]
+		clear(start)
+		for g := range p.Cells {
+			start[(rowOf(g)-rowBase)*nCols+(colOf(g)-colBase)]++
+		}
+		sum := int32(0)
+		for i, n := range start {
+			start[i], sum = sum, sum+n
 		}
 		for g := range p.Cells {
 			i := (rowOf(g)-rowBase)*nCols + (colOf(g) - colBase)
-			index[i] = append(index[i], g)
+			index[start[i]] = slot{g: int32(g), w: int32(p.Cells[g].Master.WidthNM)}
+			start[i]++
 		}
+		// The fill advanced each start[i] to the next bucket's start.
+		copy(start[1:], start)
+		start[0] = 0
 		improved := 0
 		for a := range p.Cells {
 			ra, ca := rowOf(a)-rowBase, colOf(a)-colBase
+			wa := int32(p.Cells[a].Master.WidthNM)
+			rf.begin(a)
 			bestGain, bestB := 0, -1
 			for dr := -2; dr <= 2; dr++ {
 				for dc := -2; dc <= 2; dc++ {
@@ -506,22 +591,19 @@ func (p *Placement) Refine(nl *netlist.Netlist, passes int) {
 					if r < 0 || r >= nRows || c < 0 || c >= nCols {
 						continue
 					}
-					for _, b := range index[r*nCols+c] {
-						if b == a || p.Cells[a].Master.WidthNM != p.Cells[b].Master.WidthNM {
+					i := r*nCols + c
+					for _, s := range index[start[i]:start[i+1]] {
+						if s.w != wa || int(s.g) == a {
 							continue
 						}
-						before := cost(a, b)
-						p.SwapCells(a, b)
-						after := cost(a, b)
-						p.SwapCells(a, b)
-						if gain := before - after; gain > bestGain {
-							bestGain, bestB = gain, b
+						if gain := rf.gain(int(s.g)); gain > bestGain {
+							bestGain, bestB = gain, int(s.g)
 						}
 					}
 				}
 			}
 			if bestB >= 0 {
-				p.SwapCells(a, bestB)
+				rf.swap(a, bestB)
 				improved++
 			}
 		}
@@ -531,9 +613,248 @@ func (p *Placement) Refine(nl *netlist.Netlist, passes int) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// slot is one spatial-index entry: a gate and its cell's width.
+type slot struct{ g, w int32 }
+
+// netSum summarizes the pin points of one net for Refine. Each bound is
+// kept as a maximum: of −x, x, −y and y, so hpwl is the sum of the four.
+// For bound k, top[k] is the maximum over all pins, holder[k] one gate
+// with a pin there (−1 for a pad), and rest[k] the maximum over the pins
+// of every gate but holder[k] and of every pad, or math.MinInt where
+// there are none. The net's bounds without gate g are therefore top[k],
+// or rest[k] where holder[k] is g.
+type netSum struct {
+	top, rest [4]int
+	holder    [4]int32
+	hpwl      int
+	ok        bool // false until computed, and again once a cell on the net moves
+}
+
+// signed returns a point's coordinates as netSum's four maximized terms.
+func signed(pt geom.Point) [4]int { return [4]int{-pt.X, pt.X, -pt.Y, pt.Y} }
+
+// add folds one pin point of gate g (−1 for a pad) into the summary.
+func (s *netSum) add(pt geom.Point, g int32) {
+	q := signed(pt)
+	for k, v := range q {
+		switch {
+		case v > s.top[k]:
+			if g != s.holder[k] {
+				s.rest[k] = s.top[k]
+			}
+			s.top[k], s.holder[k] = v, g
+		case g != s.holder[k]:
+			s.rest[k] = max(s.rest[k], v)
+		}
+	}
+}
+
+// without returns the net's four bounds over every pin not of gate g.
+func (s *netSum) without(g int32) [4]int {
+	b := s.top
+	for k := range b {
+		if s.holder[k] == g {
+			b[k] = s.rest[k]
+		}
 	}
 	return b
+}
+
+// hpwlWith returns the HPWL of the bounds b extended by one point's
+// signed coordinates q: a net's HPWL once every pin of a gate it was
+// summarized without moves to that point.
+func hpwlWith(b, q [4]int) int {
+	return max(b[0], q[0]) + max(b[1], q[1]) + max(b[2], q[2]) + max(b[3], q[3])
+}
+
+// pinSum is one net of one gate, as that gate's swaps price it: the
+// net's HPWL and its bounds without the gate.
+type pinSum struct {
+	hpwl int
+	wo   [4]int
+}
+
+// refiner holds Refine's state: each net's pins and summary, each
+// gate's distinct nets and their pinSums, the cell centers, and the
+// cell whose candidates are being scanned.
+type refiner struct {
+	p *Placement
+	// pinsOn[poff[id]:poff[id+1]] are net id's pins: a gate, or ^i for
+	// pads[i], the primary-input pads followed by the primary-output ones.
+	poff   []int32
+	pinsOn []int32
+	pads   []geom.Point
+	sums   []netSum
+	// nets[off[g]:off[g+1]] are gate g's distinct nets, and pins the
+	// same span their pinSums, current while fresh[g] is set.
+	off   []int32
+	nets  []int32
+	pins  []pinSum
+	fresh []bool
+	ctr   []geom.Point // each gate's cell center, swapped with the cells
+	// The scanned cell, its center as signed coordinates, and its nets
+	// and pinSums.
+	a     int
+	qa    [4]int
+	aNets []int32
+	aPins []pinSum
+}
+
+func newRefiner(p *Placement, nl *netlist.Netlist) *refiner {
+	ng, nn := len(p.Cells), nl.NumNets()
+	r := &refiner{
+		p:     p,
+		poff:  make([]int32, nn+1),
+		pads:  append(slices.Clip(p.PIPads), p.POPads...),
+		sums:  make([]netSum, nn),
+		off:   make([]int32, ng+1),
+		fresh: make([]bool, ng),
+		ctr:   make([]geom.Point, ng),
+	}
+	for g := range r.ctr {
+		r.ctr[g] = p.GateCenter(g)
+	}
+	total := 0
+	for id := range nl.Nets {
+		total += 1 + nl.Nets[id].FanoutCount()
+	}
+	r.pinsOn = make([]int32, 0, total)
+	for id := range nl.Nets {
+		n := &nl.Nets[id]
+		if n.IsPI() {
+			r.pinsOn = append(r.pinsOn, ^int32(n.PI))
+		} else {
+			r.pinsOn = append(r.pinsOn, int32(n.Driver))
+		}
+		for _, s := range n.Sinks {
+			r.pinsOn = append(r.pinsOn, int32(s.Gate))
+		}
+		for _, po := range n.POs {
+			r.pinsOn = append(r.pinsOn, ^int32(len(p.PIPads)+po))
+		}
+		r.poff[id+1] = int32(len(r.pinsOn))
+	}
+	// A gate with several pins on one net lists that net once. Nets are
+	// visited in order, so last[g], 1 + the last net listed for g, dedups.
+	last := make([]int32, ng)
+	visit := func(fill bool) {
+		for id := range nl.Nets {
+			for _, g := range r.pinsOf(int32(id)) {
+				if g < 0 || last[g] == int32(id)+1 {
+					continue
+				}
+				last[g] = int32(id) + 1
+				if fill {
+					r.nets[r.off[g]] = int32(id)
+				}
+				r.off[g]++
+			}
+		}
+	}
+	visit(false)
+	sum := int32(0)
+	for g := 0; g < ng; g++ {
+		sum, r.off[g] = sum+r.off[g], sum
+	}
+	r.off[ng] = sum
+	r.nets = make([]int32, sum)
+	r.pins = make([]pinSum, sum)
+	clear(last)
+	visit(true)
+	// The fill advanced each off[g] to the next gate's start.
+	copy(r.off[1:], r.off[:ng])
+	r.off[0] = 0
+	return r
+}
+
+// pinsOf returns net id's pins.
+func (r *refiner) pinsOf(id int32) []int32 { return r.pinsOn[r.poff[id]:r.poff[id+1]] }
+
+// netsOf returns gate g's distinct nets.
+func (r *refiner) netsOf(g int) []int32 { return r.nets[r.off[g]:r.off[g+1]] }
+
+// sum returns net id's summary, computing it if a move invalidated it.
+func (r *refiner) sum(id int32) *netSum {
+	s := &r.sums[id]
+	if s.ok {
+		return s
+	}
+	for k := range s.top {
+		s.top[k], s.rest[k], s.holder[k] = math.MinInt, math.MinInt, -2
+	}
+	for _, g := range r.pinsOf(id) {
+		if g >= 0 {
+			s.add(r.ctr[g], g)
+		} else {
+			s.add(r.pads[^g], -1)
+		}
+	}
+	s.hpwl = s.top[0] + s.top[1] + s.top[2] + s.top[3]
+	s.ok = true
+	return s
+}
+
+// swap exchanges cells a and b, and invalidates the summaries of
+// their nets and the pinSums of every gate on those nets. Their widths
+// are equal, so their centers trade places exactly.
+func (r *refiner) swap(a, b int) {
+	r.p.SwapCells(a, b)
+	r.ctr[a], r.ctr[b] = r.ctr[b], r.ctr[a]
+	for _, g := range [2]int{a, b} {
+		for _, id := range r.netsOf(g) {
+			r.sums[id].ok = false
+			for _, h := range r.pinsOf(id) {
+				if h >= 0 {
+					r.fresh[h] = false
+				}
+			}
+		}
+	}
+}
+
+// pinSums returns gate g's pinSums, recomputing them if a swap moved a
+// cell on one of its nets.
+func (r *refiner) pinSums(g int) []pinSum {
+	ps := r.pins[r.off[g]:r.off[g+1]]
+	if !r.fresh[g] {
+		for j, id := range r.netsOf(g) {
+			s := r.sum(id)
+			ps[j] = pinSum{hpwl: s.hpwl, wo: s.without(int32(g))}
+		}
+		r.fresh[g] = true
+	}
+	return ps
+}
+
+// begin starts the scan of cell a's candidates. Nothing moves until the
+// scan ends, so a's pinSums hold for every candidate.
+func (r *refiner) begin(a int) {
+	r.a, r.qa = a, signed(r.ctr[a])
+	r.aNets, r.aPins = r.netsOf(a), r.pinSums(a)
+}
+
+// gain returns the HPWL that swapping the scanned cell with b saves over
+// the distinct nets of both. A net on both saves nothing: its pins at
+// a's center and those at b's trade places, so its points, and its
+// box, stay as they were.
+//
+//smlint:hot
+func (r *refiner) gain(b int) int {
+	bNets, bPins := r.netsOf(b), r.pinSums(b)
+	gain, shared := 0, false
+	for j, id := range bNets {
+		if slices.Contains(r.aNets, id) {
+			shared = true
+			continue
+		}
+		gain += bPins[j].hpwl - hpwlWith(bPins[j].wo, r.qa)
+	}
+	qb := signed(r.ctr[b])
+	for j, id := range r.aNets {
+		if shared && slices.Contains(bNets, id) {
+			continue
+		}
+		gain += r.aPins[j].hpwl - hpwlWith(r.aPins[j].wo, qb)
+	}
+	return gain
 }
