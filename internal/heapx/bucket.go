@@ -9,7 +9,8 @@ import "math/bits"
 // holds for Dijkstra and for A* under a consistent bound — and Push
 // panics otherwise.
 //
-// The last popped priority is the floor. The window [floor,
+// The floor is the last popped priority or, before the first pop, the
+// one Reset set (math.MinInt64 in the zero value). The window [floor,
 // floor+bucketWindow) has one LIFO bucket per exact priority: a push
 // inside it links the entry on top of its bucket in O(1), and an
 // occupancy bitmap finds the next non-empty bucket. A push at or above
@@ -21,8 +22,8 @@ import "math/bits"
 // the overflow only while its priority lies outside the window.
 //
 // Equal priorities pop newest push first. A priority enters the window
-// once, when the floor comes within bucketWindow of it, and stays inside
-// until it pops: every push of it before that went to the overflow, and
+// once, at Reset or when the floor comes within bucketWindow of it, and
+// stays inside until it pops: every push of it before that went to the overflow, and
 // every push after goes straight to its bucket. Its bucket is empty when
 // it drains, the drain stacks the overflow's entries oldest first, and
 // every later direct push lands on top of them, so the bucket holds all
@@ -80,14 +81,19 @@ const signBit = 1 << 63
 func (q *BucketQueue[V]) Len() int { return q.nb + len(q.over) }
 
 // Reset empties the queue, keeps the pool and the overflow's backing
-// arrays for reuse, and lifts the floor: the next push may have any
-// priority.
-func (q *BucketQueue[V]) Reset() {
+// arrays for reuse, and sets the floor to floor: no push may go below
+// it. A caller that knows the lowest priority it will push before its
+// first pop passes it, so that every push within the window of it links
+// into its bucket at once instead of waiting in the overflow for that
+// pop. The pop order is the same either way: a key's entries reach its
+// bucket in push order by both routes. math.MinInt64 lets the next push
+// have any priority.
+func (q *BucketQueue[V]) Reset(floor int64) {
 	q.occ = [bucketWindow / 64]uint64{}
 	q.pool = q.pool[:0]
 	q.free = 0
 	q.over = q.over[:0]
-	q.last, q.nb, q.seq = 0, 0, 0
+	q.last, q.nb, q.seq = uint64(floor)^signBit, 0, 0
 }
 
 // Push adds v with priority p, which must be at least the last popped

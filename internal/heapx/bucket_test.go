@@ -2,6 +2,7 @@ package heapx
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -89,10 +90,13 @@ func TestBucketQueueMatchesTextbook(t *testing.T) {
 
 // FuzzBucketQueueMatchesTextbook drives the same differential check from fuzz
 // bytes. The first byte picks a span of 1–16 and a step shift of 0–45
-// bits, the second a starting floor from −3·2^60 to 3·2^60. Each later
-// byte b pushes the last popped priority plus (b % span) << shift or, for
-// b >= 160 on a non-empty queue, pops; the queue is then drained. Every
-// pop must match container/heap ordered by (priority, −push sequence).
+// bits. The second picks a starting priority from −3·2^60 to 3·2^60 and
+// the queue's Reset floor: d << shift below that priority for d in
+// 0–35, or the zero value's math.MinInt64 for d = 36. Each later byte b
+// pushes the last popped priority (at first, the starting one) plus
+// (b % span) << shift or, for b >= 160 on a non-empty queue, pops; the
+// queue is then drained. Every pop must match container/heap ordered by
+// (priority, −push sequence).
 func FuzzBucketQueueMatchesTextbook(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 1, 2, 3, 200, 4, 200, 200})
 	f.Add([]byte{3, 0, 5, 4, 3, 2, 1, 0, 9, 8, 7, 255, 6, 255, 255, 5, 255})
@@ -104,6 +108,9 @@ func FuzzBucketQueueMatchesTextbook(f *testing.F) {
 		span := 1 + int64(ops[0]%16)
 		shift := uint(ops[0]/16) * 3
 		r := &bucketPair{floor: int64(int(ops[1]%7)-3) << 60}
+		if d := int64(ops[1] / 7); d < 36 {
+			r.got.Reset(r.floor - d<<shift)
+		}
 		// At most 4096 steps of at most 15·2^45 keep every priority
 		// inside int64.
 		for _, b := range ops[2:min(len(ops), 4098)] {
@@ -136,7 +143,7 @@ func TestBucketQueuePushBelowFloorPanics(t *testing.T) {
 func TestBucketQueueResetReuses(t *testing.T) {
 	var q BucketQueue[int32]
 	run := func() {
-		q.Reset()
+		q.Reset(math.MinInt64)
 		for i := int32(0); i < 256; i++ {
 			q.Push(int64(i%17)*1000, i)
 		}
@@ -151,7 +158,7 @@ func TestBucketQueueResetReuses(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 		t.Fatalf("reused queue allocates %.1f times per search", allocs)
 	}
-	q.Reset()
+	q.Reset(math.MinInt64)
 	q.Push(-1, 0) // below the previous search's last pop
 	if p, _ := q.Pop(); p != -1 {
 		t.Fatalf("after Reset popped %d, want -1", p)
@@ -205,7 +212,7 @@ func TestBucketQueueWindow(t *testing.T) {
 			r.push(2 * w)
 			r.push(5 * w)
 			r.overflow(t, 2)
-			r.got.Reset()
+			r.got.Reset(math.MinInt64)
 			r.want = r.want[:0]
 			if r.got.Len() != 0 {
 				t.Fatalf("Reset left %d entries", r.got.Len())
@@ -213,6 +220,32 @@ func TestBucketQueueWindow(t *testing.T) {
 			r.floor -= 7 * w // Reset lifts the floor
 			r.push(0)
 			r.push(w)
+			r.pop(t)
+			r.pop(t)
+		}},
+		{"reset to a raised floor links pushes inside its window", func(t *testing.T, r *bucketPair) {
+			r.floor += 10 * w
+			r.got.Reset(r.floor)
+			r.push(w - 1)
+			r.push(0) // at the floor itself
+			r.push(5)
+			r.push(5)
+			r.overflow(t, 0)
+			r.push(w) // the window's end
+			r.overflow(t, 1)
+			for i := 0; i < 5; i++ {
+				r.pop(t) // 0, then both 5s newest first, then w-1, then w
+			}
+		}},
+		{"reset to a floor below every push", func(t *testing.T, r *bucketPair) {
+			r.floor += 20 * w
+			r.got.Reset(r.floor - 3)
+			r.push(w - 4) // w-1 above the Reset floor: links
+			r.push(w - 3) // w above it: overflow
+			r.push(2 * w)
+			r.overflow(t, 2)
+			r.pop(t) // the floor rises by w-1 and drains w-3
+			r.overflow(t, 1)
 			r.pop(t)
 			r.pop(t)
 		}},

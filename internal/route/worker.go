@@ -3,6 +3,7 @@ package route
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"splitmfg/internal/geom"
@@ -497,11 +498,21 @@ func (w *worker) searchBounded(target Node, wireMin int, reg region) ([]Edge, bo
 	w.seedBuf = seeds
 	st := w.state
 	q := &w.pq
-	q.Reset()
+	// Seeds are all pushed before the first pop, so the frontier's floor
+	// starts at their lowest f-score and they link straight into their
+	// buckets.
+	h := func(t int32) int64 {
+		n := r.node(t)
+		return lb.hx(n.X) + lb.hy(n.Y) + lb.hz(n.X, n.Y, n.Z)
+	}
+	floor := int64(math.MaxInt64)
+	for _, t := range seeds {
+		floor = min(floor, h(t))
+	}
+	q.Reset(floor)
 	for _, t := range seeds {
 		st[t] = nodeState{dist: 0, epoch: ep, from: -1}
-		n := r.node(t)
-		q.Push(lb.hx(n.X)+lb.hy(n.Y)+lb.hz(n.X, n.Y, n.Z), t)
+		q.Push(h(t), t)
 	}
 	relax := func(cur, ni int32, nd, hn int64) {
 		s := &st[ni]
