@@ -11,6 +11,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"splitmfg/internal/netlist"
@@ -245,11 +246,11 @@ func Compare(golden, other *netlist.Netlist, piWords [][]uint64, words int) (Com
 		for out := 0; out < res.Outputs; out++ {
 			d := pg[out][w] ^ po[out][w]
 			anyDiff |= d
-			c := popcount(d)
+			c := bits.OnesCount64(d)
 			res.DiffBits += c
 			res.PerOutputDiff[out] += c
 		}
-		res.ErrPatterns += popcount(anyDiff)
+		res.ErrPatterns += bits.OnesCount64(anyDiff)
 	}
 	if res.Patterns > 0 {
 		res.OER = float64(res.ErrPatterns) / float64(res.Patterns)
@@ -258,15 +259,6 @@ func Compare(golden, other *netlist.Netlist, piWords [][]uint64, words int) (Com
 		}
 	}
 	return res, nil
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // OER estimates the output error rate of `other` against `golden` using
