@@ -212,7 +212,7 @@ func (p *Placement) globalPlace(nl *netlist.Netlist, masters []*cell.Master, xs,
 	nx := make([]float64, len(xs))
 	ny := make([]float64, len(ys))
 	wt := make([]float64, len(xs))
-	keys, buf := make([]rankKey, len(xs)), make([]rankKey, len(xs))
+	keys := make([]rankKey, len(xs))
 	addPull := func(g int, px, py, weight float64) {
 		nx[g] += px * weight
 		ny[g] += py * weight
@@ -263,112 +263,40 @@ func (p *Placement) globalPlace(nl *netlist.Netlist, masters []*cell.Master, xs,
 		// position. This keeps relative order (so clusters of connected
 		// gates stay together) while forcing near-uniform marginals, which
 		// is what the row-capacity-limited legalizer needs.
-		rankSpread(xs, w, 0.45, keys, buf)
-		rankSpread(ys, h, 0.45, keys, buf)
+		rankSpread(xs, w, 0.45, keys)
+		rankSpread(ys, h, 0.45, keys)
 	}
 }
 
-// rankKey is one gate and its coordinate on the axis being ranked, as
-// sortBits.
+// rankKey is one gate and its coordinate on the axis being ranked.
 type rankKey struct {
-	k uint64
+	v float64
 	g int
 }
 
 // rankSpread moves each value part-way toward the position its rank would
-// occupy under a uniform distribution over [0, span). keys and buf are
-// scratch of len(v).
+// occupy under a uniform distribution over [0, span). keys is scratch of
+// len(v).
 //
-// Where the values are distinct their ranking is unique, so any correct
-// sort gives the ranking sort.Slice gives; radixSort is the fastest
-// found (DESIGN.md "Detailed placement"). Where two values are equal it
-// does not, and the ranking is redone with slices.SortFunc and the same
-// less from index order: both run the pdqsort generated from
-// sort/gen_sort_variants.go, so ties fall as sort.Slice lets them.
-func rankSpread(v []float64, span, beta float64, keys, buf []rankKey) {
+// Gates are ranked by sorting (value, gate) keys from index order with
+// slices.SortFunc and the less v[i] < v[j]. That is the pdqsort that
+// sort.Slice runs, both generated from sort/gen_sort_variants.go and
+// comparing only through the less, so equal values rank as sort.Slice
+// ranks them; placeRef in the tests holds Place to that.
+func rankSpread(v []float64, span, beta float64, keys []rankKey) {
 	for g := range keys {
-		keys[g] = rankKey{k: sortBits(v[g]), g: g}
+		keys[g] = rankKey{v: v[g], g: g}
 	}
-	radixSort(keys, buf)
-	for i := 1; i < len(keys); i++ {
-		if !(v[keys[i-1].g] < v[keys[i].g]) {
-			for g := range keys {
-				keys[g] = rankKey{g: g}
-			}
-			slices.SortFunc(keys, func(a, b rankKey) int {
-				if v[a.g] < v[b.g] {
-					return -1
-				}
-				return 0
-			})
-			break
+	slices.SortFunc(keys, func(a, b rankKey) int {
+		if a.v < b.v {
+			return -1
 		}
-	}
+		return 0
+	})
 	n := float64(len(v))
 	for rank, k := range keys {
 		target := (float64(rank) + 0.5) / n * span
 		v[k.g] = (1-beta)*v[k.g] + beta*target
-	}
-}
-
-// sortBits maps a float64 to a uint64 whose unsigned order is the
-// float's order (negative zero below positive zero, NaNs at the ends).
-func sortBits(f float64) uint64 {
-	b := math.Float64bits(f)
-	if b>>63 != 0 {
-		return ^b
-	}
-	return b | 1<<63
-}
-
-// radixSort sorts keys by k, using buf (of the same length) as scratch.
-// A least-significant-digit radix sort over the top 32 bits, one byte
-// per pass and skipping any byte all keys share, orders the keys by
-// those bits; the runs that share them, rare and short where the values
-// are spread over a die, are then sorted by the whole key.
-func radixSort(keys, buf []rankKey) {
-	if len(keys) < 2 {
-		return
-	}
-	var count [4][256]uint32
-	for _, e := range keys {
-		top := uint32(e.k >> 32)
-		count[0][byte(top)]++
-		count[1][byte(top>>8)]++
-		count[2][byte(top>>16)]++
-		count[3][byte(top>>24)]++
-	}
-	src, dst := keys, buf
-	for d := range count {
-		c := &count[d]
-		shift := 32 + 8*d
-		if c[byte(src[0].k>>shift)] == uint32(len(src)) {
-			continue
-		}
-		sum := uint32(0)
-		for i, n := range c {
-			c[i], sum = sum, sum+n
-		}
-		for _, e := range src {
-			x := byte(e.k >> shift)
-			dst[c[x]] = e
-			c[x]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &keys[0] {
-		copy(keys, src)
-	}
-	// keys[i:j] share their top 32 bits.
-	i := 0
-	for j := 1; j <= len(keys); j++ {
-		if j < len(keys) && keys[j].k>>32 == keys[i].k>>32 {
-			continue
-		}
-		if j-i > 1 {
-			slices.SortFunc(keys[i:j], func(a, b rankKey) int { return cmp.Compare(a.k, b.k) })
-		}
-		i = j
 	}
 }
 
@@ -667,16 +595,16 @@ func hpwlWith(b, q [4]int) int {
 	return max(b[0], q[0]) + max(b[1], q[1]) + max(b[2], q[2]) + max(b[3], q[3])
 }
 
-// pinSum is one net of one gate, as that gate's swaps price it: the
-// net's HPWL and its bounds without the gate.
+// pinSum is one net of the scanned cell: the net's HPWL and its bounds
+// without that cell.
 type pinSum struct {
 	hpwl int
 	wo   [4]int
 }
 
 // refiner holds Refine's state: each net's pins and summary, each
-// gate's distinct nets and their pinSums, the cell centers, and the
-// cell whose candidates are being scanned.
+// gate's distinct nets, the cell centers, and the cell whose candidates
+// are being scanned.
 type refiner struct {
 	p *Placement
 	// pinsOn[poff[id]:poff[id+1]] are net id's pins: a gate, or ^i for
@@ -685,16 +613,12 @@ type refiner struct {
 	pinsOn []int32
 	pads   []geom.Point
 	sums   []netSum
-	// nets[off[g]:off[g+1]] are gate g's distinct nets, and pins the
-	// same span their pinSums, current while fresh[g] is set.
-	off   []int32
-	nets  []int32
-	pins  []pinSum
-	fresh []bool
-	ctr   []geom.Point // each gate's cell center, swapped with the cells
-	// The scanned cell, its center as signed coordinates, and its nets
-	// and pinSums.
-	a     int
+	// nets[off[g]:off[g+1]] are gate g's distinct nets.
+	off  []int32
+	nets []int32
+	ctr  []geom.Point // each gate's cell center, swapped with the cells
+	// The scanned cell's center as signed coordinates, its nets, and
+	// their pinSums.
 	qa    [4]int
 	aNets []int32
 	aPins []pinSum
@@ -703,13 +627,12 @@ type refiner struct {
 func newRefiner(p *Placement, nl *netlist.Netlist) *refiner {
 	ng, nn := len(p.Cells), nl.NumNets()
 	r := &refiner{
-		p:     p,
-		poff:  make([]int32, nn+1),
-		pads:  append(slices.Clip(p.PIPads), p.POPads...),
-		sums:  make([]netSum, nn),
-		off:   make([]int32, ng+1),
-		fresh: make([]bool, ng),
-		ctr:   make([]geom.Point, ng),
+		p:    p,
+		poff: make([]int32, nn+1),
+		pads: append(slices.Clip(p.PIPads), p.POPads...),
+		sums: make([]netSum, nn),
+		off:  make([]int32, ng+1),
+		ctr:  make([]geom.Point, ng),
 	}
 	for g := range r.ctr {
 		r.ctr[g] = p.GateCenter(g)
@@ -758,7 +681,6 @@ func newRefiner(p *Placement, nl *netlist.Netlist) *refiner {
 	}
 	r.off[ng] = sum
 	r.nets = make([]int32, sum)
-	r.pins = make([]pinSum, sum)
 	clear(last)
 	visit(true)
 	// The fill advanced each off[g] to the next gate's start.
@@ -794,43 +716,27 @@ func (r *refiner) sum(id int32) *netSum {
 	return s
 }
 
-// swap exchanges cells a and b, and invalidates the summaries of
-// their nets and the pinSums of every gate on those nets. Their widths
-// are equal, so their centers trade places exactly.
+// swap exchanges cells a and b and invalidates the summaries of their
+// nets. Their widths are equal, so their centers trade places exactly.
 func (r *refiner) swap(a, b int) {
 	r.p.SwapCells(a, b)
 	r.ctr[a], r.ctr[b] = r.ctr[b], r.ctr[a]
 	for _, g := range [2]int{a, b} {
 		for _, id := range r.netsOf(g) {
 			r.sums[id].ok = false
-			for _, h := range r.pinsOf(id) {
-				if h >= 0 {
-					r.fresh[h] = false
-				}
-			}
 		}
 	}
-}
-
-// pinSums returns gate g's pinSums, recomputing them if a swap moved a
-// cell on one of its nets.
-func (r *refiner) pinSums(g int) []pinSum {
-	ps := r.pins[r.off[g]:r.off[g+1]]
-	if !r.fresh[g] {
-		for j, id := range r.netsOf(g) {
-			s := r.sum(id)
-			ps[j] = pinSum{hpwl: s.hpwl, wo: s.without(int32(g))}
-		}
-		r.fresh[g] = true
-	}
-	return ps
 }
 
 // begin starts the scan of cell a's candidates. Nothing moves until the
 // scan ends, so a's pinSums hold for every candidate.
 func (r *refiner) begin(a int) {
-	r.a, r.qa = a, signed(r.ctr[a])
-	r.aNets, r.aPins = r.netsOf(a), r.pinSums(a)
+	r.qa, r.aNets = signed(r.ctr[a]), r.netsOf(a)
+	r.aPins = r.aPins[:0]
+	for _, id := range r.aNets {
+		s := r.sum(id)
+		r.aPins = append(r.aPins, pinSum{hpwl: s.hpwl, wo: s.without(int32(a))})
+	}
 }
 
 // gain returns the HPWL that swapping the scanned cell with b saves over
@@ -840,14 +746,15 @@ func (r *refiner) begin(a int) {
 //
 //smlint:hot
 func (r *refiner) gain(b int) int {
-	bNets, bPins := r.netsOf(b), r.pinSums(b)
+	bNets := r.netsOf(b)
 	gain, shared := 0, false
-	for j, id := range bNets {
+	for _, id := range bNets {
 		if slices.Contains(r.aNets, id) {
 			shared = true
 			continue
 		}
-		gain += bPins[j].hpwl - hpwlWith(bPins[j].wo, r.qa)
+		s := r.sum(id)
+		gain += s.hpwl - hpwlWith(s.without(int32(b)), r.qa)
 	}
 	qb := signed(r.ctr[b])
 	for j, id := range r.aNets {

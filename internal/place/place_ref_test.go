@@ -1,12 +1,10 @@
 package place
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sort"
 	"testing"
 
@@ -366,9 +364,8 @@ func FuzzPlaceMatchesReference(f *testing.F) {
 }
 
 // TestRankSpreadTies checks rankSpread against rankSpreadRef where values
-// tie, which sends it to its index-order fallback: no design reaches
-// that, since the blended coordinates are distinct. It also covers the
-// runs of distinct values that radixSort finishes by a second sort.
+// tie, and so where the two sorts must break ties alike: no design
+// reaches that, since the blended coordinates are distinct.
 func TestRankSpreadTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	negZero := math.Copysign(0, -1)
@@ -385,16 +382,6 @@ func TestRankSpreadTies(t *testing.T) {
 	for i := range manyTies {
 		manyTies[i] = float64(rng.Intn(40))
 	}
-	// Distinct values that share their top 32 bits, so radixSort's run
-	// sort orders them: one run of 100, and 40 runs of five.
-	long := make([]float64, 100)
-	for i := range long {
-		long[i] = 1e5 + float64((i*37)%100)*1e-9
-	}
-	short := make([]float64, 200)
-	for i := range short {
-		short[i] = float64((i*7)%40)*1000 + float64((i*3)%5)*1e-9
-	}
 	for _, c := range []struct {
 		name string
 		v    []float64
@@ -403,13 +390,11 @@ func TestRankSpreadTies(t *testing.T) {
 		{"one tie", oneTie},
 		{"many ties", manyTies},
 		{"signed zeros", []float64{0, negZero, 1, 0, negZero, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}},
-		{"one long run", long},
-		{"short runs", short},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			got := append([]float64(nil), c.v...)
 			want := append([]float64(nil), c.v...)
-			rankSpread(got, 1e5, 0.45, make([]rankKey, len(got)), make([]rankKey, len(got)))
+			rankSpread(got, 1e5, 0.45, make([]rankKey, len(got)))
 			rankSpreadRef(want, 1e5, 0.45)
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -417,27 +402,6 @@ func TestRankSpreadTies(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRadixSortOrders checks radixSort alone on keys that share their
-// top 32 bits in runs of every length from 1 to 40: a key order it got
-// wrong would otherwise be mended, unseen, by rankSpread's fallback.
-func TestRadixSortOrders(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var keys []rankKey
-	for run := 1; run <= 40; run++ {
-		top := rng.Uint64() &^ (1<<32 - 1)
-		for i := 0; i < run; i++ {
-			keys = append(keys, rankKey{k: top | uint64(rng.Uint32()), g: len(keys)})
-		}
-	}
-	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-	want := slices.Clone(keys)
-	slices.SortFunc(want, func(a, b rankKey) int { return cmp.Compare(a.k, b.k) })
-	radixSort(keys, make([]rankKey, len(keys)))
-	if !slices.Equal(keys, want) {
-		t.Fatal("radixSort order differs from a full sort by key")
 	}
 }
 
