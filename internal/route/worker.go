@@ -46,6 +46,7 @@ type worker struct {
 	epoch   int32
 	pq      heapx.BucketQueue[int32]
 	seedBuf []int32
+	seedF   []int64 // seedBuf's f-scores
 	lb      bound
 
 	// Steiner-tree scratch for the net currently being routed: treeEp
@@ -501,18 +502,19 @@ func (w *worker) searchBounded(target Node, wireMin int, reg region) ([]Edge, bo
 	// Seeds are all pushed before the first pop, so the frontier's floor
 	// starts at their lowest f-score and they link straight into their
 	// buckets.
-	h := func(t int32) int64 {
-		n := r.node(t)
-		return lb.hx(n.X) + lb.hy(n.Y) + lb.hz(n.X, n.Y, n.Z)
-	}
+	fs := w.seedF[:0]
 	floor := int64(math.MaxInt64)
 	for _, t := range seeds {
-		floor = min(floor, h(t))
+		n := r.node(t)
+		f := lb.hx(n.X) + lb.hy(n.Y) + lb.hz(n.X, n.Y, n.Z)
+		fs = append(fs, f)
+		floor = min(floor, f)
 	}
+	w.seedF = fs
 	q.Reset(floor)
-	for _, t := range seeds {
+	for i, t := range seeds {
 		st[t] = nodeState{dist: 0, epoch: ep, from: -1}
-		q.Push(h(t), t)
+		q.Push(fs[i], t)
 	}
 	relax := func(cur, ni int32, nd, hn int64) {
 		s := &st[ni]
