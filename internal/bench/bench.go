@@ -219,10 +219,15 @@ func chosen(fanin []int, id int) bool {
 // Generate synthesizes a netlist per the Spec. The construction is strictly
 // feed-forward (fan-ins are drawn from already-created nets), so the result
 // is acyclic by construction; DFFs additionally receive a feedback-free D
-// input but act as sources for downstream logic.
+// input but act as sources for downstream logic. A spec asking for more
+// POs than gates is rejected: POs past the sinkless nets are distinct gate
+// outputs, so there would not be enough of them.
 func Generate(s Spec) (*netlist.Netlist, error) {
 	if s.PIs < 1 || s.Gates < 1 {
 		return nil, fmt.Errorf("bench: spec needs at least 1 PI and 1 gate: %+v", s)
+	}
+	if s.POs > s.Gates {
+		return nil, fmt.Errorf("bench: spec asks for %d POs from %d gates: %+v", s.POs, s.Gates, s)
 	}
 	if s.POs < 1 {
 		s.POs = 1

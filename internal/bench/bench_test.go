@@ -217,6 +217,15 @@ func TestGenerateRespectsSpec(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsMorePOsThanGates: once every gate output is a PO
+// the fill loop would find no unused output, so such a spec must fail
+// up front instead of hanging.
+func TestGenerateRejectsMorePOsThanGates(t *testing.T) {
+	if _, err := Generate(Spec{Name: "t", PIs: 2, POs: 5, Gates: 3, Seed: 1}); err == nil {
+		t.Fatal("a 3-gate spec with 5 POs was accepted")
+	}
+}
+
 func TestGenerateLocalityAffectsStructure(t *testing.T) {
 	local, _ := Generate(Spec{Name: "l", PIs: 20, POs: 5, Gates: 2000, Seed: 7, Locality: 0.95, Window: 40})
 	global, _ := Generate(Spec{Name: "g", PIs: 20, POs: 5, Gates: 2000, Seed: 7, Locality: 0.0})

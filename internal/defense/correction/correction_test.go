@@ -222,12 +222,9 @@ func TestProtectedM8LiftLayer(t *testing.T) {
 	// Restoration wires must live at M8+.
 	for _, rid := range p.RestoreRoutes {
 		for _, e := range p.Design.Router.Net(rid).Edges {
-			lo := e.A.Z
-			if e.B.Z < lo {
-				lo = e.B.Z
-			}
-			if lo < 8 {
-				t.Fatalf("restore wire %d has edge below M8: %v", rid, e)
+			a, b := p.Design.Grid.Ends(e)
+			if min(a.Z, b.Z) < 8 {
+				t.Fatalf("restore wire %d has edge below M8: {%v %v}", rid, a, b)
 			}
 		}
 	}

@@ -49,10 +49,18 @@ type Pin struct {
 	Loc  geom.Point
 }
 
-// Net is a routed net: a list of 3-D grid segments.
+// Net is a routed net: its ROUTED statements in file order.
 type Net struct {
-	Name  string
-	Edges []route.Edge
+	Name     string
+	Segments []Segment
+}
+
+// Segment is one ROUTED statement in DEF units: a wire on Layer from A to
+// B, or, when Via is set, a via at A from Layer up to Layer+1 (B == A).
+type Segment struct {
+	Layer int
+	A, B  geom.Point
+	Via   bool
 }
 
 // Write emits the design as DEF. Net names are route-entity names:
@@ -92,22 +100,25 @@ func Write(w io.Writer, d *layout.Design) error {
 		rn := d.Router.Net(id)
 		fmt.Fprintf(bw, "- %s\n", entityName(d, id))
 		for _, e := range rn.Edges {
-			a := d.Grid.CenterOf(e.A)
-			b := d.Grid.CenterOf(e.B)
-			if e.IsVia() {
-				lo := e.A.Z
-				if e.B.Z < lo {
-					lo = e.B.Z
-				}
-				fmt.Fprintf(bw, "  + ROUTED M%d ( %d %d ) VIA V%d%d\n", lo, a.X, a.Y, lo, lo+1)
-			} else {
-				fmt.Fprintf(bw, "  + ROUTED M%d ( %d %d ) ( %d %d )\n", e.A.Z, a.X, a.Y, b.X, b.Y)
-			}
+			writeRouted(bw, d.Grid, e)
 		}
 		fmt.Fprintf(bw, " ;\n")
 	}
 	fmt.Fprintf(bw, "END NETS\nEND DESIGN\n")
 	return bw.Flush()
+}
+
+// writeRouted emits one routed edge as a ROUTED statement at gcell
+// centers: a via at its lower end, or a wire on its layer.
+func writeRouted(bw *bufio.Writer, g route.Grid, e route.Edge) {
+	a, b := g.Ends(e)
+	pa, pb := g.CenterOf(a), g.CenterOf(b)
+	if a.Z != b.Z {
+		lo := min(a.Z, b.Z)
+		fmt.Fprintf(bw, "  + ROUTED M%d ( %d %d ) VIA V%d%d\n", lo, pa.X, pa.Y, lo, lo+1)
+	} else {
+		fmt.Fprintf(bw, "  + ROUTED M%d ( %d %d ) ( %d %d )\n", a.Z, pa.X, pa.Y, pb.X, pb.Y)
+	}
 }
 
 func routeIDs(d *layout.Design) []int {
@@ -247,20 +258,16 @@ func Parse(r io.Reader) (*File, error) {
 					if len(nums) < 2 {
 						return nil, fmt.Errorf("defio: line %d: bad via", lineNo)
 					}
-					// Edge endpoints are reconstructed at parse-grid level
-					// by SplitFile/users; store as a degenerate segment with
-					// layer and layer+1 encoded.
-					curNet.Edges = append(curNet.Edges, route.Edge{
-						A: route.Node{X: nums[0], Y: nums[1], Z: layer},
-						B: route.Node{X: nums[0], Y: nums[1], Z: layer + 1},
-					})
+					at := geom.Point{X: nums[0], Y: nums[1]}
+					curNet.Segments = append(curNet.Segments, Segment{Layer: layer, A: at, B: at, Via: true})
 				} else {
 					if len(nums) < 4 {
 						return nil, fmt.Errorf("defio: line %d: bad segment", lineNo)
 					}
-					curNet.Edges = append(curNet.Edges, route.Edge{
-						A: route.Node{X: nums[0], Y: nums[1], Z: layer},
-						B: route.Node{X: nums[2], Y: nums[3], Z: layer},
+					curNet.Segments = append(curNet.Segments, Segment{
+						Layer: layer,
+						A:     geom.Point{X: nums[0], Y: nums[1]},
+						B:     geom.Point{X: nums[2], Y: nums[3]},
 					})
 				}
 			}
@@ -313,23 +320,13 @@ func WriteSplit(w io.Writer, d *layout.Design, splitLayer int) error {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
+	end := d.Grid.LayerEnd(splitLayer) // FEOL nodes index below end
 	for _, id := range ids {
 		rn := d.Router.Net(id)
 		fmt.Fprintf(bw, "- %s\n", entityName(d, id))
 		for _, e := range rn.Edges {
-			if e.A.Z > splitLayer || e.B.Z > splitLayer {
-				continue
-			}
-			a := d.Grid.CenterOf(e.A)
-			b := d.Grid.CenterOf(e.B)
-			if e.IsVia() {
-				lo := e.A.Z
-				if e.B.Z < lo {
-					lo = e.B.Z
-				}
-				fmt.Fprintf(bw, "  + ROUTED M%d ( %d %d ) VIA V%d%d\n", lo, a.X, a.Y, lo, lo+1)
-			} else {
-				fmt.Fprintf(bw, "  + ROUTED M%d ( %d %d ) ( %d %d )\n", e.A.Z, a.X, a.Y, b.X, b.Y)
+			if e.A < end && e.B < end {
+				writeRouted(bw, d.Grid, e)
 			}
 		}
 		fmt.Fprintf(bw, " ;\n")
@@ -347,12 +344,12 @@ func WriteRT(w io.Writer, d *layout.Design) error {
 		rn := d.Router.Net(id)
 		name := entityName(d, id)
 		for _, e := range rn.Edges {
-			if e.IsVia() {
+			if d.Grid.IsVia(e) {
 				continue
 			}
-			a := d.Grid.CenterOf(e.A)
-			b := d.Grid.CenterOf(e.B)
-			fmt.Fprintf(bw, "%s %d %d %d %d %d\n", name, a.X, a.Y, b.X, b.Y, e.A.Z)
+			a, b := d.Grid.Ends(e)
+			pa, pb := d.Grid.CenterOf(a), d.Grid.CenterOf(b)
+			fmt.Fprintf(bw, "%s %d %d %d %d %d\n", name, pa.X, pa.Y, pb.X, pb.Y, a.Z)
 		}
 	}
 	return bw.Flush()

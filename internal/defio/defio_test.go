@@ -58,7 +58,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	// Every parsed net must carry geometry.
 	withGeom := 0
 	for _, n := range f.Nets {
-		if len(n.Edges) > 0 {
+		if len(n.Segments) > 0 {
 			withGeom++
 		}
 	}
@@ -90,9 +90,9 @@ func TestSplitDropsBEOL(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range pf.Nets {
-		for _, e := range n.Edges {
-			if e.A.Z > 3 || e.B.Z > 4 { // vias at M3 encode B.Z = 4
-				t.Fatalf("net %s has BEOL edge %v", n.Name, e)
+		for _, s := range n.Segments {
+			if s.Layer > 3 { // a via at M3 reaches M4
+				t.Fatalf("net %s has BEOL segment %+v", n.Name, s)
 			}
 		}
 	}

@@ -302,14 +302,15 @@ func TestSplitPartitionsFEOLEdges(t *testing.T) {
 		}
 		for id, rn := range d.Router.Nets() {
 			for _, e := range rn.Edges {
-				if e.A.Z <= layer && e.B.Z <= layer {
-					fa, oka := nodeFrag[key{id, e.A}]
-					fb, okb := nodeFrag[key{id, e.B}]
+				a, b := d.Grid.Ends(e)
+				if a.Z <= layer && b.Z <= layer {
+					fa, oka := nodeFrag[key{id, a}]
+					fb, okb := nodeFrag[key{id, b}]
 					if !oka || !okb {
-						t.Fatalf("FEOL edge %v not covered by fragments", e)
+						t.Fatalf("FEOL edge {%v %v} not covered by fragments", a, b)
 					}
 					if fa != fb {
-						t.Fatalf("FEOL edge %v spans fragments %d/%d", e, fa, fb)
+						t.Fatalf("FEOL edge {%v %v} spans fragments %d/%d", a, b, fa, fb)
 					}
 				}
 			}

@@ -92,11 +92,13 @@ type SplitView struct {
 // is decomposed into connected FEOL components; vias crossing the boundary
 // become vpins with dangling-wire directions.
 //
-// A net's FEOL nodes are handled as gcell indices (Z·H + Y)·W + X, the
-// router's own node index: sorting them as int32 gives the layer, row,
-// column order components are discovered in, and an epoch-stamped array
-// over the grid nodes at or below the split layer maps an index to its
-// position in the net's sorted list, so each edge end costs one load.
+// A net's FEOL nodes are handled as the router's node indices, which
+// its edges already hold (route.Grid.Index): an edge is FEOL when both
+// ends index below Grid.LayerEnd(layer), sorting the indices as int32
+// gives the layer, row, column order components are discovered in, and
+// an epoch-stamped array over the grid nodes at or below the split layer
+// maps an index to its position in the net's sorted list, so each edge
+// end costs one load.
 // Per-net bookkeeping (adjacency, component labels) lives in scratch
 // buffers reused across the nets of one call, and the fragments' Nodes,
 // Pins and VPins and the ByRoute lists are carved out of per-view
@@ -107,17 +109,17 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 	}
 	ids := d.Router.SortedNetIDs()
 	sv := &SplitView{Layer: layer, ByRoute: make(map[int][]int, len(ids))}
-	w, h := d.Grid.W, d.Grid.H
-	ix := func(n route.Node) int32 { return int32((n.Z*h+n.Y)*w + n.X) }
+	g := d.Grid
 	// at[i].ep == ep marks index i as one of the current net's nodes, and
 	// at[i].pos is then its position in the net's sorted list; FEOL nodes
-	// have Z <= layer.
+	// index below end.
+	end := g.LayerEnd(layer)
 	type slot struct{ ep, pos int32 }
-	at := make([]slot, (layer+1)*h*w)
+	at := make([]slot, end)
 	var ep int32
-	// find returns n's position in the current net's list, or -1.
-	find := func(n route.Node) int32 {
-		if s := at[ix(n)]; s.ep == ep {
+	// find returns node i's position in the current net's list, or -1.
+	find := func(i int32) int32 {
+		if s := at[i]; s.ep == ep {
 			return s.pos
 		}
 		return -1
@@ -128,7 +130,7 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 	var (
 		idx      []int32 // the net's FEOL node indices, sorted and unique
 		nodes    []route.Node
-		boundary []route.Edge
+		boundary []int32 // FEOL-side node index of each boundary via
 		edgeA    []int32 // FEOL edge endpoints, as node positions
 		edgeB    []int32
 		degree   []int32
@@ -144,10 +146,10 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 		pinArena []TaggedPin  // backs the fragments' Pins
 		vidArena []int        // backs the fragments' VPins
 	)
-	// add collects n's index once per net: an index is stamped when
-	// first seen, so the sort gets every node once.
-	add := func(n route.Node) {
-		if i := ix(n); at[i].ep != ep {
+	// add collects node i once per net: an index is stamped when first
+	// seen, so the sort gets every node once.
+	add := func(i int32) {
+		if at[i].ep != ep {
 			at[i].ep = ep
 			idx = append(idx, i)
 		}
@@ -161,23 +163,20 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 		ep++
 		idx, boundary = idx[:0], boundary[:0]
 		for _, e := range rn.Edges {
-			if e.A.Z <= layer && e.B.Z <= layer {
+			lo, hi := min(e.A, e.B), max(e.A, e.B)
+			if hi < end {
 				add(e.A)
 				add(e.B)
-				continue
-			}
-			lo, hi := e.A, e.B
-			if hi.Z < lo.Z {
-				lo, hi = hi, lo
-			}
-			if lo.Z == layer && hi.Z == layer+1 {
-				boundary = append(boundary, route.Edge{A: lo, B: hi})
+			} else if lo < end {
+				// Only a via crosses the boundary, from the split layer
+				// up to the next.
+				boundary = append(boundary, lo)
 				add(lo)
 			}
 		}
 		for _, p := range d.Pins[id] {
 			if p.Layer <= layer {
-				add(d.Grid.NodeOf(p.Pt, p.Layer))
+				add(g.Index(g.NodeOf(p.Pt, p.Layer)))
 			}
 		}
 		slices.Sort(idx)
@@ -185,15 +184,14 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 		nodes = nodes[:0]
 		for k, i := range idx {
 			at[i] = slot{ep: ep, pos: int32(k)}
-			q := int(i) / w
-			nodes = append(nodes, route.Node{X: int(i) - q*w, Y: q % h, Z: q / h})
+			nodes = append(nodes, g.NodeAt(i))
 		}
 		// CSR adjacency over node positions.
 		degree = resetInt32(degree, nn)
 		edgeA, edgeB = edgeA[:0], edgeB[:0]
 		for _, e := range rn.Edges {
-			if e.A.Z <= layer && e.B.Z <= layer {
-				a, b := at[ix(e.A)].pos, at[ix(e.B)].pos
+			if e.A < end && e.B < end {
+				a, b := at[e.A].pos, at[e.B].pos
 				edgeA = append(edgeA, a)
 				edgeB = append(edgeB, b)
 				degree[a]++
@@ -258,15 +256,15 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 		for _, p := range d.Pins[id] {
 			i := int32(-1)
 			if p.Layer <= layer {
-				if i = find(d.Grid.NodeOf(p.Pt, p.Layer)); i >= 0 {
+				if i = find(g.Index(g.NodeOf(p.Pt, p.Layer))); i >= 0 {
 					pinN[int(comp[i])-first]++
 				}
 			}
 			pinAt = append(pinAt, i)
 		}
 		vpinAt = vpinAt[:0]
-		for _, e := range boundary {
-			i := find(e.A) // -1: a via stack floating above BEOL-only wiring
+		for _, lo := range boundary {
+			i := find(lo) // -1: a via stack floating above BEOL-only wiring
 			if i >= 0 {
 				vpinN[int(comp[i])-first]++
 			}
@@ -284,19 +282,20 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 			}
 		}
 		// VPins with dangling directions.
-		for k, e := range boundary {
+		for k := range boundary {
 			i := vpinAt[k]
 			if i < 0 {
 				continue
 			}
 			fid := int(comp[i])
+			n := nodes[i]
 			vp := VPin{
 				ID:      len(sv.VPins),
 				RouteID: id,
-				Node:    e.A,
-				Pt:      d.Grid.CenterOf(e.A),
+				Node:    n,
+				Pt:      g.CenterOf(n),
 				Frag:    fid,
-				Dir:     danglingDir(nodes, adjList[adjStart[i]:adjStart[i+1]], e.A),
+				Dir:     danglingDir(nodes, adjList[adjStart[i]:adjStart[i+1]], n),
 			}
 			sv.VPins = append(sv.VPins, vp)
 			sv.Frags[fid].VPins = append(sv.Frags[fid].VPins, vp.ID)

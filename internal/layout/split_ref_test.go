@@ -28,8 +28,8 @@ func splitRef(d *Design, layer int) (*SplitView, error) {
 	// lists grew in, which danglingDir's first-match depends on).
 	var (
 		nodes    []route.Node
-		boundary []route.Edge
-		edgeA    []int32 // FEOL edge endpoints, as node indices
+		boundary []route.Node // FEOL-side node of each boundary via
+		edgeA    []int32      // FEOL edge endpoints, as node indices
 		edgeB    []int32
 		degree   []int32
 		adjStart []int32 // CSR offsets, len nodes+1
@@ -58,16 +58,17 @@ func splitRef(d *Design, layer int) (*SplitView, error) {
 		// via directly up).
 		nodes, boundary = nodes[:0], boundary[:0]
 		for _, e := range rn.Edges {
-			if e.A.Z <= layer && e.B.Z <= layer {
-				nodes = append(nodes, e.A, e.B)
+			a, b := d.Grid.Ends(e)
+			if a.Z <= layer && b.Z <= layer {
+				nodes = append(nodes, a, b)
 				continue
 			}
-			lo, hi := e.A, e.B
+			lo, hi := a, b
 			if hi.Z < lo.Z {
 				lo, hi = hi, lo
 			}
 			if lo.Z == layer && hi.Z == layer+1 {
-				boundary = append(boundary, route.Edge{A: lo, B: hi})
+				boundary = append(boundary, lo)
 				nodes = append(nodes, lo)
 			}
 		}
@@ -83,8 +84,8 @@ func splitRef(d *Design, layer int) (*SplitView, error) {
 		degree = resetInt32(degree, nn)
 		edgeA, edgeB = edgeA[:0], edgeB[:0]
 		for _, e := range rn.Edges {
-			if e.A.Z <= layer && e.B.Z <= layer {
-				a, b := int32(find(e.A)), int32(find(e.B))
+			if ea, eb := d.Grid.Ends(e); ea.Z <= layer && eb.Z <= layer {
+				a, b := int32(find(ea)), int32(find(eb))
 				edgeA = append(edgeA, a)
 				edgeB = append(edgeB, b)
 				degree[a]++
@@ -144,19 +145,19 @@ func splitRef(d *Design, layer int) (*SplitView, error) {
 			}
 		}
 		// VPins with dangling directions.
-		for _, e := range boundary {
-			i := find(e.A)
-			if i >= nn || nodes[i] != e.A {
+		for _, lo := range boundary {
+			i := find(lo)
+			if i >= nn || nodes[i] != lo {
 				continue // via stack floating above BEOL-only wiring
 			}
 			fid := int(comp[i])
 			vp := VPin{
 				ID:      len(sv.VPins),
 				RouteID: id,
-				Node:    e.A,
-				Pt:      d.Grid.CenterOf(e.A),
+				Node:    lo,
+				Pt:      d.Grid.CenterOf(lo),
 				Frag:    fid,
-				Dir:     danglingDir(nodes, adjList[adjStart[i]:adjStart[i+1]], e.A),
+				Dir:     danglingDir(nodes, adjList[adjStart[i]:adjStart[i+1]], lo),
 			}
 			sv.VPins = append(sv.VPins, vp)
 			sv.Frags[fid].VPins = append(sv.Frags[fid].VPins, vp.ID)

@@ -349,7 +349,7 @@ func FuzzPlaceMatchesReference(f *testing.F) {
 		nl, err := bench.Generate(bench.Spec{
 			Name:     "fuzz",
 			PIs:      1 + int(pis%40),
-			POs:      min(1+int(pis/40), n), // Generate cannot find more POs than gates
+			POs:      min(1+int(pis/40), n), // Generate rejects more POs than gates
 			Gates:    n,
 			Seed:     genSeed,
 			DFFRatio: float64(dff%128) / 255,

@@ -265,10 +265,10 @@ func Fig5(name string, cfg Config) (*Table, error) {
 				continue
 			}
 			for _, e := range rn.Edges {
-				if e.IsVia() {
+				if v.d.Grid.IsVia(e) {
 					continue
 				}
-				byLayer[e.A.Z] += int64(v.d.Grid.GCell)
+				byLayer[v.d.Grid.NodeAt(e.A).Z] += int64(v.d.Grid.GCell)
 				total += int64(v.d.Grid.GCell)
 			}
 		}

@@ -437,8 +437,9 @@ func (r *Router) declaredRegion(j Job) (region, bool) {
 	if old := r.nets[j.ID]; old != nil && len(old.Edges) > 0 {
 		interacts = true
 		for _, e := range old.Edges {
-			grow(e.A.X, e.A.Y)
-			grow(e.B.X, e.B.Y)
+			a, b := g.Ends(e)
+			grow(a.X, a.Y)
+			grow(b.X, b.Y)
 		}
 	}
 	if !interacts {
@@ -479,8 +480,9 @@ func (r *Router) declaredRegionHier(j Job, c *corridor) (region, bool) {
 			}
 		}
 		for _, e := range old.Edges {
-			grow(e.A.X, e.A.Y)
-			grow(e.B.X, e.B.Y)
+			a, b := r.Grid.Ends(e)
+			grow(a.X, a.Y)
+			grow(b.X, b.Y)
 		}
 	}
 	return reg, true

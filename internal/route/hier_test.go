@@ -240,8 +240,8 @@ func TestCorridorCoversPins(t *testing.T) {
 // diagnosable from the panic message alone.
 func TestUsageOverflowPanicContext(t *testing.T) {
 	r := NewRouter(testGrid(), Options{})
-	e := Edge{A: Node{X: 5, Y: 7, Z: 3}, B: Node{X: 6, Y: 7, Z: 3}}
-	r.usageH[r.idx(Node{X: 5, Y: 7, Z: 3})] = 32767
+	e := Edge{A: r.Grid.Index(Node{X: 5, Y: 7, Z: 3}), B: r.Grid.Index(Node{X: 6, Y: 7, Z: 3})}
+	r.usageH[e.A] = 32767
 	defer func() {
 		rec := recover()
 		if rec == nil {

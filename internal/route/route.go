@@ -48,14 +48,14 @@ type Node struct {
 	X, Y, Z int
 }
 
-// Edge is one routed grid edge between two adjacent nodes (a wire segment
-// when A.Z == B.Z, a via otherwise).
+// Edge is one routed grid edge between two adjacent nodes, held as their
+// node indices (Grid.Index) in path order: A is the node the search came
+// from, B the node it reached. It is a wire segment when both ends share
+// a layer and a via otherwise (Grid.IsVia); Grid.Ends decodes it. The
+// size matters: a routed design keeps every edge of every net live.
 type Edge struct {
-	A, B Node
+	A, B int32
 }
-
-// IsVia reports whether the edge crosses layers.
-func (e Edge) IsVia() bool { return e.A.Z != e.B.Z }
 
 // Pin is a routing terminal: a die location plus the metal layer the pin
 // shape lives on (1 for standard cells, 6/8 for correction cells).
@@ -95,6 +95,58 @@ func (g Grid) NodeOf(p geom.Point, layer int) Node {
 		Y: geom.Clamp((p.Y-g.Die.Lo.Y)/g.GCell, 0, g.H-1),
 		Z: geom.Clamp(layer, 1, g.Layers),
 	}
+}
+
+// Index returns a node's index, (Z·H + Y)·W + X: the position the
+// router's per-node arrays keep it at and the form Edge stores.
+func (g Grid) Index(n Node) int32 {
+	return int32((n.Z*g.H+n.Y)*g.W + n.X)
+}
+
+// NodeAt decodes a node index with two uint32 divisions (indices and grid
+// extents are non-negative and below 2^31) instead of an int div/mod
+// chain: the 32-bit divide is several times cheaper on amd64, and the
+// router's A* decodes one index per pop.
+func (g Grid) NodeAt(i int32) Node {
+	u, w, h := uint32(i), uint32(g.W), uint32(g.H)
+	q := u / w // z*h + y
+	z := q / h
+	return Node{X: int(u - q*w), Y: int(q - z*h), Z: int(z)}
+}
+
+// LayerEnd returns one past the largest index of a node on layer z: a
+// node lies on layer z or below exactly when its index is below it.
+func (g Grid) LayerEnd(z int) int32 {
+	return int32((z + 1) * g.W * g.H)
+}
+
+// Ends decodes an edge's two nodes, in path order.
+func (g Grid) Ends(e Edge) (Node, Node) {
+	return g.NodeAt(e.A), g.NodeAt(e.B)
+}
+
+// IsVia reports whether the edge crosses layers. Vertically adjacent
+// nodes sit W·H indices apart and wire neighbours 1 (along x) or W
+// (along y), which is less than W·H on every grid with a wire: a grid
+// one gcell wide has no x neighbours and one a gcell tall no y
+// neighbours.
+func (g Grid) IsVia(e Edge) bool {
+	d, wh := e.B-e.A, int32(g.W*g.H)
+	return d == wh || d == -wh
+}
+
+// wireCell returns where a wire edge's usage is kept: the index of its
+// lower end, which is the smaller index since both ends share a layer,
+// and whether it runs horizontally (usageH, ends one index apart) or
+// vertically (usageV, ends W apart). On a grid one gcell wide the ends
+// of a vertical wire are also one index apart, but no wire there can
+// run horizontally.
+func (g Grid) wireCell(e Edge) (i int32, horizontal bool) {
+	i, d := e.A, e.B-e.A
+	if d < 0 {
+		i, d = e.B, -d
+	}
+	return i, d != int32(g.W)
 }
 
 // CenterOf maps a grid node back to the die coordinates of its center.
@@ -162,7 +214,7 @@ type RoutedNet struct {
 // excluded) and its via count.
 func (rn *RoutedNet) Wirelength(g Grid) (wlNM int64, vias int) {
 	for _, e := range rn.Edges {
-		if e.IsVia() {
+		if g.IsVia(e) {
 			vias++
 		} else {
 			wlNM += int64(g.GCell)
@@ -239,21 +291,6 @@ func NewRouter(grid Grid, opt Options) *Router {
 	}
 	r.serial = newWorker(r)
 	return r
-}
-
-func (r *Router) idx(n Node) int32 {
-	return int32((n.Z*r.Grid.H+n.Y)*r.Grid.W + n.X)
-}
-
-// node decodes a node index with two uint32 divisions (indices and grid
-// extents are non-negative and below 2^31) instead of an int div/mod
-// chain: the 32-bit divide is several times cheaper on amd64, and the
-// router's A* decodes one index per pop.
-func (r *Router) node(i int32) Node {
-	u, w, h := uint32(i), uint32(r.Grid.W), uint32(r.Grid.H)
-	q := u / w // z*h + y
-	z := q / h
-	return Node{X: int(u - q*w), Y: int(q - z*h), Z: int(z)}
 }
 
 // Nets returns a snapshot of the currently routed nets keyed by ID. The
@@ -363,10 +400,10 @@ func (r *Router) ripUp(rn *RoutedNet) {
 // the net being committed or ripped up, so a full-scale failure is
 // diagnosable without a debugger.
 func (r *Router) addUsage(e Edge, d int16, netID int) {
-	if e.IsVia() {
+	if r.Grid.IsVia(e) {
 		return
 	}
-	i, horizontal := r.wireCell(e)
+	i, horizontal := r.Grid.wireCell(e)
 	u := r.usageV
 	dir := "vertical"
 	if horizontal {
@@ -375,28 +412,17 @@ func (r *Router) addUsage(e Edge, d int16, netID int) {
 	}
 	s := int32(u[i]) + int32(d)
 	if s > math.MaxInt16 || s < math.MinInt16 {
-		lo := r.node(i)
+		lo := r.Grid.NodeAt(i)
 		panic(fmt.Sprintf("route: net %d: %s edge usage %d at M%d gcell (%d,%d) overflows int16",
 			netID, dir, s, lo.Z, lo.X, lo.Y))
 	}
 	u[i] = int16(s)
 }
 
-// wireCell returns where a wire edge's usage is kept: the node index of
-// its lower end, and whether it runs horizontally (usageH) or vertically
-// (usageV).
-func (r *Router) wireCell(e Edge) (i int32, horizontal bool) {
-	lo := e.A
-	if e.B.X < lo.X || e.B.Y < lo.Y {
-		lo = e.B
-	}
-	return r.idx(lo), e.A.Y == e.B.Y && e.A.X != e.B.X
-}
-
 // wireUsage returns a wire edge's usage and its key, unique per usage
 // cell: the wireCell index doubled, plus 1 if the edge is vertical.
 func (r *Router) wireUsage(e Edge) (key int64, u int16) {
-	i, horizontal := r.wireCell(e)
+	i, horizontal := r.Grid.wireCell(e)
 	if horizontal {
 		return 2 * int64(i), r.usageH[i]
 	}
@@ -434,15 +460,11 @@ func (r *Router) ComputeStats() Stats {
 	//smlint:ordered integer sums: the totals are the same in any order
 	for _, rn := range r.nets {
 		for _, e := range rn.Edges {
-			if e.IsVia() {
-				lo := e.A.Z
-				if e.B.Z < lo {
-					lo = e.B.Z
-				}
-				s.Vias[lo]++
+			if g.IsVia(e) {
+				s.Vias[g.NodeAt(min(e.A, e.B)).Z]++
 				s.TotalVias++
 			} else {
-				s.WirelengthByLayer[e.A.Z] += int64(g.GCell)
+				s.WirelengthByLayer[g.NodeAt(e.A).Z] += int64(g.GCell)
 				s.TotalWirelength += int64(g.GCell)
 			}
 		}
@@ -479,6 +501,7 @@ func (r *Router) MaxUsage() int {
 // net's lift constraint. Nets are checked in ascending ID order, so the
 // error names the lowest failing net.
 func (r *Router) Validate() error {
+	g := r.Grid
 	for _, id := range r.SortedNetIDs() {
 		rn := r.nets[id]
 		if rn.Failed {
@@ -487,33 +510,34 @@ func (r *Router) Validate() error {
 		if len(rn.Pins) <= 1 {
 			continue
 		}
-		adj := map[Node][]Node{}
+		adj := map[int32][]int32{}
 		for _, e := range rn.Edges {
-			if !adjacent(e.A, e.B) {
-				return fmt.Errorf("route: net %d has non-adjacent edge %v", id, e)
+			a, b := g.Ends(e)
+			if !adjacent(a, b) {
+				return fmt.Errorf("route: net %d has non-adjacent edge {%v %v}", id, a, b)
 			}
-			if !e.IsVia() {
-				if Horizontal(e.A.Z) && e.A.Y != e.B.Y {
-					return fmt.Errorf("route: net %d routes vertically on horizontal layer M%d", id, e.A.Z)
+			if a.Z == b.Z {
+				if Horizontal(a.Z) && a.Y != b.Y {
+					return fmt.Errorf("route: net %d routes vertically on horizontal layer M%d", id, a.Z)
 				}
-				if !Horizontal(e.A.Z) && e.A.X != e.B.X {
-					return fmt.Errorf("route: net %d routes horizontally on vertical layer M%d", id, e.A.Z)
+				if !Horizontal(a.Z) && a.X != b.X {
+					return fmt.Errorf("route: net %d routes horizontally on vertical layer M%d", id, a.Z)
 				}
 				wireMin := 2
 				if rn.MinLayer > wireMin {
 					wireMin = rn.MinLayer
 				}
-				if e.A.Z < wireMin {
-					return fmt.Errorf("route: net %d has wire on M%d below lift layer M%d", id, e.A.Z, wireMin)
+				if a.Z < wireMin {
+					return fmt.Errorf("route: net %d has wire on M%d below lift layer M%d", id, a.Z, wireMin)
 				}
 			}
 			adj[e.A] = append(adj[e.A], e.B)
 			adj[e.B] = append(adj[e.B], e.A)
 		}
 		// Connectivity: BFS from pin 0's node must reach all pin nodes.
-		start := r.Grid.NodeOf(rn.Pins[0].Pt, rn.Pins[0].Layer)
-		seen := map[Node]bool{start: true}
-		queue := []Node{start}
+		start := g.Index(g.NodeOf(rn.Pins[0].Pt, rn.Pins[0].Layer))
+		seen := map[int32]bool{start: true}
+		queue := []int32{start}
 		//smlint:bounded BFS with a seen set: each tree node enqueues at most once
 		for len(queue) > 0 {
 			n := queue[0]
@@ -526,7 +550,7 @@ func (r *Router) Validate() error {
 			}
 		}
 		for i, p := range rn.Pins {
-			if !seen[r.Grid.NodeOf(p.Pt, p.Layer)] {
+			if !seen[g.Index(g.NodeOf(p.Pt, p.Layer))] {
 				return fmt.Errorf("route: net %d pin %d not connected", id, i)
 			}
 		}
@@ -570,9 +594,11 @@ func (r *Router) NegotiateReroute() int {
 	orig := r.Opt.HistoryCost
 	defer func() { r.Opt.HistoryCost = orig }()
 	hier := r.ResolvedStrategy() == StrategyHier && r.planner != nil
+	// A pass only replaces routes, so the routed IDs stay the same.
+	ids := r.SortedNetIDs()
 	started := 0
 	for pass := 0; pass < maxNegotiatePasses; pass++ {
-		ids, sel, over := r.selectExcess()
+		sel, over := r.selectExcess(ids)
 		if over == 0 || pass > 0 && (started-over)*100 < stallPercent*started {
 			return pass
 		}
@@ -603,16 +629,15 @@ type overPair struct {
 	net int32
 }
 
-// selectExcess picks one negotiation pass's nets. It returns the routed
-// net IDs in ascending order, sel[i] for each ID the pass re-routes, and
-// how many edges overflow. An edge with usage u needs u−Capacity of its
-// nets moved. Visiting the overflowed edges in key order, nets already
-// selected count toward that number, and the rest are taken from the
-// edge's unselected nets in this order: most overflowed edges per routed
-// edge (ov/(len(Edges)+1), compared by cross-multiplication), then fewer
-// routed edges, then lower net ID.
-func (r *Router) selectExcess() (ids []int, sel []bool, over int) {
-	ids = r.SortedNetIDs()
+// selectExcess picks one negotiation pass's nets from ids, the routed
+// net IDs in ascending order. It returns sel[i] for each ID the pass
+// re-routes, and how many edges overflow. An edge with usage u needs
+// u−Capacity of its nets moved. Visiting the overflowed edges in key
+// order, nets already selected count toward that number, and the rest
+// are taken from the edge's unselected nets in this order: most
+// overflowed edges per routed edge (ov/(len(Edges)+1), compared by
+// cross-multiplication), then fewer routed edges, then lower net ID.
+func (r *Router) selectExcess(ids []int) (sel []bool, over int) {
 	sel = make([]bool, len(ids))
 	ov := make([]int, len(ids))    // overflowed edges per net
 	edges := make([]int, len(ids)) // len(Edges) per net
@@ -621,7 +646,7 @@ func (r *Router) selectExcess() (ids []int, sel []bool, over int) {
 		es := r.nets[id].Edges
 		edges[i] = len(es)
 		for _, e := range es {
-			if e.IsVia() {
+			if r.Grid.IsVia(e) {
 				continue
 			}
 			if key, u := r.wireUsage(e); int(u) > r.Opt.Capacity {
@@ -661,5 +686,5 @@ func (r *Router) selectExcess() (ids []int, sel []bool, over int) {
 			sel[i] = true
 		}
 	}
-	return ids, sel, over
+	return sel, over
 }

@@ -119,10 +119,10 @@ func TestLiftConstraint(t *testing.T) {
 	// All wire segments must be on M6+; via chain must reach down to pins.
 	sawWire := false
 	for _, e := range r.Net(0).Edges {
-		if !e.IsVia() {
+		if a, _ := r.Grid.Ends(e); !r.Grid.IsVia(e) {
 			sawWire = true
-			if e.A.Z < 6 {
-				t.Fatalf("wire on M%d despite lift to M6", e.A.Z)
+			if a.Z < 6 {
+				t.Fatalf("wire on M%d despite lift to M6", a.Z)
 			}
 		}
 	}
@@ -271,12 +271,8 @@ func TestHighLayerPins(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range r.Net(0).Edges {
-		lo := e.A.Z
-		if e.B.Z < lo {
-			lo = e.B.Z
-		}
-		if lo < 6 {
-			t.Fatalf("edge %v dips below M6", e)
+		if a, b := r.Grid.Ends(e); min(a.Z, b.Z) < 6 {
+			t.Fatalf("edge {%v %v} dips below M6", a, b)
 		}
 	}
 }
@@ -436,7 +432,7 @@ func sharedEdgeNets(t *testing.T, r *Router, ids ...int) {
 		{Pt: geom.Point{X: 9*g + g/2, Y: 10*g + g/2}, Layer: 1},
 		{Pt: geom.Point{X: 10*g + g/2, Y: 10*g + g/2}, Layer: 1},
 	}
-	shared := Edge{A: Node{X: 9, Y: 10, Z: 3}, B: Node{X: 10, Y: 10, Z: 3}}
+	shared := Edge{A: r.Grid.Index(Node{X: 9, Y: 10, Z: 3}), B: r.Grid.Index(Node{X: 10, Y: 10, Z: 3})}
 	for _, id := range ids {
 		_, before := r.wireUsage(shared)
 		if err := r.RouteNet(id, pins, 1); err != nil {
@@ -502,7 +498,8 @@ func TestNegotiateSelectsMostOverflowedPerEdge(t *testing.T) {
 	if got := r.ComputeStats().OverflowEdges; got != 1 {
 		t.Fatalf("setup: %d overflowed edges, want 1", got)
 	}
-	ids, sel, over := r.selectExcess()
+	ids := r.SortedNetIDs()
+	sel, over := r.selectExcess(ids)
 	if over != 1 {
 		t.Fatalf("selection counted %d overflowed edges, want 1", over)
 	}

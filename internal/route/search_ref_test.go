@@ -63,7 +63,7 @@ func (q *refPQ) Pop() any {
 // and re-encoded its index.
 func refSegCost(w *worker, lo Node, horizontal bool) int64 {
 	r := w.r
-	i := r.idx(lo)
+	i := r.Grid.Index(lo)
 	var u int32
 	if horizontal {
 		u = int32(r.usageH[i]) + int32(w.deltaH[i])
@@ -124,7 +124,7 @@ func referenceSearch(w *worker, rs *refScratch, target Node, wireMin int, reg re
 
 	rs.epoch++
 	ep := rs.epoch
-	tIdx := w.r.idx(target)
+	tIdx := g.Index(target)
 
 	via := w.r.viaCost()
 	seeds := slices.Clone(w.treeList)
@@ -134,10 +134,10 @@ func referenceSearch(w *worker, rs *refScratch, target Node, wireMin int, reg re
 		rs.dist[t] = 0
 		rs.visitID[t] = ep
 		rs.from[t] = -1
-		heap.Push(q, refPQItem{pri: h(w.r.node(t)), node: t})
+		heap.Push(q, refPQItem{pri: h(g.NodeAt(t)), node: t})
 	}
 	relax := func(cur int32, next Node, cost int64) {
-		ni := w.r.idx(next)
+		ni := g.Index(next)
 		nd := rs.dist[cur] + cost
 		if rs.visitID[ni] != ep || nd < rs.dist[ni] {
 			rs.visitID[ni] = ep
@@ -152,14 +152,14 @@ func referenceSearch(w *worker, rs *refScratch, target Node, wireMin int, reg re
 		if rs.visitID[cur] != ep {
 			continue
 		}
-		n := w.r.node(cur)
+		n := g.NodeAt(cur)
 		if it.pri > rs.dist[cur]+h(n) {
 			continue
 		}
 		if cur == tIdx {
 			edges := rs.path[:0]
 			for i := cur; rs.from[i] >= 0; i = rs.from[i] {
-				edges = append(edges, Edge{A: w.r.node(rs.from[i]), B: w.r.node(i)})
+				edges = append(edges, Edge{A: rs.from[i], B: i})
 			}
 			rs.path = edges
 			return edges, true
@@ -196,15 +196,16 @@ func referenceSearch(w *worker, rs *refScratch, target Node, wireMin int, reg re
 func pathCost(w *worker, path []Edge) int64 {
 	var c int64
 	for _, e := range path {
-		if e.IsVia() {
+		a, b := w.r.Grid.Ends(e)
+		if a.Z != b.Z {
 			c += w.r.viaCost()
 			continue
 		}
-		lo := e.A
-		if e.B.X < lo.X || e.B.Y < lo.Y {
-			lo = e.B
+		lo := a
+		if b.X < lo.X || b.Y < lo.Y {
+			lo = b
 		}
-		c += refSegCost(w, lo, e.A.Y == e.B.Y)
+		c += refSegCost(w, lo, a.Y == b.Y)
 	}
 	return c
 }
@@ -252,11 +253,11 @@ func randomSearch(rng *rand.Rand, w *worker, corridor bool) (Node, region) {
 	w.treeEpoch++
 	w.treeList = w.treeList[:0]
 	for k := 1 + rng.Intn(6); k > 0; k-- {
-		w.treeAdd(r.idx(randNode()))
+		w.treeAdd(grid.Index(randNode()))
 	}
 	target := randNode()
 	if rng.Intn(10) == 0 {
-		target = r.node(w.treeList[0])
+		target = grid.NodeAt(w.treeList[0])
 	}
 	if !corridor {
 		return target, w.searchRegion(target, rng.Intn(13))

@@ -122,10 +122,10 @@ func (w *worker) reset() {
 //
 //smlint:hot
 func (w *worker) addDelta(e Edge, d int16) {
-	if e.IsVia() {
+	if w.r.Grid.IsVia(e) {
 		return
 	}
-	i, horizontal := w.r.wireCell(e)
+	i, horizontal := w.r.Grid.wireCell(e)
 	if horizontal {
 		if w.deltaH[i] == 0 {
 			w.touchedH = append(w.touchedH, i)
@@ -204,10 +204,10 @@ func (w *worker) routeNet(id int, pins []Pin, minLayer int, old *RoutedNet, boun
 	}
 
 	// Tree nodes so far (as indices); start from pin 0's grid node.
+	g := w.r.Grid
 	w.treeEpoch++
-	start := w.r.Grid.NodeOf(pins[0].Pt, pins[0].Layer)
 	w.treeList = w.treeList[:0]
-	w.treeAdd(w.r.idx(start))
+	w.treeAdd(g.Index(g.NodeOf(pins[0].Pt, pins[0].Layer)))
 
 	// Route sinks nearest-first to keep trees short.
 	order := w.orderBuf[:0]
@@ -232,8 +232,8 @@ func (w *worker) routeNet(id int, pins []Pin, minLayer int, old *RoutedNet, boun
 	edges := w.edgeBuf[:0]
 	defer func() { w.edgeBuf = edges }()
 	for _, pi := range order {
-		target := w.r.Grid.NodeOf(pins[pi].Pt, pins[pi].Layer)
-		if w.inTree(w.r.idx(target)) {
+		target := g.NodeOf(pins[pi].Pt, pins[pi].Layer)
+		if w.inTree(g.Index(target)) {
 			continue
 		}
 		path, err := w.search(target, wireMin, bound)
@@ -247,8 +247,8 @@ func (w *worker) routeNet(id int, pins []Pin, minLayer int, old *RoutedNet, boun
 		for _, e := range path {
 			edges = append(edges, e)
 			w.addDelta(e, 1)
-			w.treeAdd(w.r.idx(e.A))
-			w.treeAdd(w.r.idx(e.B))
+			w.treeAdd(e.A)
+			w.treeAdd(e.B)
 		}
 	}
 	if len(edges) > 0 {
@@ -361,7 +361,7 @@ func (w *worker) searchRegion(target Node, detour int) region {
 	loX, loY := target.X, target.Y
 	hiX, hiY := target.X, target.Y
 	for _, t := range w.treeList {
-		n := w.r.node(t)
+		n := g.NodeAt(t)
 		if n.X < loX {
 			loX = n.X
 		}
@@ -466,7 +466,7 @@ func (b *bound) hz(x, y, z int) int64 {
 // searchBounded is one A* attempt from the current tree to target with
 // wire moves confined to reg (and to the corridor mask, when armed).
 // Each popped node is decoded once; its neighbours are reached by index
-// stride — Router.idx is (z*H + y)*W + x, so they sit at ±1, ±W and
+// stride — Grid.Index is (z*H + y)*W + x, so they sit at ±1, ±W and
 // ±W*H — and each wire segment is priced by the index of its lower end.
 // The heuristic is bound's; a neighbour's value redoes only the terms
 // its move can change. The terms sum to exactly the whole formula's
@@ -485,7 +485,7 @@ func (w *worker) searchBounded(target Node, wireMin int, reg region) ([]Edge, bo
 
 	w.epoch++
 	ep := w.epoch
-	tIdx := r.idx(target)
+	tIdx := g.Index(target)
 
 	via := r.viaCost()
 	w.setBound(target, wireMin)
@@ -505,7 +505,7 @@ func (w *worker) searchBounded(target Node, wireMin int, reg region) ([]Edge, bo
 	fs := w.seedF[:0]
 	floor := int64(math.MaxInt64)
 	for _, t := range seeds {
-		n := r.node(t)
+		n := g.NodeAt(t)
 		f := lb.hx(n.X) + lb.hy(n.Y) + lb.hz(n.X, n.Y, n.Z)
 		fs = append(fs, f)
 		floor = min(floor, f)
@@ -530,7 +530,7 @@ func (w *worker) searchBounded(target Node, wireMin int, reg region) ([]Edge, bo
 		if s.epoch != ep {
 			continue // stale entry
 		}
-		n := r.node(cur)
+		n := g.NodeAt(cur)
 		hX, hY := lb.hx(n.X), lb.hy(n.Y)
 		d := s.dist
 		if pri > d+hX+hY+lb.hz(n.X, n.Y, n.Z) {
@@ -541,7 +541,7 @@ func (w *worker) searchBounded(target Node, wireMin int, reg region) ([]Edge, bo
 			// buffer — the caller consumes it before the next search).
 			edges := w.pathBuf[:0]
 			for i := cur; st[i].from >= 0; i = st[i].from {
-				edges = append(edges, Edge{A: r.node(st[i].from), B: r.node(i)})
+				edges = append(edges, Edge{A: st[i].from, B: i})
 			}
 			w.pathBuf = edges
 			return edges, true

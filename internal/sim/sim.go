@@ -61,7 +61,9 @@ func (s *Simulator) Netlist() *netlist.Netlist { return s.nl }
 // Eval simulates `words` 64-pattern words. piWords[i][w] provides the w-th
 // word of primary input i. It returns one slice per net (indexed by net ID)
 // holding the simulated words, so callers can inspect both POs and internal
-// nets.
+// nets. A PI net's slice is its piWords entry; each gate's output is the
+// next full-capacity window of one words × gates buffer, so a call
+// allocates twice whatever the gate count.
 func (s *Simulator) Eval(piWords [][]uint64, words int) ([][]uint64, error) {
 	nl := s.nl
 	if len(piWords) != nl.NumPIs() {
@@ -73,6 +75,13 @@ func (s *Simulator) Eval(piWords [][]uint64, words int) ([][]uint64, error) {
 		}
 	}
 	val := make([][]uint64, nl.NumNets())
+	buf := make([]uint64, words*nl.NumGates())
+	// next carves the next gate output's window from buf.
+	next := func() []uint64 {
+		out := buf[:words:words]
+		buf = buf[words:]
+		return out
+	}
 	for pi, netID := range nl.PINets {
 		val[netID] = piWords[pi][:words]
 	}
@@ -83,7 +92,7 @@ func (s *Simulator) Eval(piWords [][]uint64, words int) ([][]uint64, error) {
 		if g.Type != netlist.DFF {
 			continue
 		}
-		out := make([]uint64, words)
+		out := next()
 		if g.ID < len(s.SeqState) {
 			copy(out, s.SeqState[g.ID])
 		}
@@ -94,7 +103,7 @@ func (s *Simulator) Eval(piWords [][]uint64, words int) ([][]uint64, error) {
 		if g.Type == netlist.DFF {
 			continue // already assigned above
 		}
-		out := make([]uint64, words)
+		out := next()
 		switch g.Type {
 		case netlist.Buf:
 			copy(out, val[g.Fanin[0]])

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"splitmfg/internal/bench"
 	"splitmfg/internal/netlist"
 )
 
@@ -334,5 +335,26 @@ func BenchmarkEvalFullAdder1MPatterns(b *testing.B) {
 		if _, err := s.Eval(pats, words); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestCompareAllocs pins sim.Compare's allocations on c880 at 16 words.
+// Each Eval carves every gate output from one words × gates buffer, so
+// the count does not grow with the gate count (one slice per gate output
+// would make it 777).
+func TestCompareAllocs(t *testing.T) {
+	nl, err := bench.ISCAS85("c880")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const words = 16
+	pats := RandomPatterns(rand.New(rand.NewSource(1)), nl.NumPIs(), words)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Compare(nl, nl, pats, words); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 13 {
+		t.Fatalf("Compare allocates %.0f times per call on c880 at %d words, want 13", allocs, words)
 	}
 }

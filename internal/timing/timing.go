@@ -92,14 +92,15 @@ func LoadsFromDesign(d *layout.Design, lib *cell.Library) []NetLoad {
 		}
 		var capFF, delay float64
 		for _, e := range rn.Edges {
-			if e.IsVia() {
+			if d.Grid.IsVia(e) {
 				capFF += viaCapFF
 				delay += 0.4 // small fixed via delay (ps)
 				continue
 			}
+			z := d.Grid.NodeAt(e.A).Z
 			lenUM := float64(d.Grid.GCell) / geom.NMPerMicron
-			c := lib.WireCapPerUM[e.A.Z] * lenUM
-			r := lib.WireResPerUM[e.A.Z] * lenUM
+			c := lib.WireCapPerUM[z] * lenUM
+			r := lib.WireResPerUM[z] * lenUM
 			capFF += c
 			// float64() forces rounding before the add so the compiler
 			// cannot fuse into an architecture-dependent FMA (golden
@@ -213,14 +214,15 @@ func AnalyzeRestored(d *layout.Design, original *netlist.Netlist, masters []*cel
 			continue
 		}
 		for _, e := range rn.Edges {
-			if e.IsVia() {
+			if d.Grid.IsVia(e) {
 				loads[netID].WireCapFF += viaCapFF
 				loads[netID].WireDelayPS += 0.4
 				continue
 			}
+			z := d.Grid.NodeAt(e.A).Z
 			lenUM := float64(d.Grid.GCell) / geom.NMPerMicron
-			c := lib.WireCapPerUM[e.A.Z] * lenUM
-			r := lib.WireResPerUM[e.A.Z] * lenUM
+			c := lib.WireCapPerUM[z] * lenUM
+			r := lib.WireResPerUM[z] * lenUM
 			loads[netID].WireCapFF += c
 			loads[netID].WireDelayPS += float64(0.5 * r * c) // float64(): no FMA, see LoadsFromDesign
 		}

@@ -11,6 +11,7 @@ package splitmfg
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -48,7 +49,10 @@ var benchStrategies = []route.Strategy{route.StrategyFlat, route.StrategyHier}
 // of the five industrial designs, once per routing strategy. One iteration
 // is one complete pipeline; allocs/op and B/op therefore bound the
 // end-to-end allocation cost of taking a design from published counts to
-// an attackable split view.
+// an attackable split view. live-MiB is the routed design's live heap
+// before the split: HeapAlloc after a forced GC with the design held,
+// less HeapAlloc after one before its netlist was built (both outside
+// the timer).
 func BenchmarkSuperblueEndToEnd(b *testing.B) {
 	const name = "superblue18"
 	scale := superblueBenchScale(b)
@@ -59,7 +63,9 @@ func BenchmarkSuperblueEndToEnd(b *testing.B) {
 	lib := cell.NewNangate45Like()
 	for _, strat := range benchStrategies {
 		b.Run(fmt.Sprintf("%s/scale%d/%s", name, scale, strat), func(b *testing.B) {
+			var live float64
 			for i := 0; i < b.N; i++ {
+				base := liveHeap(b)
 				nl, err := bench.Superblue(name, scale)
 				if err != nil {
 					b.Fatal(err)
@@ -71,6 +77,7 @@ func BenchmarkSuperblueEndToEnd(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				live += float64(liveHeap(b)-base) / (1 << 20)
 				sv, err := d.Split(5)
 				if err != nil {
 					b.Fatal(err)
@@ -79,8 +86,20 @@ func BenchmarkSuperblueEndToEnd(b *testing.B) {
 					b.Fatal("split produced no vpins")
 				}
 			}
+			b.ReportMetric(live/float64(b.N), "live-MiB")
 		})
 	}
+}
+
+// liveHeap returns the heap bytes still reachable after a forced GC,
+// with the benchmark timer stopped.
+func liveHeap(b *testing.B) int64 {
+	b.StopTimer()
+	defer b.StartTimer()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // BenchmarkSuperblueRoute isolates the routing phase: synthesis, binding,
