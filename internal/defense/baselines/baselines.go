@@ -69,9 +69,11 @@ func placeBound(nl *netlist.Netlist, lib *cell.Library, opt Options) ([]*cell.Ma
 	return masters, pl, nil
 }
 
-func routeFlat(nl *netlist.Netlist, masters []*cell.Master, pl *place.Placement, ropt route.Options) (*layout.Design, error) {
+// routeFlat builds the design and routes every net, lifts mapping net IDs
+// to minimum layers (nil = none lifted).
+func routeFlat(nl *netlist.Netlist, masters []*cell.Master, pl *place.Placement, ropt route.Options, lifts map[int]int) (*layout.Design, error) {
 	d := layout.NewDesign(nl, masters, pl, ropt)
-	if err := d.RouteAll(nil); err != nil {
+	if err := d.RouteAll(lifts); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -88,7 +90,7 @@ func PlacementPerturbation(nl *netlist.Netlist, lib *cell.Library, opt Options) 
 	}
 	rng := rand.New(rand.NewSource(opt.Seed ^ 0xa5)) //smlint:rawseed engine-scoped seed already derived upstream by the flow layer; the XOR is a fixed domain separator and re-mixing would shift every golden byte pin
 	perturbPairs(pl, rng, int(float64(nl.NumGates())*opt.Fraction/2), 0)
-	return routeFlat(nl, masters, pl, opt.RouteOpt)
+	return routeFlat(nl, masters, pl, opt.RouteOpt, nil)
 }
 
 // perturbPairs swaps up to n same-width pairs; minDistNM forces swaps to
@@ -220,7 +222,7 @@ func Sengupta(nl *netlist.Netlist, lib *cell.Library, strat SenguptaStrategy, op
 		return nil, fmt.Errorf("baselines: unknown Sengupta strategy %d", strat)
 	}
 	permuteCellsToOrder(pl, order)
-	return routeFlat(nl, masters, pl, opt.RouteOpt)
+	return routeFlat(nl, masters, pl, opt.RouteOpt, nil)
 }
 
 // greedyColor colors the gate-adjacency graph (connected gates adjacent).
@@ -341,8 +343,8 @@ func PinSwapping(nl *netlist.Netlist, lib *cell.Library, opt Options) (*layout.D
 	}
 	// Route the perturbed netlist on the original placement; the attacker
 	// sees misleading system-level wiring only.
-	d := layout.NewDesign(work, masters, pl, opt.RouteOpt)
-	if err := d.RouteAll(nil); err != nil {
+	d, err := routeFlat(work, masters, pl, opt.RouteOpt, nil)
+	if err != nil {
 		return nil, nil, err
 	}
 	return d, swaps, nil
@@ -413,11 +415,7 @@ func RoutingPerturbation(nl *netlist.Netlist, lib *cell.Library, opt Options) (*
 			lifts[n.ID] = 4 // detour above the typical M3 split
 		}
 	}
-	d := layout.NewDesign(nl, masters, pl, opt.RouteOpt)
-	if err := d.RouteAll(lifts); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return routeFlat(nl, masters, pl, opt.RouteOpt, lifts)
 }
 
 // Synergistic implements [9]: layer elevation to M5/M6 for the selected
@@ -438,11 +436,7 @@ func Synergistic(nl *netlist.Netlist, lib *cell.Library, opt Options) (*layout.D
 			lifts[n.ID] = 6 // elevate through the common split layers
 		}
 	}
-	d := layout.NewDesign(nl, masters, pl, opt.RouteOpt)
-	if err := d.RouteAll(lifts); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return routeFlat(nl, masters, pl, opt.RouteOpt, lifts)
 }
 
 // RoutingBlockage implements [7]: lower-layer capacity in randomly chosen
@@ -457,17 +451,13 @@ func RoutingBlockage(nl *netlist.Netlist, lib *cell.Library, opt Options) (*layo
 	if err != nil {
 		return nil, err
 	}
-	ropt := opt.RouteOpt
-	if ropt.Capacity == 0 {
-		// Mirror the router's own default, then halve it: that is the
-		// blockage.
-		gc := geom.Clamp(pl.Die.W()/80/10*10, 560, route.DefaultGCellNM)
-		ropt.Capacity = (gc + 95) / 190 / 2
-		if ropt.Capacity < 1 {
-			ropt.Capacity = 1
-		}
+	d := layout.NewDesign(nl, masters, pl, opt.RouteOpt)
+	if opt.RouteOpt.Capacity == 0 {
+		// Halve the router's own default: that is the blockage. The
+		// gcell pitch is at least 560 nm, so the default is at least 3
+		// tracks and the half at least 1.
+		d.Router.Opt.Capacity /= 2
 	}
-	d := layout.NewDesign(nl, masters, pl, ropt)
 	if err := d.RouteAll(nil); err != nil {
 		return nil, err
 	}

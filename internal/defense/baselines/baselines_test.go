@@ -122,8 +122,8 @@ func TestRoutingPerturbationLifts(t *testing.T) {
 	}
 	checkDesign(t, d, nl)
 	lifted := 0
-	for _, rn := range d.Router.Nets() {
-		if rn.MinLayer >= 4 {
+	for _, id := range d.Router.SortedNetIDs() {
+		if d.Router.Net(id).MinLayer >= 4 {
 			lifted++
 		}
 	}

@@ -94,7 +94,7 @@ func Write(w io.Writer, d *layout.Design) error {
 	}
 	fmt.Fprintf(bw, "END PINS\n")
 
-	ids := routeIDs(d)
+	ids := d.Router.SortedNetIDs()
 	fmt.Fprintf(bw, "NETS %d ;\n", len(ids))
 	for _, id := range ids {
 		rn := d.Router.Net(id)
@@ -119,16 +119,6 @@ func writeRouted(bw *bufio.Writer, g route.Grid, e route.Edge) {
 	} else {
 		fmt.Fprintf(bw, "  + ROUTED M%d ( %d %d ) ( %d %d )\n", a.Z, pa.X, pa.Y, pb.X, pb.Y)
 	}
-}
-
-func routeIDs(d *layout.Design) []int {
-	nets := d.Router.Nets()
-	ids := make([]int, 0, len(nets))
-	for id := range nets {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }
 
 func entityName(d *layout.Design, id int) string {
@@ -340,7 +330,7 @@ func WriteSplit(w io.Writer, d *layout.Design, splitLayer int) error {
 // routing-centric attack tooling ingests.
 func WriteRT(w io.Writer, d *layout.Design) error {
 	bw := bufio.NewWriter(w)
-	for _, id := range routeIDs(d) {
+	for _, id := range d.Router.SortedNetIDs() {
 		rn := d.Router.Net(id)
 		name := entityName(d, id)
 		for _, e := range rn.Edges {

@@ -176,22 +176,8 @@ func (d *Design) appendNetPins(dst []TaggedPin, netID int) []TaggedPin {
 	return dst
 }
 
-// RouteEntity routes one entity (net or synthetic wire) with the given lift
-// constraint and records its terminals. routeID must be unique per entity;
-// for plain netlist nets use the net ID.
-func (d *Design) RouteEntity(routeID, netID int, pins []TaggedPin, lift int) error {
-	rpins := make([]route.Pin, len(pins))
-	for i, p := range pins {
-		rpins[i] = p.Pin
-	}
-	if err := d.Router.RouteNet(routeID, rpins, lift); err != nil {
-		return err
-	}
-	d.setEntity(routeID, netID, pins)
-	return nil
-}
-
-// EntityJob describes one routable entity for batched routing.
+// EntityJob describes one routable entity for batched routing. RouteID
+// must be unique per entity; plain netlist nets use the net ID.
 type EntityJob struct {
 	RouteID int
 	NetID   int
@@ -199,9 +185,10 @@ type EntityJob struct {
 	Lift    int
 }
 
-// RouteEntities routes the jobs through the router's batched wave-parallel
-// API (route.Router.RouteJobs), with results identical to calling
-// RouteEntity for each job in order. On success every job's terminals are
+// RouteEntities routes the jobs (nets or synthetic wires, each with its
+// lift constraint) through the router's batched wave-parallel API
+// (route.Router.RouteJobs), with results identical to routing each job in
+// order with route.Router.RouteNet. On success every job's terminals are
 // recorded; on failure a *route.JobError surfaces so callers can name the
 // failing entity (its Index addresses the jobs slice).
 func (d *Design) RouteEntities(jobs []EntityJob) error {

@@ -257,7 +257,7 @@ func TestSyntheticEntityRouting(t *testing.T) {
 		{Pin: route.Pin{Pt: p.Die.Lo, Layer: 8}, Role: RoleCorrOut, Gate: 0, PO: -1},
 		{Pin: route.Pin{Pt: p.Die.Center(), Layer: 8}, Role: RoleCorrIn, Gate: 1, PO: -1},
 	}
-	if err := d.RouteEntity(1000, -1, pins, 8); err != nil {
+	if err := d.RouteEntities([]EntityJob{{RouteID: 1000, NetID: -1, Pins: pins, Lift: 8}}); err != nil {
 		t.Fatal(err)
 	}
 	sv, err := d.Split(6)
@@ -300,8 +300,8 @@ func TestSplitPartitionsFEOLEdges(t *testing.T) {
 				nodeFrag[k] = f.ID
 			}
 		}
-		for id, rn := range d.Router.Nets() {
-			for _, e := range rn.Edges {
+		for _, id := range d.Router.SortedNetIDs() {
+			for _, e := range d.Router.Net(id).Edges {
 				a, b := d.Grid.Ends(e)
 				if a.Z <= layer && b.Z <= layer {
 					fa, oka := nodeFrag[key{id, a}]

@@ -258,13 +258,12 @@ func Fig5(name string, cfg Config) (*Table, error) {
 	}{{"Original", b.Original}, {"Lifted", b.Lifted.Design}, {"Proposed", b.Proposed.Design}} {
 		byLayer := make([]int64, cell.NumLayers+1)
 		var total int64
-		//smlint:ordered integer wirelength tallies commute exactly; visit order cannot change byLayer/total
-		for id, rn := range v.d.Router.Nets() {
+		for _, id := range v.d.Router.SortedNetIDs() {
 			netID, ok := v.d.NetIDOf(id)
 			if !ok || !protNets[netID] {
 				continue
 			}
-			for _, e := range rn.Edges {
+			for _, e := range v.d.Router.Net(id).Edges {
 				if v.d.Grid.IsVia(e) {
 					continue
 				}

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"splitmfg/internal/geom"
 )
 
 // Job is one net of a batched routing request (RouteJobs).
@@ -48,12 +46,12 @@ const waveTileGCells = 8
 // Opt.Parallelism allows (0 = GOMAXPROCS), spatially disjoint nets route
 // concurrently:
 //
-// Each job declares a region — its pin bounding box (plus any existing
-// route's bounding box) expanded by maxDetour gcells per sink, the bound
-// on how far its searches can read or write congestion state. The batch is
-// partitioned into deterministic waves such that jobs within a wave have
-// pairwise disjoint regions (and any two conflicting jobs keep their
-// serial order across waves). A wave's nets route concurrently on
+// Each job declares a region — its pin bounding box expanded by
+// maxDetour gcells per sink, the bound on how far its searches can read
+// or write congestion state, plus any existing route's bounding box. The
+// batch is partitioned into deterministic waves such that jobs within a
+// wave have pairwise disjoint regions (and any two conflicting jobs keep
+// their serial order across waves). A wave's nets route concurrently on
 // worker-local scratch against the usage state committed by earlier
 // waves, then commit edges and usage in job order; since same-wave nets
 // cannot observe each other, the committed state after every wave is
@@ -86,8 +84,16 @@ const waveTileGCells = 8
 // (wrapping the panic value and stack) without committing the wave, so
 // a bug in the search cannot take a long-running server down with it.
 //
+// A job RouteNet would reject outright (no pins, or a lift above the top
+// layer) fails the batch before anything is planned or routed.
+//
 // Opt.OnWave, when set, observes each committed multi-net wave.
 func (r *Router) RouteJobs(jobs []Job) error {
+	for i, j := range jobs {
+		if err := r.checkNet(j.ID, j.Pins, j.MinLayer); err != nil {
+			return &JobError{Index: i, ID: j.ID, Err: err}
+		}
+	}
 	var corrs []corridor
 	if r.ResolvedStrategy() == StrategyHier && len(jobs) > 0 {
 		if r.planner == nil {
@@ -97,20 +103,20 @@ func (r *Router) RouteJobs(jobs []Job) error {
 		if r.corridorHook != nil {
 			r.corridorHook(corrs)
 		}
-		// Remember each net's corridor (copied: the planner arena is
-		// reused by the next plan) so congestion negotiation between
-		// batches can stay corridor-confined — see NegotiateReroute.
-		if r.netCorrs == nil {
-			r.netCorrs = make(map[int]storedCorridor, len(jobs))
-		}
+		// Routed nets keep their corridor past this batch (negotiation
+		// re-routes inside it), and the next plan reuses the arena.
+		corrs = cloneCorridors(corrs)
+	}
+	// serial is the schedule every batch reduces to, and the escape
+	// fallback of the parallel one: each job in order through the serial
+	// route path, inside its corridor if it has one.
+	serial := func() error {
 		for i, j := range jobs {
-			if corrs[i].n > 0 {
-				r.netCorrs[j.ID] = storedCorridor{
-					tiles: append([]int32(nil), corrs[i].tiles...),
-					reg:   corrs[i].reg,
-				}
+			if err := r.route(j.ID, j.Pins, j.MinLayer, corridorOf(corrs, i)); err != nil {
+				return &JobError{Index: i, ID: j.ID, Err: err}
 			}
 		}
+		return nil
 	}
 	p := r.Opt.Parallelism
 	if p <= 0 {
@@ -120,20 +126,18 @@ func (r *Router) RouteJobs(jobs []Job) error {
 		p = len(jobs)
 	}
 	if p <= 1 {
-		return r.routeJobsSerial(jobs, corrs)
+		return serial()
 	}
 	waves, ok := r.partition(jobs, corrs)
 	if !ok {
 		// Degenerate partition (every wave a single job): the batch is a
 		// serial chain, skip the worker machinery.
-		return r.routeJobsSerial(jobs, corrs)
+		return serial()
 	}
 
-	// Workers are allocated per batch, not cached on the Router: their
-	// scratch is sized to the full grid (~24 bytes/node each), and routers
-	// live as long as their Designs — which suite caches retain. Paying
-	// the allocation on each of a build's few batched calls beats pinning
-	// hundreds of MB to every superblue-scale design in a suite.
+	// Wave workers are allocated per batch and dropped after it: their
+	// scratch is sized to the full grid (~24 bytes/node each), so a router
+	// between batches holds only its serial worker.
 	workers := make([]*worker, 0, p)
 	rns := make([]*RoutedNet, len(jobs))
 	errs := make([]error, len(jobs))
@@ -163,15 +167,9 @@ func (r *Router) RouteJobs(jobs []Job) error {
 		}
 	}
 
-	// routeOne routes one job on a worker with the job's corridor (if
-	// any) armed for the duration of the call.
 	routeOne := func(w *worker, ji int, bound *region) (*RoutedNet, error) {
 		j := jobs[ji]
-		if corrs != nil && corrs[ji].n > 0 {
-			w.setCorridor(r.planner.tw, r.planner.th, corrs[ji].tiles, corrs[ji].reg)
-			defer w.clearCorridor()
-		}
-		return w.routeNet(j.ID, j.Pins, j.MinLayer, r.nets[j.ID], bound)
+		return w.routeNet(j.ID, j.Pins, j.MinLayer, r.nets[j.ID], corridorOf(corrs, ji), bound)
 	}
 
 	// routeRecovered is routeOne on a wave goroutine, where a panic
@@ -245,7 +243,7 @@ func (r *Router) RouteJobs(jobs []Job) error {
 				if corrs != nil {
 					r.hierStats.BatchEscapes++
 				}
-				return r.routeJobsSerial(jobs, corrs)
+				return serial()
 			}
 		}
 		// Commit in job order. Same-wave jobs cannot interact, so this
@@ -259,11 +257,12 @@ func (r *Router) RouteJobs(jobs []Job) error {
 				}
 				return &JobError{Index: ji, ID: j.ID, Err: errs[ji]}
 			}
-			// Snapshot the old edges before commit rips them up, so a later
-			// escape can restore them.
+			// Snapshot the old route before commit rips its edges up, so a
+			// later escape can restore it, corridor included.
 			var snap *RoutedNet
 			if old != nil {
-				snap = &RoutedNet{ID: old.ID, Pins: old.Pins, Edges: old.Edges, MinLayer: old.MinLayer, Failed: old.Failed}
+				s := *old
+				snap = &s
 			}
 			r.commit(rns[ji], old)
 			committed = append(committed, commitRec{id: j.ID, old: snap})
@@ -272,61 +271,6 @@ func (r *Router) RouteJobs(jobs []Job) error {
 			r.Opt.OnWave(wi+1, len(waves), len(wv.jobs), time.Since(start))
 		}
 	}
-	return nil
-}
-
-// routeJobsSerial is the serial schedule every batch reduces to: plain
-// RouteNet per job in order under the flat strategy (corrs nil), and
-// corridor-first routing with a per-net flat fallback under hier. The
-// parallel path's escape fallback re-enters here with the same corridors
-// the waves used, so both paths make identical routing decisions.
-func (r *Router) routeJobsSerial(jobs []Job, corrs []corridor) error {
-	for i, j := range jobs {
-		var err error
-		if corrs != nil && corrs[i].n > 0 {
-			err = r.routeNetHier(j, &corrs[i])
-		} else {
-			err = r.RouteNet(j.ID, j.Pins, j.MinLayer)
-		}
-		if err != nil {
-			return &JobError{Index: i, ID: j.ID, Err: err}
-		}
-	}
-	return nil
-}
-
-// routeNetHier routes one multi-pin job corridor-first on the serial
-// worker. A corridor failure is not fatal: the net retries with the flat
-// search (full detour loop) exactly as if the strategy were flat, and
-// the retry is counted in HierStats.FlatFallbacks.
-func (r *Router) routeNetHier(j Job, c *corridor) error {
-	return r.routeNetCorridor(j.ID, j.Pins, j.MinLayer, c.tiles, c.reg)
-}
-
-// routeNetCorridor is the serial corridor-confined route shared by hier
-// batch refinement and hier congestion negotiation: compute within the
-// corridor, retry flat on corridor exhaustion, commit only on success —
-// the same contract as RouteNet.
-func (r *Router) routeNetCorridor(id int, pins []Pin, minLayer int, tiles []int32, reg region) error {
-	if minLayer > r.Grid.Layers {
-		return fmt.Errorf("route: net %d lift layer M%d above top layer M%d", id, minLayer, r.Grid.Layers)
-	}
-	old := r.nets[id]
-	w := r.serial
-	w.setCorridor(r.planner.tw, r.planner.th, tiles, reg)
-	rn, err := w.routeNet(id, pins, minLayer, old, nil)
-	w.clearCorridor()
-	if err != nil {
-		if errors.Is(err, errCorridor) {
-			r.hierStats.FlatFallbacks++
-			return r.RouteNet(id, pins, minLayer)
-		}
-		if old == nil {
-			r.nets[id] = rn // failed marker: no edges, no usage
-		}
-		return err
-	}
-	r.commit(rn, old)
 	return nil
 }
 
@@ -344,7 +288,7 @@ type wave struct {
 // job sharing any of its tiles — a superset of true region overlaps
 // (overlapping regions share at least one tile), computed in linear time.
 // corrs, non-nil under the hierarchical strategy, substitutes corridor
-// rectangles for detour-expanded bounding boxes.
+// rectangles for detour-widened bounding boxes (see declaredRegion).
 // ok is false when the partition is fully serial (no wave holds two jobs).
 func (r *Router) partition(jobs []Job, corrs []corridor) ([]wave, bool) {
 	// Duplicate IDs inside one batch invalidate the up-front regions: the
@@ -363,13 +307,7 @@ func (r *Router) partition(jobs []Job, corrs []corridor) ([]wave, bool) {
 	numLevels := 0
 	last := map[[2]int]int{} // tile -> last job index covering it
 	for i, j := range jobs {
-		var reg region
-		var interacts bool
-		if corrs != nil && corrs[i].n > 0 {
-			reg, interacts = r.declaredRegionHier(j, &corrs[i])
-		} else {
-			reg, interacts = r.declaredRegion(j)
-		}
+		reg, interacts := r.declaredRegion(j, corridorOf(corrs, i))
 		regions[i] = reg
 		lvl := 0
 		if interacts {
@@ -403,87 +341,43 @@ func (r *Router) partition(jobs []Job, corrs []corridor) ([]wave, bool) {
 }
 
 // declaredRegion is the spatial bound job searches must stay within when
-// routed concurrently: the bounding box of its pins and any existing route
-// being replaced, expanded by maxDetour gcells per sink (each sink's
-// search can expand the tree's bounding box by one first-attempt detour).
+// routed concurrently. With a corridor c it is the corridor's rectangle,
+// which already contains every pin: corridor-confined searches cannot
+// read or write outside it, and a corridor failure escapes to the serial
+// schedule instead of retrying wider. Without one it is the bounding box
+// of the pins widened by maxDetour gcells per sink (each sink's search
+// can expand the tree's bounding box by one first-attempt detour). Either
+// way it grows to cover any existing route being replaced, whose rip-up
+// decrements usage across the old edges.
+//
 // interacts is false only for jobs that neither read nor write congestion
 // state: single-pin jobs with no existing route to rip up. A single-pin
 // job replacing a routed net interacts — its commit decrements usage
 // across the old route's region — but needs no detour margin, since it
 // performs no searches.
-func (r *Router) declaredRegion(j Job) (region, bool) {
+func (r *Router) declaredRegion(j Job, c *corridor) (region, bool) {
 	g := r.Grid
-	n0 := g.NodeOf(j.Pins[0].Pt, j.Pins[0].Layer)
-	reg := region{loX: n0.X, loY: n0.Y, hiX: n0.X, hiY: n0.Y}
-	grow := func(x, y int) {
-		if x < reg.loX {
-			reg.loX = x
+	var reg region
+	interacts := true
+	if c != nil {
+		reg = c.reg
+	} else {
+		n0 := g.NodeOf(j.Pins[0].Pt, j.Pins[0].Layer)
+		reg = region{loX: n0.X, loY: n0.Y, hiX: n0.X, hiY: n0.Y}
+		for _, p := range j.Pins[1:] {
+			n := g.NodeOf(p.Pt, p.Layer)
+			reg.grow(n.X, n.Y)
 		}
-		if y < reg.loY {
-			reg.loY = y
-		}
-		if x > reg.hiX {
-			reg.hiX = x
-		}
-		if y > reg.hiY {
-			reg.hiY = y
-		}
+		reg = reg.widen(maxDetour*(len(j.Pins)-1), g)
+		interacts = len(j.Pins) > 1
 	}
-	for _, p := range j.Pins[1:] {
-		n := g.NodeOf(p.Pt, p.Layer)
-		grow(n.X, n.Y)
-	}
-	interacts := len(j.Pins) > 1
 	if old := r.nets[j.ID]; old != nil && len(old.Edges) > 0 {
 		interacts = true
 		for _, e := range old.Edges {
 			a, b := g.Ends(e)
-			grow(a.X, a.Y)
-			grow(b.X, b.Y)
+			reg.grow(a.X, a.Y)
+			reg.grow(b.X, b.Y)
 		}
 	}
-	if !interacts {
-		return reg, false
-	}
-	if k := len(j.Pins) - 1; k > 0 {
-		m := maxDetour * k
-		reg.loX = geom.Clamp(reg.loX-m, 0, g.W-1)
-		reg.loY = geom.Clamp(reg.loY-m, 0, g.H-1)
-		reg.hiX = geom.Clamp(reg.hiX+m, 0, g.W-1)
-		reg.hiY = geom.Clamp(reg.hiY+m, 0, g.H-1)
-	}
-	return reg, true
-}
-
-// declaredRegionHier is the hierarchical strategy's declared region: the
-// corridor's rectangle (which already contains every pin —
-// corridor-confined searches cannot read or write outside it) unioned
-// with any existing route being replaced,
-// whose rip-up decrements usage across the old edges. No detour
-// expansion: corridor mode runs a single attempt and a failure escapes
-// to the serial schedule instead of retrying wider.
-func (r *Router) declaredRegionHier(j Job, c *corridor) (region, bool) {
-	reg := c.reg
-	if old := r.nets[j.ID]; old != nil && len(old.Edges) > 0 {
-		grow := func(x, y int) {
-			if x < reg.loX {
-				reg.loX = x
-			}
-			if y < reg.loY {
-				reg.loY = y
-			}
-			if x > reg.hiX {
-				reg.hiX = x
-			}
-			if y > reg.hiY {
-				reg.hiY = y
-			}
-		}
-		for _, e := range old.Edges {
-			a, b := r.Grid.Ends(e)
-			grow(a.X, a.Y)
-			grow(b.X, b.Y)
-		}
-	}
-	return reg, true
+	return reg, interacts
 }

@@ -1,6 +1,10 @@
 package route
 
-import "splitmfg/internal/heapx"
+import (
+	"slices"
+
+	"splitmfg/internal/heapx"
+)
 
 // The hierarchical strategy's coarse pass plans every multi-pin net of a
 // batch onto a grid of tiles (waveTileGCells x waveTileGCells gcells, the
@@ -22,14 +26,34 @@ import "splitmfg/internal/heapx"
 // strategy inside the batch determinism contract.
 
 // corridor is one net's coarse result: the tile set its fine search may
-// explore and that set's gcell bounding rectangle. tiles is a
-// view into the planner's per-batch arena, resolved after the whole
-// batch is planned (the arena may move while growing). A zero corridor
-// (single-pin net) means "no searches: flat rules apply".
+// explore and that set's gcell bounding rectangle. plan returns tiles as
+// views into the planner's per-batch arena, resolved after the whole
+// batch is planned (the arena may move while growing); RouteJobs routes
+// on a copy (cloneCorridors). A zero corridor (single-pin net) means "no
+// searches: flat rules apply".
 type corridor struct {
 	off, n int
 	tiles  []int32
 	reg    region
+}
+
+// corridorOf returns job i's corridor, or nil when it routes flat: the
+// batch has no corridors (flat strategy) or the job is single-pin.
+func corridorOf(corrs []corridor, i int) *corridor {
+	if corrs == nil || corrs[i].n == 0 {
+		return nil
+	}
+	return &corrs[i]
+}
+
+// cloneCorridors copies a batch's corridors and their tiles out of the
+// planner's arena, which the next plan reuses.
+func cloneCorridors(src []corridor) []corridor {
+	out := slices.Clone(src)
+	for i := range out {
+		out[i].tiles = slices.Clone(out[i].tiles)
+	}
+	return out
 }
 
 // tileBase is the cost of entering one tile in the coarse A*; congestion

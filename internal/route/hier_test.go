@@ -329,3 +329,118 @@ func TestRouteJobsWavePanicBecomesJobError(t *testing.T) {
 		t.Fatalf("panicked first wave committed %d nets, max usage %d", n, r.MaxUsage())
 	}
 }
+
+// TestRouteJobsRejectsBadJob: a job RouteNet would reject (no pins, or a
+// lift above the top layer) fails the batch with RouteNet's error under
+// both strategies and at every parallelism level, before anything is
+// planned or routed.
+func TestRouteJobsRejectsBadJob(t *testing.T) {
+	g := bigGrid()
+	for _, bad := range []struct {
+		job  Job
+		want string
+	}{
+		{Job{ID: 5000, MinLayer: 1}, "route: net 5000 has no pins"},
+		{Job{ID: 5001, Pins: scatteredJobs(1, g, 3)[0].Pins, MinLayer: 11}, "route: net 5001 lift layer M11 above top layer M10"},
+	} {
+		jobs := scatteredJobs(60, g, 9)
+		jobs[30] = bad.job
+		for _, s := range []Strategy{StrategyFlat, StrategyHier} {
+			for _, p := range []int{1, 4} {
+				r := NewRouter(g, Options{Parallelism: p, Strategy: s})
+				err := r.RouteJobs(jobs)
+				var je *JobError
+				if !errors.As(err, &je) || je.Index != 30 || je.ID != bad.job.ID || err.Error() != bad.want {
+					t.Fatalf("%s, parallelism %d: err = %v, want job 30's %q", s, p, err, bad.want)
+				}
+				if n := r.NumNets(); n != 0 || r.MaxUsage() != 0 || r.Hier().CorridorNets != 0 {
+					t.Fatalf("%s, parallelism %d: rejected batch left %d nets, max usage %d, %d corridors",
+						s, p, n, r.MaxUsage(), r.Hier().CorridorNets)
+				}
+			}
+		}
+	}
+}
+
+// TestNegotiateKeepsNetCorridors: congestion negotiation re-routes each
+// net inside the corridor it was routed in. A hier batch at capacity 1
+// routes one net flat after its corridor is cut to a single tile (as in
+// TestHierCorridorFallback), and a second net is re-routed flat with
+// RouteNet. After negotiation every net still holding a corridor lies
+// inside its tiles, the two flat nets hold none, negotiation ran
+// corridor-confined re-routes, and the serial and parallel schedules end
+// in the same state.
+func TestNegotiateKeepsNetCorridors(t *testing.T) {
+	g := bigGrid()
+	jobs := scatteredJobs(400, g, 7)
+	victim := -1
+	for i, j := range jobs {
+		if len(j.Pins) == 2 && j.MinLayer == 1 &&
+			absInt(j.Pins[0].Pt.X-j.Pins[1].Pt.X)/g.GCell > 3*waveTileGCells {
+			victim = i
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no suitable victim net in workload")
+	}
+	eco := jobs[(victim+1)%len(jobs)]
+	build := func(parallelism int) *Router {
+		r := NewRouter(g, Options{Capacity: 1, Parallelism: parallelism, Strategy: StrategyHier})
+		r.corridorHook = func(corrs []corridor) {
+			corrs[victim].tiles = corrs[victim].tiles[:1]
+		}
+		if err := r.RouteJobs(jobs); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.RouteNet(eco.ID, eco.Pins, eco.MinLayer); err != nil {
+			t.Fatal(err)
+		}
+		withCorridor := func() int {
+			n := 0
+			for _, id := range r.SortedNetIDs() {
+				if r.Net(id).corr != nil {
+					n++
+				}
+			}
+			return n
+		}
+		had, before := withCorridor(), r.Hier()
+		if r.NegotiateReroute() == 0 {
+			t.Fatal("negotiation re-routed nothing")
+		}
+		after := r.Hier()
+		if after.NegoCorridor <= before.NegoCorridor {
+			t.Fatalf("NegoCorridor %d -> %d: no corridor-confined re-route", before.NegoCorridor, after.NegoCorridor)
+		}
+		for _, id := range []int{jobs[victim].ID, eco.ID} {
+			if rn := r.Net(id); rn.corr != nil {
+				t.Fatalf("flat-routed net %d holds a corridor", id)
+			}
+		}
+		// A net loses its corridor in negotiation only by falling back flat.
+		if kept, lost := withCorridor(), after.FlatFallbacks-before.FlatFallbacks; kept != had-lost {
+			t.Fatalf("%d nets keep a corridor after negotiation, want %d (%d before, %d flat fallbacks)", kept, had-lost, had, lost)
+		}
+		for _, id := range r.SortedNetIDs() {
+			rn := r.Net(id)
+			if rn.corr == nil {
+				continue
+			}
+			in := map[int32]bool{}
+			for _, ti := range rn.corr.tiles {
+				in[ti] = true
+			}
+			for _, e := range rn.Edges {
+				a, b := g.Ends(e)
+				for _, n := range []Node{a, b} {
+					if !in[r.planner.tileOf(n.X, n.Y)] {
+						t.Fatalf("net %d edge end %v outside its corridor", id, n)
+					}
+				}
+			}
+		}
+		return r
+	}
+	stateEqual(t, build(1), build(8))
+}

@@ -249,8 +249,8 @@ func TestRerouteFailureKeepsOldRoute(t *testing.T) {
 }
 
 // TestNegotiateRerouteRestoresHistoryCost: the negotiation loop escalates
-// the congestion weight internally but must restore the configured value
-// on return — the old behavior left up to 1.8^iters of compounded weight
+// the congestion weight internally but must restore the base value on
+// return — the old behavior left up to 1.8^iters of compounded weight
 // behind, silently distorting every later route on the same router.
 func TestNegotiateRerouteRestoresHistoryCost(t *testing.T) {
 	r := NewRouter(testGrid(), Options{Capacity: 1})
@@ -266,10 +266,10 @@ func TestNegotiateRerouteRestoresHistoryCost(t *testing.T) {
 	if r.ComputeStats().OverflowEdges == 0 {
 		t.Fatal("setup produced no overflow; negotiation has nothing to escalate")
 	}
-	before := r.Opt.HistoryCost
+	before := r.history
 	r.NegotiateReroute()
-	if r.Opt.HistoryCost != before {
-		t.Fatalf("HistoryCost leaked: %v before, %v after negotiation", before, r.Opt.HistoryCost)
+	if r.history != before {
+		t.Fatalf("history weight leaked: %v before, %v after negotiation", before, r.history)
 	}
 }
 
@@ -343,24 +343,6 @@ func TestPropertyRipUpAllReturnsToZero(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestViaCostTruncation: viaCost() computes 10*ViaCost/4 in integer
-// arithmetic, so ViaCost values not divisible by 4 truncate. Pin the
-// exact values — routing costs (and therefore golden layouts) depend on
-// them.
-func TestViaCostTruncation(t *testing.T) {
-	for _, tc := range []struct {
-		viaCost int
-		want    int64
-	}{
-		{4, 10}, {5, 12}, {6, 15}, {7, 17}, {8, 20}, {12, 30},
-	} {
-		r := NewRouter(testGrid(), Options{ViaCost: tc.viaCost})
-		if got := r.viaCost(); got != tc.want {
-			t.Errorf("viaCost(ViaCost=%d) = %d, want %d", tc.viaCost, got, tc.want)
-		}
 	}
 }
 

@@ -20,6 +20,7 @@ package route
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -163,9 +164,7 @@ func Horizontal(z int) bool { return z%2 == 1 }
 
 // Options tunes the router.
 type Options struct {
-	ViaCost     int     // cost of one via step relative to gcell length; 0 = default
-	Capacity    int     // tracks per gcell edge per layer; 0 = derived from the gcell pitch (see NewRouter)
-	HistoryCost float64 // congestion penalty weight; 0 = default (2.0)
+	Capacity int // tracks per gcell edge per layer; 0 = derived from the gcell pitch (see NewRouter)
 
 	// Strategy selects flat or hierarchical batched routing (see
 	// strategy.go); the zero value is StrategyAuto, which resolves by die
@@ -189,12 +188,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.ViaCost == 0 {
-		o.ViaCost = 12
-	}
-	if o.HistoryCost == 0 {
-		o.HistoryCost = 2.0
-	}
 	if o.Strategy == "" {
 		o.Strategy = StrategyAuto
 	}
@@ -208,6 +201,10 @@ type RoutedNet struct {
 	Edges    []Edge
 	MinLayer int // the lift constraint the net was routed with (1 = none)
 	Failed   bool
+
+	// corr is the hierarchical corridor the net was routed in, nil for a
+	// flat route. Congestion negotiation re-routes the net inside it.
+	corr *corridor
 }
 
 // Wirelength returns the net's total routed wire length in nm (vias
@@ -254,19 +251,9 @@ type Router struct {
 	hierStats    HierStats
 	corridorHook func([]corridor)
 
-	// netCorrs remembers each net's last planned corridor (tiles copied
-	// out of the planner's per-batch arena, which the next plan reuses),
-	// so congestion negotiation stays corridor-confined under the
-	// hierarchical strategy instead of re-opening die-sized flat searches.
-	// A successful flat re-route (RouteNet — the ECO path) or a rip-up
-	// invalidates the entry.
-	netCorrs map[int]storedCorridor
-}
-
-// storedCorridor is the persistent per-net copy of a planned corridor.
-type storedCorridor struct {
-	tiles []int32
-	reg   region
+	// history is the congestion penalty weight segCost charges per unit
+	// of overflow: baseHistory, escalated only while NegotiateReroute runs.
+	history float64
 }
 
 // NewRouter creates a router over the grid. When Options.Capacity is zero
@@ -283,36 +270,22 @@ func NewRouter(grid Grid, opt Options) *Router {
 	}
 	n := grid.W * grid.H * (grid.Layers + 1)
 	r := &Router{
-		Grid:   grid,
-		Opt:    opt.withDefaults(),
-		usageH: make([]int16, n),
-		usageV: make([]int16, n),
-		nets:   make(map[int]*RoutedNet),
+		Grid:    grid,
+		Opt:     opt.withDefaults(),
+		usageH:  make([]int16, n),
+		usageV:  make([]int16, n),
+		nets:    make(map[int]*RoutedNet),
+		history: baseHistory,
 	}
 	r.serial = newWorker(r)
 	return r
 }
 
-// Nets returns a snapshot of the currently routed nets keyed by ID. The
-// map is a copy, so callers can iterate, add, or delete entries without
-// corrupting router state; the *RoutedNet values are shared read-only
-// views — mutate a net only through RouteNet/RipUp.
-func (r *Router) Nets() map[int]*RoutedNet {
-	m := make(map[int]*RoutedNet, len(r.nets))
-	//smlint:ordered copies the map: the result is the same in any order
-	for id, rn := range r.nets {
-		m[id] = rn
-	}
-	return m
-}
-
-// NumNets returns the number of currently routed nets (cheaper than
-// snapshotting via Nets when only the count is needed).
+// NumNets returns the number of currently routed nets.
 func (r *Router) NumNets() int { return len(r.nets) }
 
 // SortedNetIDs returns the routed net IDs in ascending order — the
-// deterministic iteration order consumers need, without the map snapshot
-// Nets makes.
+// deterministic iteration order consumers need.
 func (r *Router) SortedNetIDs() []int {
 	ids := make([]int, 0, len(r.nets))
 	//smlint:ordered the IDs are sorted below
@@ -341,14 +314,24 @@ func (r *Router) Net(id int) *RoutedNet { return r.nets[id] }
 //
 //smlint:hot
 func (r *Router) RouteNet(id int, pins []Pin, minLayer int) error {
-	if len(pins) == 0 {
-		return fmt.Errorf("route: net %d has no pins", id)
-	}
-	if minLayer > r.Grid.Layers {
-		return fmt.Errorf("route: net %d lift layer M%d above top layer M%d", id, minLayer, r.Grid.Layers)
+	return r.route(id, pins, minLayer, nil)
+}
+
+// route is the one serial route path: RouteNet, the serial schedule of a
+// batch and congestion negotiation all come through it. With a corridor
+// c the search is confined to it, and a corridor that holds no path is
+// counted in HierStats.FlatFallbacks and retried flat. A failed fresh
+// route leaves the Failed marker; a success is committed.
+func (r *Router) route(id int, pins []Pin, minLayer int, c *corridor) error {
+	if err := r.checkNet(id, pins, minLayer); err != nil {
+		return err
 	}
 	old := r.nets[id]
-	rn, err := r.serial.routeNet(id, pins, minLayer, old, nil)
+	rn, err := r.serial.routeNet(id, pins, minLayer, old, c, nil)
+	if errors.Is(err, errCorridor) {
+		r.hierStats.FlatFallbacks++
+		rn, err = r.serial.routeNet(id, pins, minLayer, old, nil, nil)
+	}
 	if err != nil {
 		if old == nil {
 			r.nets[id] = rn // failed marker: no edges, no usage
@@ -356,10 +339,18 @@ func (r *Router) RouteNet(id int, pins []Pin, minLayer int) error {
 		return err
 	}
 	r.commit(rn, old)
-	// A flat route supersedes any remembered corridor: the pins may have
-	// changed (ECO), and negotiation must not squeeze the new topology
-	// back into the old net's corridor.
-	delete(r.netCorrs, id)
+	return nil
+}
+
+// checkNet rejects a net no route can satisfy: one without pins, or one
+// lifted above the top layer.
+func (r *Router) checkNet(id int, pins []Pin, minLayer int) error {
+	if len(pins) == 0 {
+		return fmt.Errorf("route: net %d has no pins", id)
+	}
+	if minLayer > r.Grid.Layers {
+		return fmt.Errorf("route: net %d lift layer M%d above top layer M%d", id, minLayer, r.Grid.Layers)
+	}
 	return nil
 }
 
@@ -380,7 +371,6 @@ func (r *Router) RipUp(id int) {
 	if rn := r.nets[id]; rn != nil {
 		r.ripUp(rn)
 		delete(r.nets, id)
-		delete(r.netCorrs, id)
 	}
 }
 
@@ -429,9 +419,13 @@ func (r *Router) wireUsage(e Edge) (key int64, u int16) {
 	return 2*int64(i) + 1, r.usageV[i]
 }
 
-const viaBase = 10 // via cost = viaBase * Opt.ViaCost / 4
+// viaCost is the cost of one via step, that of three uncongested M2
+// segments (layerBase).
+const viaCost int64 = 30
 
-func (r *Router) viaCost() int64 { return int64(viaBase * r.Opt.ViaCost / 4) }
+// baseHistory is the congestion penalty weight outside negotiation;
+// each negotiation pass multiplies it by 1.8.
+const baseHistory = 2.0
 
 func absInt(x int) int {
 	if x < 0 {
@@ -568,7 +562,7 @@ func adjacent(a, b Node) bool {
 // NegotiateReroute performs congestion negotiation, the rip-up-and-reroute
 // loop (PathFinder's, McMurchie & Ebeling, FPGA 1995) every production
 // global router runs to reach a capacity-respecting result. Each pass
-// raises the history cost ×1.8 and re-routes only each overflowed edge's
+// raises the history weight ×1.8 and re-routes only each overflowed edge's
 // excess nets (see selectExcess): as in NTHU-Route 2.0, a net is ripped up
 // because an edge needs one fewer net, not because it touches a
 // congested edge. Passes run until no edge overflows, until a pass clears
@@ -576,24 +570,21 @@ func adjacent(a, b Node) bool {
 // until maxNegotiatePasses have run. It returns the number of passes that
 // re-routed.
 //
-// The escalation is local to the negotiation: Opt.HistoryCost is restored
-// on return, so later RouteNet calls on the same router see the
-// configured weight, not a compounded one. A net whose re-route fails
+// The escalation is local to the negotiation: the history weight is reset
+// to baseHistory on return, so later RouteNet calls on the same router
+// see the base weight, not a compounded one. A net whose re-route fails
 // keeps its previous (congested but valid) route.
 //
-// Under the hierarchical strategy, nets that still have a remembered
-// corridor from the coarse pass re-route corridor-confined (falling back
-// to the flat search if the corridor is exhausted, like batched
-// refinement) — negotiation is where flat routing spends most of its
-// time on large dies, and it would otherwise reopen exactly the
-// die-sized searches the corridors were built to avoid. The loop is
-// serial, its selection walks slices in net-ID and edge-key order, and
-// the corridors are a pure function of the batch history, so the
-// determinism contract is untouched.
+// A net routed inside a corridor (the hierarchical strategy) re-routes
+// inside that corridor, falling back to the flat search if the corridor
+// is exhausted, like batched refinement: negotiation is where flat
+// routing spends most of its time on large dies, and it would otherwise
+// reopen exactly the die-sized searches the corridors were built to
+// avoid. The loop is serial, its selection walks slices in net-ID and
+// edge-key order, and the corridors are a pure function of the batch
+// history, so the determinism contract is untouched.
 func (r *Router) NegotiateReroute() int {
-	orig := r.Opt.HistoryCost
-	defer func() { r.Opt.HistoryCost = orig }()
-	hier := r.ResolvedStrategy() == StrategyHier && r.planner != nil
+	defer func() { r.history = baseHistory }()
 	// A pass only replaces routes, so the routed IDs stay the same.
 	ids := r.SortedNetIDs()
 	started := 0
@@ -603,20 +594,18 @@ func (r *Router) NegotiateReroute() int {
 			return pass
 		}
 		started = over
-		r.Opt.HistoryCost *= 1.8
+		r.history *= 1.8
 		for i, id := range ids {
 			if !sel[i] {
 				continue
 			}
+			rn := r.nets[id]
+			if rn.corr != nil {
+				r.hierStats.NegoCorridor++
+			}
 			// A failed re-route leaves the old route fully intact, and a
 			// congested route beats a destroyed one, so errors are dropped.
-			rn := r.nets[id]
-			if c, ok := r.netCorrs[id]; hier && ok {
-				r.hierStats.NegoCorridor++
-				_ = r.routeNetCorridor(id, rn.Pins, rn.MinLayer, c.tiles, c.reg)
-			} else {
-				_ = r.RouteNet(id, rn.Pins, rn.MinLayer)
-			}
+			_ = r.route(id, rn.Pins, rn.MinLayer, rn.corr)
 		}
 	}
 	return maxNegotiatePasses

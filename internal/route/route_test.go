@@ -37,29 +37,6 @@ func TestGridMapping(t *testing.T) {
 	}
 }
 
-// TestNetsSnapshot: Nets() must return a copy — callers deleting from or
-// adding to the returned map must not corrupt router state.
-func TestNetsSnapshot(t *testing.T) {
-	g := testGrid()
-	r := NewRouter(g, Options{})
-	pins := []Pin{{Pt: geom.Point{X: 1000, Y: 1000}, Layer: 1}, {Pt: geom.Point{X: 40000, Y: 40000}, Layer: 1}}
-	if err := r.RouteNet(7, pins, 1); err != nil {
-		t.Fatal(err)
-	}
-	snap := r.Nets()
-	delete(snap, 7)
-	snap[99] = &RoutedNet{ID: 99}
-	if r.Net(7) == nil {
-		t.Fatal("deleting from the Nets() snapshot removed the net from the router")
-	}
-	if r.Net(99) != nil {
-		t.Fatal("inserting into the Nets() snapshot leaked into the router")
-	}
-	if r.NumNets() != 1 {
-		t.Fatalf("router has %d nets, want 1", r.NumNets())
-	}
-}
-
 func TestRouteTwoPin(t *testing.T) {
 	r := NewRouter(testGrid(), Options{})
 	pins := []Pin{

@@ -75,7 +75,7 @@ func refSegCost(w *worker, lo Node, horizontal bool) int64 {
 	if over < 0 {
 		return base + int64(u)/2
 	}
-	return base + int64(float64(base)*r.Opt.HistoryCost*float64(over+1))
+	return base + int64(float64(base)*r.history*float64(over+1))
 }
 
 // refBound is searchBounded's lower bound computed from the whole-node
@@ -90,7 +90,6 @@ func refBound(w *worker, target Node, wireMin int) func(Node) int64 {
 	for Horizontal(zv) {
 		zv++
 	}
-	via := w.r.viaCost()
 	return func(n Node) int64 {
 		dx, dy := absInt(n.X-target.X), absInt(n.Y-target.Y)
 		lift := 0
@@ -104,7 +103,7 @@ func refBound(w *worker, target Node, wireMin int) func(Node) int64 {
 		if lift > n.Z && lift > target.Z {
 			f = 2*lift - n.Z - target.Z
 		}
-		return int64(dx)*layerBase(zh) + int64(dy)*layerBase(zv) + int64(f)*via
+		return int64(dx)*layerBase(zh) + int64(dy)*layerBase(zv) + int64(f)*viaCost
 	}
 }
 
@@ -126,7 +125,6 @@ func referenceSearch(w *worker, rs *refScratch, target Node, wireMin int, reg re
 	ep := rs.epoch
 	tIdx := g.Index(target)
 
-	via := w.r.viaCost()
 	seeds := slices.Clone(w.treeList)
 	slices.Sort(seeds)
 	q := &refPQ{}
@@ -165,10 +163,10 @@ func referenceSearch(w *worker, rs *refScratch, target Node, wireMin int, reg re
 			return edges, true
 		}
 		if n.Z < g.Layers {
-			relax(cur, Node{n.X, n.Y, n.Z + 1}, via)
+			relax(cur, Node{n.X, n.Y, n.Z + 1}, viaCost)
 		}
 		if n.Z > 1 {
-			relax(cur, Node{n.X, n.Y, n.Z - 1}, via)
+			relax(cur, Node{n.X, n.Y, n.Z - 1}, viaCost)
 		}
 		if n.Z >= wireMin {
 			if Horizontal(n.Z) {
@@ -198,7 +196,7 @@ func pathCost(w *worker, path []Edge) int64 {
 	for _, e := range path {
 		a, b := w.r.Grid.Ends(e)
 		if a.Z != b.Z {
-			c += w.r.viaCost()
+			c += viaCost
 			continue
 		}
 		lo := a
@@ -222,7 +220,8 @@ func randomRouter(rng *rand.Rand, gw, gh, layers int) (*Router, *worker) {
 	for k := rng.Intn(4); k > 0; k-- {
 		hist *= 1.8 // NegotiateReroute's escalation
 	}
-	r := NewRouter(grid, Options{Capacity: 2 + rng.Intn(5), HistoryCost: hist})
+	r := NewRouter(grid, Options{Capacity: 2 + rng.Intn(5)})
+	r.history = hist
 	capacity := r.Opt.Capacity
 	for i := range r.usageH {
 		if rng.Intn(3) > 0 {
@@ -310,7 +309,7 @@ func TestSearchMatchesReference(t *testing.T) {
 			w.clearCorridor()
 			if ok != wantOK || !slices.Equal(got, want) {
 				t.Fatalf("trial %d search %d (grid %dx%dx%d, wireMin %d, history %g, region %+v, corridor %v): found=%v %v, reference found=%v %v",
-					trial, search, grid.W, grid.H, grid.Layers, wireMin, r.Opt.HistoryCost, reg, corr, ok, got, wantOK, want)
+					trial, search, grid.W, grid.H, grid.Layers, wireMin, r.history, reg, corr, ok, got, wantOK, want)
 			}
 			if corr {
 				corridors++
@@ -427,8 +426,8 @@ func TestSearchBoundConsistent(t *testing.T) {
 						to, cost = append(to, v), append(cost, c)
 					}
 				}
-				add(Node{u.X, u.Y, u.Z + 1}, r.viaCost())
-				add(Node{u.X, u.Y, u.Z - 1}, r.viaCost())
+				add(Node{u.X, u.Y, u.Z + 1}, viaCost)
+				add(Node{u.X, u.Y, u.Z - 1}, viaCost)
 				if u.Z >= wireMin {
 					for _, d := range []int{-1, 1} {
 						if Horizontal(u.Z) {

@@ -171,30 +171,36 @@ func (w *worker) segCost(i int32, z int, horizontal bool) int64 {
 		// Mild pressure as the edge fills up.
 		return base + int64(u)/2
 	}
-	return base + int64(float64(base)*r.Opt.HistoryCost*float64(over+1))
+	return base + int64(float64(base)*r.history*float64(over+1))
 }
 
 // routeNet computes a route for the net without touching shared router
 // state. old, when non-nil, is the net's existing route: its usage is
 // masked out through the overlay, exactly as if it had been ripped up
-// first. bound, when non-nil, restricts every search to the given gcell
-// region (batched parallel mode): a search that would expand beyond it —
+// first. c, when non-nil, is the net's corridor: the worker arms its mask
+// for this call, and a corridor holding no path fails with errCorridor.
+// bound, when non-nil, restricts every search to the given gcell region
+// (batched parallel mode): a search that would expand beyond it —
 // including the 4x detour retry — aborts with errEscaped instead, so a
 // result that might depend on concurrent neighbors is never produced.
 //
-// On success the returned net carries the new edges and the caller
-// commits them; on failure it is marked Failed with no edges, and shared
-// state is untouched either way.
+// On success the returned net carries the new edges and its corridor,
+// and the caller commits it; on failure it is marked Failed with no
+// edges, and shared state is untouched either way.
 //
 //smlint:hot
-func (w *worker) routeNet(id int, pins []Pin, minLayer int, old *RoutedNet, bound *region) (*RoutedNet, error) {
+func (w *worker) routeNet(id int, pins []Pin, minLayer int, old *RoutedNet, c *corridor, bound *region) (*RoutedNet, error) {
 	defer w.reset()
+	if c != nil {
+		w.setCorridor(w.r.planner.tw, w.r.planner.th, c.tiles, c.reg)
+		defer w.clearCorridor()
+	}
 	if old != nil {
 		for _, e := range old.Edges {
 			w.addDelta(e, -1)
 		}
 	}
-	rn := &RoutedNet{ID: id, Pins: append([]Pin(nil), pins...), MinLayer: minLayer}
+	rn := &RoutedNet{ID: id, Pins: append([]Pin(nil), pins...), MinLayer: minLayer, corr: c}
 	if len(pins) == 1 {
 		return rn, nil
 	}
@@ -271,10 +277,10 @@ func (w *worker) treeAdd(i int32) {
 // inTree reports membership in the current net's tree.
 func (w *worker) inTree(i int32) bool { return w.treeEp[i] == w.treeEpoch }
 
-// setCorridor arms the corridor mask for the next routeNet call: tiles
-// (planner tile indices) are stamped into an epoch set and wire moves
-// outside them are pruned. clearCorridor must be called once the net is
-// done — the mask is worker state, not per-search state.
+// setCorridor arms the corridor mask: tiles (planner tile indices) are
+// stamped into an epoch set and wire moves outside them are pruned until
+// clearCorridor. routeNet arms and clears it around one net — the mask is
+// worker state, not per-search state.
 //
 //smlint:hot
 func (w *worker) setCorridor(tw, th int, tiles []int32, reg region) {
@@ -354,33 +360,32 @@ func (a region) contains(b region) bool {
 	return b.loX >= a.loX && b.loY >= a.loY && b.hiX <= a.hiX && b.hiY <= a.hiY
 }
 
+// grow extends the region to cover gcell (x, y).
+func (a *region) grow(x, y int) {
+	a.loX, a.loY = min(a.loX, x), min(a.loY, y)
+	a.hiX, a.hiY = max(a.hiX, x), max(a.hiY, y)
+}
+
+// widen expands the region by d gcells on every side, clamped to the grid.
+func (a region) widen(d int, g Grid) region {
+	return region{
+		loX: geom.Clamp(a.loX-d, 0, g.W-1),
+		loY: geom.Clamp(a.loY-d, 0, g.H-1),
+		hiX: geom.Clamp(a.hiX+d, 0, g.W-1),
+		hiY: geom.Clamp(a.hiY+d, 0, g.H-1),
+	}
+}
+
 // searchRegion is the clamped bounding box of the tree and target expanded
 // by detour gcells.
 func (w *worker) searchRegion(target Node, detour int) region {
 	g := w.r.Grid
-	loX, loY := target.X, target.Y
-	hiX, hiY := target.X, target.Y
+	reg := region{loX: target.X, loY: target.Y, hiX: target.X, hiY: target.Y}
 	for _, t := range w.treeList {
 		n := g.NodeAt(t)
-		if n.X < loX {
-			loX = n.X
-		}
-		if n.Y < loY {
-			loY = n.Y
-		}
-		if n.X > hiX {
-			hiX = n.X
-		}
-		if n.Y > hiY {
-			hiY = n.Y
-		}
+		reg.grow(n.X, n.Y)
 	}
-	return region{
-		loX: geom.Clamp(loX-detour, 0, g.W-1),
-		loY: geom.Clamp(loY-detour, 0, g.H-1),
-		hiX: geom.Clamp(hiX+detour, 0, g.W-1),
-		hiY: geom.Clamp(hiY+detour, 0, g.H-1),
-	}
+	return reg.widen(detour, g)
 }
 
 // bound is searchBounded's lower bound on the cost of reaching the
@@ -418,7 +423,6 @@ func (w *worker) setBound(target Node, wireMin int) {
 	if Horizontal(zv) {
 		zv++
 	}
-	via := w.r.viaCost()
 	b := &w.lb
 	b.tx, b.ty = target.X, target.Y
 	b.bh, b.bv = layerBase(zh), layerBase(zv)
@@ -438,7 +442,7 @@ func (w *worker) setBound(target Node, wireMin int) {
 			if lift > z && lift > tz {
 				f = (lift - z) + (lift - tz)
 			}
-			row[z] = int64(f) * via
+			row[z] = int64(f) * viaCost
 		}
 	}
 }
@@ -487,7 +491,6 @@ func (w *worker) searchBounded(target Node, wireMin int, reg region) ([]Edge, bo
 	ep := w.epoch
 	tIdx := g.Index(target)
 
-	via := r.viaCost()
 	w.setBound(target, wireMin)
 	lb := &w.lb
 	// Seed the frontier in sorted node order: tree insertion order would
@@ -548,10 +551,10 @@ func (w *worker) searchBounded(target Node, wireMin int, reg region) ([]Edge, bo
 		}
 		// Via moves.
 		if n.Z < g.Layers {
-			relax(cur, cur+strideZ, d+via, hX+hY+lb.hz(n.X, n.Y, n.Z+1))
+			relax(cur, cur+strideZ, d+viaCost, hX+hY+lb.hz(n.X, n.Y, n.Z+1))
 		}
 		if n.Z > 1 {
-			relax(cur, cur-strideZ, d+via, hX+hY+lb.hz(n.X, n.Y, n.Z-1))
+			relax(cur, cur-strideZ, d+viaCost, hX+hY+lb.hz(n.X, n.Y, n.Z-1))
 		}
 		// Wire moves (preferred direction, within bounds and the corridor
 		// mask, above wireMin).
