@@ -259,11 +259,6 @@ func TestProgressEventOrdering(t *testing.T) {
 	}
 	lastAttempt, lastOrder := 0, -1
 	for _, ev := range protectEvents {
-		if ev.Stage == StageRouteWave {
-			// Wave events interleave with the route stage they belong to;
-			// they carry their own sub-ordering, not the flow order.
-			continue
-		}
 		if ev.Detail == "baseline" {
 			if ev.Attempt != 0 {
 				t.Fatalf("baseline event with attempt %d: %+v", ev.Attempt, ev)

@@ -29,10 +29,10 @@
 // Protect, Attack, and Evaluate take a context.Context and honor
 // cancellation at stage boundaries. WithProgress streams stage-completion
 // events with per-stage timings; WithParallelism is the one worker budget
-// that fans independent builds, split-layer attacks and route waves out
-// over worker pools, with per-(layer, attacker) derived RNG seeds and
-// serially committed route waves, so reports are byte-identical at every
-// parallelism level.
+// that fans independent builds and split-layer attacks out over worker
+// pools, with per-(layer, attacker) derived RNG seeds, while each build
+// places and routes on one goroutine, so reports are byte-identical at
+// every parallelism level.
 // ProtectReport and SecurityReport are JSON-serializable and shared by the
 // CLIs (cmd/smflow, cmd/smattack, cmd/smbench, cmd/smsplit), the
 // quickstart example, and the experiment generators; RunExperiment and its sibling functions

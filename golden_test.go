@@ -83,11 +83,11 @@ func TestGoldenProtectAndSecurityReports(t *testing.T) {
 	goldenCompare(t, "security_c432.json", marshalGolden(t, sec))
 }
 
-// TestGoldenReportsRouteSerialVsParallel: the wave-parallel router's
-// determinism contract at the report level. A serial run
-// (WithParallelism(1), which routes serially too) and an explicitly
-// parallel one must both reproduce the same golden bytes the default
-// configuration is pinned to — protect and security reports alike.
+// TestGoldenReportsRouteSerialVsParallel: the determinism contract at the
+// report level. A serial run (WithParallelism(1)) and an explicitly
+// parallel one, which attacks its split layers concurrently, must both
+// reproduce the same golden bytes the default configuration is pinned
+// to — protect and security reports alike.
 func TestGoldenReportsRouteSerialVsParallel(t *testing.T) {
 	design, err := LoadBenchmark("c432")
 	if err != nil {
@@ -124,8 +124,7 @@ func TestGoldenReportsRouteSerialVsParallel(t *testing.T) {
 // its own golden: c432 under an explicit "hier" strategy (auto routes a
 // die this small flat, so the flat goldens above are untouched by the
 // strategy's existence), serial and at parallelism 4. The
-// determinism contract holds per strategy — coarse corridors are planned
-// serially before the wave partition, so the golden bytes must not
+// determinism contract holds per strategy: the golden bytes must not
 // depend on the worker count.
 func TestGoldenHierProtectReport(t *testing.T) {
 	design, err := LoadBenchmark("c432")

@@ -14,8 +14,6 @@
 package crouting
 
 import (
-	"math"
-
 	"splitmfg/internal/layout"
 	"splitmfg/internal/metrics"
 	"splitmfg/internal/netlist"
@@ -176,14 +174,4 @@ func (b *gcellBins) collect(frag, loX, hiX, loY, hiY int, seen []int32, ep int32
 		}
 	}
 	return n
-}
-
-// SolutionSpaceLog10 estimates log10 of the number of candidate netlists
-// remaining after the attack, as E[LS]^#two-pin-nets (the paper's Sec. 2
-// footnote arithmetic): log10(LS^n) = n·log10(LS).
-func SolutionSpaceLog10(avgListSize float64, nets int) float64 {
-	if avgListSize <= 1 || nets <= 0 {
-		return 0
-	}
-	return float64(nets) * math.Log10(avgListSize)
 }

@@ -2,7 +2,6 @@ package crouting
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"splitmfg/internal/bench"
@@ -92,17 +91,6 @@ func TestDirectionFilterShrinksLists(t *testing.T) {
 	noDir := Attack(d, sv, nl, Options{BBoxes: []int{30}, UseDirection: false})
 	if withDir.AvgListSize[30] > noDir.AvgListSize[30]+1e-9 {
 		t.Fatalf("direction filter grew lists: %v vs %v", withDir.AvgListSize[30], noDir.AvgListSize[30])
-	}
-}
-
-func TestSolutionSpaceLog10(t *testing.T) {
-	// Paper footnote: 1.4^500 ≈ 1.16e73.
-	got := SolutionSpaceLog10(1.4, 500)
-	if math.Abs(got-73) > 1 {
-		t.Fatalf("log10(1.4^500) = %v, want ≈73", got)
-	}
-	if SolutionSpaceLog10(0.5, 100) != 0 || SolutionSpaceLog10(2, 0) != 0 {
-		t.Fatal("degenerate cases must be 0")
 	}
 }
 

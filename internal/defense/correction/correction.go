@@ -243,10 +243,9 @@ func driverPoint(d *layout.Design, netID int) geom.Point {
 // routeErroneous routes the full erroneous design: plain nets flat;
 // protected nets as a lifted trunk (driver + plain sinks + the C pins of
 // the protected sinks' correction cells) plus one lifted Z->sink stub per
-// protected sink. The whole set goes through the batched wave-parallel
-// routing API in one deterministic order (per net: trunk, then its
-// stubs), so spatially disjoint entities route concurrently with results
-// identical to the sequential schedule.
+// protected sink. The whole set goes through one batched RouteJobs call in
+// one deterministic order (per net: trunk, then its stubs), so under the
+// hierarchical strategy every entity is planned in one coarse pass.
 func (p *Protected) routeErroneous() error {
 	d := p.Design
 	protected := p.ProtectedSinks()

@@ -37,12 +37,12 @@ func randomizeRNG(o Options) *rand.Rand {
 
 func (o Options) baselineOptions() baselines.Options {
 	return baselines.Options{UtilPercent: o.UtilPercent, Seed: o.Seed, Fraction: o.Fraction,
-		RouteOpt: route.Options{Parallelism: o.RouteParallelism, Strategy: o.RouteStrategy}}
+		RouteOpt: route.Options{Strategy: o.RouteStrategy}}
 }
 
 func (o Options) correctionOptions() correction.Options {
 	return correction.Options{LiftLayer: o.LiftLayer, UtilPercent: o.UtilPercent, Seed: o.Seed,
-		RouteOpt: route.Options{Parallelism: o.RouteParallelism, Strategy: o.RouteStrategy}}
+		RouteOpt: route.Options{Strategy: o.RouteStrategy}}
 }
 
 // randomizeCorrection is the paper's proposed scheme: one randomization

@@ -71,10 +71,10 @@ type Options struct {
 	// (scheme-specific meaning; 0 = each scheme's published-ish default).
 	Fraction float64
 
-	// RouteParallelism is the worker count for wave-parallel net routing
-	// inside the scheme's place-and-route (0 = GOMAXPROCS, 1 = serial);
-	// the matrix and suite pass each build its share of their budget.
-	// Routed layouts are byte-identical at every level.
+	// Deprecated: RouteParallelism is ignored; every build routes on one
+	// goroutine. Only perfbench/replay.go still sets it, and the benchmark
+	// change that deletes the strategy knob (ROADMAP "One routing
+	// strategy") deletes it too.
 	RouteParallelism int
 
 	// RouteStrategy selects flat or hierarchical batched routing for the

@@ -49,12 +49,6 @@ const (
 	StageVerify    Stage = "verify"
 	StagePPA       Stage = "ppa"
 	StageAttack    Stage = "attack"
-
-	// StageRouteWave is emitted once per committed multi-net wave of a
-	// parallel routing batch (Detail carries "wave i/n: k nets" plus the
-	// build the wave belongs to). Single-net waves and serial routing
-	// emit no wave events.
-	StageRouteWave Stage = "route-wave"
 )
 
 // Event is one completed stage transition.
@@ -87,9 +81,10 @@ type Options struct {
 	Replicates   int      // seed replicates per suite cell (default 1)
 	MaxAttempts  int      // escalation attempts in Protect (default 6; 1 = no escalation)
 
-	// Parallelism is the one worker budget that builds, layer attacks and
-	// route waves share (0 = GOMAXPROCS, 1 = serial); reports are
-	// byte-identical at every level.
+	// Parallelism is the one worker budget that concurrent builds and
+	// split-layer attacks share (0 = GOMAXPROCS, 1 = serial); each build
+	// places and routes on one goroutine. Reports are byte-identical at
+	// every level.
 	Parallelism int
 
 	// RouteStrategy selects flat or hierarchical routing (zero = auto, by
@@ -198,28 +193,23 @@ func (e *emitter) emit(ev Event) {
 }
 
 // BuildOptions returns the correction-cell options for one build of b
-// under opt outside Protect (Attempt 0), reporting the build's stage and
-// route-wave events to opt.Progress under detail ("baseline",
-// "protected", "lifted").
+// under opt outside Protect (Attempt 0), reporting the build's stage
+// events to opt.Progress under detail ("baseline", "protected",
+// "lifted").
 func BuildOptions(b Bench, opt Options, detail string) correction.Options {
 	return buildOptions(b, opt, newEmitter(opt.Progress), 0, detail)
 }
 
 // buildOptions returns the correction-cell options for one build of b
-// under opt, with its stage and route-wave events sent to em under
-// attempt and detail; a nil emitter attaches no hooks.
+// under opt, with its stage events sent to em under attempt and detail;
+// a nil emitter attaches no hook.
 func buildOptions(b Bench, opt Options, em *emitter, attempt int, detail string) correction.Options {
 	copt := correction.Options{LiftLayer: b.LiftLayer, UtilPercent: b.UtilPercent, Seed: opt.Seed,
-		RouteOpt: route.Options{Parallelism: opt.Parallelism, Strategy: opt.RouteStrategy}}
-	if em == nil {
-		return copt
-	}
-	copt.Observe = func(stage string, d time.Duration) {
-		em.emit(Event{Stage: Stage(stage), Attempt: attempt, Detail: detail, Elapsed: d})
-	}
-	copt.RouteOpt.OnWave = func(wave, waves, nets int, elapsed time.Duration) {
-		em.emit(Event{Stage: StageRouteWave, Attempt: attempt,
-			Detail: fmt.Sprintf("%s wave %d/%d: %d nets", detail, wave, waves, nets), Elapsed: elapsed})
+		RouteOpt: route.Options{Strategy: opt.RouteStrategy}}
+	if em != nil {
+		copt.Observe = func(stage string, d time.Duration) {
+			em.emit(Event{Stage: Stage(stage), Attempt: attempt, Detail: detail, Elapsed: d})
+		}
 	}
 	return copt
 }

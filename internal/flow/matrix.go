@@ -65,8 +65,9 @@ func EvaluateMatrix(ctx context.Context, lib *cell.Library, b Bench, opt Options
 // evaluateDefense computes one matrix row: build the defense's layout with
 // a name-derived seed, analyze its PPA, then run the full attacker panel
 // over the split layers with an independent name-derived evaluation seed.
-// opt.Parallelism bounds both the build's route workers and its concurrent
-// layer attacks. The caller fills in the overheads against its baseline.
+// The build runs on the caller's goroutine; opt.Parallelism bounds the
+// concurrent layer attacks. The caller fills in the overheads against its
+// baseline.
 func evaluateDefense(ctx context.Context, lib *cell.Library, b Bench, name string, opt Options) (MatrixRow, error) {
 	start := time.Now()
 	row := MatrixRow{Defense: name}
@@ -76,13 +77,12 @@ func evaluateDefense(ctx context.Context, lib *cell.Library, b Bench, name strin
 	// streams by label, and the shared "randomize" label is what keeps
 	// naive-lifted protecting exactly randomize-correction's sink set.
 	prot, err := def.Protect(ctx, b.Netlist, lib, defengine.Options{
-		Seed:             defengine.DeriveSeed(opt.Seed, "defense"),
-		LiftLayer:        b.LiftLayer,
-		UtilPercent:      b.UtilPercent,
-		TargetOER:        opt.TargetOER,
-		Fraction:         opt.Fraction,
-		RouteParallelism: opt.Parallelism,
-		RouteStrategy:    opt.RouteStrategy,
+		Seed:          defengine.DeriveSeed(opt.Seed, "defense"),
+		LiftLayer:     b.LiftLayer,
+		UtilPercent:   b.UtilPercent,
+		TargetOER:     opt.TargetOER,
+		Fraction:      opt.Fraction,
+		RouteStrategy: opt.RouteStrategy,
 	})
 	if err != nil {
 		return row, err

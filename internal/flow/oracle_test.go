@@ -10,7 +10,6 @@ import (
 	"splitmfg/internal/defense/correction"
 	"splitmfg/internal/defense/randomize"
 	"splitmfg/internal/layout"
-	"splitmfg/internal/route"
 )
 
 // TestPaperFidelityISCAS is the paper-fidelity oracle: on every ISCAS-85
@@ -42,8 +41,7 @@ func TestPaperFidelityISCAS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt := correction.Options{LiftLayer: 6, UtilPercent: 70, Seed: 1,
-				RouteOpt: route.Options{Parallelism: 1}}
+			opt := correction.Options{LiftLayer: 6, UtilPercent: 70, Seed: 1}
 			r, err := randomize.Randomize(nl, rand.New(rand.NewSource(1)), randomize.Options{})
 			if err != nil {
 				t.Fatal(err)

@@ -9,9 +9,9 @@ import (
 // runPool runs task(0), …, task(n-1) on min(parallelism, n) goroutines,
 // handing the indices out in order, and returns each task's error in index
 // order. Every task is granted share = parallelism/workers of the budget
-// for its own nested work — layer attacks, route waves — so nested pools
-// never multiply past parallelism. This is the one place the flow splits
-// a parallelism budget; callers pass parallelism >= 1.
+// for its own nested work (a build's split-layer attacks), so nested
+// pools never multiply past parallelism. This is the one place the flow
+// splits a parallelism budget; callers pass parallelism >= 1.
 //
 // A panic in task i becomes task i's error, carrying the panic value and
 // stack, so one failing defense build or layer attack fails its caller

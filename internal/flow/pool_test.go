@@ -53,7 +53,7 @@ func TestRunPoolPanicBecomesTaskError(t *testing.T) {
 
 // TestRunPoolShares: the pool is the flow's one budget split. It runs at
 // most min(P, n) tasks at once and grants each the rest of the budget, so
-// nested pools and route waves never multiply past P.
+// nested pools never multiply past P.
 func TestRunPoolShares(t *testing.T) {
 	for n := 0; n <= 6; n++ {
 		for p := 1; p <= 8; p++ {

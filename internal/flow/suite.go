@@ -282,8 +282,8 @@ func evaluateRows(ctx context.Context, lib *cell.Library, benches []Bench, opt O
 	// request, so nothing is evicted and the counters stay deterministic.
 	cache := store.NewCache(numJobs, disk)
 
-	// Each job attacks its layers and routes its waves within the share of
-	// Parallelism the pool grants it.
+	// Each job builds its layout on its pool goroutine and attacks its
+	// layers within the share of Parallelism the pool grants it.
 	runPool(numJobs, opt.Parallelism, func(j, share int) error {
 		jopt := opt
 		jopt.Parallelism = share
@@ -317,8 +317,7 @@ func evaluateRows(ctx context.Context, lib *cell.Library, benches []Bench, opt O
 
 // suiteBaseline builds (or reuses) one benchmark's unprotected baseline and
 // returns its PPA — the anchor for every defense row's overheads, computed
-// once per benchmark across the whole run, routing with opt.Parallelism
-// workers.
+// once per benchmark across the whole run.
 func suiteBaseline(ctx context.Context, cache *store.Cache, b Bench,
 	lib *cell.Library, opt Options, em *emitter) (timing.PPA, error) {
 	key := "baseline|" + b.cacheKey(opt.Seed) + "|route=" + routeStrategyKey(opt.RouteStrategy)

@@ -68,29 +68,6 @@ func (r Rect) Overlaps(o Rect) bool {
 	return r.Lo.X < o.Hi.X && o.Lo.X < r.Hi.X && r.Lo.Y < o.Hi.Y && o.Lo.Y < r.Hi.Y
 }
 
-// Union returns the bounding box of both rectangles.
-func (r Rect) Union(o Rect) Rect {
-	u := r
-	if o.Lo.X < u.Lo.X {
-		u.Lo.X = o.Lo.X
-	}
-	if o.Lo.Y < u.Lo.Y {
-		u.Lo.Y = o.Lo.Y
-	}
-	if o.Hi.X > u.Hi.X {
-		u.Hi.X = o.Hi.X
-	}
-	if o.Hi.Y > u.Hi.Y {
-		u.Hi.Y = o.Hi.Y
-	}
-	return u
-}
-
-// Expand grows the rectangle by d on every side.
-func (r Rect) Expand(d int) Rect {
-	return Rect{Point{r.Lo.X - d, r.Lo.Y - d}, Point{r.Hi.X + d, r.Hi.Y + d}}
-}
-
 // Center returns the rectangle center.
 func (r Rect) Center() Point {
 	return Point{(r.Lo.X + r.Hi.X) / 2, (r.Lo.Y + r.Hi.Y) / 2}

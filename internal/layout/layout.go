@@ -186,11 +186,10 @@ type EntityJob struct {
 }
 
 // RouteEntities routes the jobs (nets or synthetic wires, each with its
-// lift constraint) through the router's batched wave-parallel API
-// (route.Router.RouteJobs), with results identical to routing each job in
-// order with route.Router.RouteNet. On success every job's terminals are
-// recorded; on failure a *route.JobError surfaces so callers can name the
-// failing entity (its Index addresses the jobs slice).
+// lift constraint) in order as one batch (route.Router.RouteJobs). On
+// success every job's terminals are recorded; on failure a
+// *route.JobError surfaces so callers can name the failing entity (its
+// Index addresses the jobs slice).
 func (d *Design) RouteEntities(jobs []EntityJob) error {
 	// All jobs' router pins are carved from one reusable arena instead of
 	// one slice per job. The router copies any pins it keeps (RoutedNet
@@ -224,11 +223,9 @@ func (d *Design) RouteEntities(jobs []EntityJob) error {
 
 // RouteAll routes every netlist net (no synthetic cells); lifts maps
 // net IDs to minimum layers (missing = unconstrained). Nets are routed in
-// increasing-HPWL order, short first, like a conventional global router;
-// spatially disjoint nets route concurrently (route.Options.Parallelism)
-// with byte-identical results. route.Options.Strategy selects flat or
-// hierarchical corridor-confined search; HierStats reports what the
-// coarse pass did.
+// increasing-HPWL order, short first, like a conventional global router,
+// as one batch. route.Options.Strategy selects flat or hierarchical
+// corridor-confined search; HierStats reports what the coarse pass did.
 func (d *Design) RouteAll(lifts map[int]int) error {
 	type job struct {
 		id   int
@@ -275,8 +272,8 @@ func (d *Design) RouteAll(lifts map[int]int) error {
 }
 
 // HierStats reports the router's hierarchical tile-plan counters
-// (corridor-planned nets, flat fallbacks, batch escapes, corridor-confined
-// negotiation re-routes). All-zero under the flat strategy.
+// (corridor-planned nets, flat fallbacks, corridor-confined negotiation
+// re-routes). All-zero under the flat strategy.
 func (d *Design) HierStats() route.HierStats { return d.Router.Hier() }
 
 // DefaultLift is the router's layer promotion for unconstrained nets.
@@ -304,16 +301,21 @@ func (d *Design) AddExtra(m *cell.Master, loc geom.Point) int {
 // overlap standard cells by construction — their pins are in the BEOL).
 // This mirrors the paper's custom legalization scripts. The algorithm is a
 // greedy row-scan: extras are binned by row, sorted by x, and pushed right
-// (wrapping to the row above when the row overflows).
+// (wrapping to the row above when the row overflows). The top row has no
+// row above, so its overflow goes to the lowest row with room left at its
+// end; only a die with no room left keeps an overlap.
 func (d *Design) LegalizeExtras() {
 	rows := map[int][]int{}
+	ends := map[int]int{} // each legalized row's first free x
 	rowH := cell.RowHeight
+	top := d.Placement.Die.Hi.Y - rowH
 	for i := range d.Extras {
 		y := d.Extras[i].Loc.Y / rowH * rowH
-		y = geom.Clamp(y, d.Placement.Die.Lo.Y, d.Placement.Die.Hi.Y-rowH)
+		y = geom.Clamp(y, d.Placement.Die.Lo.Y, top)
 		d.Extras[i].Loc.Y = y
 		rows[y] = append(rows[y], i)
 	}
+	var spill []int // top-row overflow
 	for y := d.Placement.Die.Lo.Y; y < d.Placement.Die.Hi.Y; y += rowH {
 		ids := rows[y]
 		// sort by x
@@ -333,14 +335,28 @@ func (d *Design) LegalizeExtras() {
 				e.Loc.X = cursor
 			}
 			if e.Loc.X+e.Master.WidthNM > d.Placement.Die.Hi.X {
-				// Wrap to next row (toward the top; clamped).
-				ny := geom.Clamp(e.Loc.Y+rowH, d.Placement.Die.Lo.Y, d.Placement.Die.Hi.Y-rowH)
-				e.Loc.Y = ny
 				e.Loc.X = d.Placement.Die.Lo.X
-				rows[ny] = append(rows[ny], id)
+				if y+rowH > top {
+					spill = append(spill, id)
+				} else {
+					// Wrap to the row above, which is legalized next.
+					e.Loc.Y = y + rowH
+					rows[e.Loc.Y] = append(rows[e.Loc.Y], id)
+				}
 				continue
 			}
 			cursor = e.Loc.X + e.Master.WidthNM
+		}
+		ends[y] = cursor
+	}
+	for _, id := range spill {
+		e := &d.Extras[id]
+		for y := d.Placement.Die.Lo.Y; y <= top; y += rowH {
+			if x := ends[y]; x+e.Master.WidthNM <= d.Placement.Die.Hi.X {
+				e.Loc = geom.Point{X: x, Y: y}
+				ends[y] = x + e.Master.WidthNM
+				break
+			}
 		}
 	}
 }

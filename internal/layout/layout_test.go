@@ -202,6 +202,44 @@ func TestExtrasLegalization(t *testing.T) {
 	}
 }
 
+// TestExtrasTopRowOverflow: the top row has no row above to wrap into, so
+// extras that overflow it must move to a lower row with room instead of
+// staying on top of the row's first extra.
+func TestExtrasTopRowOverflow(t *testing.T) {
+	d := buildDesign(t, "c432")
+	lift, err := cell.NewNangate45Like().Lifting(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	die := d.Placement.Die
+	n := die.W()/lift.WidthNM + 3 // three more than the top row holds
+	for i := 0; i < n; i++ {
+		d.AddExtra(lift, geom.Point{X: die.Lo.X, Y: die.Hi.Y - 1})
+	}
+	d.LegalizeExtras()
+	if err := d.CheckExtrasLegal(); err != nil {
+		t.Fatal(err)
+	}
+	top := die.Hi.Y - cell.RowHeight
+	inTop, lowest := 0, 0
+	for _, e := range d.Extras {
+		switch {
+		case e.Loc.Y == top:
+			inTop++
+		case e.Loc.Y != die.Lo.Y:
+			t.Fatalf("extra %d moved to row y=%d, want the top or the lowest row", e.ID, e.Loc.Y)
+		default:
+			lowest++
+		}
+		if e.Loc.X < die.Lo.X || e.Loc.X+e.Master.WidthNM > die.Hi.X {
+			t.Fatalf("extra %d outside die x", e.ID)
+		}
+	}
+	if lowest != 3 || inTop != n-3 {
+		t.Fatalf("%d extras in the top row and %d in the lowest, want %d and 3", inTop, lowest, n-3)
+	}
+}
+
 func TestTaggedNetPins(t *testing.T) {
 	d := buildDesign(t, "c432")
 	for _, n := range d.Netlist.Nets {
@@ -227,8 +265,8 @@ func TestVPinOnFragmentBoundaryNode(t *testing.T) {
 	for _, vp := range sv.VPins {
 		f := sv.Frags[vp.Frag]
 		found := false
-		for _, n := range f.Nodes {
-			if n == vp.Node {
+		for _, i := range f.Nodes {
+			if d.Grid.NodeAt(i) == vp.Node {
 				found = true
 				break
 			}
@@ -267,8 +305,8 @@ func TestSyntheticEntityRouting(t *testing.T) {
 	// A BEOL-only wire must contribute no FEOL fragments with nodes.
 	for _, f := range sv.Frags {
 		if f.RouteID == 1000 && len(f.Nodes) > 0 {
-			for _, n := range f.Nodes {
-				if n.Z <= 6 {
+			for _, i := range f.Nodes {
+				if n := d.Grid.NodeAt(i); n.Z <= 6 {
 					t.Fatalf("BEOL wire has FEOL node %v", n)
 				}
 			}
@@ -292,7 +330,8 @@ func TestSplitPartitionsFEOLEdges(t *testing.T) {
 		}
 		nodeFrag := map[key]int{}
 		for _, f := range sv.Frags {
-			for _, n := range f.Nodes {
+			for _, i := range f.Nodes {
+				n := d.Grid.NodeAt(i)
 				k := key{f.RouteID, n}
 				if prev, ok := nodeFrag[k]; ok && prev != f.ID {
 					t.Fatalf("route %d node %v in fragments %d and %d", f.RouteID, n, prev, f.ID)

@@ -52,9 +52,9 @@ type VPin struct {
 type Fragment struct {
 	ID      int
 	RouteID int
-	Nodes   []route.Node // FEOL nodes of this component
-	VPins   []int        // vpin IDs attached to this fragment
-	Pins    []TaggedPin  // design terminals contained in this fragment
+	Nodes   []int32     // FEOL nodes of this component, as Grid indices (Grid.NodeAt decodes them)
+	VPins   []int       // vpin IDs attached to this fragment
+	Pins    []TaggedPin // design terminals contained in this fragment
 }
 
 // HasDriver reports whether the fragment contains the net's source terminal
@@ -138,13 +138,13 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 		adjList  []int32
 		comp     []int32 // node position -> global fragment ID
 		stack    []int32
-		pinAt    []int32      // per design pin: its node position, or -1
-		vpinAt   []int32      // per boundary via: its FEOL node position, or -1
-		pinN     []int32      // per fragment of the net: its design pins
-		vpinN    []int32      // per fragment of the net: its vpins
-		arena    []route.Node // backs the fragments' Nodes
-		pinArena []TaggedPin  // backs the fragments' Pins
-		vidArena []int        // backs the fragments' VPins
+		pinAt    []int32     // per design pin: its node position, or -1
+		vpinAt   []int32     // per boundary via: its FEOL node position, or -1
+		pinN     []int32     // per fragment of the net: its design pins
+		vpinN    []int32     // per fragment of the net: its vpins
+		arena    []int32     // backs the fragments' Nodes
+		pinArena []TaggedPin // backs the fragments' Pins
+		vidArena []int       // backs the fragments' VPins
 	)
 	// add collects node i once per net: an index is stamped when first
 	// seen, so the sort gets every node once.
@@ -217,7 +217,7 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 		// net's components hold exactly its nn nodes, so they fit in the
 		// arena's current chunk or in a fresh one.
 		if cap(arena)-len(arena) < nn {
-			arena = make([]route.Node, 0, max(nn, splitArenaChunk))
+			arena = make([]int32, 0, max(nn, splitArenaChunk))
 		}
 		comp = resetInt32(comp, nn)
 		for i := range comp {
@@ -235,7 +235,7 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 			for len(stack) > 0 {
 				cur := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				arena = append(arena, nodes[cur])
+				arena = append(arena, idx[cur])
 				for _, m := range adjList[adjStart[cur]:adjStart[cur+1]] {
 					if comp[m] < 0 {
 						comp[m] = int32(fid)
@@ -316,8 +316,8 @@ func (d *Design) Split(layer int) (*SplitView, error) {
 	return sv, nil
 }
 
-// splitArenaChunk is the element count of one Split arena chunk (96
-// KiB of Nodes).
+// splitArenaChunk is the element count of one Split arena chunk (16
+// KiB of node indices).
 const splitArenaChunk = 1 << 12
 
 // carve returns an empty window of capacity n at the end of arena and
@@ -409,8 +409,8 @@ func (sv *SplitView) FragCenter(d *Design, fid int) geom.Point {
 		return geom.Point{X: x / len(f.VPins), Y: y / len(f.VPins)}
 	}
 	var x, y int
-	for _, n := range f.Nodes {
-		p := d.Grid.CenterOf(n)
+	for _, i := range f.Nodes {
+		p := d.Grid.CenterOf(d.Grid.NodeAt(i))
 		x += p.X
 		y += p.Y
 	}

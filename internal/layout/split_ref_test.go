@@ -16,7 +16,8 @@ import (
 // splitRef is Design.Split as it was before index sorting and arenas:
 // it sorts each net's FEOL route.Node structs with nodeCmp,
 // binary-searches both ends of every edge, and grows each fragment's
-// Nodes by append. TestSplitMatchesReference holds Split to it.
+// Nodes by append, recording each node's Grid.Index.
+// TestSplitMatchesReference holds Split to it.
 func splitRef(d *Design, layer int) (*SplitView, error) {
 	if layer < 1 || layer >= d.Grid.Layers {
 		return nil, fmt.Errorf("layout: split layer M%d out of range (1..%d)", layer, d.Grid.Layers-1)
@@ -123,7 +124,7 @@ func splitRef(d *Design, layer int) (*SplitView, error) {
 			for len(stack) > 0 {
 				cur := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				frag.Nodes = append(frag.Nodes, nodes[cur])
+				frag.Nodes = append(frag.Nodes, d.Grid.Index(nodes[cur]))
 				for _, m := range adjList[adjStart[cur]:adjStart[cur+1]] {
 					if comp[m] < 0 {
 						comp[m] = int32(fid)

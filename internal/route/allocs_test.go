@@ -65,7 +65,7 @@ func TestCoarsePlanAllocs(t *testing.T) {
 func TestHierRefineAllocs(t *testing.T) {
 	g := bigGrid()
 	jobs := scatteredJobs(40, g, 17)
-	r := NewRouter(g, Options{Parallelism: 1, Strategy: StrategyHier})
+	r := NewRouter(g, Options{Strategy: StrategyHier})
 	if err := r.RouteJobs(jobs); err != nil {
 		t.Fatal(err)
 	}

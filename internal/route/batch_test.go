@@ -5,13 +5,12 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"splitmfg/internal/geom"
 )
 
 // bigGrid is a superblue-scale fabric: 400x400 gcells, large enough for
-// the wave partition to find real spatial parallelism.
+// the hierarchical strategy's corridors to matter.
 func bigGrid() Grid {
 	die := geom.Rect{Lo: geom.Point{}, Hi: geom.Point{X: 400 * DefaultGCellNM, Y: 400 * DefaultGCellNM}}
 	return NewGrid(die, DefaultGCellNM, 10)
@@ -53,94 +52,102 @@ func scatteredJobs(n int, g Grid, seed int64) []Job {
 
 // stateEqual compares two routers' complete observable state: every net's
 // edge list and flags, plus the raw usage arrays.
-func stateEqual(t *testing.T, serial, parallel *Router) {
+func stateEqual(t *testing.T, want, got *Router) {
 	t.Helper()
-	if len(serial.nets) != len(parallel.nets) {
-		t.Fatalf("net count differs: serial %d, parallel %d", len(serial.nets), len(parallel.nets))
+	if len(want.nets) != len(got.nets) {
+		t.Fatalf("net count differs: want %d, got %d", len(want.nets), len(got.nets))
 	}
-	for id, sn := range serial.nets {
-		pn := parallel.nets[id]
-		if pn == nil {
-			t.Fatalf("net %d missing from parallel router", id)
+	for id, wn := range want.nets {
+		gn := got.nets[id]
+		if gn == nil {
+			t.Fatalf("net %d missing", id)
 		}
-		if sn.Failed != pn.Failed || sn.MinLayer != pn.MinLayer {
-			t.Fatalf("net %d flags differ: serial %+v, parallel %+v", id, sn, pn)
+		if wn.Failed != gn.Failed || wn.MinLayer != gn.MinLayer {
+			t.Fatalf("net %d flags differ: want %+v, got %+v", id, wn, gn)
 		}
-		if len(sn.Edges) != len(pn.Edges) {
-			t.Fatalf("net %d edge count differs: serial %d, parallel %d", id, len(sn.Edges), len(pn.Edges))
+		if len(wn.Edges) != len(gn.Edges) {
+			t.Fatalf("net %d edge count differs: want %d, got %d", id, len(wn.Edges), len(gn.Edges))
 		}
-		for i := range sn.Edges {
-			if sn.Edges[i] != pn.Edges[i] {
-				t.Fatalf("net %d edge %d differs: serial %v, parallel %v", id, i, sn.Edges[i], pn.Edges[i])
+		for i := range wn.Edges {
+			if wn.Edges[i] != gn.Edges[i] {
+				t.Fatalf("net %d edge %d differs: want %v, got %v", id, i, wn.Edges[i], gn.Edges[i])
 			}
 		}
 	}
-	for i := range serial.usageH {
-		if serial.usageH[i] != parallel.usageH[i] || serial.usageV[i] != parallel.usageV[i] {
+	for i := range want.usageH {
+		if want.usageH[i] != got.usageH[i] || want.usageV[i] != got.usageV[i] {
 			t.Fatalf("usage differs at index %d: H %d/%d V %d/%d",
-				i, serial.usageH[i], parallel.usageH[i], serial.usageV[i], parallel.usageV[i])
+				i, want.usageH[i], got.usageH[i], want.usageV[i], got.usageV[i])
 		}
 	}
 }
 
-// TestRouteJobsSerialParallelIdentical: the tentpole determinism contract.
-// A parallel batch must produce byte-identical router state — every edge
-// of every net, every usage counter — to the serial schedule, and must
-// actually route multiple nets per wave (otherwise the test is vacuous).
-func TestRouteJobsSerialParallelIdentical(t *testing.T) {
-	g := bigGrid()
-	jobs := scatteredJobs(400, g, 7)
-
-	serial := NewRouter(g, Options{Parallelism: 1, Strategy: StrategyFlat})
-	if err := serial.RouteJobs(jobs); err != nil {
-		t.Fatal(err)
-	}
-
-	maxWave := 0
-	par := NewRouter(g, Options{Parallelism: 8, Strategy: StrategyFlat, OnWave: func(wave, waves, nets int, _ time.Duration) {
-		if nets > maxWave {
-			maxWave = nets
+// usageMatchesNets checks that the usage arrays equal a recount over the
+// routed nets' edges: no failed or replaced route leaked usage.
+func usageMatchesNets(t *testing.T, r *Router) {
+	t.Helper()
+	recount := NewRouter(r.Grid, r.Opt)
+	for _, rn := range r.nets {
+		for _, e := range rn.Edges {
+			recount.addUsage(e, 1, rn.ID)
 		}
-	}})
-	if err := par.RouteJobs(jobs); err != nil {
-		t.Fatal(err)
 	}
-	if maxWave < 2 {
-		t.Fatalf("no wave routed more than one net (max %d): partition degenerated to serial", maxWave)
+	for i := range r.usageH {
+		if r.usageH[i] != recount.usageH[i] || r.usageV[i] != recount.usageV[i] {
+			t.Fatalf("usage inconsistent with routed edges at index %d", i)
+		}
 	}
-	stateEqual(t, serial, par)
-	if err := par.Validate(); err != nil {
-		t.Fatal(err)
+}
+
+// ripUpAllIsZero rips every routed net up and checks that both usage
+// arrays return to zero.
+func ripUpAllIsZero(t *testing.T, r *Router) {
+	t.Helper()
+	for _, id := range r.SortedNetIDs() {
+		r.RipUp(id)
+	}
+	if r.NumNets() != 0 || r.MaxUsage() != 0 {
+		t.Fatalf("after ripping every net up: %d nets, max usage %d", r.NumNets(), r.MaxUsage())
+	}
+	for i := range r.usageH {
+		if r.usageH[i] != 0 || r.usageV[i] != 0 {
+			t.Fatalf("usage left at index %d: H %d V %d", i, r.usageH[i], r.usageV[i])
+		}
+	}
+}
+
+// routeNets routes the jobs one RouteNet call at a time: the sequence
+// RouteJobs must reproduce under the flat strategy.
+func routeNets(t *testing.T, r *Router, jobs []Job) {
+	t.Helper()
+	for _, j := range jobs {
+		if err := r.RouteNet(j.ID, j.Pins, j.MinLayer); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 // TestRouteJobsRerouteInBatch: a batch may re-route nets that already have
-// routes (the ECO path); the old edges must be replaced exactly as a
-// sequential RouteNet schedule would, at every parallelism level.
+// routes (the ECO path). The old edges must be replaced: the result
+// validates, and ripping every net up afterwards leaves no usage behind.
 func TestRouteJobsRerouteInBatch(t *testing.T) {
 	g := bigGrid()
-	pre := scatteredJobs(60, g, 21)
-	jobs := scatteredJobs(60, g, 22) // same IDs 0..59, different pins
-
-	build := func(parallelism int) *Router {
-		r := NewRouter(g, Options{Parallelism: parallelism, Strategy: StrategyFlat})
-		for _, j := range pre {
-			if err := r.RouteNet(j.ID, j.Pins, j.MinLayer); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := r.RouteJobs(jobs); err != nil {
-			t.Fatal(err)
-		}
-		return r
+	r := NewRouter(g, Options{Strategy: StrategyFlat})
+	routeNets(t, r, scatteredJobs(60, g, 21))
+	if err := r.RouteJobs(scatteredJobs(60, g, 22)); err != nil { // same IDs 0..59, different pins
+		t.Fatal(err)
 	}
-	stateEqual(t, build(1), build(8))
+	if err := r.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ripUpAllIsZero(t, r)
 }
 
 // TestRouteJobsUnroutableFallsBackSerial: a net that cannot route at all
-// (vertical-only lift layer, horizontally separated pins) forces the
-// escape fallback; the batch must end in exactly the serial schedule's
-// state and report the serial schedule's error.
+// (vertical-only lift layer, horizontally separated pins) fails the batch
+// with a *JobError naming it. The jobs before it stay committed, nothing
+// after it routes, and the failed net keeps its Failed marker with no
+// edges and no usage.
 func TestRouteJobsUnroutableFallsBackSerial(t *testing.T) {
 	g := bigGrid()
 	jobs := scatteredJobs(50, g, 9)
@@ -152,29 +159,20 @@ func TestRouteJobsUnroutableFallsBackSerial(t *testing.T) {
 	}, MinLayer: 10}
 	jobs = append(jobs[:25:25], append([]Job{bad}, jobs[25:]...)...)
 
-	serial := NewRouter(g, Options{Parallelism: 1, Strategy: StrategyFlat})
-	serialErr := serial.RouteJobs(jobs)
-	if serialErr == nil {
-		t.Fatal("serial batch with an unroutable net did not fail")
-	}
-
-	par := NewRouter(g, Options{Parallelism: 8, Strategy: StrategyFlat})
-	parErr := par.RouteJobs(jobs)
-	if parErr == nil {
-		t.Fatal("parallel batch with an unroutable net did not fail")
-	}
-	if serialErr.Error() != parErr.Error() {
-		t.Fatalf("error differs:\nserial:   %v\nparallel: %v", serialErr, parErr)
-	}
+	r := NewRouter(g, Options{Strategy: StrategyFlat})
+	err := r.RouteJobs(jobs)
 	var je *JobError
-	if !errors.As(parErr, &je) || je.ID != 999 {
-		t.Fatalf("parallel error does not identify the unroutable job: %v", parErr)
+	if !errors.As(err, &je) || je.Index != 25 || je.ID != 999 {
+		t.Fatalf("error does not identify the unroutable job: %v", err)
 	}
-	stateEqual(t, serial, par)
+	if n := r.NumNets(); n != 26 {
+		t.Fatalf("%d nets after the failed batch, want the 25 before it and its marker", n)
+	}
 	// The failed net leaks no usage and keeps no partial edges.
-	if rn := par.Net(999); rn == nil || !rn.Failed || len(rn.Edges) != 0 {
-		t.Fatalf("failed net state: %+v", par.Net(999))
+	if rn := r.Net(999); rn == nil || !rn.Failed || len(rn.Edges) != 0 {
+		t.Fatalf("failed net state: %+v", r.Net(999))
 	}
+	usageMatchesNets(t, r)
 }
 
 // TestRouteFailureRipsUpPartial: when a later sink of a multi-pin net
@@ -295,18 +293,7 @@ func TestNegotiateConservesRoutes(t *testing.T) {
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Recount usage from the surviving nets; it must match the arrays.
-	recount := NewRouter(r.Grid, r.Opt)
-	for _, rn := range r.nets {
-		for _, e := range rn.Edges {
-			recount.addUsage(e, 1, rn.ID)
-		}
-	}
-	for i := range r.usageH {
-		if r.usageH[i] != recount.usageH[i] || r.usageV[i] != recount.usageV[i] {
-			t.Fatalf("usage inconsistent with routed edges at index %d", i)
-		}
-	}
+	usageMatchesNets(t, r)
 }
 
 // TestPropertyRipUpAllReturnsToZero: routing any set of nets and ripping
@@ -346,48 +333,50 @@ func TestPropertyRipUpAllReturnsToZero(t *testing.T) {
 	}
 }
 
-// TestRouteJobsSinglePinRipUpSerializes: regression for a determinism
-// hole found in review. A single-pin batch job that replaces an existing
-// multi-edge route performs no searches but its commit *decrements* usage
-// across the old route's region; the partition must treat it as a
-// conflict source, or a same-wave neighbor reading that corridor routes
-// against stale congestion and diverges from the serial schedule.
+// TestRouteJobsSinglePinRipUpSerializes: a single-pin job that replaces
+// an existing multi-edge route performs no search, but its commit rips
+// the old route up, and the next job of the batch must see that freed
+// capacity. The batch ends exactly where the same RouteNet sequence does.
 func TestRouteJobsSinglePinRipUpSerializes(t *testing.T) {
 	die := geom.Rect{Lo: geom.Point{}, Hi: geom.Point{X: 200 * DefaultGCellNM, Y: 200 * DefaultGCellNM}}
 	g := NewGrid(die, DefaultGCellNM, 10)
 	y := 100 * g.GCell
-	corridor := func(id int) []Pin {
-		return []Pin{
-			{Pt: geom.Point{X: 10 * g.GCell, Y: y}, Layer: 1},
-			{Pt: geom.Point{X: 190 * g.GCell, Y: y}, Layer: 1},
-		}
+	corridor := []Pin{
+		{Pt: geom.Point{X: 10 * g.GCell, Y: y}, Layer: 1},
+		{Pt: geom.Point{X: 190 * g.GCell, Y: y}, Layer: 1},
 	}
-	build := func(parallelism int) *Router {
-		r := NewRouter(g, Options{Capacity: 1, Parallelism: parallelism, Strategy: StrategyFlat})
+	jobs := []Job{
+		// ECO: net 0 collapses to a single pin, ripping up its corridor
+		// route (usage -1 along the whole row).
+		{ID: 0, Pins: corridor[:1], MinLayer: 1},
+		// A new net through the same corridor: whether it sees the
+		// rip-up decides its congestion detour.
+		{ID: 10, Pins: corridor, MinLayer: 1},
+	}
+	build := func(batch bool) *Router {
+		r := NewRouter(g, Options{Capacity: 1, Strategy: StrategyFlat})
 		for id := 0; id < 3; id++ {
-			if err := r.RouteNet(id, corridor(id), 1); err != nil {
+			if err := r.RouteNet(id, corridor, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
-		jobs := []Job{
-			// ECO: net 0 collapses to a single pin, ripping up its corridor
-			// route (usage -1 along the whole row).
-			{ID: 0, Pins: corridor(0)[:1], MinLayer: 1},
-			// A new net through the same corridor: whether it sees the
-			// rip-up decides its congestion detour.
-			{ID: 10, Pins: corridor(10), MinLayer: 1},
-		}
-		if err := r.RouteJobs(jobs); err != nil {
+		if !batch {
+			routeNets(t, r, jobs)
+		} else if err := r.RouteJobs(jobs); err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	stateEqual(t, build(1), build(8))
+	r := build(true)
+	if rn := r.Net(0); len(rn.Edges) != 0 {
+		t.Fatalf("single-pin re-route kept %d edges", len(rn.Edges))
+	}
+	stateEqual(t, build(false), r)
 }
 
-// TestRouteJobsDuplicateIDsSerialize: a batch repeating an ID must fall
-// back to the serial schedule (the partition's regions are computed from
-// pre-batch state and cannot see the mid-batch replacement).
+// TestRouteJobsDuplicateIDsSerialize: a batch repeating an ID routes the
+// later job over the route the earlier one committed, exactly as the same
+// RouteNet sequence does.
 func TestRouteJobsDuplicateIDsSerialize(t *testing.T) {
 	g := bigGrid()
 	jobs := scatteredJobs(40, g, 31)
@@ -395,13 +384,15 @@ func TestRouteJobsDuplicateIDsSerialize(t *testing.T) {
 	dup.Pins = scatteredJobs(1, g, 32)[0].Pins
 	jobs = append(jobs, dup) // same ID as jobs[5], different pins
 
-	serial := NewRouter(g, Options{Parallelism: 1, Strategy: StrategyFlat})
-	if err := serial.RouteJobs(jobs); err != nil {
+	seq := NewRouter(g, Options{Strategy: StrategyFlat})
+	routeNets(t, seq, jobs)
+	batch := NewRouter(g, Options{Strategy: StrategyFlat})
+	if err := batch.RouteJobs(jobs); err != nil {
 		t.Fatal(err)
 	}
-	par := NewRouter(g, Options{Parallelism: 8, Strategy: StrategyFlat})
-	if err := par.RouteJobs(jobs); err != nil {
-		t.Fatal(err)
+	if rn := batch.Net(dup.ID); rn.Pins[0] != dup.Pins[0] {
+		t.Fatalf("net %d keeps the earlier job's pins", dup.ID)
 	}
-	stateEqual(t, serial, par)
+	stateEqual(t, seq, batch)
+	usageMatchesNets(t, batch)
 }

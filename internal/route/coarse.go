@@ -7,9 +7,8 @@ import (
 )
 
 // The hierarchical strategy's coarse pass plans every multi-pin net of a
-// batch onto a grid of tiles (waveTileGCells x waveTileGCells gcells, the
-// same tiling the wave partition hashes regions into) before any fine
-// routing happens. Per net it builds a Steiner tree over tile centers —
+// batch onto a grid of tiles (tileGCells x tileGCells gcells) before any
+// fine routing happens. Per net it builds a Steiner tree over tile centers —
 // pin tiles attach nearest-first to the grown tree via multi-source A*
 // over tile-boundary capacities, so branches meet at shared tiles
 // (Steiner points) and a k-sink net decomposes into <= k narrow two-pin
@@ -19,11 +18,9 @@ import (
 // connected tile set containing every pin tile the fine search cannot be
 // hard-blocked, and tight corridors are where the speedup comes from.
 //
-// The pass is serial and cheap (the tile grid is ~100x smaller than the
-// gcell grid per axis squared), runs before the wave partition, and is a
-// pure function of the jobs and prior corridor demand — so corridors are
-// identical no matter the parallelism level, which keeps the hier
-// strategy inside the batch determinism contract.
+// The pass is cheap (the tile grid is ~100x smaller than the gcell grid
+// per axis squared) and a pure function of the jobs and prior corridor
+// demand, so a batch's corridors are deterministic.
 
 // corridor is one net's coarse result: the tile set its fine search may
 // explore and that set's gcell bounding rectangle. plan returns tiles as
@@ -55,6 +52,10 @@ func cloneCorridors(src []corridor) []corridor {
 	}
 	return out
 }
+
+// tileGCells is the side of a coarse tile in gcells. The corridor mask
+// (worker.wireOK) reads gcells through the same tiling.
+const tileGCells = 8
 
 // tileBase is the cost of entering one tile in the coarse A*; congestion
 // penalties are scaled against it.
@@ -97,13 +98,13 @@ type coarsePlanner struct {
 }
 
 func newCoarsePlanner(r *Router) *coarsePlanner {
-	tw := (r.Grid.W + waveTileGCells - 1) / waveTileGCells
-	th := (r.Grid.H + waveTileGCells - 1) / waveTileGCells
+	tw := (r.Grid.W + tileGCells - 1) / tileGCells
+	th := (r.Grid.H + tileGCells - 1) / tileGCells
 	n := tw * th
 	// Soft capacity: gcell boundaries crossing one tile edge, times
 	// tracks per boundary, times the layers that can route across it
 	// (half the stack in each preferred direction).
-	cp := int32(waveTileGCells * r.Opt.Capacity * r.Grid.Layers / 2)
+	cp := int32(tileGCells * r.Opt.Capacity * r.Grid.Layers / 2)
 	if cp < 1 {
 		cp = 1
 	}
@@ -117,7 +118,7 @@ func newCoarsePlanner(r *Router) *coarsePlanner {
 }
 
 func (c *coarsePlanner) tileOf(x, y int) int32 {
-	return int32((y/waveTileGCells)*c.tw + x/waveTileGCells)
+	return int32((y/tileGCells)*c.tw + x/tileGCells)
 }
 
 // boundaryCost prices crossing one tile boundary with the given corridor
@@ -215,8 +216,8 @@ func (c *coarsePlanner) planNet(j Job) corridor {
 	}
 
 	// The corridor is exactly the core — no dilation margin (see the
-	// package comment above). Track the tile bounding box for the fine
-	// search's declared region.
+	// package comment above). Track the tile bounding box: it is the fine
+	// search's region.
 	loTx, loTy, hiTx, hiTy := c.tw, c.th, -1, -1
 	for _, t := range c.core {
 		tx, ty := int(t)%c.tw, int(t)/c.tw
@@ -235,10 +236,10 @@ func (c *coarsePlanner) planNet(j Job) corridor {
 	}
 
 	reg := region{
-		loX: loTx * waveTileGCells,
-		loY: loTy * waveTileGCells,
-		hiX: hiTx*waveTileGCells + waveTileGCells - 1,
-		hiY: hiTy*waveTileGCells + waveTileGCells - 1,
+		loX: loTx * tileGCells,
+		loY: loTy * tileGCells,
+		hiX: hiTx*tileGCells + tileGCells - 1,
+		hiY: hiTy*tileGCells + tileGCells - 1,
 	}
 	if reg.hiX > g.W-1 {
 		reg.hiX = g.W - 1

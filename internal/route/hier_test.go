@@ -2,10 +2,8 @@ package route
 
 import (
 	"errors"
-	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"splitmfg/internal/geom"
 )
@@ -56,79 +54,39 @@ func TestResolvedStrategyAuto(t *testing.T) {
 	}
 }
 
-// TestRouteJobsHierSerialParallelIdentical mirrors
-// TestRouteJobsSerialParallelIdentical for the hierarchical strategy:
-// corridor-confined parallel refinement must produce byte-identical
-// router state to the serial schedule, with real multi-net waves and
-// corridors actually in play.
-func TestRouteJobsHierSerialParallelIdentical(t *testing.T) {
-	g := bigGrid()
-	jobs := scatteredJobs(400, g, 7)
-
-	serial := NewRouter(g, Options{Parallelism: 1, Strategy: StrategyHier})
-	if err := serial.RouteJobs(jobs); err != nil {
-		t.Fatal(err)
-	}
-	if hs := serial.Hier(); hs.CorridorNets == 0 || hs.TileW == 0 {
-		t.Fatalf("hier serial run planned no corridors: %+v", hs)
-	}
-
-	maxWave := 0
-	par := NewRouter(g, Options{Parallelism: 8, Strategy: StrategyHier, OnWave: func(wave, waves, nets int, _ time.Duration) {
-		if nets > maxWave {
-			maxWave = nets
-		}
-	}})
-	if err := par.RouteJobs(jobs); err != nil {
-		t.Fatal(err)
-	}
-	if maxWave < 2 {
-		t.Fatalf("no wave routed more than one net (max %d): partition degenerated to serial", maxWave)
-	}
-	stateEqual(t, serial, par)
-	if err := par.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRouteJobsHierRerouteInBatch: batched re-routing of existing nets
-// (old edges masked through the overlay, rip-up on commit) must stay
-// byte-identical across parallelism levels under hier too.
+// under hier (old edges masked through the overlay, rip-up on commit)
+// must replace the old routes: the result validates, and ripping every
+// net up afterwards leaves no usage behind.
 func TestRouteJobsHierRerouteInBatch(t *testing.T) {
 	g := bigGrid()
-	pre := scatteredJobs(60, g, 21)
-	jobs := scatteredJobs(60, g, 22) // same IDs 0..59, different pins
-
-	build := func(parallelism int) *Router {
-		r := NewRouter(g, Options{Parallelism: parallelism, Strategy: StrategyHier})
-		for _, j := range pre {
-			if err := r.RouteNet(j.ID, j.Pins, j.MinLayer); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := r.RouteJobs(jobs); err != nil {
-			t.Fatal(err)
-		}
-		return r
+	r := NewRouter(g, Options{Strategy: StrategyHier})
+	routeNets(t, r, scatteredJobs(60, g, 21))
+	if err := r.RouteJobs(scatteredJobs(60, g, 22)); err != nil { // same IDs 0..59, different pins
+		t.Fatal(err)
 	}
-	stateEqual(t, build(1), build(8))
+	if hs := r.Hier(); hs.CorridorNets == 0 {
+		t.Fatalf("hier batch planned no corridors: %+v", hs)
+	}
+	if err := r.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ripUpAllIsZero(t, r)
 }
 
 // TestHierCorridorFallback: a corridor that cannot be refined must fall
-// back to the flat search in the serial schedule and force the parallel
-// schedule through rollback into that same serial fallback — ending in
-// identical state with the net routed. With soft capacities the coarse
-// pass never produces an unroutable corridor organically, so the test
-// injects one through the Router's corridorHook: the victim net's
-// corridor is truncated to a single tile, which cannot contain a path
-// between its distant pins.
+// back to the flat search, be counted in FlatFallbacks, and leave the net
+// routed. With soft capacities the coarse pass never produces an
+// unroutable corridor organically, so the test injects one through the
+// Router's corridorHook: the victim net's corridor is truncated to a
+// single tile, which cannot contain a path between its distant pins.
 func TestHierCorridorFallback(t *testing.T) {
 	g := bigGrid()
 	jobs := scatteredJobs(60, g, 9)
 	victim := -1
 	for i, j := range jobs {
 		if len(j.Pins) == 2 && j.MinLayer == 1 &&
-			absInt(j.Pins[0].Pt.X-j.Pins[1].Pt.X)/g.GCell > 3*waveTileGCells {
+			absInt(j.Pins[0].Pt.X-j.Pins[1].Pt.X)/g.GCell > 3*tileGCells {
 			victim = i
 			break
 		}
@@ -136,42 +94,32 @@ func TestHierCorridorFallback(t *testing.T) {
 	if victim < 0 {
 		t.Fatal("no suitable victim net in workload")
 	}
-	cripple := func(corrs []corridor) {
+	r := NewRouter(g, Options{Strategy: StrategyHier})
+	r.corridorHook = func(corrs []corridor) {
 		if corrs[victim].n == 0 {
 			t.Fatalf("victim %d has no corridor", victim)
 		}
 		corrs[victim].tiles = corrs[victim].tiles[:1]
 	}
-
-	serial := NewRouter(g, Options{Parallelism: 1, Strategy: StrategyHier})
-	serial.corridorHook = cripple
-	if err := serial.RouteJobs(jobs); err != nil {
+	if err := r.RouteJobs(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if fb := serial.Hier().FlatFallbacks; fb == 0 {
-		t.Fatal("serial hier run recorded no flat fallback")
+	if fb := r.Hier().FlatFallbacks; fb == 0 {
+		t.Fatal("hier run recorded no flat fallback")
 	}
-	if rn := serial.Net(jobs[victim].ID); rn == nil || rn.Failed || len(rn.Edges) == 0 {
-		t.Fatalf("victim net not routed by fallback: %+v", serial.Net(jobs[victim].ID))
+	if rn := r.Net(jobs[victim].ID); rn == nil || rn.Failed || len(rn.Edges) == 0 {
+		t.Fatalf("victim net not routed by fallback: %+v", r.Net(jobs[victim].ID))
 	}
-
-	par := NewRouter(g, Options{Parallelism: 8, Strategy: StrategyHier})
-	par.corridorHook = cripple
-	if err := par.RouteJobs(jobs); err != nil {
-		t.Fatal(err)
-	}
-	if hs := par.Hier(); hs.BatchEscapes == 0 || hs.FlatFallbacks == 0 {
-		t.Fatalf("parallel hier run did not escape to the serial fallback: %+v", hs)
-	}
-	stateEqual(t, serial, par)
-	if err := par.Validate(); err != nil {
+	if err := r.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestHierUnroutableMatchesSerial: a genuinely unroutable net (M10 lift,
 // horizontally separated pins) fails its corridor, falls back flat, and
-// fails there too — identically in serial and parallel schedules.
+// fails there too, exactly as under the flat strategy: the error names
+// the job, and the net keeps its Failed marker with no edges and no
+// usage.
 func TestHierUnroutableMatchesSerial(t *testing.T) {
 	g := bigGrid()
 	jobs := scatteredJobs(50, g, 9)
@@ -181,20 +129,16 @@ func TestHierUnroutableMatchesSerial(t *testing.T) {
 	}, MinLayer: 10}
 	jobs = append(jobs[:25:25], append([]Job{bad}, jobs[25:]...)...)
 
-	serial := NewRouter(g, Options{Parallelism: 1, Strategy: StrategyHier})
-	serialErr := serial.RouteJobs(jobs)
-	if serialErr == nil {
-		t.Fatal("serial hier batch with an unroutable net did not fail")
+	r := NewRouter(g, Options{Strategy: StrategyHier})
+	err := r.RouteJobs(jobs)
+	var je *JobError
+	if !errors.As(err, &je) || je.Index != 25 || je.ID != 999 {
+		t.Fatalf("error does not identify the unroutable job: %v", err)
 	}
-	par := NewRouter(g, Options{Parallelism: 8, Strategy: StrategyHier})
-	parErr := par.RouteJobs(jobs)
-	if parErr == nil {
-		t.Fatal("parallel hier batch with an unroutable net did not fail")
+	if rn := r.Net(999); rn == nil || !rn.Failed || len(rn.Edges) != 0 {
+		t.Fatalf("failed net state: %+v", r.Net(999))
 	}
-	if serialErr.Error() != parErr.Error() {
-		t.Fatalf("error differs:\nserial:   %v\nparallel: %v", serialErr, parErr)
-	}
-	stateEqual(t, serial, par)
+	usageMatchesNets(t, r)
 }
 
 // TestCorridorCoversPins: every corridor must contain the tiles of all
@@ -221,8 +165,8 @@ func TestCorridorCoversPins(t *testing.T) {
 			member[ti] = true
 			tx, ty := int(ti)%pl.tw, int(ti)/pl.tw
 			reg := corrs[i].reg
-			if tx*waveTileGCells > reg.hiX || ty*waveTileGCells > reg.hiY ||
-				tx*waveTileGCells+waveTileGCells-1 < reg.loX || ty*waveTileGCells+waveTileGCells-1 < reg.loY {
+			if tx*tileGCells > reg.hiX || ty*tileGCells > reg.hiY ||
+				tx*tileGCells+tileGCells-1 < reg.loX || ty*tileGCells+tileGCells-1 < reg.loY {
 				t.Fatalf("job %d corridor tile (%d,%d) outside its region %+v", i, tx, ty, reg)
 			}
 		}
@@ -265,7 +209,7 @@ func TestUsageOverflowPanicContext(t *testing.T) {
 // flat path leaves — no edges, no usage.
 func TestHierFailedFreshRouteKeepsMarker(t *testing.T) {
 	g := bigGrid()
-	r := NewRouter(g, Options{Parallelism: 1, Strategy: StrategyHier})
+	r := NewRouter(g, Options{Strategy: StrategyHier})
 	bad := Job{ID: 7, Pins: []Pin{
 		{Pt: geom.Point{X: 100 * g.GCell, Y: 200 * g.GCell}, Layer: 1},
 		{Pt: geom.Point{X: 130 * g.GCell, Y: 200 * g.GCell}, Layer: 1},
@@ -285,55 +229,9 @@ func TestHierFailedFreshRouteKeepsMarker(t *testing.T) {
 	}
 }
 
-// TestRouteJobsWavePanicBecomesJobError: a panic on a wave goroutine
-// must come back as that job's *JobError, with the panic value and
-// stack, instead of killing the process, and nothing of its wave may
-// commit. The corridor hook writes an out-of-range tile into one
-// corridor of the first wave, which routes several nets, so setCorridor
-// indexes past its tile mask on a wave goroutine.
-func TestRouteJobsWavePanicBecomesJobError(t *testing.T) {
-	g := bigGrid()
-	jobs := scatteredJobs(60, g, 9)
-	r := NewRouter(g, Options{Parallelism: 4, Strategy: StrategyHier})
-	victim := -1
-	var firstWave []int
-	r.corridorHook = func(corrs []corridor) {
-		waves, ok := r.partition(jobs, corrs)
-		if !ok || len(waves[0].jobs) < 4 {
-			t.Fatalf("first wave does not route several nets: %v", waves)
-		}
-		firstWave = waves[0].jobs
-		victim = firstWave[len(firstWave)/2]
-		if corrs[victim].n == 0 {
-			t.Fatalf("job %d has no corridor", victim)
-		}
-		corrs[victim].tiles[0] = math.MaxInt32
-	}
-	err := r.RouteJobs(jobs)
-	var je *JobError
-	if !errors.As(err, &je) {
-		t.Fatalf("RouteJobs err = %v, want *JobError", err)
-	}
-	if je.Index != victim || je.ID != jobs[victim].ID {
-		t.Fatalf("JobError names job %d (net %d), want job %d (net %d)", je.Index, je.ID, victim, jobs[victim].ID)
-	}
-	if !errors.Is(err, errPanicked) {
-		t.Fatalf("JobError does not wrap errPanicked: %v", err)
-	}
-	for _, want := range []string{"index out of range", "setCorridor"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error lacks the panic value and stack (%q): %v", want, err)
-		}
-	}
-	if n := r.NumNets(); n != 0 || r.MaxUsage() != 0 {
-		t.Fatalf("panicked first wave committed %d nets, max usage %d", n, r.MaxUsage())
-	}
-}
-
 // TestRouteJobsRejectsBadJob: a job RouteNet would reject (no pins, or a
 // lift above the top layer) fails the batch with RouteNet's error under
-// both strategies and at every parallelism level, before anything is
-// planned or routed.
+// both strategies, before anything is planned or routed.
 func TestRouteJobsRejectsBadJob(t *testing.T) {
 	g := bigGrid()
 	for _, bad := range []struct {
@@ -346,17 +244,15 @@ func TestRouteJobsRejectsBadJob(t *testing.T) {
 		jobs := scatteredJobs(60, g, 9)
 		jobs[30] = bad.job
 		for _, s := range []Strategy{StrategyFlat, StrategyHier} {
-			for _, p := range []int{1, 4} {
-				r := NewRouter(g, Options{Parallelism: p, Strategy: s})
-				err := r.RouteJobs(jobs)
-				var je *JobError
-				if !errors.As(err, &je) || je.Index != 30 || je.ID != bad.job.ID || err.Error() != bad.want {
-					t.Fatalf("%s, parallelism %d: err = %v, want job 30's %q", s, p, err, bad.want)
-				}
-				if n := r.NumNets(); n != 0 || r.MaxUsage() != 0 || r.Hier().CorridorNets != 0 {
-					t.Fatalf("%s, parallelism %d: rejected batch left %d nets, max usage %d, %d corridors",
-						s, p, n, r.MaxUsage(), r.Hier().CorridorNets)
-				}
+			r := NewRouter(g, Options{Strategy: s})
+			err := r.RouteJobs(jobs)
+			var je *JobError
+			if !errors.As(err, &je) || je.Index != 30 || je.ID != bad.job.ID || err.Error() != bad.want {
+				t.Fatalf("%s: err = %v, want job 30's %q", s, err, bad.want)
+			}
+			if n := r.NumNets(); n != 0 || r.MaxUsage() != 0 || r.Hier().CorridorNets != 0 {
+				t.Fatalf("%s: rejected batch left %d nets, max usage %d, %d corridors",
+					s, n, r.MaxUsage(), r.Hier().CorridorNets)
 			}
 		}
 	}
@@ -367,16 +263,15 @@ func TestRouteJobsRejectsBadJob(t *testing.T) {
 // routes one net flat after its corridor is cut to a single tile (as in
 // TestHierCorridorFallback), and a second net is re-routed flat with
 // RouteNet. After negotiation every net still holding a corridor lies
-// inside its tiles, the two flat nets hold none, negotiation ran
-// corridor-confined re-routes, and the serial and parallel schedules end
-// in the same state.
+// inside its tiles, the two flat nets hold none, and negotiation ran
+// corridor-confined re-routes.
 func TestNegotiateKeepsNetCorridors(t *testing.T) {
 	g := bigGrid()
 	jobs := scatteredJobs(400, g, 7)
 	victim := -1
 	for i, j := range jobs {
 		if len(j.Pins) == 2 && j.MinLayer == 1 &&
-			absInt(j.Pins[0].Pt.X-j.Pins[1].Pt.X)/g.GCell > 3*waveTileGCells {
+			absInt(j.Pins[0].Pt.X-j.Pins[1].Pt.X)/g.GCell > 3*tileGCells {
 			victim = i
 			break
 		}
@@ -385,62 +280,58 @@ func TestNegotiateKeepsNetCorridors(t *testing.T) {
 		t.Fatal("no suitable victim net in workload")
 	}
 	eco := jobs[(victim+1)%len(jobs)]
-	build := func(parallelism int) *Router {
-		r := NewRouter(g, Options{Capacity: 1, Parallelism: parallelism, Strategy: StrategyHier})
-		r.corridorHook = func(corrs []corridor) {
-			corrs[victim].tiles = corrs[victim].tiles[:1]
-		}
-		if err := r.RouteJobs(jobs); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.RouteNet(eco.ID, eco.Pins, eco.MinLayer); err != nil {
-			t.Fatal(err)
-		}
-		withCorridor := func() int {
-			n := 0
-			for _, id := range r.SortedNetIDs() {
-				if r.Net(id).corr != nil {
-					n++
-				}
-			}
-			return n
-		}
-		had, before := withCorridor(), r.Hier()
-		if r.NegotiateReroute() == 0 {
-			t.Fatal("negotiation re-routed nothing")
-		}
-		after := r.Hier()
-		if after.NegoCorridor <= before.NegoCorridor {
-			t.Fatalf("NegoCorridor %d -> %d: no corridor-confined re-route", before.NegoCorridor, after.NegoCorridor)
-		}
-		for _, id := range []int{jobs[victim].ID, eco.ID} {
-			if rn := r.Net(id); rn.corr != nil {
-				t.Fatalf("flat-routed net %d holds a corridor", id)
-			}
-		}
-		// A net loses its corridor in negotiation only by falling back flat.
-		if kept, lost := withCorridor(), after.FlatFallbacks-before.FlatFallbacks; kept != had-lost {
-			t.Fatalf("%d nets keep a corridor after negotiation, want %d (%d before, %d flat fallbacks)", kept, had-lost, had, lost)
-		}
-		for _, id := range r.SortedNetIDs() {
-			rn := r.Net(id)
-			if rn.corr == nil {
-				continue
-			}
-			in := map[int32]bool{}
-			for _, ti := range rn.corr.tiles {
-				in[ti] = true
-			}
-			for _, e := range rn.Edges {
-				a, b := g.Ends(e)
-				for _, n := range []Node{a, b} {
-					if !in[r.planner.tileOf(n.X, n.Y)] {
-						t.Fatalf("net %d edge end %v outside its corridor", id, n)
-					}
-				}
-			}
-		}
-		return r
+	r := NewRouter(g, Options{Capacity: 1, Strategy: StrategyHier})
+	r.corridorHook = func(corrs []corridor) {
+		corrs[victim].tiles = corrs[victim].tiles[:1]
 	}
-	stateEqual(t, build(1), build(8))
+	if err := r.RouteJobs(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RouteNet(eco.ID, eco.Pins, eco.MinLayer); err != nil {
+		t.Fatal(err)
+	}
+	withCorridor := func() int {
+		n := 0
+		for _, id := range r.SortedNetIDs() {
+			if r.Net(id).corr != nil {
+				n++
+			}
+		}
+		return n
+	}
+	had, before := withCorridor(), r.Hier()
+	if r.NegotiateReroute() == 0 {
+		t.Fatal("negotiation re-routed nothing")
+	}
+	after := r.Hier()
+	if after.NegoCorridor <= before.NegoCorridor {
+		t.Fatalf("NegoCorridor %d -> %d: no corridor-confined re-route", before.NegoCorridor, after.NegoCorridor)
+	}
+	for _, id := range []int{jobs[victim].ID, eco.ID} {
+		if rn := r.Net(id); rn.corr != nil {
+			t.Fatalf("flat-routed net %d holds a corridor", id)
+		}
+	}
+	// A net loses its corridor in negotiation only by falling back flat.
+	if kept, lost := withCorridor(), after.FlatFallbacks-before.FlatFallbacks; kept != had-lost {
+		t.Fatalf("%d nets keep a corridor after negotiation, want %d (%d before, %d flat fallbacks)", kept, had-lost, had, lost)
+	}
+	for _, id := range r.SortedNetIDs() {
+		rn := r.Net(id)
+		if rn.corr == nil {
+			continue
+		}
+		in := map[int32]bool{}
+		for _, ti := range rn.corr.tiles {
+			in[ti] = true
+		}
+		for _, e := range rn.Edges {
+			a, b := g.Ends(e)
+			for _, n := range []Node{a, b} {
+				if !in[r.planner.tileOf(n.X, n.Y)] {
+					t.Fatalf("net %d edge end %v outside its corridor", id, n)
+				}
+			}
+		}
+	}
 }

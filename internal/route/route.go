@@ -12,10 +12,10 @@
 // derives FEOL fragments, vpins, and dangling-wire directions.
 //
 // Routing is incremental (RouteNet/RipUp, the ECO mode the BEOL
-// restoration uses) or batched (RouteJobs): a batch is partitioned into
-// deterministic waves of spatially disjoint nets that route concurrently
-// on worker-local scratch and commit in serial order, producing
-// byte-identical results at every parallelism level — see batch.go.
+// restoration uses) or batched (RouteJobs, which routes its jobs in order
+// and may first plan a corridor per net; see batch.go and strategy.go).
+// Every route runs on the caller's goroutine, so a router's results are a
+// deterministic function of its calls.
 package route
 
 import (
@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"splitmfg/internal/geom"
 )
@@ -172,19 +171,11 @@ type Options struct {
 	// they re-route single nets whose neighborhoods already exist.
 	Strategy Strategy
 
-	// Parallelism is the worker count for batched routing (RouteJobs):
-	// 0 uses GOMAXPROCS, 1 forces serial execution. Results are
-	// byte-identical at every level. Incremental RouteNet calls are always
-	// serial regardless of this setting.
+	// Deprecated: Parallelism is ignored; every batch routes serially.
+	// Only perfbench/replay.go still sets it, and the benchmark change
+	// that deletes the strategy knob (ROADMAP "One routing strategy")
+	// deletes it too.
 	Parallelism int
-
-	// OnWave, when non-nil, is called after each committed multi-net wave
-	// of a parallel batch with the 1-based wave number, the total wave
-	// count, the number of nets the wave routed, and its wall-clock
-	// duration. Waves that route a single net are silent (they are the
-	// serial portions of the schedule), as are fully serial batches
-	// (Parallelism 1, degenerate partitions, or the escape fallback).
-	OnWave func(wave, waves, nets int, elapsed time.Duration)
 }
 
 func (o Options) withDefaults() Options {
@@ -236,8 +227,7 @@ type Router struct {
 	usageV []int16 // vertical segment usage
 	nets   map[int]*RoutedNet
 
-	// serial is the scratch worker incremental RouteNet calls route on;
-	// batched routing spins up additional workers (see batch.go).
+	// serial is the scratch worker every route runs on (see route).
 	serial *worker
 
 	// planner is the hierarchical strategy's coarse pass, created lazily
@@ -327,10 +317,10 @@ func (r *Router) route(id int, pins []Pin, minLayer int, c *corridor) error {
 		return err
 	}
 	old := r.nets[id]
-	rn, err := r.serial.routeNet(id, pins, minLayer, old, c, nil)
+	rn, err := r.serial.routeNet(id, pins, minLayer, old, c)
 	if errors.Is(err, errCorridor) {
 		r.hierStats.FlatFallbacks++
-		rn, err = r.serial.routeNet(id, pins, minLayer, old, nil, nil)
+		rn, err = r.serial.routeNet(id, pins, minLayer, old, nil)
 	}
 	if err != nil {
 		if old == nil {

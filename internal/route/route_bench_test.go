@@ -1,7 +1,6 @@
 package route
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -74,30 +73,5 @@ func BenchmarkRerouteNet(b *testing.B) {
 		if err := r.RouteNet(id, pins[id], 1); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkRouteWaves measures batched routing of a superblue-scale
-// workload — 1500 nets on a 400x400x10 grid — at increasing wave
-// parallelism. p1 is the serial schedule; p4/p8 route spatially disjoint
-// waves concurrently with byte-identical results (asserted by
-// TestRouteJobsSerialParallelIdentical). The p4-vs-p1 delta is the
-// wall-clock win the wave-partitioned router buys on one design.
-//
-//	go test -bench RouteWaves -benchmem ./internal/route
-func BenchmarkRouteWaves(b *testing.B) {
-	die := geom.Rect{Lo: geom.Point{}, Hi: geom.Point{X: 400 * DefaultGCellNM, Y: 400 * DefaultGCellNM}}
-	grid := NewGrid(die, DefaultGCellNM, 10)
-	jobs := scatteredJobs(1500, grid, 4242)
-	for _, p := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r := NewRouter(grid, Options{Parallelism: p, Strategy: StrategyFlat})
-				if err := r.RouteJobs(jobs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

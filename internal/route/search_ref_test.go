@@ -261,9 +261,9 @@ func randomSearch(rng *rand.Rand, w *worker, corridor bool) (Node, region) {
 	if !corridor {
 		return target, w.searchRegion(target, rng.Intn(13))
 	}
-	tw := (grid.W + waveTileGCells - 1) / waveTileGCells
-	th := (grid.H + waveTileGCells - 1) / waveTileGCells
-	tiles := []int32{int32((target.Y/waveTileGCells)*tw + target.X/waveTileGCells)}
+	tw := (grid.W + tileGCells - 1) / tileGCells
+	th := (grid.H + tileGCells - 1) / tileGCells
+	tiles := []int32{int32((target.Y/tileGCells)*tw + target.X/tileGCells)}
 	for ti := 0; ti < tw*th; ti++ {
 		if rng.Intn(2) == 0 {
 			tiles = append(tiles, int32(ti))

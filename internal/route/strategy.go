@@ -12,9 +12,6 @@ import "fmt"
 // multi-pin net a corridor of tiles, then confines the fine A* to that
 // corridor — collapsing the tail's search regions from die-proportional
 // to corridor-proportional. auto picks per design by physical die area.
-//
-// For a fixed strategy the determinism contract is unchanged: results are
-// byte-identical at every parallelism level.
 type Strategy string
 
 // Routing strategies. The zero value resolves as StrategyAuto.
@@ -65,8 +62,13 @@ type HierStats struct {
 	TileW, TileH  int      // coarse tile grid dimensions
 	CorridorNets  int      // multi-pin nets planned into corridors
 	FlatFallbacks int      // corridor refinements that fell back to flat search
-	BatchEscapes  int      // parallel batches that rolled back to the serial schedule
 	NegoCorridor  int      // negotiation re-routes that ran corridor-confined
+
+	// Deprecated: BatchEscapes is always 0: batches route serially and
+	// never escape. Only perfbench/replay.go still reads it, and the
+	// benchmark change that deletes the strategy knob (ROADMAP "One
+	// routing strategy") deletes it too.
+	BatchEscapes int
 }
 
 // Hier returns the accumulated hierarchical-routing statistics.

@@ -10,20 +10,9 @@ import (
 	"splitmfg/internal/heapx"
 )
 
-// errEscaped marks a batched route whose search wanted to leave the
-// spatial region its wave partition declared for it (a detour retry or an
-// unusually drifting multi-sink tree). The result cannot be proven
-// order-independent, so the batch discards all concurrent work and falls
-// back to serial routing — which is where this error is resolved for real
-// (either the retry succeeds or the net genuinely fails).
-var errEscaped = errors.New("route: search escaped its wave region")
-
 // errCorridor marks a hierarchical refinement whose corridor-confined
-// search found no path. In the serial schedule the net retries with the
-// flat search (full detour loop); in a parallel wave the flat retry would
-// leave the declared region, so — exactly like errEscaped — the batch
-// rolls back and re-runs serially, where the same corridor failure
-// resolves into the same flat retry.
+// search found no path; Router.route then retries the net with the flat
+// search (full detour loop).
 var errCorridor = errors.New("route: corridor exhausted")
 
 // worker holds everything one routing computation needs besides the
@@ -31,13 +20,11 @@ var errCorridor = errors.New("route: corridor exhausted")
 // steady-state routing does not allocate) and a usage-delta overlay that
 // stands in for the usual rip-up-then-commit mutation of shared state.
 //
-// The overlay is the key to both deterministic parallelism and safe
-// failure handling: a route is computed against usageH/usageV *plus* the
-// worker's private delta (the net's own edges so far at +1, the old route
-// being replaced at -1), so shared state is never touched until the route
-// is known to be complete. Workers of one wave only read shared usage in
-// pairwise-disjoint regions, which is what makes concurrent routing
-// byte-identical to serial routing.
+// The overlay is what makes failure safe: a route is computed against
+// usageH/usageV *plus* the worker's private delta (the net's own edges so
+// far at +1, the old route being replaced at -1), so shared state is
+// never touched until the route is known to be complete, and a failed
+// re-route leaves the old route and its usage exactly as they were.
 type worker struct {
 	r *Router
 
@@ -179,17 +166,13 @@ func (w *worker) segCost(i int32, z int, horizontal bool) int64 {
 // masked out through the overlay, exactly as if it had been ripped up
 // first. c, when non-nil, is the net's corridor: the worker arms its mask
 // for this call, and a corridor holding no path fails with errCorridor.
-// bound, when non-nil, restricts every search to the given gcell region
-// (batched parallel mode): a search that would expand beyond it —
-// including the 4x detour retry — aborts with errEscaped instead, so a
-// result that might depend on concurrent neighbors is never produced.
 //
 // On success the returned net carries the new edges and its corridor,
 // and the caller commits it; on failure it is marked Failed with no
 // edges, and shared state is untouched either way.
 //
 //smlint:hot
-func (w *worker) routeNet(id int, pins []Pin, minLayer int, old *RoutedNet, c *corridor, bound *region) (*RoutedNet, error) {
+func (w *worker) routeNet(id int, pins []Pin, minLayer int, old *RoutedNet, c *corridor) (*RoutedNet, error) {
 	defer w.reset()
 	if c != nil {
 		w.setCorridor(w.r.planner.tw, w.r.planner.th, c.tiles, c.reg)
@@ -242,10 +225,10 @@ func (w *worker) routeNet(id int, pins []Pin, minLayer int, old *RoutedNet, c *c
 		if w.inTree(g.Index(target)) {
 			continue
 		}
-		path, err := w.search(target, wireMin, bound)
+		path, err := w.search(target, wireMin)
 		if err != nil {
 			rn.Failed = true
-			if errors.Is(err, errEscaped) || errors.Is(err, errCorridor) {
+			if errors.Is(err, errCorridor) {
 				return rn, err
 			}
 			return rn, fmt.Errorf("route: net %d sink %d: %v", id, pi, err)
@@ -304,27 +287,22 @@ func (w *worker) clearCorridor() { w.corrOn = false }
 //
 //smlint:hot
 func (w *worker) wireOK(x, y int) bool {
-	return !w.corrOn || w.corrEp[(y/waveTileGCells)*w.corrTW+x/waveTileGCells] == w.corrEpoch
+	return !w.corrOn || w.corrEp[(y/tileGCells)*w.corrTW+x/tileGCells] == w.corrEpoch
 }
 
 // search runs A* from the tree frontier to the target node. Wire moves are
 // restricted to layers >= wireMin in the layer's preferred direction; via
 // moves are always allowed. The search region is the bounding box of the
-// tree and target expanded by maxDetour gcells, retried once at 4x detour
-// — except in bounded mode, where any region not contained in bound
-// (including the retry) aborts with errEscaped.
+// tree and target expanded by maxDetour gcells, retried once at 4x detour.
 //
 // With a corridor armed (hierarchical refinement) there is no detour
 // loop: one attempt runs over the corridor's rectangle with wire moves
 // masked to corridor tiles, and failure reports errCorridor so the
-// caller can fall back (serially) or escape (in a wave).
+// caller can fall back to the flat search.
 //
 //smlint:hot
-func (w *worker) search(target Node, wireMin int, bound *region) ([]Edge, error) {
+func (w *worker) search(target Node, wireMin int) ([]Edge, error) {
 	if w.corrOn {
-		if bound != nil && !bound.contains(w.corrReg) {
-			return nil, errEscaped
-		}
 		edges, ok := w.searchBounded(target, wireMin, w.corrReg)
 		if ok {
 			return edges, nil
@@ -332,20 +310,9 @@ func (w *worker) search(target Node, wireMin int, bound *region) ([]Edge, error)
 		return nil, errCorridor
 	}
 	for _, detour := range []int{maxDetour, maxDetour * 4} {
-		reg := w.searchRegion(target, detour)
-		if bound != nil && !bound.contains(reg) {
-			return nil, errEscaped
-		}
-		edges, ok := w.searchBounded(target, wireMin, reg)
+		edges, ok := w.searchBounded(target, wireMin, w.searchRegion(target, detour))
 		if ok {
 			return edges, nil
-		}
-		if bound != nil {
-			// Never enter the 4x retry concurrently: its region almost
-			// certainly leaves the declared wave partition, and whether the
-			// first attempt fails is itself order-independent only within
-			// the declared region.
-			return nil, errEscaped
 		}
 	}
 	return nil, fmt.Errorf("no path to %v (wireMin=M%d)", target, wireMin)
@@ -354,10 +321,6 @@ func (w *worker) search(target Node, wireMin int, bound *region) ([]Edge, error)
 // region is an inclusive gcell rectangle.
 type region struct {
 	loX, loY, hiX, hiY int
-}
-
-func (a region) contains(b region) bool {
-	return b.loX >= a.loX && b.loY >= a.loY && b.hiX <= a.hiX && b.hiY <= a.hiY
 }
 
 // grow extends the region to cover gcell (x, y).

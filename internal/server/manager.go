@@ -57,8 +57,8 @@ type Config struct {
 	// running jobs (default GOMAXPROCS). Each running job is granted
 	// Parallelism/MaxRunning workers (at least 1), or the request's own
 	// parallelism when that is smaller, as its whole WithParallelism
-	// budget — route workers included — generalizing how Matrix and Suite
-	// split one budget across their inner jobs.
+	// budget for concurrent builds and split-layer attacks, generalizing
+	// how Matrix and Suite split one budget across their inner jobs.
 	Parallelism int
 	// MaxRunning bounds how many jobs run concurrently (default 2).
 	MaxRunning int
@@ -359,7 +359,7 @@ func (m *Manager) runJob(job *Job) {
 
 	hook := func(ev splitmfg.ProgressEvent) { job.log.append(wireEvent(ev)) }
 	// The share is the job's whole budget: the pipeline splits it further
-	// among builds, layer attacks and route waves.
+	// among builds and layer attacks.
 	extra := []splitmfg.Option{
 		splitmfg.WithProgress(hook),
 		splitmfg.WithParallelism(share),

@@ -10,14 +10,10 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"splitmfg"
-	"splitmfg/internal/cell"
-	defengine "splitmfg/internal/defense/engine"
-	"splitmfg/internal/netlist"
 )
 
 // newTestServer wires a manager and its handler into an httptest server,
@@ -294,49 +290,6 @@ func TestSSEOrderingMatchesDirectRun(t *testing.T) {
 	}
 }
 
-// routeRecorder is a test defense that records the route worker count
-// each build is handed, then builds pin-swapping's layout.
-type routeRecorder struct {
-	mu   sync.Mutex
-	seen []int
-}
-
-func (*routeRecorder) Name() string { return "test-route-recorder" }
-
-func (r *routeRecorder) Protect(ctx context.Context, nl *netlist.Netlist, lib *cell.Library, opt defengine.Options) (*defengine.Protected, error) {
-	r.mu.Lock()
-	r.seen = append(r.seen, opt.RouteParallelism)
-	r.mu.Unlock()
-	d, _ := defengine.Lookup("pin-swapping")
-	return d.Protect(ctx, nl, lib, opt)
-}
-
-// TestMatrixJobRoutesWithinShare: a job's parallelism share is its whole
-// budget. A matrix job granted 4 workers builds its baseline and two
-// defense rows at once, so each build routes with 4/3 = 1 worker rather
-// than with the full share.
-func TestMatrixJobRoutesWithinShare(t *testing.T) {
-	rec := &routeRecorder{}
-	defengine.Register(rec)
-	_, ts := newTestServer(t, Config{Parallelism: 4, MaxRunning: 1})
-	info := submit(t, ts, splitmfg.JobRequest{
-		Kind:         splitmfg.JobMatrix,
-		Benchmark:    "c432",
-		PatternWords: 1,
-		SplitLayers:  []int{3},
-		Attackers:    []string{"random"},
-		Defenses:     []string{rec.Name(), "pin-swapping"},
-	})
-	if st := waitTerminal(t, ts, info.ID); st.State != StateDone {
-		t.Fatalf("matrix job ended %s: %s", st.State, st.Error)
-	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if len(rec.seen) != 1 || rec.seen[0] != 1 {
-		t.Fatalf("defense builds routed with %v workers, want [1]", rec.seen)
-	}
-}
-
 // TestCancelMidSuite: DELETE on a running suite returns 200 and the job
 // lands in canceled, with the cancellation reflected by the status
 // endpoint and the SSE done event.
@@ -456,8 +409,7 @@ func TestBadRequestsRejected(t *testing.T) {
 	if code, _ := post(`{"kind":"evaluate","benchmark":"c432","bogus_field":1}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown field returned %d, want 400", code)
 	}
-	// Route workers come out of the job's parallelism share; there is no
-	// separate knob to pin them.
+	// Every build routes on one goroutine; there is no route worker knob.
 	if code, _ := post(`{"kind":"evaluate","benchmark":"c432","route_parallelism":2}`); code != http.StatusBadRequest {
 		t.Fatalf("route_parallelism returned %d, want 400", code)
 	}

@@ -119,13 +119,11 @@ func WithMaxAttempts(n int) Option {
 
 // WithParallelism sets the one worker budget every entry point runs
 // within (default: GOMAXPROCS; 1 forces serial work). Evaluate attacks up
-// to that many split layers at once; Protect, Baseline, Randomized and
-// NaiveLifted route up to that many spatially disjoint nets at once;
-// Matrix and Suite run up to that many builds at once and give each an
-// equal part of the budget for its own layer attacks and route waves.
-// The router commits each wave of non-interacting nets in serial order,
-// so layouts — and every report derived from them — are byte-identical
-// at every parallelism level.
+// to that many split layers at once; Matrix and Suite run up to that many
+// builds at once and give each an equal part of the budget for its own
+// layer attacks. Every build places and routes on one goroutine, so
+// layouts, and every report derived from them, are byte-identical at
+// every parallelism level.
 func WithParallelism(n int) Option {
 	return func(c *pipelineConfig) { c.Parallelism = n }
 }
@@ -136,9 +134,8 @@ func WithParallelism(n int) Option {
 // planned corridor (much faster on large dies), and "auto" (the default)
 // picks per design by die area — ISCAS-class dies route flat, superblue-
 // class dies route hierarchically. Unlike WithParallelism the strategy
-// changes the routed layouts (both are valid; reports remain
-// byte-identical at every parallelism level for a fixed strategy), so it
-// is part of every cache identity. An unknown name fails validation.
+// changes the routed layouts (both are valid), so it is part of every
+// cache identity. An unknown name fails validation.
 func WithRouteStrategy(name string) Option {
 	return func(c *pipelineConfig) { c.RouteStrategy = route.Strategy(name) }
 }

@@ -29,12 +29,6 @@ const (
 	StagePPA       = flow.StagePPA
 	StageAttack    = flow.StageAttack
 
-	// StageRouteWave reports one committed multi-net wave of a parallel
-	// routing batch (WithParallelism; Detail carries
-	// "wave i/n: k nets"). Single-net waves and serial routing emit no
-	// wave events.
-	StageRouteWave = flow.StageRouteWave
-
 	// Suite-level stages: a benchmark's shared unprotected baseline was
 	// built (Bench set), or a (benchmark, defense, replicate) cell
 	// completed (Bench, Replicate, and Detail = defense name set).
