@@ -21,39 +21,14 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
 
 	"splitmfg"
+	"splitmfg/cmd/internal/cli"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	code := exitCode(run(ctx, os.Args[1:], os.Stdout), os.Stderr)
-	stop()
-	os.Exit(code)
-}
-
-// exitCode prints err on stderr, unless fs.Parse already printed it with
-// the usage text, and returns the exit status: 0 on success and for -h,
-// 2 for a flag error (the flag package's convention), 1 otherwise.
-func exitCode(err error, stderr io.Writer) int {
-	switch e := err.(type) {
-	case nil:
-		return 0
-	case parseError:
-		if e.error == flag.ErrHelp {
-			return 0
-		}
-		return 2
-	}
-	fmt.Fprintln(stderr, "smattack:", err)
-	return 1
-}
-
-// parseError is an error fs.Parse returned after printing it.
-type parseError struct{ error }
+func main() { cli.Main("smattack", run) }
 
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	// Every job flag writes a field of one request; each -variant builds
@@ -91,7 +66,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit the security report as JSON")
 	verbose := fs.Bool("v", false, "stream per-stage progress to stderr")
 	if err := fs.Parse(args); err != nil {
-		return parseError{err}
+		return cli.ParseError{Err: err}
 	}
 	if *list {
 		fmt.Fprintln(stdout, strings.Join(splitmfg.Attackers(), "\n"))

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"splitmfg/cmd/internal/cli"
 )
 
 func TestRunListAttackers(t *testing.T) {
@@ -102,7 +104,7 @@ func runMain(t *testing.T, args ...string) (int, string) {
 	defer f.Close()
 	saved := os.Stderr
 	os.Stderr = f
-	code := exitCode(run(context.Background(), args, io.Discard), f)
+	code := cli.ExitCode("smattack", run(context.Background(), args, io.Discard), f)
 	os.Stderr = saved
 	out, err := os.ReadFile(f.Name())
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"splitmfg"
+	"splitmfg/cmd/internal/cli"
 )
 
 func TestRunJSONReports(t *testing.T) {
@@ -175,7 +176,7 @@ func runMain(t *testing.T, args ...string) (int, string) {
 	defer f.Close()
 	saved := os.Stderr
 	os.Stderr = f
-	code := exitCode(run(context.Background(), args, io.Discard), f)
+	code := cli.ExitCode("smflow", run(context.Background(), args, io.Discard), f)
 	os.Stderr = saved
 	out, err := os.ReadFile(f.Name())
 	if err != nil {

@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"splitmfg/cmd/internal/cli"
 )
 
 // TestServeSubmitDrain: boot the server on an ephemeral port, submit a
@@ -129,7 +131,7 @@ func runMain(t *testing.T, args ...string) (int, string) {
 	defer f.Close()
 	saved := os.Stderr
 	os.Stderr = f
-	code := exitCode(run(context.Background(), args, io.Discard), f)
+	code := cli.ExitCode("smserve", run(context.Background(), args, io.Discard), f)
 	os.Stderr = saved
 	out, err := os.ReadFile(f.Name())
 	if err != nil {

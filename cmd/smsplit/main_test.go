@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"splitmfg/cmd/internal/cli"
 )
 
 func TestRunWritesSplitArtifacts(t *testing.T) {
@@ -57,7 +59,7 @@ func runMain(t *testing.T, args ...string) (int, string) {
 	defer f.Close()
 	saved := os.Stderr
 	os.Stderr = f
-	code := exitCode(run(context.Background(), args, io.Discard), f)
+	code := cli.ExitCode("smsplit", run(context.Background(), args, io.Discard), f)
 	os.Stderr = saved
 	out, err := os.ReadFile(f.Name())
 	if err != nil {

@@ -179,12 +179,13 @@ func referenceAttack(d *layout.Design, sv *layout.SplitView, ref *netlist.Netlis
 }
 
 // TestAttackMatchesReference pins Attack to the map-based reference with
-// exact float64 equality. Box 200 is wider than the superblue18/500 grid
-// (81×85 gcells) on every side, so it exercises the clamp to the grid;
-// it also dominates the reference's run time, hence the parallel cases.
+// exact float64 equality. Box 90 reaches past the superblue18/500 grid
+// (81×85 gcells, vpins at x 0–80 and y 0–84) on every side, so it
+// exercises the clamp to the grid; it also dominates the reference's run
+// time, hence the parallel cases.
 func TestAttackMatchesReference(t *testing.T) {
 	nl, d := buildSuperblueLike(t)
-	boxes := []int{5, 15, 30, 45, 200}
+	boxes := []int{5, 15, 30, 45, 90}
 	for _, layer := range []int{3, 4} {
 		sv, err := d.Split(layer)
 		if err != nil {
@@ -216,8 +217,8 @@ func TestAttackMatchesReference(t *testing.T) {
 	}
 }
 
-// TestAttackAllocs pins the attack's allocations at M3 (947 vpins on this
-// fixture). The remaining allocations are the ground truth and the
+// TestAttackAllocs pins the attack's allocations at M3 (1,010 vpins on
+// this fixture). The remaining allocations are the ground truth and the
 // partner sets; a per-vpin or per-box map in the scan would cost tens of
 // thousands.
 func TestAttackAllocs(t *testing.T) {

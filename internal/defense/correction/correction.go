@@ -14,7 +14,8 @@
 // B's. The cells' pins live in the lift layer, so all restoration wiring is
 // invisible to the FEOL fab.
 //
-// The same machinery without swaps is the paper's naive-lifting baseline.
+// The paper's naive-lifting baseline is the same lifting build (lift)
+// without randomization or restoration.
 package correction
 
 import (
@@ -100,10 +101,9 @@ func (p *Protected) ProtectedSinks() map[netlist.PinRef]bool {
 	return m
 }
 
-// BuildOriginal places and routes a plain, unprotected design — the
-// baseline every comparison starts from.
-func BuildOriginal(nl *netlist.Netlist, lib *cell.Library, opt Options) (*layout.Design, error) {
-	opt = opt.withDefaults()
+// placed binds and places nl and wraps the placement in a design: the
+// first stage of every build.
+func placed(nl *netlist.Netlist, lib *cell.Library, opt Options) (*layout.Design, error) {
 	masters, err := lib.Bind(nl)
 	if err != nil {
 		return nil, err
@@ -114,8 +114,18 @@ func BuildOriginal(nl *netlist.Netlist, lib *cell.Library, opt Options) (*layout
 		return nil, err
 	}
 	opt.observe("place", start)
-	d := layout.NewDesign(nl, masters, pl, opt.RouteOpt)
-	start = time.Now() //smlint:wallclock phase timer feeding opt.observe progress reporting; never reaches results
+	return layout.NewDesign(nl, masters, pl, opt.RouteOpt), nil
+}
+
+// BuildOriginal places and routes a plain, unprotected design — the
+// baseline every comparison starts from.
+func BuildOriginal(nl *netlist.Netlist, lib *cell.Library, opt Options) (*layout.Design, error) {
+	opt = opt.withDefaults()
+	d, err := placed(nl, lib, opt)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now() //smlint:wallclock phase timer feeding opt.observe progress reporting; never reaches results
 	if err := d.RouteAll(nil); err != nil {
 		return nil, err
 	}
@@ -129,18 +139,10 @@ func BuildOriginal(nl *netlist.Netlist, lib *cell.Library, opt Options) (*layout
 // and true connectivity is restored in the BEOL.
 func BuildProtected(original *netlist.Netlist, r *randomize.Result, lib *cell.Library, opt Options) (*Protected, error) {
 	opt = opt.withDefaults()
-	err := buildSanity(original, r)
-	if err != nil {
+	if err := buildSanity(original, r); err != nil {
 		return nil, err
 	}
 	corr, err := lib.Correction(opt.LiftLayer)
-	if err != nil {
-		return nil, err
-	}
-	erroneous := r.Erroneous
-	// Masters bind identically for original and erroneous: swaps preserve
-	// per-net fanout counts.
-	masters, err := lib.Bind(erroneous)
 	if err != nil {
 		return nil, err
 	}
@@ -148,60 +150,80 @@ func BuildProtected(original *netlist.Netlist, r *randomize.Result, lib *cell.Li
 	// wrong connectivity. The swapped drivers/sinks are do-not-touch in the
 	// paper's flow; our flow performs no logic restructuring, so the
 	// constraint is trivially honored.
-	start := time.Now() //smlint:wallclock phase timer feeding opt.observe progress reporting; never reaches results
-	pl, err := place.Place(erroneous, masters, place.Options{UtilPercent: opt.UtilPercent, Seed: opt.Seed})
+	p, err := lift(original, r.Erroneous, r.Protected, corr, 0x5eed, lib, opt)
 	if err != nil {
 		return nil, err
 	}
-	opt.observe("place", start)
-	d := layout.NewDesign(erroneous, masters, pl, opt.RouteOpt)
+	start := time.Now() //smlint:wallclock phase timer feeding opt.observe progress reporting; never reaches results
+	p.Swaps = r.Swaps
+	if err := p.restore(); err != nil {
+		return nil, err
+	}
+	// BuildNaiveLifted stops before this call, which leaves naive lifting
+	// the one scheme whose layout is never negotiated (ROADMAP item 1).
+	p.Design.Router.NegotiateReroute()
+	opt.observe("restore", start)
+	return p, nil
+}
 
+// BuildNaiveLifted applies the paper's naive-lifting baseline: the same
+// set of sinks is lifted through single-input lifting cells, but the
+// netlist is untouched (no randomization, no misleading connections).
+// No restoration is needed: the lifting cell passes its one input through.
+func BuildNaiveLifted(original *netlist.Netlist, sinks map[netlist.PinRef]bool, lib *cell.Library, opt Options) (*Protected, error) {
+	opt = opt.withDefaults()
+	m, err := lib.Lifting(opt.LiftLayer)
+	if err != nil {
+		return nil, err
+	}
+	return lift(original, original, sinks, m, 0x11f7, lib, opt)
+}
+
+// lift is the build both lifting schemes share: it places feol (the
+// netlist the FEOL fab sees), embeds one cell of master per sink near the
+// midpoint of the sink's feol connection (the cell belongs to that net, so
+// the FEOL stays self-consistent), legalizes the cells, and routes the
+// lifted trunks and stubs. salt separates the schemes' jitter streams.
+func lift(original, feol *netlist.Netlist, sinks map[netlist.PinRef]bool, master *cell.Master, salt int64, lib *cell.Library, opt Options) (*Protected, error) {
+	// Masters bind identically for original and erroneous: swaps preserve
+	// per-net fanout counts.
+	d, err := placed(feol, lib, opt)
+	if err != nil {
+		return nil, err
+	}
 	p := &Protected{
 		Design:    d,
 		Original:  original,
-		Erroneous: erroneous,
-		Swaps:     r.Swaps,
+		Erroneous: feol,
 		LiftLayer: opt.LiftLayer,
 		CellOf:    map[netlist.PinRef]int{},
 		StubRoute: map[netlist.PinRef]int{},
 	}
-
-	// Embed one correction cell per protected sink, near the midpoint of
-	// its erroneous connection (the cell belongs to the erroneous net, so
-	// the FEOL stays self-consistent and misleading).
-	start = time.Now()                                 //smlint:wallclock phase timer feeding opt.observe progress reporting; never reaches results
-	rng := rand.New(rand.NewSource(opt.Seed ^ 0x5eed)) //smlint:rawseed engine-scoped seed already derived upstream by the flow layer; the XOR is a fixed domain separator and re-mixing would shift every golden byte pin
-	for _, pin := range SortedPins(r.Protected) {
-		eNet := erroneous.Gates[pin.Gate].Fanin[pin.Pin]
-		dpt := driverPoint(d, eNet)
+	start := time.Now()                              //smlint:wallclock phase timer feeding opt.observe progress reporting; never reaches results
+	rng := rand.New(rand.NewSource(opt.Seed ^ salt)) //smlint:rawseed engine-scoped seed already derived upstream by the flow layer; the XOR is a fixed domain separator and re-mixing would shift every golden byte pin
+	pl := d.Placement
+	for _, pin := range SortedPins(sinks) {
+		dpt := driverPoint(d, feol.Gates[pin.Gate].Fanin[pin.Pin])
 		spt := pl.GateCenter(pin.Gate)
 		mid := geom.Point{X: (dpt.X + spt.X) / 2, Y: (dpt.Y + spt.Y) / 2}
 		// Jitter by up to one gcell so stacked midpoints spread before
 		// legalization.
 		mid.X += rng.Intn(d.Grid.GCell) - d.Grid.GCell/2
 		mid.Y += rng.Intn(d.Grid.GCell) - d.Grid.GCell/2
-		mid.X = geom.Clamp(mid.X, pl.Die.Lo.X, pl.Die.Hi.X-corr.WidthNM)
+		mid.X = geom.Clamp(mid.X, pl.Die.Lo.X, pl.Die.Hi.X-master.WidthNM)
 		mid.Y = geom.Clamp(mid.Y, pl.Die.Lo.Y, pl.Die.Hi.Y-cell.RowHeight)
-		p.CellOf[pin] = d.AddExtra(corr, mid)
+		p.CellOf[pin] = d.AddExtra(master, mid)
 	}
 	d.LegalizeExtras()
 	if err := d.CheckExtrasLegal(); err != nil {
 		return nil, fmt.Errorf("correction: %v", err)
 	}
 	opt.observe("lift", start)
-
-	// Partition each erroneous net's sinks into protected and plain.
 	start = time.Now() //smlint:wallclock phase timer feeding opt.observe progress reporting; never reaches results
 	if err := p.routeErroneous(); err != nil {
 		return nil, err
 	}
 	opt.observe("route", start)
-	// BEOL restoration between pairs of correction cells.
-	start = time.Now() //smlint:wallclock phase timer feeding opt.observe progress reporting; never reaches results
-	if err := p.restore(); err != nil {
-		return nil, err
-	}
-	opt.observe("restore", start)
 	return p, nil
 }
 
@@ -364,7 +386,6 @@ func (p *Protected) restore() error {
 		}
 		return err
 	}
-	d.Router.NegotiateReroute()
 	return nil
 }
 
@@ -406,64 +427,4 @@ func (p *Protected) RestoredNetlist() (*netlist.Netlist, error) {
 		}
 	}
 	return rec, nil
-}
-
-// BuildNaiveLifted applies the paper's naive-lifting baseline: the same
-// set of sinks is lifted through single-input lifting cells, but the
-// netlist is untouched (no randomization, no misleading connections).
-func BuildNaiveLifted(original *netlist.Netlist, sinks []netlist.PinRef, lib *cell.Library, opt Options) (*Protected, error) {
-	opt = opt.withDefaults()
-	liftMaster, err := lib.Lifting(opt.LiftLayer)
-	if err != nil {
-		return nil, err
-	}
-	masters, err := lib.Bind(original)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now() //smlint:wallclock phase timer feeding opt.observe progress reporting; never reaches results
-	pl, err := place.Place(original, masters, place.Options{UtilPercent: opt.UtilPercent, Seed: opt.Seed})
-	if err != nil {
-		return nil, err
-	}
-	opt.observe("place", start)
-	d := layout.NewDesign(original, masters, pl, opt.RouteOpt)
-	p := &Protected{
-		Design:    d,
-		Original:  original,
-		Erroneous: original,
-		LiftLayer: opt.LiftLayer,
-		CellOf:    map[netlist.PinRef]int{},
-		StubRoute: map[netlist.PinRef]int{},
-	}
-	start = time.Now()                                 //smlint:wallclock phase timer feeding opt.observe progress reporting; never reaches results
-	rng := rand.New(rand.NewSource(opt.Seed ^ 0x11f7)) //smlint:rawseed engine-scoped seed already derived upstream by the flow layer; the XOR is a fixed domain separator and re-mixing would shift every golden byte pin
-	lifted := map[netlist.PinRef]bool{}
-	for _, pin := range sinks {
-		if lifted[pin] {
-			continue
-		}
-		lifted[pin] = true
-		netID := original.Gates[pin.Gate].Fanin[pin.Pin]
-		dpt := driverPoint(d, netID)
-		spt := pl.GateCenter(pin.Gate)
-		mid := geom.Point{X: (dpt.X + spt.X) / 2, Y: (dpt.Y + spt.Y) / 2}
-		mid.X += rng.Intn(d.Grid.GCell) - d.Grid.GCell/2
-		mid.Y += rng.Intn(d.Grid.GCell) - d.Grid.GCell/2
-		mid.X = geom.Clamp(mid.X, pl.Die.Lo.X, pl.Die.Hi.X-liftMaster.WidthNM)
-		mid.Y = geom.Clamp(mid.Y, pl.Die.Lo.Y, pl.Die.Hi.Y-cell.RowHeight)
-		p.CellOf[pin] = d.AddExtra(liftMaster, mid)
-	}
-	d.LegalizeExtras()
-	if err := d.CheckExtrasLegal(); err != nil {
-		return nil, err
-	}
-	opt.observe("lift", start)
-	start = time.Now() //smlint:wallclock phase timer feeding opt.observe progress reporting; never reaches results
-	if err := p.routeErroneous(); err != nil {
-		return nil, err
-	}
-	opt.observe("route", start)
-	// No restoration needed: the lifting cell passes its one input through.
-	return p, nil
 }

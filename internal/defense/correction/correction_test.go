@@ -152,12 +152,8 @@ func TestNaiveLiftingPreservesFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sinks []netlist.PinRef
-	for pin := range r.Protected {
-		sinks = append(sinks, pin)
-	}
 	lib := cell.NewNangate45Like()
-	p, err := BuildNaiveLifted(nl, sinks, lib, Options{LiftLayer: 6, UtilPercent: 70, Seed: 9})
+	p, err := BuildNaiveLifted(nl, r.Protected, lib, Options{LiftLayer: 6, UtilPercent: 70, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,16 +169,33 @@ func TestNaiveLiftingPreservesFunction(t *testing.T) {
 	}
 }
 
+// TestCorrectionCellsLegal checks the cells of both lifting schemes, built
+// on the same sinks: legal, inside the die, and one per lifted sink.
 func TestCorrectionCellsLegal(t *testing.T) {
-	_, p := buildC432Protected(t, 10)
-	if err := p.Design.CheckExtrasLegal(); err != nil {
+	nl, prot := buildC432Protected(t, 10)
+	naive, err := BuildNaiveLifted(nl, prot.ProtectedSinks(), cell.NewNangate45Like(),
+		Options{LiftLayer: 6, UtilPercent: 70, Seed: 10})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Zero area overhead: extras live inside the same die outline.
-	for _, e := range p.Design.Extras {
-		if e.Loc.X < p.Design.Placement.Die.Lo.X ||
-			e.Loc.X+e.Master.WidthNM > p.Design.Placement.Die.Hi.X {
-			t.Fatal("correction cell outside die")
+	for _, tc := range []struct {
+		name string
+		p    *Protected
+	}{{"proposed", prot}, {"naive-lifted", naive}} {
+		d := tc.p.Design
+		if err := d.CheckExtrasLegal(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(d.Extras) != len(tc.p.CellOf) {
+			t.Fatalf("%s: %d cells for %d lifted sinks", tc.name, len(d.Extras), len(tc.p.CellOf))
+		}
+		// Zero area overhead: extras live inside the same die outline.
+		die := d.Placement.Die
+		for _, e := range d.Extras {
+			if e.Loc.X < die.Lo.X || e.Loc.X+e.Master.WidthNM > die.Hi.X ||
+				e.Loc.Y < die.Lo.Y || e.Loc.Y+cell.RowHeight > die.Hi.Y {
+				t.Fatalf("%s: cell %d at %v outside die %v", tc.name, e.ID, e.Loc, die)
+			}
 		}
 	}
 }

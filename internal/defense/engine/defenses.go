@@ -27,12 +27,24 @@ func init() {
 	Register(flatDefense{name: "routing-blockage", build: baselines.RoutingBlockage})
 }
 
-// randomizeRNG is the sink-selection stream shared by the lifting schemes:
-// deriving it from a common label (rather than per scheme) is what makes
-// naive-lifted protect the same pins as randomize-correction at one scope
-// seed — the paper's like-for-like baseline.
-func randomizeRNG(o Options) *rand.Rand {
-	return rand.New(rand.NewSource(DeriveSeed(o.Seed, "randomize")))
+// randomizeSinks runs the randomization both lifting schemes start from.
+// Its stream comes from one shared label (rather than one per scheme), which
+// is what makes naive-lifted protect the same pins as randomize-correction
+// at one scope seed — the paper's like-for-like baseline (asserted by the
+// engine tests). ctx is checked before and after the pass.
+func randomizeSinks(ctx context.Context, nl *netlist.Netlist, opt Options) (*randomize.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	rng := rand.New(rand.NewSource(DeriveSeed(opt.Seed, "randomize")))
+	r, err := randomize.Randomize(nl, rng, randomize.Options{TargetOER: opt.TargetOER})
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 func (o Options) baselineOptions() baselines.Options {
@@ -54,14 +66,8 @@ type randomizeCorrection struct{}
 func (randomizeCorrection) Name() string { return "randomize-correction" }
 
 func (randomizeCorrection) Protect(ctx context.Context, nl *netlist.Netlist, lib *cell.Library, opt Options) (*Protected, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	r, err := randomize.Randomize(nl, randomizeRNG(opt), randomize.Options{TargetOER: opt.TargetOER})
+	r, err := randomizeSinks(ctx, nl, opt)
 	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	p, err := correction.BuildProtected(nl, r, lib, opt.correctionOptions())
@@ -87,21 +93,11 @@ type naiveLifted struct{}
 func (naiveLifted) Name() string { return "naive-lifted" }
 
 func (naiveLifted) Protect(ctx context.Context, nl *netlist.Netlist, lib *cell.Library, opt Options) (*Protected, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// The same randomization stream and target select the sink set, so
-	// naive lifting protects exactly the pins randomize-correction would
-	// at the same scope seed (asserted by the engine tests).
-	r, err := randomize.Randomize(nl, randomizeRNG(opt), randomize.Options{TargetOER: opt.TargetOER})
+	r, err := randomizeSinks(ctx, nl, opt)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sinks := correction.SortedPins(r.Protected)
-	p, err := correction.BuildNaiveLifted(nl, sinks, lib, opt.correctionOptions())
+	p, err := correction.BuildNaiveLifted(nl, r.Protected, lib, opt.correctionOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 	"splitmfg/internal/cell"
 	"splitmfg/internal/defense/correction"
 	"splitmfg/internal/layout"
-	"splitmfg/internal/netlist"
 )
 
 // TestHeadlineResult reproduces the paper's central claim on one
@@ -250,11 +249,7 @@ func TestNaiveLiftingSitsBetween(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sinks []netlist.PinRef
-	for pin := range res.Protected.ProtectedSinks() {
-		sinks = append(sinks, pin)
-	}
-	naive, err := correction.BuildNaiveLifted(nl, sinks, lib,
+	naive, err := correction.BuildNaiveLifted(nl, res.Protected.ProtectedSinks(), lib,
 		correction.Options{LiftLayer: 6, UtilPercent: 70, Seed: 4})
 	if err != nil {
 		t.Fatal(err)

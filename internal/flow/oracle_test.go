@@ -60,7 +60,7 @@ func TestPaperFidelityISCAS(t *testing.T) {
 			if !rec.SameStructure(nl) {
 				t.Error("BEOL-restored netlist differs from the original")
 			}
-			lifted, err := correction.BuildNaiveLifted(nl, correction.SortedPins(r.Protected), lib, opt)
+			lifted, err := correction.BuildNaiveLifted(nl, r.Protected, lib, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

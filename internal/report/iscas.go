@@ -207,8 +207,7 @@ func Fig6PPA(cfg Config) (*Table, []PPARow, error) {
 			return nil, nil, err
 		}
 		// Naive lifting on the same sinks.
-		sinks := correction.SortedPins(res.Protected.ProtectedSinks())
-		naive, err := correction.BuildNaiveLifted(nl, sinks, lib,
+		naive, err := correction.BuildNaiveLifted(nl, res.Protected.ProtectedSinks(), lib,
 			correction.Options{LiftLayer: 6, UtilPercent: 70, Seed: cfg.Seed})
 		if err != nil {
 			return nil, nil, err

@@ -74,8 +74,7 @@ func buildSuperblueBundle(name string, cfg Config) (*sbBundle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s protected: %v", name, err)
 	}
-	sinks := correction.SortedPins(r.Protected)
-	naive, err := correction.BuildNaiveLifted(nl, sinks, lib, copt)
+	naive, err := correction.BuildNaiveLifted(nl, r.Protected, lib, copt)
 	if err != nil {
 		return nil, fmt.Errorf("%s naive: %v", name, err)
 	}

@@ -267,8 +267,10 @@ func (p *Pipeline) NaiveLifted(ctx context.Context, d *Design) (*Layout, error) 
 	if err != nil {
 		return nil, err
 	}
-	sinks := correction.SortedPins(r.Protected)
-	np, err := correction.BuildNaiveLifted(d.nl, sinks, p.lib, flow.BuildOptions(p.bench(d), p.cfg.Options, "lifted"))
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	np, err := correction.BuildNaiveLifted(d.nl, r.Protected, p.lib, flow.BuildOptions(p.bench(d), p.cfg.Options, "lifted"))
 	if err != nil {
 		return nil, err
 	}
