@@ -12,17 +12,19 @@ import (
 	"os/signal"
 )
 
-// Main runs run on the process arguments and stdout under a context that
-// the given signals cancel (os.Interrupt when none are given), then exits
-// with ExitCode's status.
-func Main(name string, run func(ctx context.Context, args []string, stdout io.Writer) error, signals ...os.Signal) {
-	if len(signals) == 0 {
-		signals = []os.Signal{os.Interrupt}
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), signals...)
+// Main runs run on the process arguments and stdout under
+// NotifyContext(extra...), then exits with ExitCode's status.
+func Main(name string, run func(ctx context.Context, args []string, stdout io.Writer) error, extra ...os.Signal) {
+	ctx, stop := NotifyContext(extra...)
 	code := ExitCode(name, run(ctx, os.Args[1:], os.Stdout), os.Stderr)
 	stop()
 	os.Exit(code)
+}
+
+// NotifyContext returns a context that os.Interrupt and the extra signals
+// cancel, and the function that stops catching them.
+func NotifyContext(extra ...os.Signal) (context.Context, context.CancelFunc) {
+	return signal.NotifyContext(context.Background(), append([]os.Signal{os.Interrupt}, extra...)...)
 }
 
 // ExitCode prints err on stderr as "name: err", unless fs.Parse already

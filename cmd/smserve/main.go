@@ -41,7 +41,11 @@ import (
 	"splitmfg/internal/server"
 )
 
-func main() { cli.Main("smserve", run, syscall.SIGTERM) }
+// stopSignals drain the server along with cli.Main's os.Interrupt:
+// SIGTERM is how service managers stop a process.
+var stopSignals = []os.Signal{syscall.SIGTERM}
+
+func main() { cli.Main("smserve", run, stopSignals...) }
 
 // onListen, when non-nil, receives the bound address before the server
 // starts serving — the test seam for -addr :0.

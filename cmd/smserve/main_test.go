@@ -8,8 +8,10 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -157,5 +159,48 @@ func TestMainExitStatus(t *testing.T) {
 	}
 	if code, out := runMain(t, "-cache-dir", file); code != 1 || !strings.HasPrefix(out, "smserve: ") || strings.Count(out, "\n") != 1 {
 		t.Errorf("-cache-dir <file>: exit %d, stderr %q", code, out)
+	}
+}
+
+// TestSignalsDrain: SIGINT and SIGTERM each cancel the context main runs
+// the server under, and the server drains. A guard channel also catches
+// the signal, so one the context misses fails the test instead of
+// killing it.
+func TestSignalsDrain(t *testing.T) {
+	self, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sig := range []os.Signal{os.Interrupt, syscall.SIGTERM} {
+		guard := make(chan os.Signal, 1)
+		signal.Notify(guard, sig)
+		ctx, stop := cli.NotifyContext(stopSignals...)
+		addrs := make(chan net.Addr, 1)
+		onListen = func(addr net.Addr) { addrs <- addr }
+		var out bytes.Buffer
+		done := make(chan error, 1)
+		go func() { done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-drain", "5s"}, &out) }()
+		select {
+		case <-addrs:
+		case err := <-done:
+			t.Fatalf("server exited before listening: %v", err)
+		case <-time.After(10 * time.Second):
+			t.Fatal("server never bound")
+		}
+		if err := self.Signal(sig); err != nil {
+			t.Skipf("cannot send %v here: %v", sig, err)
+		}
+		<-guard
+		select {
+		case err := <-done:
+			if err != nil || !strings.Contains(out.String(), "draining") || !strings.Contains(out.String(), "bye") {
+				t.Errorf("%v: run returned %v, output %q", sig, err, out.String())
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("%v did not drain the server", sig)
+		}
+		stop()
+		signal.Stop(guard)
+		onListen = nil
 	}
 }

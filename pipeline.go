@@ -236,15 +236,8 @@ func (p *Pipeline) Baseline(ctx context.Context, d *Design) (*Layout, error) {
 // performs. It is the attacker's-perspective fast path: when only the
 // layout under attack matters, it does roughly half the work of Protect.
 func (p *Pipeline) Randomized(ctx context.Context, d *Design) (*Layout, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(p.cfg.Seed))
-	r, err := randomize.Randomize(d.nl, rng, randomize.Options{TargetOER: p.cfg.TargetOER})
+	r, err := p.randomize(ctx, d)
 	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	pr, err := correction.BuildProtected(d.nl, r, p.lib, flow.BuildOptions(p.bench(d), p.cfg.Options, "protected"))
@@ -254,11 +247,9 @@ func (p *Pipeline) Randomized(ctx context.Context, d *Design) (*Layout, error) {
 	return protectedOf(d.name, d.nl, pr), nil
 }
 
-// NaiveLifted builds the paper's naive-lifting baseline: the same sink
-// pins Randomized would protect (at the same WithSeed and WithTargetOER)
-// are lifted through pass-through cells, but the netlist is left
-// untouched.
-func (p *Pipeline) NaiveLifted(ctx context.Context, d *Design) (*Layout, error) {
+// randomize runs the one randomization pass Randomized and NaiveLifted
+// share, to WithTargetOER from WithSeed, checking ctx before and after.
+func (p *Pipeline) randomize(ctx context.Context, d *Design) (*randomize.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -268,6 +259,18 @@ func (p *Pipeline) NaiveLifted(ctx context.Context, d *Design) (*Layout, error) 
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// NaiveLifted builds the paper's naive-lifting baseline: the same sink
+// pins Randomized would protect (at the same WithSeed and WithTargetOER)
+// are lifted through pass-through cells, but the netlist is left
+// untouched.
+func (p *Pipeline) NaiveLifted(ctx context.Context, d *Design) (*Layout, error) {
+	r, err := p.randomize(ctx, d)
+	if err != nil {
 		return nil, err
 	}
 	np, err := correction.BuildNaiveLifted(d.nl, r.Protected, p.lib, flow.BuildOptions(p.bench(d), p.cfg.Options, "lifted"))
