@@ -9,7 +9,6 @@ package splitmfg
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"splitmfg/internal/attack/proximity"
@@ -115,7 +114,7 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig6(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := report.Fig6PPA(cfg); err != nil {
+		if _, err := report.Fig6PPA(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,8 +151,7 @@ func BenchmarkAblationLiftLayer(b *testing.B) {
 	}
 	lib := cell.NewNangate45Like()
 	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(1))
-		r, err := randomize.Randomize(nl, rng, randomize.Options{PatternWords: 16})
+		r, err := randomize.Randomize(context.Background(), nl, 1, randomize.Options{PatternWords: 16})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -15,9 +15,6 @@ type ExperimentConfig = report.Config
 // and footnotes. Render formats it for terminals.
 type Table = report.Table
 
-// PPARow is one design's PPA accounting from Fig6PPA.
-type PPARow = report.PPARow
-
 // Experiment names accepted by RunExperiment, in the paper's order.
 var experimentNames = []string{
 	"table1", "table2", "table3", "table4", "table5", "table6",
@@ -33,8 +30,7 @@ func Experiments() []string {
 
 // RunExperiment regenerates one of the paper's tables or figures by name.
 // fig5's series design and ablation's benchmark/budgets use the same
-// defaults as cmd/smbench; use Fig5 or AblationSwapBudget directly for
-// control over them.
+// defaults as cmd/smbench; use Fig5 directly to pick fig5's design.
 func RunExperiment(name string, cfg ExperimentConfig) (*Table, error) {
 	switch name {
 	case "table1":
@@ -52,8 +48,7 @@ func RunExperiment(name string, cfg ExperimentConfig) (*Table, error) {
 	case "fig5":
 		return report.Fig5("superblue18", cfg)
 	case "fig6":
-		t, _, err := report.Fig6PPA(cfg)
-		return t, err
+		return report.Fig6PPA(cfg)
 	case "ppa":
 		return report.SuperbluePPA(cfg)
 	case "ablation":
@@ -75,15 +70,4 @@ func Fig4CSV(design string, cfg ExperimentConfig) (string, error) {
 // metal layer.
 func Fig5(design string, cfg ExperimentConfig) (*Table, error) {
 	return report.Fig5(design, cfg)
-}
-
-// Fig6PPA regenerates the Fig. 6 PPA comparison, returning both the
-// rendered table and the raw rows.
-func Fig6PPA(cfg ExperimentConfig) (*Table, []PPARow, error) {
-	return report.Fig6PPA(cfg)
-}
-
-// AblationSwapBudget sweeps the randomization swap budget on one benchmark.
-func AblationSwapBudget(benchmark string, budgets []int, cfg ExperimentConfig) (*Table, error) {
-	return report.AblationSwapBudget(benchmark, budgets, cfg)
 }

@@ -1,6 +1,7 @@
 package correction
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -18,8 +19,7 @@ func buildC432Protected(t testing.TB, seed int64) (*netlist.Netlist, *Protected)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	r, err := randomize.Randomize(nl, rng, randomize.Options{})
+	r, err := randomize.Randomize(context.Background(), nl, seed, randomize.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +147,7 @@ func TestNaiveLiftingPreservesFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(9))
-	r, err := randomize.Randomize(nl, rng, randomize.Options{})
+	r, err := randomize.Randomize(context.Background(), nl, 9, randomize.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +206,7 @@ func TestBuildErrors(t *testing.T) {
 		t.Error("nil randomization accepted")
 	}
 	other, _ := bench.ISCAS85("c880")
-	rng := rand.New(rand.NewSource(1))
-	r, _ := randomize.Randomize(other, rng, randomize.Options{MaxSwaps: 2})
+	r, _ := randomize.Randomize(context.Background(), other, 1, randomize.Options{MaxSwaps: 2})
 	if _, err := BuildProtected(nl, r, lib, Options{}); err == nil {
 		t.Error("mismatched netlists accepted")
 	}
@@ -219,8 +217,7 @@ func TestProtectedM8LiftLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(11))
-	r, err := randomize.Randomize(nl, rng, randomize.Options{MaxSwaps: 6, TargetOER: 2})
+	r, err := randomize.Randomize(context.Background(), nl, 11, randomize.Options{MaxSwaps: 6, TargetOER: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

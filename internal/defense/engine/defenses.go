@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"math/rand"
 
 	"splitmfg/internal/cell"
 	"splitmfg/internal/defense/baselines"
@@ -31,20 +30,9 @@ func init() {
 // Its stream comes from one shared label (rather than one per scheme), which
 // is what makes naive-lifted protect the same pins as randomize-correction
 // at one scope seed — the paper's like-for-like baseline (asserted by the
-// engine tests). ctx is checked before and after the pass.
+// engine tests).
 func randomizeSinks(ctx context.Context, nl *netlist.Netlist, opt Options) (*randomize.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(DeriveSeed(opt.Seed, "randomize")))
-	r, err := randomize.Randomize(nl, rng, randomize.Options{TargetOER: opt.TargetOER})
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return randomize.Randomize(ctx, nl, DeriveSeed(opt.Seed, "randomize"), randomize.Options{TargetOER: opt.TargetOER})
 }
 
 func (o Options) baselineOptions() baselines.Options {

@@ -7,6 +7,7 @@
 package randomize
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -58,10 +59,15 @@ type Result struct {
 	Protected map[netlist.PinRef]bool
 }
 
-// Randomize produces an erroneous netlist from the original. Swapped pins
+// Randomize produces an erroneous netlist from the original, drawing
+// swaps and OER patterns from one stream seeded with seed. Swapped pins
 // are unique (each sink participates in at most one swap) so that the
-// correction-cell stage can pair cells one-to-one.
-func Randomize(original *netlist.Netlist, rng *rand.Rand, opt Options) (*Result, error) {
+// correction-cell stage can pair cells one-to-one. ctx is checked before
+// the first swap, at every OER estimate and before returning.
+func Randomize(ctx context.Context, original *netlist.Netlist, seed int64, opt Options) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	opt = opt.withDefaults(original)
 	if original.HasCombLoop() {
 		return nil, fmt.Errorf("randomize: original netlist is cyclic")
@@ -86,6 +92,7 @@ func Randomize(original *netlist.Netlist, rng *rand.Rand, opt Options) (*Result,
 		return nil, fmt.Errorf("randomize: not enough pins to swap")
 	}
 
+	rng := rand.New(rand.NewSource(seed)) //smlint:rawseed callers derive the seed (defense/engine: DeriveSeed(scope, "randomize")) or pass the run's master seed, and every golden pins this stream; re-mixing here would shift them all
 	oer := 0.0
 	for len(res.Swaps) < opt.MaxSwaps {
 		swapped := false
@@ -114,6 +121,9 @@ func Randomize(original *netlist.Netlist, rng *rand.Rand, opt Options) (*Result,
 			break // no more feasible swaps
 		}
 		if len(res.Swaps)%checkEvery == 0 || len(res.Swaps) == opt.MaxSwaps {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			oer, err = sim.OER(original, nl, rng, opt.PatternWords)
 			if err != nil {
 				return nil, fmt.Errorf("randomize: OER estimation: %v", err)
@@ -136,6 +146,9 @@ func Randomize(original *netlist.Netlist, rng *rand.Rand, opt Options) (*Result,
 	}
 	if err := nl.Validate(); err != nil {
 		return nil, fmt.Errorf("randomize: erroneous netlist invalid: %v", err)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

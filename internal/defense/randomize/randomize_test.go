@@ -1,6 +1,8 @@
 package randomize
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -14,8 +16,7 @@ func TestRandomizeReachesHighOER(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	res, err := Randomize(nl, rng, Options{})
+	res, err := Randomize(context.Background(), nl, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,8 +37,7 @@ func TestRandomizeReachesHighOER(t *testing.T) {
 
 func TestProtectedPinsUnique(t *testing.T) {
 	nl, _ := bench.ISCAS85("c432")
-	rng := rand.New(rand.NewSource(2))
-	res, err := Randomize(nl, rng, Options{MaxSwaps: 20, TargetOER: 2 /*unreachable: use all swaps*/})
+	res, err := Randomize(context.Background(), nl, 2, Options{MaxSwaps: 20, TargetOER: 2 /*unreachable: use all swaps*/})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +58,7 @@ func TestProtectedPinsUnique(t *testing.T) {
 
 func TestRestoreRecoversOriginal(t *testing.T) {
 	nl, _ := bench.ISCAS85("c1355")
-	rng := rand.New(rand.NewSource(3))
-	res, err := Randomize(nl, rng, Options{})
+	res, err := Randomize(context.Background(), nl, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +75,11 @@ func TestRestoreRecoversOriginal(t *testing.T) {
 
 func TestErroneousDiffersFunctionally(t *testing.T) {
 	nl, _ := bench.ISCAS85("c432")
-	rng := rand.New(rand.NewSource(4))
-	res, err := Randomize(nl, rng, Options{})
+	res, err := Randomize(context.Background(), nl, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hd, err := sim.HD(nl, res.Erroneous, rng, 64)
+	hd, err := sim.HD(nl, res.Erroneous, rand.New(rand.NewSource(4)), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +90,7 @@ func TestErroneousDiffersFunctionally(t *testing.T) {
 
 func TestMaxSwapsRespected(t *testing.T) {
 	nl, _ := bench.ISCAS85("c432")
-	rng := rand.New(rand.NewSource(5))
-	res, err := Randomize(nl, rng, Options{MaxSwaps: 3, TargetOER: 2})
+	res, err := Randomize(context.Background(), nl, 5, Options{MaxSwaps: 3, TargetOER: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,22 +117,20 @@ func TestRejectsCyclicInput(t *testing.T) {
 	if !nl.HasCombLoop() {
 		t.Skip("could not create loop for this seed")
 	}
-	rng := rand.New(rand.NewSource(6))
-	if _, err := Randomize(nl, rng, Options{}); err == nil {
+	if _, err := Randomize(context.Background(), nl, 6, Options{}); err == nil {
 		t.Fatal("cyclic input accepted")
 	}
 }
 
 func TestPropertyRandomizeInvariants(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
 		nl, err := bench.Generate(bench.Spec{
 			Name: "p", PIs: 8, POs: 4, Gates: 60, Seed: seed, Locality: 0.7,
 		})
 		if err != nil {
 			return false
 		}
-		res, err := Randomize(nl, rng, Options{MaxSwaps: 10, PatternWords: 8})
+		res, err := Randomize(context.Background(), nl, seed, Options{MaxSwaps: 10, PatternWords: 8})
 		if err != nil {
 			return false
 		}
@@ -156,5 +151,53 @@ func TestPropertyRandomizeInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pollCtx is a context whose Err reports cancellation from its
+// (left+1)-th call on, and counts the calls.
+type pollCtx struct {
+	context.Context
+	left, polls int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.polls > c.left {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRandomizeCancelsMidLoop: Randomize polls its context inside the
+// swap loop, not only around it. A run that is never canceled counts the
+// polls; a context that cancels at any one of them makes Randomize
+// return context.Canceled, and one that outlasts them all changes
+// nothing.
+func TestRandomizeCancelsMidLoop(t *testing.T) {
+	nl, _ := bench.ISCAS85("c432")
+	opt := Options{MaxSwaps: 24, TargetOER: 2}
+	all := &pollCtx{Context: context.Background(), left: 1 << 30}
+	want, err := Randomize(all, nl, 7, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Before the first swap, at each estimate (every checkEvery swaps)
+	// and before returning.
+	if least := 2 + len(want.Swaps)/checkEvery; all.polls < least {
+		t.Fatalf("%d polls over %d swaps, want at least %d", all.polls, len(want.Swaps), least)
+	}
+	for left := 0; left < all.polls; left++ {
+		ctx := &pollCtx{Context: context.Background(), left: left}
+		if _, err := Randomize(ctx, nl, 7, opt); !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled at poll %d of %d: err = %v, want context.Canceled", left+1, all.polls, err)
+		}
+		if ctx.polls != left+1 {
+			t.Fatalf("canceled at poll %d: polled %d times, want it to stop there", left+1, ctx.polls)
+		}
+	}
+	got, err := Randomize(&pollCtx{Context: context.Background(), left: all.polls}, nl, 7, opt)
+	if err != nil || got.OER != want.OER || len(got.Swaps) != len(want.Swaps) {
+		t.Fatalf("uncanceled rerun: %v, OER %v with %d swaps, want %v with %d", err, got.OER, len(got.Swaps), want.OER, len(want.Swaps))
 	}
 }

@@ -263,18 +263,17 @@ func Protect(ctx context.Context, lib *cell.Library, b Bench, opt Options) (*Pro
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(opt.Seed))
 		target := opt.TargetOER
 		if attempt > 0 {
 			target = 2 // beyond-reachable: the swap cap governs escalation
 		}
 		start := time.Now()
-		r, err := randomize.Randomize(original, rng, randomize.Options{
+		r, err := randomize.Randomize(ctx, original, opt.Seed, randomize.Options{
 			TargetOER: target,
 			MaxSwaps:  maxSwaps,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("flow: randomize: %v", err)
+			return nil, fmt.Errorf("flow: randomize: %w", err)
 		}
 		em.emit(Event{Stage: StageRandomize, Attempt: attempt + 1,
 			Detail: fmt.Sprintf("%d swaps, OER %.3f", len(r.Swaps), r.OER), Elapsed: time.Since(start)})
@@ -525,7 +524,7 @@ func evaluateLayer(ctx context.Context, d *layout.Design, ref *netlist.Netlist, 
 	lr.VPins = len(sv.VPins)
 	// The scored surface is a property of the split alone (which sink
 	// fragments crossed the boundary), not of any attack outcome.
-	surface := scoreCCR(d, sv, ref, nil, onlyPins)
+	surface := metrics.CCROver(d, sv, ref, nil, onlyPins)
 	if surface.Protected == 0 {
 		lr.Vacuous = true // nothing crossed this boundary
 		lr.Elapsed = time.Since(start)
@@ -579,7 +578,7 @@ func runAttacker(ctx context.Context, eng engine.Engine, d *layout.Design, sv *l
 		ao.Elapsed = time.Since(start)
 		return ao, nil
 	}
-	ccr := scoreCCR(d, sv, ref, res.Assignment, onlyPins)
+	ccr := metrics.CCROver(d, sv, ref, res.Assignment, onlyPins)
 	rec := metrics.RecoverNetlist(d, sv, res.Assignment)
 	cmp := sim.CompareResult{}
 	if !rec.HasCombLoop() {
@@ -606,38 +605,4 @@ func runAttacker(ctx context.Context, eng engine.Engine, d *layout.Design, sv *l
 	ao.HD = cmp.HD
 	ao.Elapsed = time.Since(start)
 	return ao, nil
-}
-
-// scoreCCR scores like metrics.CCR but optionally restricted to fragments
-// containing designated protected sink pins.
-func scoreCCR(d *layout.Design, sv *layout.SplitView, ref *netlist.Netlist,
-	a metrics.Assignment, onlyPins map[netlist.PinRef]bool) metrics.CCRResult {
-	if onlyPins == nil {
-		return metrics.CCR(d, sv, ref, a)
-	}
-	// Score only fragments containing the designated protected pins.
-	var res metrics.CCRResult
-	truth := metrics.TrueAssignment(d, sv, ref)
-	for _, fid := range sv.SinkFrags() {
-		f := &sv.Frags[fid]
-		hit := false
-		for _, sp := range f.SinkPins() {
-			if sp.Role == layout.RoleSink && onlyPins[sp.Ref] {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			continue
-		}
-		res.Protected++
-		got, ok := a[fid]
-		if ok && got == truth[fid] && got >= 0 {
-			res.Correct++
-		}
-	}
-	if res.Protected > 0 {
-		res.CCR = float64(res.Correct) / float64(res.Protected)
-	}
-	return res
 }

@@ -2,7 +2,6 @@ package flow
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"splitmfg/internal/bench"
@@ -42,7 +41,7 @@ func TestPaperFidelityISCAS(t *testing.T) {
 				t.Fatal(err)
 			}
 			opt := correction.Options{LiftLayer: 6, UtilPercent: 70, Seed: 1}
-			r, err := randomize.Randomize(nl, rand.New(rand.NewSource(1)), randomize.Options{})
+			r, err := randomize.Randomize(context.Background(), nl, 1, randomize.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

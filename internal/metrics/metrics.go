@@ -109,11 +109,19 @@ type CCRResult struct {
 // Only pure-sink fragments are scored; a missing or wrong assignment
 // counts as incorrect.
 func CCR(d *layout.Design, sv *layout.SplitView, ref *netlist.Netlist, a Assignment) CCRResult {
+	return CCROver(d, sv, ref, a, nil)
+}
+
+// CCROver is CCR over the sink fragments holding one of only's gate
+// sink pins, or over every sink fragment when only is nil: how the
+// protected rows score the nets a defense protects. Its rule for a
+// correct connection is CCR's.
+func CCROver(d *layout.Design, sv *layout.SplitView, ref *netlist.Netlist, a Assignment, only map[netlist.PinRef]bool) CCRResult {
 	var res CCRResult
 	for _, fid := range sv.SinkFrags() {
 		f := &sv.Frags[fid]
 		sinks := f.SinkPins()
-		if len(sinks) == 0 {
+		if len(sinks) == 0 || only != nil && !holdsAny(sinks, only) {
 			continue
 		}
 		res.Protected++
@@ -144,6 +152,16 @@ func CCR(d *layout.Design, sv *layout.SplitView, ref *netlist.Netlist, a Assignm
 		res.CCR = float64(res.Correct) / float64(res.Protected)
 	}
 	return res
+}
+
+// holdsAny reports whether one of the sink pins is a gate input in only.
+func holdsAny(sinks []layout.TaggedPin, only map[netlist.PinRef]bool) bool {
+	for _, sp := range sinks {
+		if sp.Role == layout.RoleSink && only[sp.Ref] {
+			return true
+		}
+	}
+	return false
 }
 
 // RecoverNetlist builds the attacker's netlist: a clone of the FEOL-visible

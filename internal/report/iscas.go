@@ -3,7 +3,6 @@ package report
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"splitmfg/internal/bench"
 	"splitmfg/internal/cell"
@@ -171,20 +170,10 @@ func Table5(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// PPARow carries Fig. 6 / Sec 5.3 data for one benchmark.
-type PPARow struct {
-	Benchmark        string
-	Swaps            int
-	PowerOH, DelayOH float64 // percent
-	AreaOH           float64
-	NaivePowerOH     float64
-	NaiveDelayOH     float64
-}
-
 // Fig6PPA regenerates Fig. 6 and the Sec.-5.3 PPA discussion for ISCAS-85:
 // area/power/delay overheads of the proposed scheme (vs original layouts)
 // next to the naive-lifting control on the same protected-net set.
-func Fig6PPA(cfg Config) (*Table, []PPARow, error) {
+func Fig6PPA(cfg Config) (*Table, error) {
 	cfg = cfg.WithDefaults()
 	lib := cell.NewNangate45Like()
 	t := &Table{
@@ -194,49 +183,41 @@ func Fig6PPA(cfg Config) (*Table, []PPARow, error) {
 			"paper: zero area cost; ISCAS-85 average ≈11.5% power, ≈10% delay; proposed ≈3.4%/2.6% above naive lifting",
 		},
 	}
-	var rows []PPARow
 	var sumP, sumD, sumNP, sumND float64
 	for _, name := range table4Benchmarks(cfg) {
 		nl, err := bench.ISCAS85(name)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		res, err := flow.Protect(context.Background(), lib,
 			flow.Bench{Netlist: nl, LiftLayer: 6, UtilPercent: 70, PPABudgetPercent: 20}, flow.Options{Seed: cfg.Seed})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		// Naive lifting on the same sinks.
 		naive, err := correction.BuildNaiveLifted(nl, res.Protected.ProtectedSinks(), lib,
 			correction.Options{LiftLayer: 6, UtilPercent: 70, Seed: cfg.Seed})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		nppa, err := timing.AnalyzeRestored(naive.Design, nl, naive.Design.Masters, lib)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		_, npOH, ndOH := nppa.Overhead(res.BasePPA)
-		row := PPARow{
-			Benchmark: name, Swaps: res.Swaps,
-			PowerOH: res.PowerOH, DelayOH: res.DelayOH, AreaOH: res.AreaOH,
-			NaivePowerOH: npOH, NaiveDelayOH: ndOH,
-		}
-		rows = append(rows, row)
-		sumP += row.PowerOH
-		sumD += row.DelayOH
-		sumNP += row.NaivePowerOH
-		sumND += row.NaiveDelayOH
+		sumP += res.PowerOH
+		sumD += res.DelayOH
+		sumNP += npOH
+		sumND += ndOH
 		t.Rows = append(t.Rows, []string{
-			name, fmt.Sprintf("%d", row.Swaps), pct(row.AreaOH),
-			pct(row.PowerOH), pct(row.DelayOH), pct(row.NaivePowerOH), pct(row.NaiveDelayOH),
+			name, fmt.Sprintf("%d", res.Swaps), pct(res.AreaOH),
+			pct(res.PowerOH), pct(res.DelayOH), pct(npOH), pct(ndOH),
 		})
 	}
-	n := float64(len(rows))
-	if n > 0 {
+	if n := float64(len(t.Rows)); n > 0 {
 		t.Rows = append(t.Rows, []string{"average", "", "0.0%", pct(sumP / n), pct(sumD / n), pct(sumNP / n), pct(sumND / n)})
 	}
-	return t, rows, nil
+	return t, nil
 }
 
 // AblationSwapBudget measures security and PPA as a function of the swap
@@ -262,8 +243,7 @@ func AblationSwapBudget(name string, budgets []int, cfg Config) (*Table, error) 
 		return nil, err
 	}
 	for _, b := range budgets {
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		r, err := randomize.Randomize(nl, rng, randomize.Options{MaxSwaps: b, TargetOER: 2})
+		r, err := randomize.Randomize(context.Background(), nl, cfg.Seed, randomize.Options{MaxSwaps: b, TargetOER: 2})
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package report
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"splitmfg/internal/attack/crouting"
@@ -56,7 +55,6 @@ func buildSuperblueBundle(name string, cfg Config) (*sbBundle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s original: %v", name, err)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	// Randomize well past the OER knee, as the paper's budget loop does
 	// (Table 2 protects enough nets for the via deltas to dominate noise):
 	// ~6% of all gate input pins.
@@ -64,7 +62,7 @@ func buildSuperblueBundle(name string, cfg Config) (*sbBundle, error) {
 	for _, g := range nl.Gates {
 		pins += len(g.Fanin)
 	}
-	r, err := randomize.Randomize(nl, rng, randomize.Options{
+	r, err := randomize.Randomize(context.Background(), nl, cfg.Seed, randomize.Options{
 		PatternWords: 32, MaxSwaps: pins * 3 / 100, TargetOER: 2,
 	})
 	if err != nil {

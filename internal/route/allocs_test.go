@@ -7,7 +7,7 @@ import (
 )
 
 // TestRouteNetAllocs pins the steady-state allocation count of an
-// incremental RouteNet call (the ECO path BEOL restoration hammers). The
+// incremental RouteNet call (the path every re-route takes). The
 // budget is deliberately loose — it only needs to catch a reintroduced
 // per-call map or per-search scratch slice, which costs hundreds of
 // allocations, not single digits.
@@ -74,7 +74,7 @@ func TestHierRefineAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Re-routing 40 nets: each commit clones pins and builds a RoutedNet,
+	// Re-routing 40 nets: each route clones pins and builds a RoutedNet,
 	// like the flat path; the corridor machinery itself adds nothing.
 	budget := float64(len(jobs) * 40)
 	if allocs > budget {

@@ -31,8 +31,8 @@ func (e *JobError) Unwrap() error { return e.Err }
 // A job RouteNet would reject outright (no pins, or a lift above the top
 // layer) fails the batch before anything is planned or routed. Otherwise
 // the first job that fails to route ends the batch with its *JobError:
-// the jobs before it stay committed, a failed re-route leaves the net's
-// old route intact, and a failed fresh net keeps its Failed marker.
+// the jobs before it stay routed, a failed re-route leaves the net's old
+// route intact, and a failed fresh net keeps its Failed marker.
 func (r *Router) RouteJobs(jobs []Job) error {
 	for i, j := range jobs {
 		if err := r.checkNet(j.ID, j.Pins, j.MinLayer); err != nil {

@@ -2,6 +2,7 @@ package route
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -82,20 +83,40 @@ func stateEqual(t *testing.T, want, got *Router) {
 	}
 }
 
-// usageMatchesNets checks that the usage arrays equal a recount over the
-// routed nets' edges: no failed or replaced route leaked usage.
-func usageMatchesNets(t *testing.T, r *Router) {
-	t.Helper()
-	recount := NewRouter(r.Grid, r.Opt)
+// recountUsage recounts usage from the routed nets' wire edges and
+// returns the first cell where usageH or usageV differs from the recount,
+// or nil: no failed, replaced or ripped-up route left usage behind, and
+// no stored route is missing from the grids.
+func recountUsage(r *Router) error {
+	h := make([]int16, len(r.usageH))
+	v := make([]int16, len(r.usageV))
 	for _, rn := range r.nets {
 		for _, e := range rn.Edges {
-			recount.addUsage(e, 1, rn.ID)
+			if r.Grid.IsVia(e) {
+				continue
+			}
+			if i, horizontal := r.Grid.wireCell(e); horizontal {
+				h[i]++
+			} else {
+				v[i]++
+			}
 		}
 	}
-	for i := range r.usageH {
-		if r.usageH[i] != recount.usageH[i] || r.usageV[i] != recount.usageV[i] {
-			t.Fatalf("usage inconsistent with routed edges at index %d", i)
+	for i := range h {
+		if r.usageH[i] != h[i] || r.usageV[i] != v[i] {
+			return fmt.Errorf("usage at %v is H %d V %d, its routed edges count H %d V %d",
+				r.Grid.NodeAt(int32(i)), r.usageH[i], r.usageV[i], h[i], v[i])
 		}
+	}
+	return nil
+}
+
+// usageMatchesNets fails the test unless usage equals the recount over
+// the routed nets' edges (recountUsage).
+func usageMatchesNets(t testing.TB, r *Router) {
+	t.Helper()
+	if err := recountUsage(r); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -145,7 +166,7 @@ func TestRouteJobsRerouteInBatch(t *testing.T) {
 
 // TestRouteJobsUnroutableFallsBackSerial: a net that cannot route at all
 // (vertical-only lift layer, horizontally separated pins) fails the batch
-// with a *JobError naming it. The jobs before it stay committed, nothing
+// with a *JobError naming it. The jobs before it stay routed, nothing
 // after it routes, and the failed net keeps its Failed marker with no
 // edges and no usage.
 func TestRouteJobsUnroutableFallsBackSerial(t *testing.T) {
@@ -176,9 +197,10 @@ func TestRouteJobsUnroutableFallsBackSerial(t *testing.T) {
 }
 
 // TestRouteFailureRipsUpPartial: when a later sink of a multi-pin net
-// cannot route, the edges already committed for earlier sinks must be
-// discarded — the failed net may not occupy capacity (the old behavior
-// left partial trees counted in usage and leaking into ComputeStats).
+// cannot route, the usage already added for earlier sinks' edges must be
+// taken out again — the failed net may not occupy capacity (the old
+// behavior left partial trees counted in usage and leaking into
+// ComputeStats).
 func TestRouteFailureRipsUpPartial(t *testing.T) {
 	r := NewRouter(testGrid(), Options{})
 	x := 5 * r.Grid.GCell
@@ -244,6 +266,7 @@ func TestRerouteFailureKeepsOldRoute(t *testing.T) {
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	usageMatchesNets(t, r)
 }
 
 // TestNegotiateRerouteRestoresHistoryCost: the negotiation loop escalates
@@ -334,8 +357,8 @@ func TestPropertyRipUpAllReturnsToZero(t *testing.T) {
 }
 
 // TestRouteJobsSinglePinRipUpSerializes: a single-pin job that replaces
-// an existing multi-edge route performs no search, but its commit rips
-// the old route up, and the next job of the batch must see that freed
+// an existing multi-edge route performs no search, but route rips the
+// old route up, and the next job of the batch must see that freed
 // capacity. The batch ends exactly where the same RouteNet sequence does.
 func TestRouteJobsSinglePinRipUpSerializes(t *testing.T) {
 	die := geom.Rect{Lo: geom.Point{}, Hi: geom.Point{X: 200 * DefaultGCellNM, Y: 200 * DefaultGCellNM}}
@@ -395,4 +418,104 @@ func TestRouteJobsDuplicateIDsSerialize(t *testing.T) {
 	}
 	stateEqual(t, seq, batch)
 	usageMatchesNets(t, batch)
+}
+
+// FuzzRouteUsageConserved drives one router through a sequence of the
+// calls that change usage, chosen by ops: batches of fresh nets, batched
+// re-routes of routed nets, unroutable M10 lifts (a fresh net or a
+// re-route whose nearer sinks route before the farthest fails), RipUp
+// and NegotiateReroute. The grid is small and routes flat or hier; under
+// hier corridorHook cuts corridors at random, so corridor searches fail
+// part-way and fall back flat. After every step the usage grids must
+// equal the recount over the routed nets' edges.
+func FuzzRouteUsageConserved(f *testing.F) {
+	f.Add(int64(1), uint8(0), []byte{0, 0, 1, 2, 4, 3, 1, 4})
+	f.Add(int64(2), uint8(0x15), []byte{0, 1, 2, 1, 4, 2, 3, 0, 4})
+	f.Add(int64(3), uint8(0x1f), []byte{0, 0, 2, 4, 1, 1, 4, 3, 3, 0, 2})
+	f.Add(int64(4), uint8(0x0a), []byte{2, 0, 2, 1, 4, 0, 1, 4})
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8, ops []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		gw, gh := 8+int(shape&3)*6, 8+int(shape>>2&3)*6 // 8..26 gcells a side
+		strategy := StrategyFlat
+		if shape&16 != 0 {
+			strategy = StrategyHier
+		}
+		die := geom.Rect{Hi: geom.Point{X: gw * DefaultGCellNM, Y: gh * DefaultGCellNM}}
+		g := NewGrid(die, DefaultGCellNM, 10)
+		r := NewRouter(g, Options{Capacity: 1 + rng.Intn(2), Strategy: strategy})
+		r.corridorHook = func(corrs []corridor) {
+			for i := range corrs {
+				if corrs[i].n > 0 && rng.Intn(2) == 0 {
+					corrs[i].tiles = corrs[i].tiles[:1+rng.Intn(len(corrs[i].tiles))]
+				}
+			}
+		}
+		at := func(x, y int) Pin {
+			return Pin{Pt: geom.Point{X: x*g.GCell + g.GCell/2, Y: y*g.GCell + g.GCell/2}, Layer: 1}
+		}
+		randomJob := func(id int) Job {
+			pins := make([]Pin, 2+rng.Intn(4))
+			for k := range pins {
+				pins[k] = at(rng.Intn(g.W), rng.Intn(g.H))
+			}
+			lift := 1
+			if rng.Intn(4) == 0 {
+				lift = 6
+			}
+			return Job{ID: id, Pins: pins, MinLayer: lift}
+		}
+		// unroutable returns a net lifted to M10, which routes vertically
+		// only: a sink one gcell up the driver's column routes, and a sink
+		// two or more columns away cannot.
+		unroutable := func(id int) Job {
+			x, y := rng.Intn(g.W-2), rng.Intn(g.H-1)
+			return Job{ID: id, Pins: []Pin{at(x, y), at(x, y+1), at(x+2+rng.Intn(g.W-x-2), y)}, MinLayer: 10}
+		}
+		next := 0
+		if len(ops) > 16 {
+			ops = ops[:16]
+		}
+		for step, op := range ops {
+			switch op % 5 {
+			case 0: // a batch of fresh nets
+				jobs := make([]Job, 1+rng.Intn(6))
+				for i := range jobs {
+					jobs[i] = randomJob(next)
+					next++
+				}
+				if err := r.RouteJobs(jobs); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+			case 1: // re-route routed nets in one batch, with new pins
+				var jobs []Job
+				for _, id := range r.SortedNetIDs() {
+					if rng.Intn(2) == 0 {
+						jobs = append(jobs, randomJob(id))
+					}
+				}
+				if err := r.RouteJobs(jobs); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+			case 2: // an unroutable lift: a fresh net or a re-route
+				id := next
+				if ids := r.SortedNetIDs(); len(ids) > 0 && rng.Intn(2) == 0 {
+					id = ids[rng.Intn(len(ids))]
+				} else {
+					next++
+				}
+				if err := r.RouteJobs([]Job{unroutable(id)}); err == nil {
+					t.Fatalf("step %d: M10 lift of net %d routed", step, id)
+				}
+			case 3: // rip up one routed net
+				if ids := r.SortedNetIDs(); len(ids) > 0 {
+					r.RipUp(ids[rng.Intn(len(ids))])
+				}
+			case 4:
+				r.NegotiateReroute()
+			}
+			if err := recountUsage(r); err != nil {
+				t.Fatalf("step %d (op %d, %s): %v", step, op%5, strategy, err)
+			}
+		}
+	})
 }

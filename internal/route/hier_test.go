@@ -55,9 +55,9 @@ func TestResolvedStrategyAuto(t *testing.T) {
 }
 
 // TestRouteJobsHierRerouteInBatch: batched re-routing of existing nets
-// under hier (old edges masked through the overlay, rip-up on commit)
-// must replace the old routes: the result validates, and ripping every
-// net up afterwards leaves no usage behind.
+// under hier (each old route ripped up before its net re-routes) must
+// replace the old routes: the result validates, and ripping every net up
+// afterwards leaves no usage behind.
 func TestRouteJobsHierRerouteInBatch(t *testing.T) {
 	g := bigGrid()
 	r := NewRouter(g, Options{Strategy: StrategyHier})
@@ -113,6 +113,40 @@ func TestHierCorridorFallback(t *testing.T) {
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	usageMatchesNets(t, r)
+}
+
+// TestHierCorridorFallbackUndoesPartialTree: a multi-sink net whose
+// corridor admits its nearest sinks but not its farthest routes the near
+// sinks inside the corridor, adding their edges' usage, before the far
+// sink's search fails. Those edges must come out again before the flat
+// retry re-routes the whole net, or the near sinks' wiring is counted
+// twice. The corridor is cut to the driver's tile, which holds both near
+// sinks; the far sink lies five tiles east.
+func TestHierCorridorFallbackUndoesPartialTree(t *testing.T) {
+	g := bigGrid()
+	at := func(x, y int) Pin {
+		return Pin{Pt: geom.Point{X: x*g.GCell + g.GCell/2, Y: y*g.GCell + g.GCell/2}, Layer: 1}
+	}
+	// Driver and near sinks in the tile of gcells 96..103 on both axes.
+	net := Job{ID: 1, Pins: []Pin{at(98, 98), at(101, 98), at(98, 102), at(140, 98)}, MinLayer: 1}
+	r := NewRouter(g, Options{Strategy: StrategyHier})
+	r.corridorHook = func(corrs []corridor) {
+		corrs[0].tiles = []int32{r.planner.tileOf(98, 98)}
+	}
+	if err := r.RouteJobs([]Job{net}); err != nil {
+		t.Fatal(err)
+	}
+	if fb := r.Hier().FlatFallbacks; fb != 1 {
+		t.Fatalf("%d flat fallbacks, want 1", fb)
+	}
+	if rn := r.Net(net.ID); rn == nil || rn.Failed || rn.corr != nil {
+		t.Fatalf("net not routed flat by the fallback: %+v", rn)
+	}
+	if err := r.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	usageMatchesNets(t, r)
 }
 
 // TestHierUnroutableMatchesSerial: a genuinely unroutable net (M10 lift,

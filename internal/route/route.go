@@ -11,9 +11,10 @@
 // (Tables 2 and 6), and the routed topology from which the layout package
 // derives FEOL fragments, vpins, and dangling-wire directions.
 //
-// Routing is incremental (RouteNet/RipUp, the ECO mode the BEOL
-// restoration uses) or batched (RouteJobs, which routes its jobs in order
-// and may first plan a corridor per net; see batch.go and strategy.go).
+// Routing is batched (RouteJobs, which routes its jobs in order and may
+// first plan a corridor per net; see batch.go and strategy.go) or
+// incremental (RouteNet/RipUp). The layout package's RouteEntities, which
+// routes every design and the BEOL restoration, goes through RouteJobs.
 // Every route runs on the caller's goroutine, so a router's results are a
 // deterministic function of its calls.
 package route
@@ -211,8 +212,9 @@ func (rn *RoutedNet) Wirelength(g Grid) (wlNM int64, vias int) {
 	return wlNM, vias
 }
 
-// Router routes nets incrementally and supports rip-up/re-route (the ECO
-// mode the paper's flow uses when restoring true connectivity in the BEOL).
+// Router routes nets in batches (RouteJobs, which BEOL restoration takes
+// through layout.RouteEntities) or one at a time (RouteNet), and supports
+// rip-up/re-route.
 type Router struct {
 	Grid Grid
 	Opt  Options
@@ -297,38 +299,45 @@ func (r *Router) Net(id int) *RoutedNet { return r.nets[id] }
 // the trunk. Routing is A*-based per sink with the growing tree as the
 // source frontier.
 //
-// The route is computed first and committed only on success: a failed
-// re-route leaves the net's existing route fully intact, and a failed
-// fresh route records a Failed marker with no edges — partial trees never
-// occupy capacity or leak into ComputeStats/Validate.
+// Failure is undone: a failed re-route leaves the net's existing route
+// fully intact, and a failed fresh route records a Failed marker with no
+// edges — partial trees never occupy capacity or leak into
+// ComputeStats/Validate.
 //
 //smlint:hot
 func (r *Router) RouteNet(id int, pins []Pin, minLayer int) error {
 	return r.route(id, pins, minLayer, nil)
 }
 
-// route is the one serial route path: RouteNet, the serial schedule of a
-// batch and congestion negotiation all come through it. With a corridor
-// c the search is confined to it, and a corridor that holds no path is
-// counted in HierStats.FlatFallbacks and retried flat. A failed fresh
-// route leaves the Failed marker; a success is committed.
+// route is the one route path (RouteNet, a batch's jobs, negotiation)
+// and the only place that rips up or restores. It takes the old route's
+// usage out and routes the net on what is left. With a corridor c the
+// search is confined to it, and a corridor that holds no path is counted
+// in HierStats.FlatFallbacks and retried flat. A failed search has taken
+// its partial edges out again, so route puts the old route's usage back,
+// or, for a fresh net, stores the Failed marker.
 func (r *Router) route(id int, pins []Pin, minLayer int, c *corridor) error {
 	if err := r.checkNet(id, pins, minLayer); err != nil {
 		return err
 	}
 	old := r.nets[id]
-	rn, err := r.serial.routeNet(id, pins, minLayer, old, c)
+	if old != nil {
+		r.addEdges(old.Edges, -1, id)
+	}
+	rn, err := r.serial.routeNet(id, pins, minLayer, c)
 	if errors.Is(err, errCorridor) {
 		r.hierStats.FlatFallbacks++
-		rn, err = r.serial.routeNet(id, pins, minLayer, old, nil)
+		rn, err = r.serial.routeNet(id, pins, minLayer, nil)
 	}
 	if err != nil {
-		if old == nil {
+		if old != nil {
+			r.addEdges(old.Edges, 1, id)
+		} else {
 			r.nets[id] = rn // failed marker: no edges, no usage
 		}
 		return err
 	}
-	r.commit(rn, old)
+	r.nets[id] = rn
 	return nil
 }
 
@@ -344,31 +353,19 @@ func (r *Router) checkNet(id int, pins []Pin, minLayer int) error {
 	return nil
 }
 
-// commit installs a freshly routed net: the old route (if any) is ripped
-// up and the new edges take its place in the usage maps.
-func (r *Router) commit(rn *RoutedNet, old *RoutedNet) {
-	if old != nil {
-		r.ripUp(old)
-	}
-	r.nets[rn.ID] = rn
-	for _, e := range rn.Edges {
-		r.addUsage(e, 1, rn.ID)
-	}
-}
-
 // RipUp removes a routed net, releasing its routing resources.
 func (r *Router) RipUp(id int) {
 	if rn := r.nets[id]; rn != nil {
-		r.ripUp(rn)
+		r.addEdges(rn.Edges, -1, id)
 		delete(r.nets, id)
 	}
 }
 
-func (r *Router) ripUp(rn *RoutedNet) {
-	for _, e := range rn.Edges {
-		r.addUsage(e, -1, rn.ID)
+// addEdges adds d to the usage of every wire edge of net id.
+func (r *Router) addEdges(edges []Edge, d int16, id int) {
+	for _, e := range edges {
+		r.addUsage(e, d, id)
 	}
-	rn.Edges = nil
 }
 
 // addUsage adjusts the usage grid for one edge, panicking with the full
@@ -377,7 +374,7 @@ func (r *Router) ripUp(rn *RoutedNet) {
 // a corrupted accounting state, not a legitimate design — and wrapping
 // silently would break rip-up bookkeeping and congestion negotiation in
 // undebuggable ways. The panic names the layer, gcell, direction, and
-// the net being committed or ripped up, so a full-scale failure is
+// the net being routed or ripped up, so a full-scale failure is
 // diagnosable without a debugger.
 func (r *Router) addUsage(e Edge, d int16, netID int) {
 	if r.Grid.IsVia(e) {

@@ -33,8 +33,8 @@ func benchPins(n int, die geom.Rect) [][]Pin {
 // BenchmarkRouteNet measures routing 400 two-pin nets, half local and
 // half die-spanning, one RouteNet call each on a fresh router over a
 // 100x100x10 grid. Nothing else runs, so the time is the fine A*
-// (searchBounded and its internal/heapx queue) plus the commit of each
-// route; the allocations are the routed nets and the router's grids.
+// (searchBounded and its internal/heapx queue) plus the usage updates of
+// each route; the allocations are the routed nets and the router's grids.
 //
 //	go test -bench RouteNet -benchmem ./internal/route
 func BenchmarkRouteNet(b *testing.B) {
@@ -54,8 +54,8 @@ func BenchmarkRouteNet(b *testing.B) {
 }
 
 // BenchmarkRerouteNet measures steady-state rip-up-and-reroute of one net
-// on a warm router — the ECO path the BEOL restoration loop exercises,
-// and the purest view of the reused A* scratch buffers.
+// on a warm router — the path every re-route takes, negotiation's
+// included — and the purest view of the reused A* scratch buffers.
 func BenchmarkRerouteNet(b *testing.B) {
 	die := geom.Rect{Lo: geom.Point{}, Hi: geom.Point{X: 100 * DefaultGCellNM, Y: 100 * DefaultGCellNM}}
 	grid := NewGrid(die, DefaultGCellNM, 10)

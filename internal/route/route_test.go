@@ -272,7 +272,7 @@ func TestPropertyRandomNetsRouteAndValidate(t *testing.T) {
 				return false
 			}
 		}
-		return r.Validate() == nil
+		return r.Validate() == nil && recountUsage(r) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
@@ -298,7 +298,7 @@ func TestPropertyRipUpIsInverse(t *testing.T) {
 			{Pt: geom.Point{X: rng.Intn(56000), Y: rng.Intn(56000)}, Layer: 1},
 			{Pt: geom.Point{X: rng.Intn(56000), Y: rng.Intn(56000)}, Layer: 1},
 		}
-		if r.RouteNet(1, pins, 1) != nil {
+		if r.RouteNet(1, pins, 1) != nil || recountUsage(r) != nil {
 			return false
 		}
 		r.RipUp(1)
@@ -307,7 +307,7 @@ func TestPropertyRipUpIsInverse(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		return recountUsage(r) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)

@@ -66,9 +66,9 @@ func refSegCost(w *worker, lo Node, horizontal bool) int64 {
 	i := r.Grid.Index(lo)
 	var u int32
 	if horizontal {
-		u = int32(r.usageH[i]) + int32(w.deltaH[i])
+		u = int32(r.usageH[i])
 	} else {
-		u = int32(r.usageV[i]) + int32(w.deltaV[i])
+		u = int32(r.usageV[i])
 	}
 	base := layerBase(lo.Z)
 	over := int(u) - r.Opt.Capacity
@@ -114,7 +114,7 @@ func zeroBound(Node) int64 { return 0 }
 // indices and the per-axis heuristic: every neighbour is re-encoded with
 // Router.idx, its heuristic h recomputed from scratch, and the queue is
 // container/heap (refPQ, ties newest first). It reads the same worker
-// state (tree, overlay, corridor) and keeps its A* state in rs. With
+// state (tree, corridor) and router usage, and keeps its A* state in rs. With
 // refBound it must match searchBounded edge for edge; with zeroBound it
 // is Dijkstra.
 func referenceSearch(w *worker, rs *refScratch, target Node, wireMin int, reg region, h func(Node) int64) ([]Edge, bool) {
@@ -208,11 +208,12 @@ func pathCost(w *worker, path []Edge) int64 {
 	return c
 }
 
-// randomRouter is a router over a gw×gh×layers grid with random shared
-// usage and a random worker overlay straddling capacity, under the
-// default or an escalated history cost. Usage plus overlay stays
-// non-negative, as the router guarantees: an overlay only ever removes
-// edges the shared usage already counts.
+// randomRouter is a router over a gw×gh×layers grid with random usage
+// straddling capacity, under the default or an escalated history cost.
+// Usage is drawn in two rounds, a level and then on about a quarter of
+// the cells an adjustment of −2..+2, as a net's own edges and a replaced
+// route shift it during a re-route. It stays non-negative, as the router
+// guarantees: a route only ever takes out edges the usage already counts.
 func randomRouter(rng *rand.Rand, gw, gh, layers int) (*Router, *worker) {
 	die := geom.Rect{Hi: geom.Point{X: gw * DefaultGCellNM, Y: gh * DefaultGCellNM}}
 	grid := NewGrid(die, DefaultGCellNM, layers)
@@ -229,14 +230,13 @@ func randomRouter(rng *rand.Rand, gw, gh, layers int) (*Router, *worker) {
 			r.usageV[i] = int16(max(0, capacity+rng.Intn(7)-4))
 		}
 	}
-	w := newWorker(r)
-	for i := range w.deltaH {
+	for i := range r.usageH {
 		if rng.Intn(4) == 0 {
-			w.deltaH[i] = int16(max(rng.Intn(5)-2, -int(r.usageH[i])))
-			w.deltaV[i] = int16(max(rng.Intn(5)-2, -int(r.usageV[i])))
+			r.usageH[i] += int16(max(rng.Intn(5)-2, -int(r.usageH[i])))
+			r.usageV[i] += int16(max(rng.Intn(5)-2, -int(r.usageV[i])))
 		}
 	}
-	return r, w
+	return r, newWorker(r)
 }
 
 // randomSearch seeds w with a random multi-node tree and returns a
@@ -279,8 +279,8 @@ func randomSearch(rng *rand.Rand, w *worker, corridor bool) (Node, region) {
 
 // TestSearchMatchesReference pins searchBounded to referenceSearch under
 // refBound on randomized cases: grids down to one gcell wide or tall,
-// detour regions clamped at the die edge, shared usage and overlay
-// deltas straddling capacity, the default or an escalated history cost,
+// detour regions clamped at the die edge, usage straddling capacity, the
+// default or an escalated history cost,
 // wireMin from M2 up to the top layer, multi-node trees as seeds, and
 // corridor masks on or off. Several searches share each worker, so stale
 // epochs are exercised too. Both must find the same path — edge for

@@ -15,16 +15,11 @@ import (
 // search (full detour loop).
 var errCorridor = errors.New("route: corridor exhausted")
 
-// worker holds everything one routing computation needs besides the
-// shared usage arrays: the A* scratch (reused across searches so
-// steady-state routing does not allocate) and a usage-delta overlay that
-// stands in for the usual rip-up-then-commit mutation of shared state.
-//
-// The overlay is what makes failure safe: a route is computed against
-// usageH/usageV *plus* the worker's private delta (the net's own edges so
-// far at +1, the old route being replaced at -1), so shared state is
-// never touched until the route is known to be complete, and a failed
-// re-route leaves the old route and its usage exactly as they were.
+// worker holds the scratch one route needs, reused across searches so
+// steady-state routing does not allocate. It keeps no usage of its own:
+// searches price moves against the router's usageH/usageV. Failure is
+// made safe by undo (routeNet, Router.route), which suffices because every
+// route runs on the router's one goroutine.
 type worker struct {
 	r *Router
 
@@ -47,13 +42,6 @@ type worker struct {
 	pathBuf   []Edge
 	edgeBuf   []Edge // the current net's edges, copied out exactly sized on success
 
-	// Usage overlay for the net currently being routed (int16 to match the
-	// shared grids; a single net's edges can never approach the range).
-	deltaH   []int16
-	deltaV   []int16
-	touchedH []int32
-	touchedV []int32
-
 	// Corridor mask for hierarchical refinement (strategy.go/coarse.go):
 	// while corrOn, wire moves may only enter gcells whose tile is
 	// stamped with the current corridor epoch, and search runs a single
@@ -73,8 +61,6 @@ func newWorker(r *Router) *worker {
 		r:      r,
 		state:  make([]nodeState, n),
 		lb:     bound{vias: make([]int64, 4*(r.Grid.Layers+1))},
-		deltaH: make([]int16, n),
-		deltaV: make([]int16, n),
 		treeEp: make([]int32, n),
 	}
 }
@@ -90,48 +76,12 @@ type nodeState struct {
 	from  int32
 }
 
-// reset clears the usage overlay for the next net.
-//
-//smlint:hot
-func (w *worker) reset() {
-	for _, i := range w.touchedH {
-		w.deltaH[i] = 0
-	}
-	for _, i := range w.touchedV {
-		w.deltaV[i] = 0
-	}
-	w.touchedH = w.touchedH[:0]
-	w.touchedV = w.touchedV[:0]
-}
-
-// addDelta records one edge in the overlay (the in-flight equivalent of
-// Router.addUsage).
-//
-//smlint:hot
-func (w *worker) addDelta(e Edge, d int16) {
-	if w.r.Grid.IsVia(e) {
-		return
-	}
-	i, horizontal := w.r.Grid.wireCell(e)
-	if horizontal {
-		if w.deltaH[i] == 0 {
-			w.touchedH = append(w.touchedH, i)
-		}
-		w.deltaH[i] += d
-	} else {
-		if w.deltaV[i] == 0 {
-			w.touchedV = append(w.touchedV, i)
-		}
-		w.deltaV[i] += d
-	}
-}
-
 // layerBase is the cost of one uncongested wire segment on layer z.
 // Commercial routers fill the cheap lower layers first and only climb
 // under congestion or length pressure; the per-layer bias reproduces the
 // paper's Fig. 5 "Original" wirelength profile (most wiring low). It
-// grows with z, and segCost never charges less while usage plus overlay
-// is non-negative, which is what makes searchBounded's bound a bound.
+// grows with z, and segCost never charges less while usage is
+// non-negative, which is what makes searchBounded's bound a bound.
 func layerBase(z int) int64 {
 	if z < 2 {
 		return 10
@@ -140,17 +90,17 @@ func layerBase(z int) int64 {
 }
 
 // segCost returns the cost of moving across one wire segment on layer z
-// with the current congestion (shared usage plus the worker's overlay);
-// i is the node index of the segment's lower end, where usage is kept.
+// with the current congestion; i is the node index of the segment's lower
+// end, where usage is kept.
 //
 //smlint:hot
 func (w *worker) segCost(i int32, z int, horizontal bool) int64 {
 	r := w.r
 	var u int32
 	if horizontal {
-		u = int32(r.usageH[i]) + int32(w.deltaH[i])
+		u = int32(r.usageH[i])
 	} else {
-		u = int32(r.usageV[i]) + int32(w.deltaV[i])
+		u = int32(r.usageV[i])
 	}
 	base := layerBase(z)
 	over := int(u) - r.Opt.Capacity
@@ -161,27 +111,21 @@ func (w *worker) segCost(i int32, z int, horizontal bool) int64 {
 	return base + int64(float64(base)*r.history*float64(over+1))
 }
 
-// routeNet computes a route for the net without touching shared router
-// state. old, when non-nil, is the net's existing route: its usage is
-// masked out through the overlay, exactly as if it had been ripped up
-// first. c, when non-nil, is the net's corridor: the worker arms its mask
-// for this call, and a corridor holding no path fails with errCorridor.
+// routeNet routes the net, adding each path edge's usage as the tree
+// grows; the caller has taken any old route's usage out. c, when non-nil,
+// is the net's corridor: the worker arms its mask for this call, and a
+// corridor holding no path fails with errCorridor.
 //
-// On success the returned net carries the new edges and its corridor,
-// and the caller commits it; on failure it is marked Failed with no
-// edges, and shared state is untouched either way.
+// On success the returned net carries the new edges and its corridor. On
+// any failure, errCorridor included, the edges added so far are taken out
+// again, so usage is as the call found it, and the net is marked Failed
+// with no edges.
 //
 //smlint:hot
-func (w *worker) routeNet(id int, pins []Pin, minLayer int, old *RoutedNet, c *corridor) (*RoutedNet, error) {
-	defer w.reset()
+func (w *worker) routeNet(id int, pins []Pin, minLayer int, c *corridor) (*RoutedNet, error) {
 	if c != nil {
 		w.setCorridor(w.r.planner.tw, w.r.planner.th, c.tiles, c.reg)
 		defer w.clearCorridor()
-	}
-	if old != nil {
-		for _, e := range old.Edges {
-			w.addDelta(e, -1)
-		}
 	}
 	rn := &RoutedNet{ID: id, Pins: append([]Pin(nil), pins...), MinLayer: minLayer, corr: c}
 	if len(pins) == 1 {
@@ -227,6 +171,7 @@ func (w *worker) routeNet(id int, pins []Pin, minLayer int, old *RoutedNet, c *c
 		}
 		path, err := w.search(target, wireMin)
 		if err != nil {
+			w.r.addEdges(edges, -1, id)
 			rn.Failed = true
 			if errors.Is(err, errCorridor) {
 				return rn, err
@@ -235,7 +180,7 @@ func (w *worker) routeNet(id int, pins []Pin, minLayer int, old *RoutedNet, c *c
 		}
 		for _, e := range path {
 			edges = append(edges, e)
-			w.addDelta(e, 1)
+			w.r.addUsage(e, 1, id)
 			w.treeAdd(e.A)
 			w.treeAdd(e.B)
 		}

@@ -3,7 +3,6 @@ package splitmfg
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 
@@ -236,7 +235,7 @@ func (p *Pipeline) Baseline(ctx context.Context, d *Design) (*Layout, error) {
 // performs. It is the attacker's-perspective fast path: when only the
 // layout under attack matters, it does roughly half the work of Protect.
 func (p *Pipeline) Randomized(ctx context.Context, d *Design) (*Layout, error) {
-	r, err := p.randomize(ctx, d)
+	r, err := randomize.Randomize(ctx, d.nl, p.cfg.Seed, randomize.Options{TargetOER: p.cfg.TargetOER})
 	if err != nil {
 		return nil, err
 	}
@@ -247,29 +246,12 @@ func (p *Pipeline) Randomized(ctx context.Context, d *Design) (*Layout, error) {
 	return protectedOf(d.name, d.nl, pr), nil
 }
 
-// randomize runs the one randomization pass Randomized and NaiveLifted
-// share, to WithTargetOER from WithSeed, checking ctx before and after.
-func (p *Pipeline) randomize(ctx context.Context, d *Design) (*randomize.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(p.cfg.Seed))
-	r, err := randomize.Randomize(d.nl, rng, randomize.Options{TargetOER: p.cfg.TargetOER})
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // NaiveLifted builds the paper's naive-lifting baseline: the same sink
 // pins Randomized would protect (at the same WithSeed and WithTargetOER)
 // are lifted through pass-through cells, but the netlist is left
 // untouched.
 func (p *Pipeline) NaiveLifted(ctx context.Context, d *Design) (*Layout, error) {
-	r, err := p.randomize(ctx, d)
+	r, err := randomize.Randomize(ctx, d.nl, p.cfg.Seed, randomize.Options{TargetOER: p.cfg.TargetOER})
 	if err != nil {
 		return nil, err
 	}
